@@ -115,7 +115,10 @@ def _parse_grid(raw) -> tuple:
     parts = str(raw).replace(",", " ").split()
     if not parts:
         raise ValidationError("empty n_grid")
-    return tuple(int(p) for p in parts)
+    try:
+        return tuple(int(p) for p in parts)
+    except ValueError as exc:
+        raise ValidationError(f"n_grid {raw!r} is not a list of integers") from exc
 
 
 def _task_config(cfg: _FileConfig, args, seed: int) -> TaskConfig:

@@ -271,8 +271,10 @@ def read_dataset_csv(path) -> TripletDataset:
                 continue
             if len(row) != d + 2:
                 raise ValidationError(f"{path}: row has {len(row)} fields, expected {d + 2}")
-            tag, label = row[0], int(row[1])
-            features = [float(v) for v in row[2:]]
+            try:
+                tag, label, features = row[0], int(row[1]), [float(v) for v in row[2:]]
+            except ValueError as exc:
+                raise ValidationError(f"{path}: malformed row {row!r}: {exc}") from exc
             if tag == Pool.POSITIVE.value:
                 positives.append(Sample(features, label, Pool.POSITIVE))
             elif tag == Pool.NEGATIVE.value:

@@ -319,8 +319,9 @@ def run_excess_risk_experiment(cfg: SweepConfig) -> ExcessReport:
             )
             pop_model = population_risk(w_model, sampler, cfg.population_m, loss_cfg)
             pop_proxy = population_risk(w_proxy, sampler, cfg.population_m, loss_cfg)
-            emp_model = empirical_risk(w_model, train, loss_cfg)
-            emp_proxy = empirical_risk(w_proxy, train, loss_cfg)
+            budget = max(DEFAULT_TRIPLET_BUDGET, n * (n - 1) * n)
+            emp_model = empirical_risk(w_model, train, loss_cfg, budget=budget)
+            emp_proxy = empirical_risk(w_proxy, train, loss_cfg, budget=budget)
             estimation = pop_model.value - emp_model.value
             optimization = emp_model.value - emp_proxy.value
             deviation = emp_proxy.value - pop_proxy.value

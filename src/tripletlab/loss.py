@@ -224,7 +224,57 @@ def triplet_losses_rowwise(
     w_arr: np.ndarray, Xa: np.ndarray, Xp: np.ndarray, Xn: np.ndarray, zeta: float
 ) -> np.ndarray:
     """Logistic triplet losses phi(-margin) for m aligned triplets, one per row."""
-    return phi(-triplet_margins_rowwise(w_arr, Xa, Xp, Xn, zeta))
+    return margin_terms(triplet_margins_rowwise(w_arr, Xa, Xp, Xn, zeta))[0]
+
+
+# doubles per anchor block (512 KB): a block and the kernel's temporaries stay in cache
+BLOCK = 1 << 16
+
+
+def margin_blocks(S_pp: np.ndarray, S_pn: np.ndarray, zeta: float):
+    """Yield (start, m) over anchor blocks of the margin tensor, in anchor order.
+
+    m[a, j, k] = S_pp[i, j] - S_pn[i, k] + zeta for anchor i = start + a, with
+    S_pp, S_pn the pair scores of the positives with positives and negatives.
+    A block holds at most BLOCK margins (at least one anchor) and is a fresh
+    array. The excluded triplets j = i carry m = -inf, where every term of
+    margin_terms is exactly 0, so sums and maxima cover valid triplets only.
+    """
+    step = max(1, BLOCK // S_pn.size)
+    for start in range(0, S_pn.shape[0], step):
+        m = np.subtract(S_pp[start : start + step, :, None], S_pn[start : start + step, None, :])
+        m += zeta
+        anchors = np.arange(m.shape[0])
+        m[anchors, start + anchors] = -np.inf
+        yield start, m
+
+
+def margin_terms(m: np.ndarray, slope: bool = False, curvature: bool = False):
+    """(phi(-m), sigmoid(m) = -phi'(-m), phi''(m)) of a float64 array m from one exp.
+
+    The two derivatives in m are None unless asked for; m is overwritten. With
+    e = exp(-|m|): phi(-m) = log1p(e) + max(m, 0), phi's own operations, so it
+    is bit-identical to phi(-m); sigmoid(m) is 1/(1+e) for m >= 0 and e/(1+e)
+    below; phi''(m) = e/(1+e)^2.
+    """
+    e = np.abs(m)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    nonneg = m >= 0.0 if slope else None
+    loss = np.log1p(e)
+    loss += np.maximum(m, 0.0, out=m)
+    if not (slope or curvature):
+        return loss, None, None
+    inv = np.add(e, 1.0, out=m)
+    np.reciprocal(inv, out=inv)
+    curv = None
+    if curvature:
+        curv = np.multiply(e, inv)
+        curv *= inv
+    if slope:
+        np.maximum(e, nonneg, out=e)  # 1 for m >= 0, e below
+        e *= inv
+    return loss, (e if slope else None), curv
 
 
 # --- serialization ---

@@ -37,15 +37,12 @@ from .loss import (
     MetricParams,
     logistic_triplet_grad,
     LossConfig,
+    margin_blocks,
+    margin_terms,
     pair_scores,
-    phi,
-    phi_double_prime,
-    phi_prime,
     regularity_constants,
 )
 from .risk import DEFAULT_TRIPLET_BUDGET, exact_mean_loss
-
-_CHUNK = 1 << 21
 
 
 class StepSizeTooLarge(ValidationError):
@@ -282,50 +279,39 @@ def _pair_outer_vecs(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return outer.reshape(X.shape[0] * Y.shape[0], -1)
 
 
-def _risk_parts(w_arr, X, Y, zeta, P=None, Q=None):
+def _risk_parts(w_arr, X, Y, zeta, hessian=False):
     """One sweep over the triplet tensor: mean loss, exact gradient of R_S,
-    and (when P, Q are supplied) the d^2 x d^2 Hessian of R_S.
+    and (when hessian is set) the d^2 x d^2 Hessian of R_S.
 
-    The loss of triplet (i, j, k) is phi(-m_ijk). The gradient uses the
-    aggregated pair weights A[i,j] = -sum_k phi'(-m_ijk) and
-    Bw[i,k] = -sum_j phi'(-m_ijk); the weighted sums of difference outer
+    The loss of triplet (i, j, k) is phi(-m_ijk), with m-derivatives
+    sigmoid(m_ijk) and phi''(m_ijk) (margin_terms). The gradient uses the
+    aggregated pair weights A[i,j] = sum_k sigmoid(m_ijk) and
+    Bw[i,k] = sum_j sigmoid(m_ijk); the weighted sums of difference outer
     products collapse to a handful of d x d matrix products (graph-Laplacian
-    identity), so no per-triplet outer product is ever formed.
+    identity), so no per-triplet outer product is ever formed. The Hessian
+    sums phi''(m_ijk) (p_ij - q_ik)(p_ij - q_ik)^T block by block, with p, q
+    the vectorized outer products of the block's pair differences; its cross
+    term sum_ijk phi''(m_ijk) p_ij q_ik^T is one batched product per block.
     """
     n_plus, n_minus = X.shape[0], Y.shape[0]
-    d = X.shape[1]
     N = n_plus * (n_plus - 1) * n_minus
-    want_hess = P is not None
-    S_pp = pair_scores(w_arr, X, X)
-    S_pn = pair_scores(w_arr, X, Y)
-    A = np.zeros((n_plus, n_plus))
-    Bw = np.zeros((n_plus, n_minus))
+    A = np.empty((n_plus, n_plus))
+    Bw = np.empty((n_plus, n_minus))
     loss_parts = []
-    if want_hess:
-        a2 = np.zeros(n_plus * n_plus)
-        b2 = np.zeros((n_plus, n_minus))
-        cross = np.zeros((d * d, d * d))
-    chunk = max(1, _CHUNK // max(1, n_plus * n_minus))
-    for start in range(0, n_plus, chunk):
-        stop = min(start + chunk, n_plus)
-        rows = np.arange(stop - start)
-        block = S_pp[start:stop, :, None] - S_pn[start:stop, None, :] + zeta
-        losses = phi(-block)
-        losses[rows, np.arange(start, stop), :] = 0.0
+    hess = np.zeros((X.shape[1] ** 2,) * 2) if hessian else None
+    for start, m in margin_blocks(pair_scores(w_arr, X, X), pair_scores(w_arr, X, Y), zeta):
+        stop = start + m.shape[0]
+        losses, g1, g2 = margin_terms(m, slope=True, curvature=hessian)
         loss_parts.append(float(losses.sum()))
-        g1 = -phi_prime(-block)
-        g1[rows, np.arange(start, stop), :] = 0.0
         A[start:stop] = g1.sum(axis=2)
         Bw[start:stop] = g1.sum(axis=1)
-        if want_hess:
-            g2 = phi_double_prime(block)  # phi'' is even
-            g2[rows, np.arange(start, stop), :] = 0.0
-            a2[start * n_plus : stop * n_plus] = g2.sum(axis=2).reshape(-1)
-            b2[start:stop] = g2.sum(axis=1)
-            for local, i in enumerate(range(start, stop)):
-                Pi = P[i * n_plus : (i + 1) * n_plus]
-                Qi = Q[i * n_minus : (i + 1) * n_minus]
-                cross += (Pi.T @ g2[local]) @ Qi
+        if hessian:
+            P = _pair_outer_vecs(X[start:stop], X)
+            Q = _pair_outer_vecs(X[start:stop], Y)
+            cross = P.T @ np.matmul(g2, Q.reshape(len(g2), n_minus, -1)).reshape(P.shape)
+            hess += (P.T * g2.sum(axis=2).reshape(-1)) @ P
+            hess += (Q.T * g2.sum(axis=1).reshape(-1)) @ Q
+            hess -= cross + cross.T
     mean_loss = math.fsum(loss_parts) / N
 
     r, c = A.sum(axis=1), A.sum(axis=0)
@@ -338,13 +324,9 @@ def _risk_parts(w_arr, X, Y, zeta, P=None, Q=None):
     grad = (k_plus - k_minus) / N
     grad = (grad + grad.T) / 2.0  # kill last-ulp BLAS asymmetry
 
-    if not want_hess:
-        return mean_loss, grad, None
-    hess = (P * a2[:, None]).T @ P
-    hess += (Q * b2.reshape(-1)[:, None]).T @ Q
-    hess -= cross + cross.T
-    hess /= N
-    hess = (hess + hess.T) / 2.0
+    if hessian:
+        hess /= N
+        hess = (hess + hess.T) / 2.0
     return mean_loss, grad, hess
 
 
@@ -374,37 +356,12 @@ def rrm_train(dataset: TripletDataset, cfg: RrmConfig, w0: MetricParams | None =
     Y = dataset.negative_features
     d = dataset.d
     w = np.zeros((d, d)) if w0 is None else w0.w.copy()
-    if cfg.method == "gd":
-        alpha = regularity_constants(feature_bound(dataset)).alpha
-        step = 1.0 / (alpha + 2.0 * cfg.lam)
-        best = None
-        for it in range(cfg.max_iters + 1):
-            _, grad_r, _ = _risk_parts(w, X, Y, cfg.zeta)
-            grad = grad_r + 2.0 * cfg.lam * w
-            gnorm = float(np.linalg.norm(grad))
-            if best is None or gnorm < best[0]:
-                best = (gnorm, w.copy(), it)
-            if gnorm <= cfg.tol:
-                return MetricParams(w), it
-            if it == cfg.max_iters:
-                break
-            w = w - step * grad
-        gnorm, w_best, it_best = best
-        raise MaxItersExceeded(
-            f"gd stopped at ||grad|| = {gnorm:g} > tol = {cfg.tol:g} "
-            f"after {cfg.max_iters} iterations",
-            MetricParams(w_best),
-            it_best,
-            gnorm,
-        )
-
-    P = _pair_outer_vecs(X, X)
-    Q = _pair_outer_vecs(X, Y)
-    eye = np.eye(d * d)
+    newton = cfg.method == "newton"
+    if not newton:
+        gd_step = 1.0 / (regularity_constants(feature_bound(dataset)).alpha + 2.0 * cfg.lam)
     best = None
+    risk_val, grad_r, hess_r = _risk_parts(w, X, Y, cfg.zeta, hessian=newton)
     for it in range(cfg.max_iters + 1):
-        risk_val, grad_r, hess_r = _risk_parts(w, X, Y, cfg.zeta, P=P, Q=Q)
-        f_val = risk_val + cfg.lam * float(np.sum(w * w))
         grad = grad_r + 2.0 * cfg.lam * w
         gnorm = float(np.linalg.norm(grad))
         if best is None or gnorm < best[0]:
@@ -413,28 +370,37 @@ def rrm_train(dataset: TripletDataset, cfg: RrmConfig, w0: MetricParams | None =
             return MetricParams(w), it
         if it == cfg.max_iters:
             break
-        hess = hess_r + 2.0 * cfg.lam * eye
-        step_vec = cho_solve(cho_factor(hess), -grad.reshape(-1))
-        s = step_vec.reshape(d, d)
+        if not newton:
+            w = w - gd_step * grad
+            risk_val, grad_r, hess_r = _risk_parts(w, X, Y, cfg.zeta)
+            continue
+        f_val = risk_val + cfg.lam * float(np.sum(w * w))
+        hess = hess_r + 2.0 * cfg.lam * np.eye(d * d)
+        s = cho_solve(cho_factor(hess), -grad.reshape(-1)).reshape(d, d)
         s = (s + s.T) / 2.0
         slope = float(np.vdot(grad, s))
         if slope >= 0.0:  # numerically degenerate direction: fall back to steepest descent
             s = -grad
             slope = -gnorm**2
+        # Armijo backtracking: the full step is scored with the Hessian sweep,
+        # reused as the next iteration's, halvings loss-only (the 60th unscored)
         t = 1.0
         w_try = w + s
-        for _ in range(60):
-            f_try = exact_mean_loss(w_try, X, Y, cfg.zeta) + cfg.lam * float(
-                np.sum(w_try * w_try)
-            )
+        parts = _risk_parts(w_try, X, Y, cfg.zeta, hessian=True)
+        f_try = parts[0] + cfg.lam * float(np.sum(w_try * w_try))
+        for halving in range(60):
             if f_try <= f_val + 0.25 * t * slope:
                 break
             t *= 0.5
-            w_try = w + t * s
+            w_try, parts = w + t * s, None
+            if halving < 59:
+                risk_try = exact_mean_loss(w_try, X, Y, cfg.zeta)
+                f_try = risk_try + cfg.lam * float(np.sum(w_try * w_try))
         w = w_try
+        risk_val, grad_r, hess_r = parts or _risk_parts(w, X, Y, cfg.zeta, hessian=True)
     gnorm, w_best, it_best = best
     raise MaxItersExceeded(
-        f"newton stopped at ||grad|| = {gnorm:g} > tol = {cfg.tol:g} "
+        f"{cfg.method} stopped at ||grad|| = {gnorm:g} > tol = {cfg.tol:g} "
         f"after {cfg.max_iters} iterations",
         MetricParams(w_best),
         it_best,

@@ -15,13 +15,18 @@ from enum import Enum
 import numpy as np
 
 from .core import DimensionMismatch, TripletDataset, ValidationError
-from .loss import LossConfig, MetricParams, pair_scores, phi, triplet_losses_rowwise
+from .loss import (
+    LossConfig,
+    MetricParams,
+    margin_blocks,
+    margin_terms,
+    pair_scores,
+    phi,
+    triplet_losses_rowwise,
+)
 from .synth import TripletSampler
 
 DEFAULT_TRIPLET_BUDGET = 2_000_000
-
-# max doubles per temporary block in the exact sweep (~16 MB)
-_CHUNK = 1 << 21
 
 
 class InvalidDelta(ValidationError):
@@ -54,40 +59,23 @@ class RiskEstimate:
             raise ValidationError(f"n_terms must be >= 1, got {self.n_terms}")
 
 
-def _anchor_chunk(n_plus: int, n_minus: int) -> int:
-    return max(1, _CHUNK // max(1, n_plus * n_minus))
-
-
 def exact_mean_loss(w_arr: np.ndarray, X: np.ndarray, Y: np.ndarray, zeta: float) -> float:
     """Mean logistic loss phi(-margin) over all ordered triplets, summed in a fixed order.
 
-    Sweeps anchors in blocks; per-block sums use numpy's pairwise summation
-    and blocks are combined with math.fsum, so the result is reproducible and
-    permutation-stable to well below 1e-12 relative.
+    Sweeps anchor blocks (margin_blocks); per-block sums use numpy's pairwise
+    summation and blocks are combined with math.fsum, so the result is
+    reproducible and permutation-stable to well below 1e-12 relative.
     """
     n_plus, n_minus = X.shape[0], Y.shape[0]
     S_pp = pair_scores(w_arr, X, X)
     S_pn = pair_scores(w_arr, X, Y)
-    chunk = _anchor_chunk(n_plus, n_minus)
-    partials = []
-    vmin, vmax = np.inf, -np.inf
-    for start in range(0, n_plus, chunk):
-        stop = min(start + chunk, n_plus)
-        rows = np.arange(stop - start)
-        cols = np.arange(start, stop)
-        block = S_pp[start:stop, :, None] - S_pn[start:stop, None, :] + zeta
-        losses = phi(-block)
-        # overwrite the invalid i = j plane with one valid loss from the block,
-        # so the running min/max below reflect valid triplets only
-        fill = losses[0, 1 if start == 0 else 0, 0]
-        losses[rows, cols, :] = fill
-        vmin = min(vmin, float(losses.min()))
-        vmax = max(vmax, float(losses.max()))
-        losses[rows, cols, :] = 0.0
-        partials.append(float(losses.sum()))
-    if vmin == vmax:
-        # constant integrand: the mean is that constant, with no rounding
-        return vmin
+    # extreme margins over valid triplets (j != i); rounding is monotone, so exact
+    off = ~np.eye(n_plus, dtype=bool)
+    lo = float((S_pp.min(axis=1, initial=np.inf, where=off) - S_pn.max(axis=1)).min()) + zeta
+    hi = float((S_pp.max(axis=1, initial=-np.inf, where=off) - S_pn.min(axis=1)).max()) + zeta
+    if lo == hi:  # constant integrand: the mean is that one loss, with no rounding
+        return float(phi(-hi))
+    partials = [float(margin_terms(m)[0].sum()) for _, m in margin_blocks(S_pp, S_pn, zeta)]
     return math.fsum(partials) / (n_plus * (n_plus - 1) * n_minus)
 
 

@@ -31,15 +31,14 @@ from .loss import (
     LossConfig,
     MetricParams,
     logistic_triplet_loss,
+    margin_blocks,
+    margin_terms,
     pair_scores,
-    phi,
     triplet_losses_rowwise,
 )
 from .optim import RrmConfig, SgdConfig, TrainTrace, rrm_train, sgd_train
 from .risk import InvalidCounts, InvalidDelta
 from .synth import TripletSampler
-
-_CHUNK = 1 << 21
 
 
 class InvalidInputs(ValidationError):
@@ -122,31 +121,20 @@ def probe_max_loss_diff(
     The probe set is the given fresh triplets (three aligned arrays) plus all
     training triplets of the dataset.
     """
-    zeta = cfg.zeta
-    Xa, Xp, Xn = fresh
-    max_diff = 0.0
-    max_abs = 0.0
-    if len(Xa):
-        la = triplet_losses_rowwise(w_a.w, Xa, Xp, Xn, zeta)
-        lb = triplet_losses_rowwise(w_b.w, Xa, Xp, Xn, zeta)
-        max_diff = float(np.abs(la - lb).max())
-        max_abs = float(max(la.max(), lb.max()))
     X = dataset.positive_features
     Y = dataset.negative_features
-    n_plus, n_minus = X.shape[0], Y.shape[0]
-    sa_pp, sa_pn = pair_scores(w_a.w, X, X), pair_scores(w_a.w, X, Y)
-    sb_pp, sb_pn = pair_scores(w_b.w, X, X), pair_scores(w_b.w, X, Y)
-    chunk = max(1, _CHUNK // max(1, n_plus * n_minus))
-    for start in range(0, n_plus, chunk):
-        stop = min(start + chunk, n_plus)
-        rows = np.arange(stop - start)
-        cols = np.arange(start, stop)
-        block_a = phi(-(sa_pp[start:stop, :, None] - sa_pn[start:stop, None, :] + zeta))
-        block_b = phi(-(sb_pp[start:stop, :, None] - sb_pn[start:stop, None, :] + zeta))
-        block_a[rows, cols, :] = 0.0
-        block_b[rows, cols, :] = 0.0
-        max_diff = max(max_diff, float(np.abs(block_a - block_b).max()))
-        max_abs = max(max_abs, float(block_a.max()), float(block_b.max()))
+
+    def losses(w: MetricParams):
+        yield triplet_losses_rowwise(w.w, *fresh, cfg.zeta)
+        for _, m in margin_blocks(pair_scores(w.w, X, X), pair_scores(w.w, X, Y), cfg.zeta):
+            yield margin_terms(m)[0]
+
+    # losses are >= 0, so a maximum with initial 0 also covers an empty fresh set
+    max_diff = max_abs = 0.0
+    for loss_a, loss_b in zip(losses(w_a), losses(w_b)):
+        max_abs = max(max_abs, float(loss_a.max(initial=0.0)), float(loss_b.max(initial=0.0)))
+        loss_a -= loss_b
+        max_diff = max(max_diff, float(np.abs(loss_a, out=loss_a).max(initial=0.0)))
     return max_diff, max_abs
 
 

@@ -99,6 +99,22 @@ def test_rrm_consumes_generated_dataset(tmp_path):
     assert (run_dir / "model.csv").exists()
 
 
+def test_dataset_with_non_integer_label_exits_2(tmp_path, capsys):
+    data = tmp_path / "dataset.csv"
+    data.write_text("pool,label,f0\npos,1,0.1\npos,1.5,0.1\nneg,0,0.2\n")
+    rc = main(["sgd", "--seed", "1", "--outdir", str(tmp_path / "run"),
+               "--data", str(data), "--T", "5"])
+    assert rc == EXIT_CONFIG
+    assert "malformed row" in capsys.readouterr().err
+
+
+def test_sweep_non_integer_grid_exits_2(tmp_path, capsys):
+    rc = main(["sweep", "--seed", "1", "--outdir", str(tmp_path),
+               "--algorithm", "sgd", "--n-grid", "4 x 8"])
+    assert rc == EXIT_CONFIG
+    assert "n_grid" in capsys.readouterr().err
+
+
 def test_config_file_supplies_values_and_flags_override(tmp_path):
     ini = tmp_path / "cfg.ini"
     ini.write_text("[task]\nd = 2\nn_plus = 4\nn_minus = 3\n\n[sgd]\nt = 8\n")

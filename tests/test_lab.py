@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tripletlab import lab, risk
 from tripletlab.core import ValidationError
 from tripletlab.lab import (
     ExcessReport,
@@ -164,6 +165,25 @@ def test_excess_rows_telescope():
         assert r.bernstein_bound > 0.0
         for v in (r.emp_model, r.pop_model, r.emp_proxy, r.pop_proxy):
             assert math.isfinite(v)
+
+
+def test_excess_empirical_risks_are_exact_past_the_default_budget(monkeypatch):
+    # with the default budget below n(n-1)n, an unraised budget would subsample
+    monkeypatch.setattr(risk, "DEFAULT_TRIPLET_BUDGET", 10)
+    modes = []
+
+    def recording(*args, **kwargs):
+        estimate = risk.empirical_risk(*args, **kwargs)
+        modes.append(estimate.mode)
+        return estimate
+
+    monkeypatch.setattr(lab, "empirical_risk", recording)
+    cfg = SweepConfig(
+        algorithm="rrm", n_grid=(4, 5, 6), trials_per_n=1, task=TASK,
+        population_m=500, seed=11,
+    )
+    run_excess_risk_experiment(cfg)
+    assert modes == [risk.RiskMode.EXACT_U_STATISTIC] * 6
 
 
 # --- optimistic regime ---

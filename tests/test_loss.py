@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from tripletlab import loss as loss_module
+from tripletlab.core import Pool, Sample, make_dataset
 from tripletlab.loss import (
     AsymmetricMatrix,
     LossConfig,
@@ -10,6 +12,8 @@ from tripletlab.loss import (
     NonpositiveBound,
     logistic_triplet_grad,
     logistic_triplet_loss,
+    margin_blocks,
+    margin_terms,
     metric_score,
     pair_scores,
     phi,
@@ -22,6 +26,9 @@ from tripletlab.loss import (
     write_metric_csv,
     zero_one_triplet_loss,
 )
+from tripletlab.optim import _risk_parts
+from tripletlab.risk import exact_mean_loss
+from tripletlab.stability import probe_max_loss_diff
 
 
 def sym(rng, d, scale=1.0):
@@ -277,6 +284,86 @@ def test_rowwise_margins_match_scalar():
     ms = triplet_margins_rowwise(w.w, A, P, N, cfg.zeta)
     for t in range(6):
         assert ms[t] == pytest.approx(triplet_margin(w, A[t], P[t], N[t], cfg), rel=1e-12)
+
+
+# --- the triplet-tensor sweep: fused kernel and anchor blocks ---
+
+KERNEL_MARGINS = [0.0, 1e-300, -1e-300, 1.0, -1.0, 40.0, -40.0, 700.0, -700.0, 800.0, -800.0]
+
+
+def test_margin_terms_match_scalar_reference():
+    m = np.array(KERNEL_MARGINS)
+    loss, slope, curvature = margin_terms(m.copy(), slope=True, curvature=True)
+    # float64 rounding of a few operations, with an absolute floor for underflow
+    tol = dict(rel=1e-14, abs=1e-300)
+    for t, u in enumerate(KERNEL_MARGINS):
+        assert loss[t] == pytest.approx(float(phi(-u)), **tol)
+        assert slope[t] == pytest.approx(-float(phi_prime(-u)), **tol)
+        assert curvature[t] == pytest.approx(float(phi_double_prime(u)), **tol)
+    # the loss is phi's own sequence of operations
+    assert np.array_equal(margin_terms(m.copy())[0], phi(-m))
+
+
+def test_margin_terms_computes_only_what_is_asked():
+    m = np.array(KERNEL_MARGINS)
+    loss, slope, curvature = margin_terms(m.copy())
+    assert slope is None and curvature is None
+    _, slope, curvature = margin_terms(m.copy(), curvature=True)
+    assert slope is None
+    assert np.array_equal(curvature, margin_terms(m.copy(), slope=True, curvature=True)[2])
+
+
+def test_excluded_triplets_contribute_nothing():
+    # j = i carries margin -inf, where every term is exactly zero
+    terms = margin_terms(np.array([-np.inf]), slope=True, curvature=True)
+    assert [float(t[0]) for t in terms] == [0.0, 0.0, 0.0]
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((3, 2))
+    Y = rng.standard_normal((2, 2))
+    w = sym(rng, 2)
+    ((start, m),) = margin_blocks(pair_scores(w.w, X, X), pair_scores(w.w, X, Y), 0.3)
+    assert start == 0
+    for i in range(3):
+        for j in range(3):
+            for k in range(2):
+                if i == j:
+                    assert m[i, j, k] == -np.inf
+                else:
+                    assert m[i, j, k] == pytest.approx(
+                        triplet_margin(w, X[i], X[j], Y[k], LossConfig(0.3)), rel=1e-12
+                    )
+
+
+def _sweep_outputs():
+    rng = np.random.default_rng(8)
+    X = rng.uniform(-1, 1, (7, 3))
+    Y = rng.uniform(-1, 1, (5, 3))
+    w_a, w_b = sym(rng, 3), sym(rng, 3)
+    ds = make_dataset(
+        [Sample(x, 1, Pool.POSITIVE) for x in X], [Sample(y, 0, Pool.NEGATIVE) for y in Y]
+    )
+    fresh = tuple(rng.uniform(-1, 1, (4, 3)) for _ in range(3))
+    blocks = margin_blocks(pair_scores(w_a.w, X, X), pair_scores(w_a.w, X, Y), 0.2)
+    starts = [start for start, _ in blocks]
+    return starts, {
+        "exact": exact_mean_loss(w_a.w, X, Y, 0.2),
+        "parts": _risk_parts(w_a.w, X, Y, 0.2, hessian=True),
+        "probe": probe_max_loss_diff(w_a, w_b, ds, fresh, LossConfig(0.2)),
+    }
+
+
+def test_sweeps_do_not_depend_on_the_block_size(monkeypatch):
+    starts, whole = _sweep_outputs()
+    assert starts == [0]
+    # 7 anchors x 5 negatives: blocks of 2, 2, 2 and 1 anchors, then of one anchor
+    for block, expected in ((70, [0, 2, 4, 6]), (1, list(range(7)))):
+        monkeypatch.setattr(loss_module, "BLOCK", block)
+        starts, split = _sweep_outputs()
+        assert starts == expected
+        assert split["exact"] == pytest.approx(whole["exact"], rel=1e-12)
+        for got, want in zip(split["parts"], whole["parts"]):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert split["probe"] == pytest.approx(whole["probe"], rel=1e-12)
 
 
 # --- CSV round trip ---

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from scipy.linalg import cho_factor, cho_solve
+
+from tripletlab import optim
 from tripletlab.core import Pool, SlotRef, make_dataset, Sample
 from tripletlab.loss import (
     LossConfig,
@@ -25,7 +28,7 @@ from tripletlab.optim import (
     sgd_train,
     write_trace_csv,
 )
-from tripletlab.risk import empirical_risk
+from tripletlab.risk import empirical_risk, exact_mean_loss
 from tripletlab.synth import TaskConfig, gen_task, low_noise_task
 
 
@@ -241,6 +244,53 @@ def test_rrm_learns_well_ordered_metric_on_low_noise_task():
     losses = triplet_losses_rowwise(w.w, Xa, Xp, Xn, 0.0)
     assert np.all(losses[margins < 0.0] < math.log(2.0))
     assert np.all(losses[margins >= 0.0] >= math.log(2.0))
+
+
+def newton_rescoring_every_point(train, cfg, w0):
+    """The damped Newton solve with each iterate swept afresh and every line
+    search point, the full step included, scored loss-only."""
+    X, Y, d = train.positive_features, train.negative_features, train.d
+    w = w0.w.copy()
+    for it in range(cfg.max_iters + 1):
+        risk_val, grad_r, hess_r = optim._risk_parts(w, X, Y, cfg.zeta, hessian=True)
+        f_val = risk_val + cfg.lam * float(np.sum(w * w))
+        grad = grad_r + 2.0 * cfg.lam * w
+        if float(np.linalg.norm(grad)) <= cfg.tol:
+            return w, it
+        hess = hess_r + 2.0 * cfg.lam * np.eye(d * d)
+        s = cho_solve(cho_factor(hess), -grad.reshape(-1)).reshape(d, d)
+        s = (s + s.T) / 2.0
+        slope = float(np.vdot(grad, s))
+        t, w_try = 1.0, w + s
+        for _ in range(60):
+            f_try = exact_mean_loss(w_try, X, Y, cfg.zeta) + cfg.lam * float(np.sum(w_try**2))
+            if f_try <= f_val + 0.25 * t * slope:
+                break
+            t *= 0.5
+            w_try = w + t * s
+        w = w_try
+    raise AssertionError("reference solve did not converge")
+
+
+@pytest.mark.parametrize("w0_scale, rejected", [(0.0, 0), (-20.0, 1)])
+def test_rrm_newton_scores_each_candidate_once(monkeypatch, w0_scale, rejected):
+    train, _ = gen_task(TaskConfig(d=2, n_plus=8, n_minus=8, seed=3))
+    cfg = RrmConfig(lam=0.01)
+    w0 = MetricParams.identity(2, w0_scale)
+    w_ref, it_ref = newton_rescoring_every_point(train, cfg, w0)
+    calls = {"_risk_parts": 0, "exact_mean_loss": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(optim, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(optim, name, counted)
+    w, it = rrm_train(train, cfg, w0=w0)
+    assert it == it_ref
+    assert np.array_equal(w.w, w_ref)
+    # one sweep per iterate plus one per rejected full step; each rejected
+    # step here is accepted after one halving, scored loss-only
+    assert calls == {"_risk_parts": it + 1 + rejected, "exact_mean_loss": rejected}
 
 
 def test_rrm_huge_lambda_pins_solution_near_zero():
