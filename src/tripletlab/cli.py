@@ -27,6 +27,7 @@ from .core import (
     SlotRef,
     ValidationError,
     feature_bound,
+    open_input_csv,
     read_dataset_csv,
     write_dataset_csv,
 )
@@ -553,7 +554,7 @@ def _parse_slot(raw: str):
 def read_trace_csv(path, n_plus: int, n_minus: int) -> TrainTrace:
     """Rebuild a TrainTrace from a trace.csv (pool sizes are not stored there)."""
     i, j, k, eta = [], [], [], []
-    with open(path, newline="") as fh:
+    with open_input_csv(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or header[:5] != ["t", "i", "j", "k", "eta"]:
@@ -561,10 +562,13 @@ def read_trace_csv(path, n_plus: int, n_minus: int) -> TrainTrace:
         for row in reader:
             if not row:
                 continue
-            i.append(int(row[1]))
-            j.append(int(row[2]))
-            k.append(int(row[3]))
-            eta.append(float(row[4]))
+            try:
+                i.append(int(row[1]))
+                j.append(int(row[2]))
+                k.append(int(row[3]))
+                eta.append(float(row[4]))
+            except (ValueError, IndexError) as exc:
+                raise ValidationError(f"{path}: malformed trace row {row!r}: {exc}") from exc
     return TrainTrace(
         i=np.array(i, np.int64),
         j=np.array(j, np.int64),

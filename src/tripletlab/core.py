@@ -253,12 +253,21 @@ def write_dataset_csv(dataset: TripletDataset, path) -> None:
             )
 
 
+def open_input_csv(path):
+    """Open a CSV input file for reading; one that cannot be opened (missing,
+    a directory, unreadable) raises ValidationError naming it."""
+    try:
+        return open(path, newline="")
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot open: {exc.strerror}") from exc
+
+
 def read_dataset_csv(path) -> TripletDataset:
     """Load a dataset written by write_dataset_csv. Rows may interleave pools;
     slot index within each pool follows row order."""
     positives = []
     negatives = []
-    with open(path, newline="") as fh:
+    with open_input_csv(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or header[:2] != ["pool", "label"]:

@@ -208,27 +208,47 @@ def pair_scores(w_arr: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return qx[:, None] + qy[None, :] - 2.0 * (Xw @ Y.T)
 
 
+# doubles per block of the blocked kernels (512 KB): a block and its
+# temporaries stay in cache
+BLOCK = 1 << 16
+
+
 def row_scores(w_arr: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Vector of h_w(X[i], Y[i]) for aligned row sets."""
+    """Vector of h_w(X[i], Y[i]) for aligned row sets: the rows of (X - Y) @ w
+    times X - Y, summed column by column (left to right)."""
     delta = X - Y
-    return np.einsum("id,de,ie->i", delta, w_arr, delta)
+    terms = delta @ w_arr
+    terms *= delta
+    scores = terms[:, 0].copy()
+    for col in range(1, terms.shape[1]):
+        scores += terms[:, col]
+    return scores
 
 
 def triplet_margins_rowwise(
     w_arr: np.ndarray, Xa: np.ndarray, Xp: np.ndarray, Xn: np.ndarray, zeta: float
 ) -> np.ndarray:
-    return row_scores(w_arr, Xa, Xp) - row_scores(w_arr, Xa, Xn) + zeta
+    margins = row_scores(w_arr, Xa, Xp)
+    margins -= row_scores(w_arr, Xa, Xn)
+    margins += zeta
+    return margins
 
 
 def triplet_losses_rowwise(
     w_arr: np.ndarray, Xa: np.ndarray, Xp: np.ndarray, Xn: np.ndarray, zeta: float
 ) -> np.ndarray:
-    """Logistic triplet losses phi(-margin) for m aligned triplets, one per row."""
-    return margin_terms(triplet_margins_rowwise(w_arr, Xa, Xp, Xn, zeta))[0]
+    """Logistic triplet losses phi(-margin) for m aligned triplets, one per row.
 
-
-# doubles per anchor block (512 KB): a block and the kernel's temporaries stay in cache
-BLOCK = 1 << 16
+    Scored in row blocks of BLOCK doubles, so a block's differences, scores
+    and margins stay in cache; each row's loss is computed on its own.
+    """
+    losses = np.empty(Xa.shape[0])
+    step = max(1, BLOCK // Xa.shape[1])
+    for start in range(0, losses.shape[0], step):
+        rows = slice(start, start + step)
+        margins = triplet_margins_rowwise(w_arr, Xa[rows], Xp[rows], Xn[rows], zeta)
+        losses[rows] = margin_terms(margins)[0]
+    return losses
 
 
 def margin_blocks(S_pp: np.ndarray, S_pn: np.ndarray, zeta: float):

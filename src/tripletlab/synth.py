@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import loss
 from .core import Pool, Sample, TripletDataset, ValidationError, make_dataset
 from .loss import MetricParams
 
@@ -69,13 +70,41 @@ def _pool_means(cfg: TaskConfig):
     return mu_plus, -mu_plus
 
 
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """Row sums of squares, added in np.linalg.norm's order: below 8 columns
+    numpy's row sum runs left to right, as this column loop does without a
+    per-row reduction; from 8 columns on its pairwise row sum is used as is."""
+    if rows.shape[1] >= 8:
+        return np.square(rows).sum(axis=1)
+    sq = np.square(rows[:, 0])
+    for col in range(1, rows.shape[1]):
+        sq += np.square(rows[:, col])
+    return sq
+
+
 def _draw_pool(rng: np.random.Generator, mu, noise_scale, B, m, d) -> np.ndarray:
-    arr = mu + noise_scale * rng.standard_normal((m, d))
-    norms = np.linalg.norm(arr, axis=1)
-    over = norms > B
-    if np.any(over):
-        arr[over] *= (B / norms[over])[:, None]
-    return arr
+    """m rows of mu + noise_scale * z (z standard normal), each rescaled onto
+    the B-sphere when its norm exceeds B.
+
+    The rows are filled in blocks of loss.BLOCK doubles, so each block's
+    temporaries stay in cache. The generator yields the same numbers in the
+    same order as one (m, d) draw, and every operation is the unblocked one,
+    row by row, so draws and generator state are bit-identical for any block
+    size. Multiplying every row by min(B / norm, 1) is that rescaling exactly:
+    B / norm >= 1 precisely when norm <= B, and x * 1.0 = x.
+    """
+    out = np.empty((m, d))
+    step = max(1, loss.BLOCK // d)
+    for start in range(0, m, step):
+        block = out[start : start + step]
+        rng.standard_normal(out=block)
+        block *= noise_scale
+        block += mu
+        factor = np.sqrt(_squared_norms(block))
+        with np.errstate(divide="ignore"):  # a zero row gives B / 0 = inf, so factor 1
+            np.divide(B, factor, out=factor)
+        block *= np.minimum(factor, 1.0, out=factor)[:, None]
+    return out
 
 
 class TripletSampler:

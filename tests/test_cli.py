@@ -7,16 +7,19 @@ import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tripletlab.cli import (
     EXIT_CONFIG,
     EXIT_DOMINATION,
     EXIT_OK,
     EXIT_REGIME,
+    _parse_grid,
     main,
     read_trace_csv,
 )
-from tripletlab.core import Pool, SlotRef, read_dataset_csv
+from tripletlab.core import Pool, SlotRef, ValidationError, read_dataset_csv
 from tripletlab.stability import sgd_stability_bound
 
 TINY_TASK = ["--d", "2", "--n-plus", "4", "--n-minus", "3"]
@@ -106,6 +109,15 @@ def test_dataset_with_non_integer_label_exits_2(tmp_path, capsys):
                "--data", str(data), "--T", "5"])
     assert rc == EXIT_CONFIG
     assert "malformed row" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["sgd", "--T", "5"], ["rrm", "--lam", "0.3"]])
+def test_missing_data_file_exits_2(tmp_path, capsys, command):
+    missing = tmp_path / "absent.csv"
+    rc = main(command + ["--seed", "1", "--outdir", str(tmp_path / "run"), "--data", str(missing)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "absent.csv" in err
 
 
 def test_sweep_non_integer_grid_exits_2(tmp_path, capsys):
@@ -298,3 +310,52 @@ def test_bounds_bad_slot_exits_2(tmp_path, capsys):
     )
     assert rc == EXIT_CONFIG
     assert "slot" in capsys.readouterr().err
+
+
+SGD_BOUND_FLAGS = ["--n-plus", "4", "--n-minus", "3", "--slot", "pos:0", "--L", "8"]
+
+
+@pytest.mark.parametrize(
+    "bad_row", ["1,x,0,0,0.1,0", "1,0,1,0,fast,0", "1,0,1"], ids=["index", "eta", "short"]
+)
+def test_bounds_malformed_trace_row_exits_2(tmp_path, capsys, bad_row):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(f"t,i,j,k,eta,hit_slot_flag\n0,0,1,0,0.1,0\n{bad_row}\n")
+    rc = main(["bounds", "sgd-stability", "--trace", str(trace)] + SGD_BOUND_FLAGS)
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "malformed trace row" in err
+
+
+def test_bounds_missing_trace_file_exits_2(tmp_path, capsys):
+    rc = main(["bounds", "sgd-stability", "--trace", str(tmp_path / "absent.csv")]
+              + SGD_BOUND_FLAGS)
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "absent.csv" in err
+
+
+# --- property tests of the grid parser ---
+
+GRID_SEPARATORS = st.sampled_from([" ", ",", ", ", "  ,"])
+
+
+@given(st.lists(st.integers(), min_size=1, max_size=12), GRID_SEPARATORS)
+def test_parse_grid_round_trips_integer_lists(values, sep):
+    assert _parse_grid(sep.join(str(v) for v in values)) == tuple(values)
+
+
+NON_INTEGER_TOKENS = st.one_of(
+    st.floats().map(repr),  # always has '.', 'e', 'inf' or 'nan'
+    st.from_regex(r"[0-9]*[A-Za-z_.][A-Za-z0-9_.]*", fullmatch=True).filter(
+        lambda tok: not tok.strip("_").isdigit()
+    ),
+)
+
+
+@given(st.lists(st.integers(), max_size=5), NON_INTEGER_TOKENS, st.integers(0, 5), GRID_SEPARATORS)
+def test_parse_grid_rejects_any_non_integer_token(values, token, at, sep):
+    tokens = [str(v) for v in values]
+    tokens.insert(min(at, len(tokens)), token)
+    with pytest.raises(ValidationError):
+        _parse_grid(sep.join(tokens))

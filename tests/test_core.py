@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tripletlab.core import (
     DimensionMismatch,
@@ -208,3 +213,46 @@ def test_read_dataset_csv_rejects_garbage(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValidationError):
         read_dataset_csv(path)
+
+
+# --- property tests: CSV round trip and slot replacement ---
+
+FEATURES = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def datasets(draw):
+    d = draw(st.integers(1, 4))
+    vectors = st.lists(FEATURES, min_size=d, max_size=d)
+    labels = st.integers(-(2**63), 2**63 - 1)
+    positives = draw(st.lists(st.tuples(vectors, labels), min_size=2, max_size=6))
+    negatives = draw(st.lists(st.tuples(vectors, labels), min_size=1, max_size=6))
+    return make_dataset(
+        [Sample(f, label, Pool.POSITIVE) for f, label in positives],
+        [Sample(f, label, Pool.NEGATIVE) for f, label in negatives],
+    )
+
+
+@given(datasets())
+def test_dataset_csv_round_trips_any_dataset(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ds.csv"
+        write_dataset_csv(ds, path)
+        back = read_dataset_csv(path)
+    assert back == ds  # features bit for bit, labels, pools and slot order
+
+
+@given(datasets(), st.data())
+def test_replace_samples_leaves_untouched_slots_equal(ds, data):
+    slots = [SlotRef(Pool.POSITIVE, i) for i in range(ds.n_plus)] + [
+        SlotRef(Pool.NEGATIVE, k) for k in range(ds.n_minus)
+    ]
+    chosen = data.draw(st.lists(st.sampled_from(slots), unique=True, max_size=len(slots)))
+    vector = st.lists(FEATURES, min_size=ds.d, max_size=ds.d)
+    replacements = [(ref, Sample(data.draw(vector), 7, ref.pool)) for ref in chosen]
+    before = [ds.slot(ref) for ref in slots]
+    out = replace_samples(ds, replacements)
+    replaced = dict(replacements)
+    for ref, old in zip(slots, before):
+        assert out.slot(ref) == replaced.get(ref, old)
+        assert ds.slot(ref) is old  # the input is unchanged

@@ -21,6 +21,7 @@ from tripletlab.loss import (
     phi_prime,
     read_metric_csv,
     regularity_constants,
+    triplet_losses_rowwise,
     triplet_margin,
     triplet_margins_rowwise,
     write_metric_csv,
@@ -29,6 +30,7 @@ from tripletlab.loss import (
 from tripletlab.optim import _risk_parts
 from tripletlab.risk import exact_mean_loss
 from tripletlab.stability import probe_max_loss_diff
+from tripletlab.synth import TaskConfig, low_noise_task
 
 
 def sym(rng, d, scale=1.0):
@@ -284,6 +286,44 @@ def test_rowwise_margins_match_scalar():
     ms = triplet_margins_rowwise(w.w, A, P, N, cfg.zeta)
     for t in range(6):
         assert ms[t] == pytest.approx(triplet_margin(w, A[t], P[t], N[t], cfg), rel=1e-12)
+
+
+def _einsum_margins(w_arr, A, P, N, zeta):
+    """Row margins from the 3-operand einsum, and the magnitude of their terms."""
+    def h(delta, m):
+        return np.einsum("id,de,ie->i", delta, m, delta)
+
+    dp, dn = A - P, A - N
+    magnitude = h(np.abs(dp), np.abs(w_arr)) + h(np.abs(dn), np.abs(w_arr))
+    return h(dp, w_arr) - h(dn, w_arr) + zeta, magnitude
+
+
+def _fresh_triplets(d, m, seed):
+    task = TaskConfig(d=d, n_plus=4, n_minus=4, B=0.5, separation=0.8, noise_scale=0.15, seed=seed)
+    _, sampler, w_ref = low_noise_task(task)
+    return sampler.draw(m), w_ref
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+def test_rowwise_losses_match_phi_of_einsum_margins(d):
+    (A, P, N), w_ref = _fresh_triplets(d, 20_000, seed=d)
+    rng = np.random.default_rng(d)
+    for w_arr in (w_ref.w, sym(rng, d, scale=3.0).w):
+        for zeta in (0.0, 0.7):
+            want, magnitude = _einsum_margins(w_arr, A, P, N, zeta)
+            got = triplet_margins_rowwise(w_arr, A, P, N, zeta)
+            assert np.all(np.abs(got - want) <= 1e-14 * (magnitude + zeta))
+            losses = triplet_losses_rowwise(w_arr, A, P, N, zeta)
+            np.testing.assert_allclose(losses, phi(-want), rtol=1e-14, atol=0.0)
+
+
+def test_rowwise_losses_do_not_depend_on_the_block_size(monkeypatch):
+    (A, P, N), _ = _fresh_triplets(3, 101, seed=3)
+    w_arr = sym(np.random.default_rng(3), 3).w
+    whole = triplet_losses_rowwise(w_arr, A, P, N, 0.2)
+    for block in (70, 1):  # blocks of 23 rows, then of one row
+        monkeypatch.setattr(loss_module, "BLOCK", block)
+        assert np.array_equal(triplet_losses_rowwise(w_arr, A, P, N, 0.2), whole)
 
 
 # --- the triplet-tensor sweep: fused kernel and anchor blocks ---

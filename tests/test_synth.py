@@ -1,11 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from tripletlab import loss as loss_module
 from tripletlab.core import Pool, feature_bound
 from tripletlab.loss import LossConfig, zero_one_triplet_loss
 from tripletlab.synth import (
     InvalidConfig,
     TaskConfig,
+    _draw_pool,
     gen_task,
     low_noise_task,
 )
@@ -125,3 +129,56 @@ def test_low_noise_task_rejects_zero_separation():
     cfg = TaskConfig(d=2, n_plus=4, n_minus=4, separation=0.0, seed=7)
     with pytest.raises(InvalidConfig):
         low_noise_task(cfg)
+
+
+def _draw_pool_oracle(rng, mu, noise_scale, B, m, d):
+    """The unblocked draw: one (m, d) normal draw, rows over B rescaled onto the sphere."""
+    arr = mu + noise_scale * rng.standard_normal((m, d))
+    norms = np.linalg.norm(arr, axis=1)
+    over = norms > B
+    if np.any(over):
+        arr[over] *= (B / norms[over])[:, None]
+    return arr
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_draw_pool_is_bit_identical_to_the_unblocked_draw(d):
+    mu = np.zeros(d)
+    mu[0] = 0.4
+    B = float(np.sqrt(0.16 + d * 0.3**2))  # near the typical norm: some rows are clipped
+    full = loss_module.BLOCK // d
+    for m in (1, full, 3 * full + 5):  # one row, one full block, blocks and a remainder
+        rng_got, rng_want = np.random.default_rng(100 * d + m), np.random.default_rng(100 * d + m)
+        got = _draw_pool(rng_got, mu, 0.3, B, m, d)
+        want = _draw_pool_oracle(rng_want, mu, 0.3, B, m, d)
+        assert np.array_equal(got, want), (d, m)
+        assert rng_got.random() == rng_want.random()  # the generator sits at the same place
+        if m > 1:
+            clipped = np.mean(np.linalg.norm(want, axis=1) > (1 - 1e-12) * B)
+            assert 0.1 < clipped < 0.9
+
+
+def test_draw_pool_zero_rows_and_exact_cap():
+    # noise 0 and mu 0 give zero rows (B / 0 = inf, kept as 0); noise 0 and a
+    # mean outside the ball give rows clipped exactly as the oracle does
+    for mu0 in (0.0, 3.0):
+        mu = np.array([mu0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no divide-by-zero warning escapes
+            got = _draw_pool(np.random.default_rng(1), mu, 0.0, 1.0, 9, 2)
+        want = _draw_pool_oracle(np.random.default_rng(1), mu, 0.0, 1.0, 9, 2)
+        assert np.array_equal(got, want)
+
+
+def test_draws_do_not_depend_on_the_block_size(monkeypatch):
+    cfg = TaskConfig(d=3, n_plus=20, n_minus=9, B=0.5, separation=0.8, noise_scale=0.3, seed=4)
+
+    def outputs():
+        train, sampler = gen_task(cfg)
+        return train.positive_features, train.negative_features, *sampler.draw(101)
+
+    whole = outputs()
+    for block in (70, 1):  # blocks of 23 rows, then of one row
+        monkeypatch.setattr(loss_module, "BLOCK", block)
+        for got, want in zip(outputs(), whole):
+            assert np.array_equal(got, want)
