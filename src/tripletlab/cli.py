@@ -27,7 +27,6 @@ from .core import (
     SlotRef,
     ValidationError,
     feature_bound,
-    open_input_csv,
     read_dataset_csv,
     write_dataset_csv,
 )
@@ -57,8 +56,8 @@ from .optim import (
     MaxItersExceeded,
     RrmConfig,
     SgdConfig,
-    TrainTrace,
     expansiveness_check,
+    read_trace_csv,
     rrm_train,
     sgd_train,
     write_trace_csv,
@@ -549,34 +548,6 @@ def _parse_slot(raw: str):
         return pool, int(index)
     except (ValueError, KeyError) as exc:
         raise ValidationError(f"slot must look like pos:3 or neg:0, got {raw!r}") from exc
-
-
-def read_trace_csv(path, n_plus: int, n_minus: int) -> TrainTrace:
-    """Rebuild a TrainTrace from a trace.csv (pool sizes are not stored there)."""
-    i, j, k, eta = [], [], [], []
-    with open_input_csv(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:5] != ["t", "i", "j", "k", "eta"]:
-            raise ValidationError(f"{path}: not a trace CSV")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                i.append(int(row[1]))
-                j.append(int(row[2]))
-                k.append(int(row[3]))
-                eta.append(float(row[4]))
-            except (ValueError, IndexError) as exc:
-                raise ValidationError(f"{path}: malformed trace row {row!r}: {exc}") from exc
-    return TrainTrace(
-        i=np.array(i, np.int64),
-        j=np.array(j, np.int64),
-        k=np.array(k, np.int64),
-        eta=np.array(eta, np.float64),
-        n_plus=n_plus,
-        n_minus=n_minus,
-    )
 
 
 def _add_task_flags(p):

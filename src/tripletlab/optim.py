@@ -3,7 +3,11 @@
 SGD starts at w = 0, draws one uniform triplet per step, and applies
 w <- w - eta_t * grad with eta_t fixed to c / sqrt(T). The step factor must
 satisfy c <= 2/alpha (alpha = 64 B^4 for the dataset's feature bound), which
-also makes every update map 1-expansive.
+also makes every update map 1-expansive. The step indices are drawn in bulk:
+numpy's Generator.integers maps each word of the generator's 32-bit stream
+to a bounded value by a multiply-shift with rejection, so decoding bulk
+draws of raw words in the loop's order gives exactly the per-step draws, and
+paired runs on one seed still share their index sequence.
 
 The regularized objective F_S(w) = R_S(w) + lam ||w||_F^2 is 2*lam-strongly
 convex, so the gradient-norm stopping rule certifies
@@ -25,13 +29,16 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 from scipy.stats import chi2, chisquare
 
+from . import loss
 from .core import (
     Pool,
     SlotOutOfBounds,
     SlotRef,
+    TooFewPositives,
     TripletDataset,
     ValidationError,
     feature_bound,
+    open_input_csv,
 )
 from .loss import (
     MetricParams,
@@ -43,6 +50,8 @@ from .loss import (
     regularity_constants,
 )
 from .risk import DEFAULT_TRIPLET_BUDGET, exact_mean_loss
+
+WORDS = 4096  # 32-bit words per bulk draw of the SGD index stream
 
 
 class StepSizeTooLarge(ValidationError):
@@ -155,14 +164,6 @@ class TrainTrace:
     def T(self) -> int:
         return len(self.i)
 
-    @property
-    def steps(self):
-        """List of (t, i_t, j_t, k_t, eta_t) with t starting at 1."""
-        return [
-            (t + 1, int(self.i[t]), int(self.j[t]), int(self.k[t]), float(self.eta[t]))
-            for t in range(self.T)
-        ]
-
     def hit_mask(self, slot: SlotRef) -> np.ndarray:
         """Boolean per step: does the drawn triplet touch this slot?"""
         if slot.pool is Pool.POSITIVE:
@@ -177,12 +178,85 @@ class TrainTrace:
         return int(self.hit_mask(slot).sum())
 
 
+def _lemire(words: np.ndarray, n: int) -> list:
+    """The value rng.integers(0, n) takes from each of rng's 32-bit words, for
+    1 <= n < 2**32, or -1 where numpy rejects the word.
+
+    numpy draws such a bound by Lemire's multiply-shift: the value is
+    (word * n) >> 32, and a word whose low product half is below
+    (2**32 - n) % n is rejected and replaced by the next one.
+    """
+    m = words.astype(np.uint64) * np.uint64(n)
+    values = (m >> np.uint64(32)).astype(np.int64)
+    values[(m & np.uint64(0xFFFFFFFF)) < (2**32 - n) % n] = -1
+    return values.tolist()
+
+
+def _draw_indices(rng, n_plus: int, n_minus: int, T: int, block: int):
+    """Yield the index lists (i, j, k) of T SGD steps, block steps at a time.
+
+    The same values, from the same generator words, as the per-step calls
+    rng.integers(0, n_plus, size=2) (repeated while i == j) and
+    rng.integers(0, n_minus): the words come in bulk draws of WORDS from
+    rng's buffered 32-bit stream, as integers(0, 2**32, dtype=uint32) returns
+    them, and are decoded under both bounds at once (_lemire). A bound of 1
+    takes no word. The last bulk draw overruns the steps; rng is the
+    trainer's own, so nothing else sees its position.
+    """
+    if n_plus < 2:  # no pair i != j exists, so the redraw would never end
+        raise TooFewPositives(f"SGD draws pairs i != j from {n_plus} positive slot(s)")
+    pos, neg, p = [], [], 0  # decoded words not yet used start at p
+    for start in range(0, T, block):
+        count = min(block, T - start)
+        ii, jj, kk = [], [], []
+        while len(kk) < count:
+            try:  # one step, read from word q on and committed at its end
+                q = p
+                while True:
+                    i = pos[q]
+                    q += 1
+                    while i < 0:
+                        i = pos[q]
+                        q += 1
+                    j = pos[q]
+                    q += 1
+                    while j < 0:
+                        j = pos[q]
+                        q += 1
+                    if i != j:
+                        break
+                k = 0
+                if n_minus > 1:
+                    k = neg[q]
+                    q += 1
+                    while k < 0:
+                        k = neg[q]
+                        q += 1
+                ii.append(i)
+                jj.append(j)
+                kk.append(k)
+                p = q
+            except IndexError:  # out of words mid-step: draw more, redo the step
+                words = rng.integers(0, 2**32, size=WORDS, dtype=np.uint32)
+                pos = pos[p:] + _lemire(words, n_plus)
+                neg = neg[p:] + _lemire(words, n_minus)
+                p = 0
+        yield ii, jj, kk
+
+
 def sgd_train(dataset: TripletDataset, cfg: SgdConfig):
     """Run single-triplet SGD from w = 0; returns (w_T, trace).
 
     Each step draws (i, j) uniformly over positive slots (redrawing the pair
     until i != j) and k uniformly over negative slots, then applies one
     gradient step at the current iterate. Deterministic given cfg.seed.
+
+    The steps run in blocks of loss.BLOCK // d^2. A block's indices are
+    decoded from bulk 32-bit draws of the generator (_draw_indices), which
+    gives exactly the values of per-step rng.integers calls, and its
+    difference vectors and update matrices dp dp^T - dn dn^T are formed at
+    once; each step then pays only for its margin, the sigmoid and the
+    in-place update.
     """
     B = feature_bound(dataset)
     eta_max = regularity_constants(B).eta_max
@@ -195,31 +269,23 @@ def sgd_train(dataset: TripletDataset, cfg: SgdConfig):
     n_plus, n_minus = dataset.n_plus, dataset.n_minus
     rng = np.random.default_rng(np.random.SeedSequence(int(cfg.seed)))
     w = np.zeros((dataset.d, dataset.d))
-    if cfg.T == 0:
-        trace = TrainTrace(
-            i=np.empty(0, np.int64),
-            j=np.empty(0, np.int64),
-            k=np.empty(0, np.int64),
-            eta=np.empty(0, np.float64),
-            n_plus=n_plus,
-            n_minus=n_minus,
-        )
-        return MetricParams(w), trace
-    eta = cfg.c / math.sqrt(cfg.T)
+    eta = cfg.c / math.sqrt(cfg.T) if cfg.T else 0.0
     ii = np.empty(cfg.T, np.int64)
     jj = np.empty(cfg.T, np.int64)
     kk = np.empty(cfg.T, np.int64)
-    for t in range(cfg.T):
-        i, j = rng.integers(0, n_plus, size=2)
-        while i == j:
-            i, j = rng.integers(0, n_plus, size=2)
-        k = rng.integers(0, n_minus)
-        ii[t], jj[t], kk[t] = i, j, k
-        dp = X[i] - X[j]
-        dn = X[i] - Y[k]
-        m = float(dp @ w @ dp) - float(dn @ w @ dn) + cfg.zeta
-        factor = float(expit(m))  # d/dm phi(-m)
-        w -= (eta * factor) * (np.outer(dp, dp) - np.outer(dn, dn))
+    block = max(1, loss.BLOCK // dataset.d**2)
+    blocks = _draw_indices(rng, n_plus, n_minus, cfg.T, block)
+    for start, (i, j, k) in zip(range(0, cfg.T, block), blocks):
+        stop = start + len(k)
+        ii[start:stop], jj[start:stop], kk[start:stop] = i, j, k
+        anchors = X[i]
+        dps = anchors - X[j]
+        dns = anchors - Y[k]
+        updates = dps[:, :, None] * dps[:, None, :]
+        updates -= dns[:, :, None] * dns[:, None, :]
+        for dp, dn, update in zip(dps, dns, updates):
+            m = float(dp.dot(w).dot(dp)) - float(dn.dot(w).dot(dn)) + cfg.zeta
+            w -= (eta * float(expit(m))) * update  # expit(m) = d/dm phi(-m)
     trace = TrainTrace(
         i=ii, j=jj, k=kk, eta=np.full(cfg.T, eta), n_plus=n_plus, n_minus=n_minus
     )
@@ -265,8 +331,44 @@ def write_trace_csv(trace: TrainTrace, path, slot: SlotRef | None = None) -> Non
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "i", "j", "k", "eta", "hit_slot_flag"])
-        for (t, i, j, k, eta), flag in zip(trace.steps, flags):
-            writer.writerow([t, i, j, k, repr(float(eta)), int(flag)])
+        writer.writerows(
+            zip(
+                range(1, trace.T + 1),
+                trace.i.tolist(),
+                trace.j.tolist(),
+                trace.k.tolist(),
+                map(repr, trace.eta.tolist()),
+                flags.tolist(),
+            )
+        )
+
+
+def read_trace_csv(path, n_plus: int, n_minus: int) -> TrainTrace:
+    """Rebuild a TrainTrace from a trace.csv (pool sizes are not stored there)."""
+    i, j, k, eta = [], [], [], []
+    with open_input_csv(path) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or header[:5] != ["t", "i", "j", "k", "eta"]:
+            raise ValidationError(f"{path}: not a trace CSV")
+        for row in reader:
+            if not row:
+                continue
+            try:
+                i.append(int(row[1]))
+                j.append(int(row[2]))
+                k.append(int(row[3]))
+                eta.append(float(row[4]))
+            except (ValueError, IndexError) as exc:
+                raise ValidationError(f"{path}: malformed trace row {row!r}: {exc}") from exc
+    return TrainTrace(
+        i=np.array(i, np.int64),
+        j=np.array(j, np.int64),
+        k=np.array(k, np.int64),
+        eta=np.array(eta, np.float64),
+        n_plus=n_plus,
+        n_minus=n_minus,
+    )
 
 
 # --- full-batch objective machinery ---

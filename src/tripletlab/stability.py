@@ -446,7 +446,13 @@ def optimistic_gap_bound(
     return coefficient * empirical_risk_mean
 
 
+def _repr_or_empty(value) -> str:
+    return "" if value is None else repr(float(value))
+
+
 def write_stability_csv(reports, path) -> None:
+    """One row per report; signed_mean and std_error are empty for the uniform
+    protocol, which takes no signed estimate."""
     header = [
         "protocol",
         "trainer_kind",
@@ -459,6 +465,8 @@ def write_stability_csv(reports, path) -> None:
         "trials",
         "probe_size",
         "seed",
+        "signed_mean",
+        "std_error",
     ]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -472,10 +480,12 @@ def write_stability_csv(reports, path) -> None:
                     rep.n_minus,
                     repr(float(rep.sigma_or_T)),
                     repr(float(rep.gamma_hat)),
-                    "" if rep.gamma_bound is None else repr(float(rep.gamma_bound)),
+                    _repr_or_empty(rep.gamma_bound),
                     repr(float(rep.M_hat)),
                     rep.trials,
                     rep.probe_size,
                     "" if rep.seed is None else int(rep.seed),
+                    _repr_or_empty(rep.signed_mean),
+                    _repr_or_empty(rep.std_error),
                 ]
             )

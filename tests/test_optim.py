@@ -1,12 +1,15 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
 from scipy.linalg import cho_factor, cho_solve
+from scipy.special import expit
 
+from tripletlab import loss as loss_module
 from tripletlab import optim
-from tripletlab.core import Pool, SlotRef, make_dataset, Sample
+from tripletlab.core import Pool, SlotRef, TooFewPositives, TripletDataset, make_dataset, Sample
 from tripletlab.loss import (
     LossConfig,
     MetricParams,
@@ -22,6 +25,7 @@ from tripletlab.optim import (
     StepSizeTooLarge,
     TrainTrace,
     expansiveness_check,
+    read_trace_csv,
     regularized_objective,
     rrm_train,
     sampling_uniformity_check,
@@ -101,6 +105,16 @@ def test_sgd_iterate_stays_symmetric():
     assert np.array_equal(w.w, w.w.T)
 
 
+def test_sgd_refuses_a_single_positive_slot():
+    # make_dataset refuses this set; built directly, it has no pair i != j
+    one = TripletDataset(
+        (Sample([0.5, 0.0], 1, Pool.POSITIVE),), (Sample([0.0, 0.0], 0, Pool.NEGATIVE),), 2
+    )
+    assert sgd_train(one, SgdConfig(T=0, c=1 / 32))[1].T == 0
+    with pytest.raises(TooFewPositives):
+        sgd_train(one, SgdConfig(T=1, c=1 / 32))
+
+
 def test_sgd_config_validation():
     with pytest.raises(ValueError):
         SgdConfig(T=-1, c=0.1, seed=0)
@@ -108,6 +122,89 @@ def test_sgd_config_validation():
         SgdConfig(T=10, c=0.0, seed=0)
     with pytest.raises(ValueError):
         SgdConfig(T=10, c=0.1, seed=0, zeta=-1.0)
+
+
+# --- SGD against the per-step loop ---
+
+
+def per_step_sgd(dataset, cfg):
+    """The SGD loop before its steps were blocked, kept verbatim as the oracle:
+    one rng.integers call per draw, np.outer and @ per update. Returns
+    (w, i, j, k, eta). These comparisons also fail, instead of drifting, if a
+    numpy release changes how Generator.integers maps words to values."""
+    X = dataset.positive_features
+    Y = dataset.negative_features
+    n_plus, n_minus = dataset.n_plus, dataset.n_minus
+    rng = np.random.default_rng(np.random.SeedSequence(int(cfg.seed)))
+    w = np.zeros((dataset.d, dataset.d))
+    if cfg.T == 0:
+        empty = np.empty(0, np.int64)
+        return w, empty, empty, empty, np.empty(0, np.float64)
+    eta = cfg.c / math.sqrt(cfg.T)
+    ii = np.empty(cfg.T, np.int64)
+    jj = np.empty(cfg.T, np.int64)
+    kk = np.empty(cfg.T, np.int64)
+    for t in range(cfg.T):
+        i, j = rng.integers(0, n_plus, size=2)
+        while i == j:
+            i, j = rng.integers(0, n_plus, size=2)
+        k = rng.integers(0, n_minus)
+        ii[t], jj[t], kk[t] = i, j, k
+        dp = X[i] - X[j]
+        dn = X[i] - Y[k]
+        m = float(dp @ w @ dp) - float(dn @ w @ dn) + cfg.zeta
+        factor = float(expit(m))  # d/dm phi(-m)
+        w -= (eta * factor) * (np.outer(dp, dp) - np.outer(dn, dn))
+    return w, ii, jj, kk, np.full(cfg.T, eta)
+
+
+def assert_same_run(got, expected):
+    """w and trace arrays equal bit for bit, dtypes included."""
+    w, trace = got
+    for a, b in zip((w.w, trace.i, trace.j, trace.k, trace.eta), expected):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 10])
+@pytest.mark.parametrize("n_plus, n_minus", [(50, 50), (2, 1), (3, 200), (128, 128)])
+def test_sgd_matches_the_per_step_loop_bit_for_bit(d, n_plus, n_minus):
+    train, _ = gen_task(TaskConfig(d=d, n_plus=n_plus, n_minus=n_minus, seed=d + n_plus))
+    for T in (0, 1, 7, 5000):
+        for zeta in (0.0, 1.0):
+            cfg = SgdConfig(T=T, c=1 / 32, seed=T + n_minus, zeta=zeta)
+            assert_same_run(sgd_train(train, cfg), per_step_sgd(train, cfg))
+
+
+@pytest.mark.parametrize(
+    "n_plus, n_minus", [(2**31 + 1, 3), (3, 2**31 + 1), (2**31 + 1, 1), (2, 2**31 + 1)]
+)
+def test_index_decoder_matches_per_call_draws(n_plus, n_minus):
+    # at bound 2**31 + 1 numpy rejects about half of the 32-bit words, and
+    # n_plus = 2 redraws half of the pairs; 3000 steps span several bulk draws
+    words = np.random.default_rng(0).integers(0, 2**32, size=4000, dtype=np.uint32)
+    assert 0.45 < np.mean(np.array(optim._lemire(words, 2**31 + 1)) < 0) < 0.55
+    T = 3000
+    rng = np.random.default_rng(12)
+    expected = []
+    for _ in range(T):
+        i, j = rng.integers(0, n_plus, size=2)
+        while i == j:
+            i, j = rng.integers(0, n_plus, size=2)
+        expected.append((int(i), int(j), int(rng.integers(0, n_minus))))
+    blocks = optim._draw_indices(np.random.default_rng(12), n_plus, n_minus, T, 700)
+    assert [step for i, j, k in blocks for step in zip(i, j, k)] == expected
+
+
+@pytest.mark.parametrize("d", [3, 10])
+@pytest.mark.parametrize("block", [1, 70])
+def test_sgd_does_not_depend_on_the_block_size(monkeypatch, d, block):
+    # BLOCK = 70 gives blocks of 7 steps at d = 3 and of one step at d = 10
+    train, _ = gen_task(TaskConfig(d=d, n_plus=6, n_minus=5, seed=8))
+    cfg = SgdConfig(T=300, c=1 / 32, seed=9, zeta=0.5)
+    w, trace = sgd_train(train, cfg)
+    monkeypatch.setattr(loss_module, "BLOCK", block)
+    assert_same_run(sgd_train(train, cfg), (w.w, trace.i, trace.j, trace.k, trace.eta))
 
 
 # --- trace ---
@@ -161,6 +258,27 @@ def test_trace_csv_columns(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "1"  # steps are 1-based
     assert first[5] in ("0", "1")
+
+
+def test_trace_csv_round_trip_keeps_the_row_format(tmp_path):
+    train, _ = gen_task(TaskConfig(d=2, n_plus=4, n_minus=3, seed=1))
+    _, trace = sgd_train(train, SgdConfig(T=50, c=0.01, seed=2))
+    slot = SlotRef(Pool.NEGATIVE, 1)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path, slot=slot)
+    back = read_trace_csv(path, 4, 3)
+    for name in ("i", "j", "k", "eta"):
+        a, b = getattr(back, name), getattr(trace, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    # the row-by-row format of earlier releases, byte for byte
+    old = tmp_path / "old.csv"
+    with open(old, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "i", "j", "k", "eta", "hit_slot_flag"])
+        for t, flag in enumerate(trace.hit_mask(slot).astype(int)):
+            i, j, k, eta = trace.i[t], trace.j[t], trace.k[t], trace.eta[t]
+            writer.writerow([t + 1, int(i), int(j), int(k), repr(float(eta)), int(flag)])
+    assert path.read_bytes() == old.read_bytes()
 
 
 def test_sampling_uniformity_joint_cells():

@@ -244,6 +244,8 @@ def test_write_stability_csv(tmp_path):
         "trials",
         "probe_size",
         "seed",
+        "signed_mean",
+        "std_error",
     ]
     assert rows[1][0] == "uniform_sup"
     assert float(rows[1][5]) == rep.gamma_hat
@@ -251,6 +253,23 @@ def test_write_stability_csv(tmp_path):
     assert rows[1][10] == "99"
     assert rows[2][6] == ""  # no closed-form bound for the constant trainer
     assert rows[2][10] == ""
+    assert rows[1][11:] == ["", ""]  # the uniform protocol takes no signed estimate
+
+
+def test_write_stability_csv_keeps_the_signed_estimate(tmp_path):
+    _, sampler = small_task(n_plus=3, n_minus=2, seed=5)
+    rep = estimate_on_average_stability(
+        RrmTrainer(RrmConfig(lam=1.0)), sampler, 3, 2, trials=2, triplet_subsample=0,
+        cfg=CFG, exhaustive=True,
+    )
+    assert rep.signed_mean != 0.0 and rep.std_error > 0.0
+    path = tmp_path / "stab.csv"
+    write_stability_csv([rep], path)
+    with open(path, newline="") as fh:
+        record = dict(zip(*list(csv.reader(fh))))
+    assert float(record["signed_mean"]) == rep.signed_mean
+    assert float(record["std_error"]) == rep.std_error
+    assert float(record["gamma_hat"]) == abs(rep.signed_mean)
 
 
 # --- closed-form bound evaluators ---
