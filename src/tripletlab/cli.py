@@ -27,6 +27,7 @@ from .core import (
     SlotRef,
     ValidationError,
     feature_bound,
+    parse_int,
     read_dataset_csv,
     write_dataset_csv,
 )
@@ -53,9 +54,9 @@ from .loss import (
     write_metric_csv,
 )
 from .optim import (
-    MaxItersExceeded,
     RrmConfig,
     SgdConfig,
+    SolverFailure,
     expansiveness_check,
     read_trace_csv,
     rrm_train,
@@ -110,13 +111,16 @@ class _FileConfig:
 
 
 def _parse_grid(raw) -> tuple:
+    """The integers of a grid given as a list or as a string of entries
+    separated by commas and/or whitespace. A string entry is [+-]?[0-9]+
+    (fullmatch): "1_0", "1.0" or "1e3" is not a grid entry."""
     if isinstance(raw, (tuple, list)):
         return tuple(int(v) for v in raw)
     parts = str(raw).replace(",", " ").split()
     if not parts:
         raise ValidationError("empty n_grid")
     try:
-        return tuple(int(p) for p in parts)
+        return tuple(parse_int(p) for p in parts)
     except ValueError as exc:
         raise ValidationError(f"n_grid {raw!r} is not a list of integers") from exc
 
@@ -545,7 +549,7 @@ def _parse_slot(raw: str):
     try:
         kind, index = raw.split(":")
         pool = {"pos": Pool.POSITIVE, "neg": Pool.NEGATIVE}[kind]
-        return pool, int(index)
+        return pool, parse_int(index)
     except (ValueError, KeyError) as exc:
         raise ValidationError(f"slot must look like pos:3 or neg:0, got {raw!r}") from exc
 
@@ -675,7 +679,7 @@ def main(argv=None) -> int:
     except RegimeViolation as exc:
         print(f"regime violation: {exc}", file=sys.stderr)
         return EXIT_REGIME
-    except MaxItersExceeded as exc:
+    except SolverFailure as exc:
         print(f"did not converge: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ValidationError as exc:

@@ -8,6 +8,7 @@ immutable once built.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
@@ -114,11 +115,35 @@ class SlotRef:
 
 @dataclass(frozen=True, eq=False)
 class TripletDataset:
-    """Immutable training set of n_plus positives and n_minus negatives in R^d."""
+    """Immutable training set of n_plus positives and n_minus negatives in R^d.
+
+    Validated at construction: at least 2 positives (the risk averages over
+    pairs i != j), at least 1 negative, every sample tagged with its pool and
+    of dimension d.
+    """
 
     positives: tuple
     negatives: tuple
     d: int
+
+    def __post_init__(self):
+        if len(self.positives) < 2:
+            raise TooFewPositives(
+                "need at least 2 positive samples (the risk averages over i != j), "
+                f"got {len(self.positives)}"
+            )
+        if len(self.negatives) < 1:
+            raise EmptyNegatives("need at least 1 negative sample")
+        for pool, samples in ((Pool.POSITIVE, self.positives), (Pool.NEGATIVE, self.negatives)):
+            for s in samples:
+                if s.pool is not pool:
+                    raise PoolMismatch(
+                        f"sample in the {pool.name.lower()} list is tagged {s.pool.value}"
+                    )
+                if s.dim != self.d:
+                    raise DimensionMismatch(
+                        f"{pool.name.lower()} sample has dimension {s.dim}, expected {self.d}"
+                    )
 
     @property
     def n_plus(self) -> int:
@@ -161,27 +186,11 @@ class TripletDataset:
 
 
 def make_dataset(positives: Sequence[Sample], negatives: Sequence[Sample]) -> TripletDataset:
-    """Validate and freeze a training set. Input order defines slot identity."""
+    """Validate and freeze a training set. Input order defines slot identity;
+    the dimension is the first positive's."""
     positives = tuple(positives)
-    negatives = tuple(negatives)
-    if len(positives) < 2:
-        raise TooFewPositives(
-            f"need at least 2 positive samples (the risk averages over i != j), got {len(positives)}"
-        )
-    if len(negatives) < 1:
-        raise EmptyNegatives("need at least 1 negative sample")
-    d = positives[0].dim
-    for s in positives:
-        if s.pool is not Pool.POSITIVE:
-            raise PoolMismatch("sample in the positive list is not tagged Positive")
-        if s.dim != d:
-            raise DimensionMismatch(f"positive sample has dimension {s.dim}, expected {d}")
-    for s in negatives:
-        if s.pool is not Pool.NEGATIVE:
-            raise PoolMismatch("sample in the negative list is not tagged Negative")
-        if s.dim != d:
-            raise DimensionMismatch(f"negative sample has dimension {s.dim}, expected {d}")
-    return TripletDataset(positives=positives, negatives=negatives, d=d)
+    d = positives[0].dim if positives else 0
+    return TripletDataset(positives=positives, negatives=tuple(negatives), d=d)
 
 
 def replace_samples(
@@ -191,7 +200,8 @@ def replace_samples(
 
     `replacements` is a list of (SlotRef, Sample) pairs; slots must be pairwise
     distinct and each replacement must match the slot's pool and the dataset
-    dimension. The input dataset is unchanged.
+    dimension (checked as the new dataset is built). The input dataset is
+    unchanged.
     """
     pos = list(dataset.positives)
     neg = list(dataset.negatives)
@@ -201,14 +211,6 @@ def replace_samples(
         if key in seen:
             raise DuplicateSlot(f"slot {ref.pool.value}:{ref.index} replaced twice")
         seen.add(key)
-        if sample.pool is not ref.pool:
-            raise PoolMismatch(
-                f"replacement tagged {sample.pool.value} for slot in pool {ref.pool.value}"
-            )
-        if sample.dim != dataset.d:
-            raise DimensionMismatch(
-                f"replacement has dimension {sample.dim}, dataset has {dataset.d}"
-            )
         target = pos if ref.pool is Pool.POSITIVE else neg
         if not (0 <= ref.index < len(target)):
             raise SlotOutOfBounds(
@@ -253,6 +255,18 @@ def write_dataset_csv(dataset: TripletDataset, path) -> None:
             )
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """The integer a token of the form [+-]?[0-9]+ (fullmatch) spells; any
+    other token raises ValueError, also those int() accepts, such as "1_0"
+    (digit separators), " 1" or non-ASCII digits."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def open_input_csv(path):
     """Open a CSV input file for reading; one that cannot be opened (missing,
     a directory, unreadable) raises ValidationError naming it."""
@@ -281,7 +295,7 @@ def read_dataset_csv(path) -> TripletDataset:
             if len(row) != d + 2:
                 raise ValidationError(f"{path}: row has {len(row)} fields, expected {d + 2}")
             try:
-                tag, label, features = row[0], int(row[1]), [float(v) for v in row[2:]]
+                tag, label, features = row[0], parse_int(row[1]), [float(v) for v in row[2:]]
             except ValueError as exc:
                 raise ValidationError(f"{path}: malformed row {row!r}: {exc}") from exc
             if tag == Pool.POSITIVE.value:

@@ -16,6 +16,13 @@ costs at least log 2 and a well-ordered triplet (margin < 0) less than log 2.
 With B = max feature norm, the logistic loss is 8B^2-Lipschitz and
 64B^4-smooth in w under the Frobenius norm, which caps safe gradient steps at
 eta <= 2/(64B^4) = 1/(32B^4).
+
+Exact risks and their derivatives sweep every training triplet through one
+engine, triplet_blocks. It needs one exp per pair, not per triplet: for
+anchor i, exp(m_ijk) = U[i, j] * V[i, k], with U and V the exps of the pair
+scores shifted by the anchor's largest positive-pair score. Sweeps with a
+margin above MAX_FACTORED_MARGIN = 700, where V would overflow, run on the
+margin tensor instead (margin_blocks, margin_terms).
 """
 from __future__ import annotations
 
@@ -249,6 +256,67 @@ def triplet_losses_rowwise(
         margins = triplet_margins_rowwise(w_arr, Xa[rows], Xp[rows], Xn[rows], zeta)
         losses[rows] = margin_terms(margins)[0]
     return losses
+
+
+# largest margin for which the factored sweep's V = exp(max_j m_ijk) stays
+# finite (exp overflows past ~709.78); above it the sweep takes the margin form
+MAX_FACTORED_MARGIN = 700.0
+
+
+def triplet_blocks(
+    S_pp: np.ndarray, S_pn: np.ndarray, zeta: float, slope: bool = False, curvature: bool = False
+):
+    """Yield (start, loss, sigmoid, curvature) over anchor blocks of the triplet
+    tensor: phi(-m), sigmoid(m) and phi''(m) of the margins
+    m[a, j, k] = S_pp[i, j] - S_pn[i, k] + zeta, anchor i = start + a, in the
+    blocks of margin_blocks. The derivatives are None unless asked for, and
+    every yielded array is overwritten by the next block. The excluded
+    triplets j = i contribute exactly 0 to all three terms.
+
+    For anchor i the margins factor as m_ijk = a_ij - b_ik with a = S_pp + zeta
+    and b = S_pn, so exp(m_ijk) = U[i, j] * V[i, k] with the per-anchor shift
+    c_i = max_{j != i} a_ij:
+
+        U[i, j] = exp(a_ij - c_i) <= 1 (U[i, i] = 0),  V[i, k] = exp(c_i - b_ik).
+
+    U and V cost O(n+^2 + n+ n-) exps per sweep; a block is then p = U V, with
+    phi(-m) = log1p(p) and, with r = 1/(1 + p), sigmoid(m) = p r and
+    phi''(m) = sigmoid(m) r. V[i, k] = exp(max_j m_ijk) overflows only for a
+    margin above ~709.8, so when the largest margin of the sweep exceeds
+    MAX_FACTORED_MARGIN the blocks come from margin_blocks and margin_terms,
+    which stay finite at any margin.
+    """
+    a = S_pp + zeta
+    np.fill_diagonal(a, -np.inf)
+    c = a.max(axis=1, keepdims=True)
+    if float((c[:, 0] - S_pn.min(axis=1)).max()) > MAX_FACTORED_MARGIN:
+        for start, m in margin_blocks(S_pp, S_pn, zeta):
+            yield (start, *margin_terms(m, slope, curvature))
+        return
+    U = np.exp(np.subtract(a, c, out=a), out=a)
+    V = np.exp(np.subtract(c, S_pn))
+    n_plus, n_minus = S_pn.shape
+    step = max(1, BLOCK // S_pn.size)
+    size = min(step, n_plus) * S_pn.size
+    derivatives = slope or curvature
+    # the block arrays are reused from block to block: fresh ones of this
+    # size would page-fault on every block
+    bufs = [np.empty(size) for _ in range(3 if derivatives else 1)]
+    for start in range(0, n_plus, step):
+        stop = min(start + step, n_plus)
+        shape = (stop - start, n_plus, n_minus)
+        p, *rest = (buf[: shape[0] * S_pn.size].reshape(shape) for buf in bufs)
+        np.multiply(U[start:stop, :, None], V[start:stop, None, :], out=p)
+        if not derivatives:
+            yield start, np.log1p(p, out=p), None, None
+            continue
+        loss, r = rest
+        np.log1p(p, out=loss)
+        np.add(p, 1.0, out=r)
+        np.reciprocal(r, out=r)
+        sig = np.multiply(p, r, out=p)
+        curv = np.multiply(sig, r, out=r) if curvature else None
+        yield start, loss, (sig if slope else None), curv
 
 
 def margin_blocks(S_pp: np.ndarray, S_pn: np.ndarray, zeta: float):

@@ -34,20 +34,19 @@ from .core import (
     Pool,
     SlotOutOfBounds,
     SlotRef,
-    TooFewPositives,
     TripletDataset,
     ValidationError,
     feature_bound,
     open_input_csv,
+    parse_int,
 )
 from .loss import (
     MetricParams,
     logistic_triplet_grad,
     LossConfig,
-    margin_blocks,
-    margin_terms,
     pair_scores,
     regularity_constants,
+    triplet_blocks,
 )
 from .risk import DEFAULT_TRIPLET_BUDGET, exact_mean_loss
 
@@ -62,8 +61,8 @@ class BudgetExceeded(ValidationError):
     pass
 
 
-class MaxItersExceeded(RuntimeError):
-    """Raised when the RRM solver hits its iteration cap before reaching tol.
+class SolverFailure(RuntimeError):
+    """Raised when the RRM solver stops before reaching tol.
 
     Carries the best iterate seen (w, iterations, grad_norm) so callers can
     inspect or keep it.
@@ -74,6 +73,15 @@ class MaxItersExceeded(RuntimeError):
         self.w = w
         self.iterations = iterations
         self.grad_norm = grad_norm
+
+
+class MaxItersExceeded(SolverFailure):
+    """The iteration cap was hit first."""
+
+
+class LineSearchExhausted(SolverFailure):
+    """No step of a Newton line search, from the full step down to 2**-59 of
+    it, met the Armijo condition."""
 
 
 @dataclass(frozen=True)
@@ -203,8 +211,6 @@ def _draw_indices(rng, n_plus: int, n_minus: int, T: int, block: int):
     takes no word. The last bulk draw overruns the steps; rng is the
     trainer's own, so nothing else sees its position.
     """
-    if n_plus < 2:  # no pair i != j exists, so the redraw would never end
-        raise TooFewPositives(f"SGD draws pairs i != j from {n_plus} positive slot(s)")
     pos, neg, p = [], [], 0  # decoded words not yet used start at p
     for start in range(0, T, block):
         count = min(block, T - start)
@@ -355,9 +361,9 @@ def read_trace_csv(path, n_plus: int, n_minus: int) -> TrainTrace:
             if not row:
                 continue
             try:
-                i.append(int(row[1]))
-                j.append(int(row[2]))
-                k.append(int(row[3]))
+                i.append(parse_int(row[1]))
+                j.append(parse_int(row[2]))
+                k.append(parse_int(row[3]))
                 eta.append(float(row[4]))
             except (ValueError, IndexError) as exc:
                 raise ValidationError(f"{path}: malformed trace row {row!r}: {exc}") from exc
@@ -386,7 +392,7 @@ def _risk_parts(w_arr, X, Y, zeta, hessian=False):
     and (when hessian is set) the d^2 x d^2 Hessian of R_S.
 
     The loss of triplet (i, j, k) is phi(-m_ijk), with m-derivatives
-    sigmoid(m_ijk) and phi''(m_ijk) (margin_terms). The gradient uses the
+    sigmoid(m_ijk) and phi''(m_ijk) (triplet_blocks). The gradient uses the
     aggregated pair weights A[i,j] = sum_k sigmoid(m_ijk) and
     Bw[i,k] = sum_j sigmoid(m_ijk); the weighted sums of difference outer
     products collapse to a handful of d x d matrix products (graph-Laplacian
@@ -401,9 +407,11 @@ def _risk_parts(w_arr, X, Y, zeta, hessian=False):
     Bw = np.empty((n_plus, n_minus))
     loss_parts = []
     hess = np.zeros((X.shape[1] ** 2,) * 2) if hessian else None
-    for start, m in margin_blocks(pair_scores(w_arr, X, X), pair_scores(w_arr, X, Y), zeta):
-        stop = start + m.shape[0]
-        losses, g1, g2 = margin_terms(m, slope=True, curvature=hessian)
+    blocks = triplet_blocks(
+        pair_scores(w_arr, X, X), pair_scores(w_arr, X, Y), zeta, slope=True, curvature=hessian
+    )
+    for start, losses, g1, g2 in blocks:
+        stop = start + losses.shape[0]
         loss_parts.append(float(losses.sum()))
         A[start:stop] = g1.sum(axis=2)
         Bw[start:stop] = g1.sum(axis=1)
@@ -447,8 +455,9 @@ def rrm_train(dataset: TripletDataset, cfg: RrmConfig, w0: MetricParams | None =
 
     By 2*lam-strong convexity the result is within tol/(2 lam) of the unique
     minimizer in Frobenius norm. w0 is an optional warm start (default zero);
-    it changes the path, not the certificate. Raises MaxItersExceeded with
-    the best iterate attached if the cap is hit first.
+    it changes the path, not the certificate. Raises MaxItersExceeded if the
+    cap is hit first, and LineSearchExhausted if no step along a Newton
+    direction meets the Armijo condition; both carry the best iterate.
     """
     if dataset.n_triplets > cfg.budget:
         raise BudgetExceeded(
@@ -484,20 +493,29 @@ def rrm_train(dataset: TripletDataset, cfg: RrmConfig, w0: MetricParams | None =
         if slope >= 0.0:  # numerically degenerate direction: fall back to steepest descent
             s = -grad
             slope = -gnorm**2
-        # Armijo backtracking: the full step is scored with the Hessian sweep,
-        # reused as the next iteration's, halvings loss-only (the 60th unscored)
+        # Armijo backtracking over t = 1, 1/2, ..., 2**-59: the full step is
+        # scored with the Hessian sweep, reused as the next iteration's, the
+        # halvings loss-only
         t = 1.0
         w_try = w + s
         parts = _risk_parts(w_try, X, Y, cfg.zeta, hessian=True)
         f_try = parts[0] + cfg.lam * float(np.sum(w_try * w_try))
-        for halving in range(60):
+        for _ in range(59):
             if f_try <= f_val + 0.25 * t * slope:
                 break
             t *= 0.5
             w_try, parts = w + t * s, None
-            if halving < 59:
-                risk_try = exact_mean_loss(w_try, X, Y, cfg.zeta)
-                f_try = risk_try + cfg.lam * float(np.sum(w_try * w_try))
+            risk_try = exact_mean_loss(w_try, X, Y, cfg.zeta)
+            f_try = risk_try + cfg.lam * float(np.sum(w_try * w_try))
+        if not f_try <= f_val + 0.25 * t * slope:
+            gnorm_best, w_best, it_best = best
+            raise LineSearchExhausted(
+                f"no step down to 2**-59 of the Newton step decreases F_S enough "
+                f"at iteration {it} (||grad|| = {gnorm:g})",
+                MetricParams(w_best),
+                it_best,
+                gnorm_best,
+            )
         w = w_try
         risk_val, grad_r, hess_r = parts or _risk_parts(w, X, Y, cfg.zeta, hessian=True)
     gnorm, w_best, it_best = best

@@ -18,10 +18,9 @@ from .core import DimensionMismatch, TripletDataset, ValidationError
 from .loss import (
     LossConfig,
     MetricParams,
-    margin_blocks,
-    margin_terms,
     pair_scores,
     phi,
+    triplet_blocks,
     triplet_losses_rowwise,
 )
 from .synth import TripletSampler
@@ -62,7 +61,7 @@ class RiskEstimate:
 def exact_mean_loss(w_arr: np.ndarray, X: np.ndarray, Y: np.ndarray, zeta: float) -> float:
     """Mean logistic loss phi(-margin) over all ordered triplets, summed in a fixed order.
 
-    Sweeps anchor blocks (margin_blocks); per-block sums use numpy's pairwise
+    Sweeps anchor blocks (triplet_blocks); per-block sums use numpy's pairwise
     summation and blocks are combined with math.fsum, so the result is
     reproducible and permutation-stable to well below 1e-12 relative.
     """
@@ -75,7 +74,7 @@ def exact_mean_loss(w_arr: np.ndarray, X: np.ndarray, Y: np.ndarray, zeta: float
     hi = float((S_pp.max(axis=1, initial=-np.inf, where=off) - S_pn.min(axis=1)).max()) + zeta
     if lo == hi:  # constant integrand: the mean is that one loss, with no rounding
         return float(phi(-hi))
-    partials = [float(margin_terms(m)[0].sum()) for _, m in margin_blocks(S_pp, S_pn, zeta)]
+    partials = [float(loss.sum()) for _, loss, _, _ in triplet_blocks(S_pp, S_pn, zeta)]
     return math.fsum(partials) / (n_plus * (n_plus - 1) * n_minus)
 
 

@@ -31,9 +31,8 @@ from .loss import (
     LossConfig,
     MetricParams,
     logistic_triplet_loss,
-    margin_blocks,
-    margin_terms,
     pair_scores,
+    triplet_blocks,
     triplet_losses_rowwise,
 )
 from .optim import RrmConfig, SgdConfig, TrainTrace, rrm_train, sgd_train
@@ -126,8 +125,9 @@ def probe_max_loss_diff(
 
     def losses(w: MetricParams):
         yield triplet_losses_rowwise(w.w, *fresh, cfg.zeta)
-        for _, m in margin_blocks(pair_scores(w.w, X, X), pair_scores(w.w, X, Y), cfg.zeta):
-            yield margin_terms(m)[0]
+        S_pp, S_pn = pair_scores(w.w, X, X), pair_scores(w.w, X, Y)
+        for _, loss, _, _ in triplet_blocks(S_pp, S_pn, cfg.zeta):
+            yield loss
 
     # losses are >= 0, so a maximum with initial 0 also covers an empty fresh set
     max_diff = max_abs = 0.0

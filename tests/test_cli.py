@@ -7,7 +7,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tripletlab.cli import (
@@ -109,6 +109,16 @@ def test_dataset_with_non_integer_label_exits_2(tmp_path, capsys):
                "--data", str(data), "--T", "5"])
     assert rc == EXIT_CONFIG
     assert "malformed row" in capsys.readouterr().err
+
+
+def test_dataset_label_with_digit_separator_exits_2(tmp_path, capsys):
+    data = tmp_path / "dataset.csv"
+    data.write_text("pool,label,f0\npos,1_0,0.1\npos,1,0.2\nneg,0,0.3\n")
+    rc = main(["sgd", "--seed", "1", "--outdir", str(tmp_path / "run"),
+               "--data", str(data), "--T", "5"])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "malformed row" in err
 
 
 @pytest.mark.parametrize("command", [["sgd", "--T", "5"], ["rrm", "--lam", "0.3"]])
@@ -316,7 +326,9 @@ SGD_BOUND_FLAGS = ["--n-plus", "4", "--n-minus", "3", "--slot", "pos:0", "--L", 
 
 
 @pytest.mark.parametrize(
-    "bad_row", ["1,x,0,0,0.1,0", "1,0,1,0,fast,0", "1,0,1"], ids=["index", "eta", "short"]
+    "bad_row",
+    ["1,x,0,0,0.1,0", "1,0,1,0,fast,0", "1,0,1", "1,0,1,1_0,0.1,0"],
+    ids=["index", "eta", "short", "digit separator"],
 )
 def test_bounds_malformed_trace_row_exits_2(tmp_path, capsys, bad_row):
     trace = tmp_path / "trace.csv"
@@ -354,6 +366,7 @@ NON_INTEGER_TOKENS = st.one_of(
 
 
 @given(st.lists(st.integers(), max_size=5), NON_INTEGER_TOKENS, st.integers(0, 5), GRID_SEPARATORS)
+@example(values=[], token="0_0", at=0, sep=" ")  # int() reads digit separators
 def test_parse_grid_rejects_any_non_integer_token(values, token, at, sep):
     tokens = [str(v) for v in values]
     tokens.insert(min(at, len(tokens)), token)

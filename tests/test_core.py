@@ -16,11 +16,13 @@ from tripletlab.core import (
     SlotOutOfBounds,
     SlotRef,
     TooFewPositives,
+    TripletDataset,
     TripletIndex,
     ValidationError,
     enumerate_triplets,
     feature_bound,
     make_dataset,
+    parse_int,
     read_dataset_csv,
     replace_samples,
     write_dataset_csv,
@@ -101,6 +103,42 @@ def test_make_dataset_rejects_mixed_dims():
 def test_make_dataset_rejects_wrong_pool_tag():
     with pytest.raises(PoolMismatch):
         make_dataset([pos(1.0), neg(2.0)], [neg(0.0)])
+
+
+def test_dataset_built_directly_needs_two_positives():
+    # without the check, empirical_risk divided by n+ (n+ - 1) n- = 0
+    with pytest.raises(TooFewPositives):
+        TripletDataset((pos(0.5, 0.0),), (neg(0.0, 0.0),), 2)
+
+
+@pytest.mark.parametrize(
+    "positives, negatives, d, error",
+    [
+        ((pos(1.0), pos(2.0)), (), 1, EmptyNegatives),
+        ((pos(1.0), pos(2.0)), (neg(0.0),), 2, DimensionMismatch),
+        ((pos(1.0), pos(2.0, 0.0)), (neg(0.0),), 1, DimensionMismatch),
+        ((pos(1.0), pos(2.0)), (neg(0.0, 1.0),), 1, DimensionMismatch),
+        ((pos(1.0), neg(2.0)), (neg(0.0),), 1, PoolMismatch),
+        ((pos(1.0), pos(2.0)), (pos(0.0),), 1, PoolMismatch),
+    ],
+    ids=["no negative", "d", "positive dim", "negative dim", "positive tag", "negative tag"],
+)
+def test_dataset_built_directly_is_validated(positives, negatives, d, error):
+    with pytest.raises(error):
+        TripletDataset(positives, negatives, d)
+
+
+@pytest.mark.parametrize("token", ["0", "7", "-12", "+3", "007"])
+def test_parse_int_accepts_decimal_integers(token):
+    assert parse_int(token) == int(token)
+
+
+@pytest.mark.parametrize(
+    "token", ["1_0", "0_0", " 1", "1 ", "1.0", "1e3", "", "+", "0x10", "\u0663"]
+)
+def test_parse_int_rejects_what_int_would_stretch_to(token):
+    with pytest.raises(ValueError):
+        parse_int(token)
 
 
 def test_feature_matrices_follow_slot_order():

@@ -21,6 +21,7 @@ from tripletlab.loss import (
     phi_prime,
     read_metric_csv,
     regularity_constants,
+    triplet_blocks,
     triplet_losses_rowwise,
     triplet_margin,
     triplet_margins_rowwise,
@@ -404,6 +405,122 @@ def test_sweeps_do_not_depend_on_the_block_size(monkeypatch):
         for got, want in zip(split["parts"], whole["parts"]):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         assert split["probe"] == pytest.approx(whole["probe"], rel=1e-12)
+
+
+# --- the factored sweep, against the margin form as its oracle ---
+
+
+def _all_sweeps(X, Y, w_a, w_b, zeta, fresh):
+    ds = make_dataset(
+        [Sample(x, 1, Pool.POSITIVE) for x in X], [Sample(y, 0, Pool.NEGATIVE) for y in Y]
+    )
+    return (
+        exact_mean_loss(w_a.w, X, Y, zeta),
+        _risk_parts(w_a.w, X, Y, zeta, hessian=True),
+        probe_max_loss_diff(w_a, w_b, ds, fresh, LossConfig(zeta)),
+    )
+
+
+def _assert_close_to_oracle(got, want, risk_rel, entry_rel):
+    (risk, parts, probe), (risk_o, parts_o, probe_o) = got, want
+    assert risk == pytest.approx(risk_o, rel=risk_rel, abs=0.0)
+    assert parts[0] == pytest.approx(parts_o[0], rel=risk_rel, abs=0.0)
+    for g, g_o in zip(parts[1:], parts_o[1:]):  # gradient, Hessian
+        assert np.abs(g - g_o).max() <= entry_rel * np.abs(g_o).max()
+    assert probe == pytest.approx(probe_o, rel=risk_rel, abs=0.0)
+
+
+@pytest.mark.parametrize("block", [1, 70, loss_module.BLOCK])
+@pytest.mark.parametrize("zeta", [0.0, 0.3])
+@pytest.mark.parametrize(
+    "n_plus, n_minus, d", [(2, 1, 3), (7, 5, 3), (128, 128, 3), (64, 64, 10), (300, 40, 2)]
+)
+def test_factored_sweeps_match_the_margin_form(monkeypatch, n_plus, n_minus, d, zeta, block):
+    rng = np.random.default_rng(n_plus + 1000 * d)
+    X = rng.uniform(-1, 1, (n_plus, d))
+    Y = rng.uniform(-1, 1, (n_minus, d))
+    w_a, w_b = sym(rng, d), sym(rng, d)
+    fresh = tuple(rng.uniform(-1, 1, (50, d)) for _ in range(3))
+    monkeypatch.setattr(loss_module, "BLOCK", block)
+    factored = _all_sweeps(X, Y, w_a, w_b, zeta, fresh)
+    monkeypatch.setattr(loss_module, "MAX_FACTORED_MARGIN", -np.inf)
+    oracle = _all_sweeps(X, Y, w_a, w_b, zeta, fresh)
+    _assert_close_to_oracle(factored, oracle, risk_rel=1e-14, entry_rel=1e-13)
+
+
+def _blocks(S_pp, S_pn, zeta):
+    return [
+        (start, *(t.copy() for t in terms))
+        for start, *terms in triplet_blocks(S_pp, S_pn, zeta, slope=True, curvature=True)
+    ]
+
+
+def test_factored_sweep_gives_exact_zeros_on_excluded_triplets():
+    rng = np.random.default_rng(9)
+    X, Y, w = rng.uniform(-1, 1, (5, 3)), rng.uniform(-1, 1, (4, 3)), sym(rng, 3)
+    S_pp, S_pn = pair_scores(w.w, X, X), pair_scores(w.w, X, Y)
+    for start, *terms in _blocks(S_pp, S_pn, 0.3):
+        anchors = np.arange(terms[0].shape[0])
+        for t in terms:
+            assert np.all(t[anchors, start + anchors] == 0.0)
+            t[anchors, start + anchors] = 1.0
+            assert np.all(t > 0.0)
+
+
+def test_factored_sweep_shifts_each_anchor(monkeypatch):
+    # points at near-equal mutual distances under a large metric: every pair
+    # score is about 800 (exp of it overflows) while the margins stay within a few units
+    rng = np.random.default_rng(10)
+    points = np.sqrt(0.5) * np.eye(10) + 1e-3 * rng.standard_normal((10, 10))
+    X, Y = points[:6], points[6:]
+    w = MetricParams.identity(10, 800.0)
+    S_pp, S_pn = pair_scores(w.w, X, X), pair_scores(w.w, X, Y)
+    assert S_pn.min() > 709.0 and np.abs(S_pp - np.diag(np.diag(S_pp))).max() > 709.0
+    fresh = tuple(points[[0, 1, 2]] for _ in range(3))
+    w_b = MetricParams.identity(10, 790.0)
+    factored = _all_sweeps(X, Y, w, w_b, 0.3, fresh)
+    for part in (factored[0], *factored[1], *factored[2]):
+        assert np.all(np.isfinite(part))
+    monkeypatch.setattr(loss_module, "MAX_FACTORED_MARGIN", -np.inf)
+    oracle = _all_sweeps(X, Y, w, w_b, 0.3, fresh)
+    _assert_close_to_oracle(factored, oracle, risk_rel=1e-13, entry_rel=1e-12)
+
+
+def _scores_with_largest_margin(target):
+    rng = np.random.default_rng(11)
+    X, Y, w = rng.uniform(-1, 1, (4, 2)), rng.uniform(-1, 1, (3, 2)), MetricParams.identity(2)
+    S_pp, S_pn = pair_scores(w.w, X, X), pair_scores(w.w, X, Y)
+    off = ~np.eye(4, dtype=bool)
+    hi = float((S_pp.max(axis=1, initial=-np.inf, where=off) - S_pn.min(axis=1)).max())
+    return S_pp * (target / hi), S_pn * (target / hi)
+
+
+def test_sweep_above_the_switch_is_the_margin_form_bit_for_bit():
+    S_pp, S_pn = _scores_with_largest_margin(700.5)
+    got = _blocks(S_pp, S_pn, 0.0)
+    want = [
+        (start, *margin_terms(m, slope=True, curvature=True))
+        for start, m in margin_blocks(S_pp, S_pn, 0.0)
+    ]
+    assert len(got) == len(want)
+    for (start, *terms), (start_o, *terms_o) in zip(got, want):
+        assert start == start_o
+        for t, t_o in zip(terms, terms_o):
+            assert t.tobytes() == t_o.tobytes()
+
+
+def test_sweep_just_below_the_switch_stays_finite_and_accurate():
+    S_pp, S_pn = _scores_with_largest_margin(699.5)
+    got = _blocks(S_pp, S_pn, 0.0)
+    want = [
+        (start, *margin_terms(m, slope=True, curvature=True))
+        for start, m in margin_blocks(S_pp, S_pn, 0.0)
+    ]
+    assert max(float(t[1].max()) for t in got) == pytest.approx(699.5, rel=1e-15)
+    for (start, *terms), (_, *terms_o) in zip(got, want):
+        for t, t_o in zip(terms, terms_o):
+            assert np.all(np.isfinite(t))
+            np.testing.assert_allclose(t, t_o, rtol=1e-13, atol=0.0)
 
 
 # --- CSV round trip ---

@@ -9,7 +9,7 @@ from scipy.special import expit
 
 from tripletlab import loss as loss_module
 from tripletlab import optim
-from tripletlab.core import Pool, SlotRef, TooFewPositives, TripletDataset, make_dataset, Sample
+from tripletlab.core import Pool, SlotRef, make_dataset, Sample
 from tripletlab.loss import (
     LossConfig,
     MetricParams,
@@ -19,6 +19,7 @@ from tripletlab.loss import (
 )
 from tripletlab.optim import (
     BudgetExceeded,
+    LineSearchExhausted,
     MaxItersExceeded,
     RrmConfig,
     SgdConfig,
@@ -103,16 +104,6 @@ def test_sgd_iterate_stays_symmetric():
     train, _ = gen_task(cfg)
     w, _ = sgd_train(train, SgdConfig(T=50, c=1 / 32, seed=1))
     assert np.array_equal(w.w, w.w.T)
-
-
-def test_sgd_refuses_a_single_positive_slot():
-    # make_dataset refuses this set; built directly, it has no pair i != j
-    one = TripletDataset(
-        (Sample([0.5, 0.0], 1, Pool.POSITIVE),), (Sample([0.0, 0.0], 0, Pool.NEGATIVE),), 2
-    )
-    assert sgd_train(one, SgdConfig(T=0, c=1 / 32))[1].T == 0
-    with pytest.raises(TooFewPositives):
-        sgd_train(one, SgdConfig(T=1, c=1 / 32))
 
 
 def test_sgd_config_validation():
@@ -440,6 +431,32 @@ def test_rrm_max_iters_carries_best_iterate():
     assert err.value.iterations == 3
     assert isinstance(err.value.w, MetricParams)
     assert err.value.grad_norm > 0
+
+
+def test_rrm_exhausted_line_search_raises_with_the_best_iterate(monkeypatch):
+    # an objective that rejects every trial point: the start scores as usual,
+    # every step along the Newton direction as +inf
+    train, _ = gen_task(TaskConfig(d=2, n_plus=8, n_minus=8, seed=3))
+    real_parts, trials = optim._risk_parts, []
+
+    def rejecting_parts(w, *args, **kwargs):
+        value, grad, hess = real_parts(w, *args, **kwargs)
+        trials.append("full" if trials else "start")
+        return (math.inf if trials[-1] == "full" else value), grad, hess
+
+    def rejecting_loss(*args):
+        trials.append("halving")
+        return math.inf
+
+    monkeypatch.setattr(optim, "_risk_parts", rejecting_parts)
+    monkeypatch.setattr(optim, "exact_mean_loss", rejecting_loss)
+    with pytest.raises(LineSearchExhausted) as err:
+        rrm_train(train, RrmConfig(lam=0.01))
+    assert err.value.iterations == 0
+    assert np.array_equal(err.value.w.w, np.zeros((2, 2)))
+    assert err.value.grad_norm > 0.01
+    # steps 1, 1/2, ..., 2**-59 are each scored once, and none is taken
+    assert trials == ["start", "full"] + ["halving"] * 59
 
 
 def test_rrm_budget_guard():
