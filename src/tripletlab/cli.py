@@ -33,7 +33,6 @@ from .core import (
 )
 from .lab import (
     SweepConfig,
-    fit_loglog_slope,
     run_excess_risk_experiment,
     run_optimistic_experiment,
     run_rate_sweep,
@@ -322,7 +321,7 @@ def _cmd_sweep(cfg, args) -> int:
     report = run_rate_sweep(sweep_cfg)
     write_sweep_rows_csv(report, out / "sweep_rows.csv")
     write_sweep_summary_csv(report, out / "sweep_summary.csv")
-    write_manifest(out / "manifest.json", "sweep", sweep_cfg, started)
+    write_manifest(out / "manifest.json", "sweep", sweep_cfg, started, workers=report.workers)
     print(
         f"wrote {out / 'sweep_rows.csv'}; slope={report.slope:.4f} "
         f"(stderr {report.slope_stderr:.4f}, r^2 {report.r_squared:.4f})"
@@ -350,7 +349,9 @@ def _cmd_optimistic(cfg, args) -> int:
     report = run_optimistic_experiment(sweep_cfg)
     write_optimistic_cells_csv(report, out / "optimistic_cells.csv")
     write_optimistic_rows_csv(report, out / "optimistic_rows.csv")
-    write_manifest(out / "manifest.json", "optimistic", sweep_cfg, started)
+    write_manifest(
+        out / "manifest.json", "optimistic", sweep_cfg, started, workers=report.workers
+    )
     print(
         f"wrote {out / 'optimistic_cells.csv'}; slope={report.slope:.4f}, "
         f"dominated in {sum(c.dominated for c in report.cells)}/{len(report.cells)} cells"

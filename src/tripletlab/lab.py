@@ -3,15 +3,19 @@ and the optimistic (low-noise) regime, with CSV/JSON persistence.
 
 Every runner derives all cell-level seeds from one root seed through numpy
 SeedSequence spawning, in a fixed loop order, so a rerun with the same config
-reproduces every CSV byte for byte. Summary JSON manifests carry wall time
-and are the one intentionally non-reproducible output.
+reproduces every CSV byte for byte. The sweep runners then run their trials
+on a thread pool (_run_trials) and collect them in trial order, so the bytes
+do not depend on the thread count either. Summary JSON manifests carry wall
+time and are the one intentionally non-reproducible output.
 """
 from __future__ import annotations
 
 import csv
 import json
+import os
 import time
-from dataclasses import asdict, dataclass, replace
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.stats import linregress
@@ -127,6 +131,7 @@ class SweepReport:
     intercept: float
     slope_stderr: float
     r_squared: float
+    workers: int = field(default=1, repr=False, compare=False)
 
 
 def _cell_seeds(root: np.random.SeedSequence):
@@ -164,24 +169,59 @@ def _train_cell(cfg: SweepConfig, n: int, task_seed: int, algo_seed: int):
     return w, train, sampler
 
 
-def run_rate_sweep(cfg: SweepConfig) -> SweepReport:
-    """Generalization gap vs n, with a log-log slope fit on the mean |gap|."""
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_trials(trial, jobs):
+    """[trial(*job) for job in jobs] on a pool of one thread per available CPU
+    (at most one per job); returns (results, worker count).
+
+    Every argument a trial depends on is in its job, bound at submission. The
+    results come back in job order, so they do not depend on the worker count:
+    numpy's generator fills, ufuncs and BLAS calls release the GIL, so trials
+    overlap, but each trial draws from generators of its own. If trials
+    fail, the first failing one in job order raises, as in a serial run, and
+    the trials not yet started are cancelled.
+    """
+    workers = min(_available_cpus(), len(jobs))
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        futures = [pool.submit(trial, *job) for job in jobs]
+        return [future.result() for future in futures], workers
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _sweep_trial(cfg: SweepConfig, n: int, trial: int, task_seed: int, algo_seed: int):
     loss_cfg = LossConfig(cfg.zeta)
+    w, train, sampler = _train_cell(cfg, n, task_seed, algo_seed)
+    pop = population_risk(w, sampler, cfg.population_m, loss_cfg)
+    emp = empirical_risk(
+        w, train, loss_cfg, budget=max(DEFAULT_TRIPLET_BUDGET, n * (n - 1) * n)
+    )
+    return SweepRow(n, trial, task_seed, algo_seed, emp, pop)
+
+
+def run_rate_sweep(cfg: SweepConfig) -> SweepReport:
+    """Generalization gap vs n, with a log-log slope fit on the mean |gap|.
+
+    Every trial's seeds are derived first, in trial order; the trials then
+    run on a thread pool (_run_trials).
+    """
     root = np.random.SeedSequence(int(cfg.seed))
-    rows = []
-    mean_abs = []
-    for n in cfg.n_grid:
-        gaps = []
-        for trial in range(cfg.trials_per_n):
-            task_seed, algo_seed = _cell_seeds(root)
-            w, train, sampler = _train_cell(cfg, n, task_seed, algo_seed)
-            pop = population_risk(w, sampler, cfg.population_m, loss_cfg)
-            emp = empirical_risk(
-                w, train, loss_cfg, budget=max(DEFAULT_TRIPLET_BUDGET, n * (n - 1) * n)
-            )
-            rows.append(SweepRow(n, trial, task_seed, algo_seed, emp, pop))
-            gaps.append(pop.value - emp.value)
-        mean_abs.append(float(np.mean(np.abs(gaps))))
+    jobs = [
+        (cfg, n, trial, *_cell_seeds(root))
+        for n in cfg.n_grid
+        for trial in range(cfg.trials_per_n)
+    ]
+    rows, workers = _run_trials(_sweep_trial, jobs)
+    mean_abs = [
+        float(np.mean([abs(row.gap) for row in rows if row.n == n])) for n in cfg.n_grid
+    ]
     # The zero trainer produces exactly zero gaps; those cells cannot enter a
     # log-log fit.
     fit_points = [(n, v) for n, v in zip(cfg.n_grid, mean_abs) if v > 0]
@@ -198,6 +238,7 @@ def run_rate_sweep(cfg: SweepConfig) -> SweepReport:
         intercept=intercept,
         slope_stderr=stderr,
         r_squared=r2,
+        workers=workers,
     )
 
 
@@ -412,6 +453,7 @@ class OptimisticReport:
     intercept: float
     slope_stderr: float
     r_squared: float
+    workers: int = field(default=1, repr=False, compare=False)
 
     @property
     def all_dominated(self) -> bool:
@@ -461,10 +503,27 @@ def _optimistic_sigmas(cfg: SweepConfig, alpha: float):
     return [max(schedule(n, ref_risk), floor) for n, floor in zip(cfg.n_grid, floors)]
 
 
+def _optimistic_trial(
+    cfg: SweepConfig, n: int, trial: int, task_seed: int, lam: float, tol: float, budget: int
+):
+    """One low-noise RRM fit: its row (n, trial, task_seed, emp, pop, gap)."""
+    loss_cfg = LossConfig(cfg.zeta)
+    task = replace(cfg.task, n_plus=n, n_minus=n, seed=task_seed)
+    train, sampler, _ = low_noise_task(task)
+    w, _ = rrm_train(train, RrmConfig(lam=lam, tol=tol, zeta=cfg.zeta, budget=budget))
+    emp = empirical_risk(w, train, loss_cfg, budget=budget)
+    pop = population_risk(w, sampler, cfg.population_m, loss_cfg)
+    return (n, trial, task_seed, emp.value, pop.value, pop.value - emp.value)
+
+
 def run_optimistic_experiment(cfg: SweepConfig) -> OptimisticReport:
     """Low-noise RRM runs with the balanced epsilon; checks that the measured
     mean gap is dominated by the multiplicative bound in every cell and fits
-    the decay exponent of the mean gap."""
+    the decay exponent of the mean gap.
+
+    Every trial's seed is derived first, in trial order; the trials then run
+    on a thread pool (_run_trials).
+    """
     if cfg.algorithm != "rrm" or cfg.sigma_rule != "optimistic":
         raise ValidationError(
             "the optimistic experiment requires algorithm='rrm' and sigma_rule='optimistic'"
@@ -476,16 +535,11 @@ def run_optimistic_experiment(cfg: SweepConfig) -> OptimisticReport:
             raise RegimeViolation(
                 f"sigma = {sigma:g} at n = {n} violates sigma * n >= 8 alpha = {8 * alpha:g}"
             )
-    loss_cfg = LossConfig(cfg.zeta)
     root = np.random.SeedSequence(int(cfg.seed))
-    rows = []
-    cells = []
+    jobs = []
     for n, sigma in zip(cfg.n_grid, sigmas):
         lam = sigma / 2.0
         budget = max(DEFAULT_TRIPLET_BUDGET, n * (n - 1) * n)
-        gaps = []
-        emps = []
-        epsilon = optimistic_epsilon(n, n, sigma)
         # The stopping certificate places the iterate within tol / (2 lam) of
         # the argmin, which can move the probe losses by L tol / (2 lam). The
         # gaps in this regime can be far smaller than the default tol would
@@ -494,17 +548,15 @@ def run_optimistic_experiment(cfg: SweepConfig) -> OptimisticReport:
         tol = min(1e-8, max(1e-14, 2.0 * lam * 1e-7 / L))
         for trial in range(cfg.trials_per_n):
             task_seed, _ = _cell_seeds(root)
-            task = replace(cfg.task, n_plus=n, n_minus=n, seed=task_seed)
-            train, sampler, _ = low_noise_task(task)
-            w, _ = rrm_train(train, RrmConfig(lam=lam, tol=tol, zeta=cfg.zeta, budget=budget))
-            emp = empirical_risk(w, train, loss_cfg, budget=budget)
-            pop = population_risk(w, sampler, cfg.population_m, loss_cfg)
-            gap = pop.value - emp.value
-            gaps.append(gap)
-            emps.append(emp.value)
-            rows.append((n, trial, task_seed, emp.value, pop.value, gap))
-        mean_gap = float(np.mean(gaps))
-        mean_emp = float(np.mean(emps))
+            jobs.append((cfg, n, trial, task_seed, lam, tol, budget))
+    rows, workers = _run_trials(_optimistic_trial, jobs)
+    cells = []
+    for n, sigma in zip(cfg.n_grid, sigmas):
+        cell_rows = [row for row in rows if row[0] == n]
+        mean_gap = float(np.mean([row[5] for row in cell_rows]))
+        mean_emp = float(np.mean([row[3] for row in cell_rows]))
+        lam = sigma / 2.0
+        epsilon = optimistic_epsilon(n, n, sigma)
         bound = optimistic_gap_bound(epsilon, alpha, sigma, n, n, mean_emp)
         cells.append(
             OptimisticCell(
@@ -534,6 +586,7 @@ def run_optimistic_experiment(cfg: SweepConfig) -> OptimisticReport:
         intercept=intercept,
         slope_stderr=stderr,
         r_squared=r2,
+        workers=workers,
     )
 
 
@@ -589,8 +642,9 @@ def package_version() -> str:
         return "0.0.0+local"
 
 
-def write_manifest(path, command: str, config, started: float) -> None:
-    """JSON run record: the echoed config, library version, and wall time."""
+def write_manifest(path, command: str, config, started: float, **record) -> None:
+    """JSON run record: the echoed config, library version, wall time, and any
+    further `record` entries (such as the worker count of a sweep)."""
     if hasattr(config, "__dataclass_fields__"):
         config = asdict(config)
     payload = {
@@ -598,6 +652,7 @@ def write_manifest(path, command: str, config, started: float) -> None:
         "config": config,
         "version": package_version(),
         "elapsed_seconds": time.time() - started,
+        **record,
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=str)

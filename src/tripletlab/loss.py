@@ -232,13 +232,49 @@ def row_scores(w_arr: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return scores
 
 
+def _margins(positive_scores: np.ndarray, negative_scores: np.ndarray, zeta: float) -> np.ndarray:
+    """The triplet margin h_w(a, p) - h_w(a, n) + zeta from the two score
+    vectors, in place in positive_scores."""
+    positive_scores -= negative_scores
+    positive_scores += zeta
+    return positive_scores
+
+
 def triplet_margins_rowwise(
     w_arr: np.ndarray, Xa: np.ndarray, Xp: np.ndarray, Xn: np.ndarray, zeta: float
 ) -> np.ndarray:
-    margins = row_scores(w_arr, Xa, Xp)
-    margins -= row_scores(w_arr, Xa, Xn)
-    margins += zeta
-    return margins
+    return _margins(row_scores(w_arr, Xa, Xp), row_scores(w_arr, Xa, Xn), zeta)
+
+
+def streamed_triplet_losses(
+    w_arr: np.ndarray, Xa: np.ndarray, positive_blocks, negative_blocks, zeta: float
+) -> np.ndarray:
+    """Logistic triplet losses phi(-margin) of m aligned triplets, one per row
+    of the anchors Xa, with the positives and the negatives handed in as
+    consecutive row blocks that together cover the m rows.
+
+    Every positive block is read before the first negative block, and each
+    block is used up before the next is taken, so both may be drawn lazily,
+    one stream after the other, into one reused buffer. A positive block's
+    scores are kept in the output; each negative block turns its rows into
+    margins and then losses, so no block of triplets is ever held whole.
+    Each row's loss is computed on its own, so any blocking gives the same
+    losses.
+    """
+    losses = np.empty(Xa.shape[0])
+    start = 0
+    for block in positive_blocks:
+        stop = start + block.shape[0]
+        losses[start:stop] = row_scores(w_arr, Xa[start:stop], block)
+        start = stop
+    start = 0
+    for block in negative_blocks:
+        stop = start + block.shape[0]
+        rows = losses[start:stop]
+        _margins(rows, row_scores(w_arr, Xa[start:stop], block), zeta)
+        rows[:] = margin_terms(rows)[0]
+        start = stop
+    return losses
 
 
 def triplet_losses_rowwise(
@@ -246,16 +282,18 @@ def triplet_losses_rowwise(
 ) -> np.ndarray:
     """Logistic triplet losses phi(-margin) for m aligned triplets, one per row.
 
-    Scored in row blocks of BLOCK doubles, so a block's differences, scores
-    and margins stay in cache; each row's loss is computed on its own.
+    Scored in row blocks of BLOCK doubles (streamed_triplet_losses), so a
+    block's differences and scores stay in cache.
     """
-    losses = np.empty(Xa.shape[0])
     step = max(1, BLOCK // Xa.shape[1])
-    for start in range(0, losses.shape[0], step):
-        rows = slice(start, start + step)
-        margins = triplet_margins_rowwise(w_arr, Xa[rows], Xp[rows], Xn[rows], zeta)
-        losses[rows] = margin_terms(margins)[0]
-    return losses
+    rows = range(0, Xa.shape[0], step)
+    return streamed_triplet_losses(
+        w_arr,
+        Xa,
+        (Xp[start : start + step] for start in rows),
+        (Xn[start : start + step] for start in rows),
+        zeta,
+    )
 
 
 # largest margin for which the factored sweep's V = exp(max_j m_ijk) stays

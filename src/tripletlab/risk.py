@@ -20,6 +20,7 @@ from .loss import (
     MetricParams,
     pair_scores,
     phi,
+    streamed_triplet_losses,
     triplet_blocks,
     triplet_losses_rowwise,
 )
@@ -126,18 +127,32 @@ def empirical_risk(
 def population_risk(
     w: MetricParams, sampler: TripletSampler, m: int, cfg: LossConfig
 ) -> RiskEstimate:
-    """Monte Carlo mean loss over m fresh triplets; advances the sampler."""
+    """Monte Carlo mean loss over m fresh triplets; advances the sampler.
+
+    The triplets are sampler.draw(m)'s, but only the anchors are held whole:
+    the positives and then the negatives arrive in the sampler's row blocks
+    and are scored as they land, so the estimate and the sampler's state
+    afterwards are those of scoring sampler.draw(m), bit for bit.
+    """
     if m < 2:
         raise ValidationError(f"population risk needs m >= 2 triplets, got {m}")
     if w.d != sampler.d:
         raise DimensionMismatch(f"metric is {w.d}-dimensional, sampler is {sampler.d}")
-    Xa, Xp, Xn = sampler.draw(m)
-    vals = triplet_losses_rowwise(w.w, Xa, Xp, Xn, cfg.zeta)
+    anchors = sampler.draw_positive(m)
+    vals = streamed_triplet_losses(
+        w.w, anchors, sampler.positive_blocks(m), sampler.negative_blocks(m), cfg.zeta
+    )
     if np.ptp(vals) == 0.0:
         # constant integrand: the mean is the common value, with no noise
         return RiskEstimate(float(vals[0]), 0.0, m, RiskMode.MONTE_CARLO_POPULATION)
-    std_error = float(vals.std(ddof=1)) / math.sqrt(m)
-    return RiskEstimate(float(vals.mean()), std_error, m, RiskMode.MONTE_CARLO_POPULATION)
+    # vals.std(ddof=1)'s own operations, done in place: its m-long temporary
+    # would add a quarter to the estimate's memory at d = 3 (anchors and
+    # losses, 32 bytes a triplet)
+    mean = float(vals.mean())
+    np.subtract(vals, mean, out=vals)
+    np.square(vals, out=vals)
+    std_error = math.sqrt(float(vals.sum()) / (m - 1)) / math.sqrt(m)
+    return RiskEstimate(mean, std_error, m, RiskMode.MONTE_CARLO_POPULATION)
 
 
 def generalization_gap(

@@ -82,29 +82,49 @@ def _squared_norms(rows: np.ndarray) -> np.ndarray:
     return sq
 
 
-def _draw_pool(rng: np.random.Generator, mu, noise_scale, B, m, d) -> np.ndarray:
-    """m rows of mu + noise_scale * z (z standard normal), each rescaled onto
-    the B-sphere when its norm exceeds B.
+def _fill_rows(rng: np.random.Generator, block: np.ndarray, mu, noise_scale, B) -> np.ndarray:
+    """Fill the rows of `block` with mu + noise_scale * z (z standard normal),
+    each rescaled onto the B-sphere when its norm exceeds B; returns `block`.
 
-    The rows are filled in blocks of loss.BLOCK doubles, so each block's
-    temporaries stay in cache. The generator yields the same numbers in the
-    same order as one (m, d) draw, and every operation is the unblocked one,
-    row by row, so draws and generator state are bit-identical for any block
-    size. Multiplying every row by min(B / norm, 1) is that rescaling exactly:
+    Multiplying every row by min(B / norm, 1) is that rescaling exactly:
     B / norm >= 1 precisely when norm <= B, and x * 1.0 = x.
+    """
+    rng.standard_normal(out=block)
+    block *= noise_scale
+    block += mu
+    factor = np.sqrt(_squared_norms(block))
+    with np.errstate(divide="ignore"):  # a zero row gives B / 0 = inf, so factor 1
+        np.divide(B, factor, out=factor)
+    block *= np.minimum(factor, 1.0, out=factor)[:, None]
+    return block
+
+
+def _draw_pool(rng: np.random.Generator, mu, noise_scale, B, m, d) -> np.ndarray:
+    """m rows of the pool law (see _fill_rows), filled in blocks of loss.BLOCK
+    doubles so each block's temporaries stay in cache.
+
+    The generator yields the same numbers in the same order as one (m, d)
+    draw, and every operation is the unblocked one, row by row, so draws and
+    generator state are bit-identical for any block size.
     """
     out = np.empty((m, d))
     step = max(1, loss.BLOCK // d)
     for start in range(0, m, step):
-        block = out[start : start + step]
-        rng.standard_normal(out=block)
-        block *= noise_scale
-        block += mu
-        factor = np.sqrt(_squared_norms(block))
-        with np.errstate(divide="ignore"):  # a zero row gives B / 0 = inf, so factor 1
-            np.divide(B, factor, out=factor)
-        block *= np.minimum(factor, 1.0, out=factor)[:, None]
+        _fill_rows(rng, out[start : start + step], mu, noise_scale, B)
     return out
+
+
+def _pool_blocks(rng: np.random.Generator, mu, noise_scale, B, m, d):
+    """Yield the m rows of _draw_pool in its own row blocks, each filled into
+    one reused buffer: a block is overwritten by the next one.
+
+    Drawn lazily, so the generator has made all of _draw_pool's draws, and
+    sits where _draw_pool leaves it, only once every block has been taken.
+    """
+    step = max(1, loss.BLOCK // d)
+    buf = np.empty((min(step, m), d))
+    for start in range(0, m, step):
+        yield _fill_rows(rng, buf[: min(step, m - start)], mu, noise_scale, B)
 
 
 class TripletSampler:
@@ -134,6 +154,14 @@ class TripletSampler:
 
     def draw_negative(self, m: int) -> np.ndarray:
         return _draw_pool(self._rng, self.mu_minus, self.noise_scale, self.B, m, self.d)
+
+    def positive_blocks(self, m: int):
+        """draw_positive(m) as row blocks in one reused buffer (see _pool_blocks)."""
+        return _pool_blocks(self._rng, self.mu_plus, self.noise_scale, self.B, m, self.d)
+
+    def negative_blocks(self, m: int):
+        """draw_negative(m) as row blocks in one reused buffer (see _pool_blocks)."""
+        return _pool_blocks(self._rng, self.mu_minus, self.noise_scale, self.B, m, self.d)
 
     def draw(self, m: int):
         """m fresh triplets: (anchors, positives, negatives), each (m, d)."""

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from tripletlab import lab
 from tripletlab.cli import (
     EXIT_CONFIG,
     EXIT_DOMINATION,
@@ -231,6 +232,18 @@ def test_optimistic_writes_cells_and_rows(tmp_path):
     assert all(row[cells[0].index("dominated")] == "1" for row in cells[1:])
     rows = read_rows(tmp_path / "optimistic_rows.csv")
     assert len(rows) == 1 + 3 * 2
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_sweep_and_optimistic_manifests_record_the_worker_count(tmp_path, monkeypatch, cpus):
+    monkeypatch.setattr(lab, "_available_cpus", lambda: cpus)
+    grid = ["--n-grid", "4 6 8", "--trials-per-n", "2", "--population-m", "2000", "--d", "2"]
+    for command in ("sweep", "optimistic"):
+        out = tmp_path / command
+        assert main([command, "--seed", "3", "--outdir", str(out)] + grid) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+        assert manifest["workers"] == min(cpus, 3 * 2)  # one per CPU, at most one per trial
 
 
 def test_check_small_probe_budget_passes(tmp_path, capsys):

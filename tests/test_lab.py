@@ -1,9 +1,10 @@
 import csv
 import json
 import math
+import sys
+import time
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from tripletlab import lab, risk
@@ -292,6 +293,80 @@ def test_reference_loss_cap_bounds_every_loss():
         cap = lab._reference_loss_cap(task, w_ref, zeta)
         losses = triplet_losses_rowwise(w_ref.w, *sampler.draw(50_000), zeta)
         assert losses.max() <= cap
+
+
+# --- trials on a thread pool ---
+
+
+def _runner_case(name):
+    if name == "optimistic":
+        return run_optimistic_experiment, optimistic_cfg(trials_per_n=3, population_m=70_000)
+    cfg = SweepConfig(
+        algorithm=name, n_grid=(4, 6, 8), trials_per_n=3, task=TASK,
+        population_m=70_000, sigma0=2.0, seed=9,
+    )
+    return run_rate_sweep, cfg
+
+
+@pytest.mark.parametrize("name", ["sgd", "rrm", "optimistic"])
+def test_runners_give_the_same_report_on_any_worker_count(monkeypatch, name):
+    run, cfg = _runner_case(name)
+    reports = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, to shake out shared state
+    try:
+        for cpus in (1, 2, 8):  # 8: more threads than cores
+            monkeypatch.setattr(lab, "_available_cpus", lambda cpus=cpus: cpus)
+            report = run(cfg)
+            assert report.workers == min(cpus, 9)
+            reports[cpus] = repr(report)
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports[2] == reports[1]
+    assert reports[8] == reports[1]
+
+
+FAILING_SWEEP = SweepConfig(
+    algorithm="sgd", n_grid=(4, 6, 8), trials_per_n=4, task=TASK, population_m=200, seed=21
+)
+
+
+def _failing_fits(monkeypatch, failing, pause):
+    """Make the SGD fits whose seed is in `failing` raise after failing[seed]
+    seconds, and the others take `pause` seconds; returns the list of seeds
+    fitted so far."""
+    fitted = []
+    sgd_train = lab.sgd_train
+
+    def fit(train, sgd_cfg):
+        fitted.append(sgd_cfg.seed)
+        time.sleep(failing.get(sgd_cfg.seed, pause))
+        if sgd_cfg.seed in failing:
+            raise FloatingPointError(f"fit {sgd_cfg.seed} diverged")
+        return sgd_train(train, sgd_cfg)
+
+    monkeypatch.setattr(lab, "sgd_train", fit)
+    return fitted
+
+
+def test_the_first_failing_trial_in_trial_order_raises(monkeypatch):
+    seeds = [row.algo_seed for row in run_rate_sweep(FAILING_SWEEP).rows]
+    # trial 1 fails late and trial 5 at once: on two workers trial 5 fails first
+    _failing_fits(monkeypatch, {seeds[1]: 0.2, seeds[5]: 0.0}, pause=0.0)
+    for cpus in (1, 2):
+        monkeypatch.setattr(lab, "_available_cpus", lambda cpus=cpus: cpus)
+        with pytest.raises(FloatingPointError, match=f"^fit {seeds[1]} diverged$"):
+            run_rate_sweep(FAILING_SWEEP)
+
+
+def test_a_failing_trial_cancels_the_trials_not_yet_started(monkeypatch):
+    seeds = [row.algo_seed for row in run_rate_sweep(FAILING_SWEEP).rows]
+    fitted = _failing_fits(monkeypatch, {seeds[0]: 0.0}, pause=0.05)
+    monkeypatch.setattr(lab, "_available_cpus", lambda: 2)
+    with pytest.raises(FloatingPointError, match=f"^fit {seeds[0]} diverged$"):
+        run_rate_sweep(FAILING_SWEEP)
+    assert seeds[0] in fitted
+    assert len(fitted) < len(seeds)
 
 
 # --- persistence ---

@@ -13,7 +13,6 @@ from tripletlab.core import Pool, SlotRef, make_dataset, Sample
 from tripletlab.loss import (
     LossConfig,
     MetricParams,
-    regularity_constants,
     triplet_losses_rowwise,
     triplet_margins_rowwise,
 )

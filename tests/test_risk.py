@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from tripletlab import loss as loss_module
 from tripletlab.core import make_dataset, Pool, Sample
-from tripletlab.loss import LossConfig, MetricParams, logistic_triplet_loss
+from tripletlab.loss import (
+    LossConfig,
+    MetricParams,
+    logistic_triplet_loss,
+    margin_terms,
+    row_scores,
+)
 from tripletlab.risk import (
     DEFAULT_TRIPLET_BUDGET,
     InvalidCounts,
@@ -157,6 +164,47 @@ def test_population_risk_needs_two_draws():
     _, sampler = gen_task(cfg)
     with pytest.raises(ValueError):
         population_risk(MetricParams.zeros(2), sampler, 1, LossConfig(0.0))
+
+
+def _population_risk_oracle(w, sampler, m, cfg):
+    """population_risk before streaming: draw every triplet whole, then score
+    them in row blocks of loss.BLOCK doubles."""
+    Xa, Xp, Xn = sampler.draw(m)
+    vals = np.empty(m)
+    step = max(1, loss_module.BLOCK // Xa.shape[1])
+    for start in range(0, m, step):
+        rows = slice(start, start + step)
+        margins = row_scores(w.w, Xa[rows], Xp[rows])
+        margins -= row_scores(w.w, Xa[rows], Xn[rows])
+        margins += cfg.zeta
+        vals[rows] = margin_terms(margins)[0]
+    if np.ptp(vals) == 0.0:
+        return RiskEstimate(float(vals[0]), 0.0, m, RiskMode.MONTE_CARLO_POPULATION)
+    std_error = float(vals.std(ddof=1)) / math.sqrt(m)
+    return RiskEstimate(float(vals.mean()), std_error, m, RiskMode.MONTE_CARLO_POPULATION)
+
+
+@pytest.mark.parametrize("block", [None, 70])  # the default block, then blocks of 70 // d rows
+@pytest.mark.parametrize("d", [1, 3, 4, 10])
+def test_streamed_population_risk_matches_draw_then_score_bit_for_bit(monkeypatch, d, block):
+    if block is not None:
+        monkeypatch.setattr(loss_module, "BLOCK", block)
+    rows = max(1, loss_module.BLOCK // d)
+    task = TaskConfig(d=d, n_plus=4, n_minus=4, B=0.6, separation=0.8, noise_scale=0.3, seed=d)
+    w = random_metric(np.random.default_rng(d), d, scale=2.0)
+    # two triplets, one block, one block and a row, three blocks and a remainder
+    for m in (2, rows, rows + 1, 3 * rows + 5):
+        for zeta in (0.0, 0.3):
+            _, got_sampler = gen_task(task)
+            _, want_sampler = gen_task(task)
+            got = population_risk(w, got_sampler, m, LossConfig(zeta))
+            want = _population_risk_oracle(w, want_sampler, m, LossConfig(zeta))
+            case = (d, block, m, zeta)
+            assert got.value.hex() == want.value.hex(), case
+            assert got.std_error.hex() == want.std_error.hex(), case
+            assert (got.n_terms, got.mode) == (want.n_terms, want.mode), case
+            # the sampler sits where drawing every triplet whole leaves it
+            assert got_sampler._rng.random() == want_sampler._rng.random(), case
 
 
 def test_generalization_gap_zero_metric_is_exactly_zero():
