@@ -3,11 +3,15 @@
 SGD starts at w = 0, draws one uniform triplet per step, and applies
 w <- w - eta_t * grad with eta_t fixed to c / sqrt(T). The step factor must
 satisfy c <= 2/alpha (alpha = 64 B^4 for the dataset's feature bound), which
-also makes every update map 1-expansive. The step indices are drawn in bulk:
-numpy's Generator.integers maps each word of the generator's 32-bit stream
-to a bounded value by a multiply-shift with rejection, so decoding bulk
-draws of raw words in the loop's order gives exactly the per-step draws, and
-paired runs on one seed still share their index sequence.
+also makes every update map 1-expansive. A margin is <w, D_t> + zeta with
+the symmetric D_t = dp dp^T - dn dn^T, so the steps run in Python floats on
+the p = d(d+1)/2 svec coordinates of w: a length-p dot product with the
+features svec(D_t) (off-diagonal entries weighted 2) and an axpy. The step
+indices are drawn in bulk: numpy's Generator.integers maps each word of the
+generator's 32-bit stream to a bounded value by a multiply-shift with
+rejection, so decoding bulk draws of raw words in the loop's order gives
+exactly the per-step draws, and paired runs on one seed still share their
+index sequence.
 
 The regularized objective F_S(w) = R_S(w) + lam ||w||_F^2 is 2*lam-strongly
 convex, so the gradient-norm stopping rule certifies
@@ -23,10 +27,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import expit
 from scipy.stats import chi2, chisquare
 
 from . import loss
@@ -51,6 +55,7 @@ from .loss import (
 from .risk import DEFAULT_TRIPLET_BUDGET, exact_mean_loss
 
 WORDS = 4096  # 32-bit words per bulk draw of the SGD index stream
+SUB_BLOCK = 256  # SGD steps whose features are converted to Python floats at once
 
 
 class StepSizeTooLarge(ValidationError):
@@ -250,6 +255,16 @@ def _draw_indices(rng, n_plus: int, n_minus: int, T: int, block: int):
         yield ii, jj, kk
 
 
+def _expit(m: float) -> float:
+    """scipy.special.expit(m) = 1 / (1 + exp(-m)) for a Python float, bit for
+    bit: 0.0 where exp(-m) overflows (m below about -709.78), where
+    math.exp raises instead of returning inf."""
+    try:
+        return 1.0 / (1.0 + math.exp(-m))
+    except OverflowError:
+        return 0.0
+
+
 def sgd_train(dataset: TripletDataset, cfg: SgdConfig):
     """Run single-triplet SGD from w = 0; returns (w_T, trace).
 
@@ -257,12 +272,15 @@ def sgd_train(dataset: TripletDataset, cfg: SgdConfig):
     until i != j) and k uniformly over negative slots, then applies one
     gradient step at the current iterate. Deterministic given cfg.seed.
 
-    The steps run in blocks of loss.BLOCK // d^2. A block's indices are
-    decoded from bulk 32-bit draws of the generator (_draw_indices), which
-    gives exactly the values of per-step rng.integers calls, and its
-    difference vectors and update matrices dp dp^T - dn dn^T are formed at
-    once; each step then pays only for its margin, the sigmoid and the
-    in-place update.
+    The iterate is theta, the upper triangle of w row by row, as a list of
+    Python floats. A step with features f = svec(dp dp^T - dn dn^T) and
+    weighted features g (off-diagonal entries doubled) sums the margin
+    m = zeta + theta[0] g[0] + theta[1] g[1] + ... left to right and sets
+    theta[q] -= eta * expit(m) * f[q] (expit(m) = d/dm phi(-m)). The steps
+    run in blocks of loss.BLOCK // d^2: a block's indices are decoded from
+    bulk 32-bit draws of the generator (_draw_indices), which gives exactly
+    the values of per-step rng.integers calls, and its features are formed
+    at once, then converted to Python floats SUB_BLOCK steps at a time.
     """
     B = feature_bound(dataset)
     eta_max = regularity_constants(B).eta_max
@@ -274,7 +292,9 @@ def sgd_train(dataset: TripletDataset, cfg: SgdConfig):
     Y = dataset.negative_features
     n_plus, n_minus = dataset.n_plus, dataset.n_minus
     rng = np.random.default_rng(np.random.SeedSequence(int(cfg.seed)))
-    w = np.zeros((dataset.d, dataset.d))
+    rows, cols = np.triu_indices(dataset.d)
+    weights = np.where(rows == cols, 1.0, 2.0)
+    theta = [0.0] * len(rows)
     eta = cfg.c / math.sqrt(cfg.T) if cfg.T else 0.0
     ii = np.empty(cfg.T, np.int64)
     jj = np.empty(cfg.T, np.int64)
@@ -287,11 +307,17 @@ def sgd_train(dataset: TripletDataset, cfg: SgdConfig):
         anchors = X[i]
         dps = anchors - X[j]
         dns = anchors - Y[k]
-        updates = dps[:, :, None] * dps[:, None, :]
-        updates -= dns[:, :, None] * dns[:, None, :]
-        for dp, dn, update in zip(dps, dns, updates):
-            m = float(dp.dot(w).dot(dp)) - float(dn.dot(w).dot(dn)) + cfg.zeta
-            w -= (eta * float(expit(m))) * update  # expit(m) = d/dm phi(-m)
+        feats = dps[:, rows] * dps[:, cols]
+        feats -= dns[:, rows] * dns[:, cols]
+        weighted = feats * weights
+        for lo in range(0, len(feats), SUB_BLOCK):
+            hi = lo + SUB_BLOCK
+            for f, g in zip(feats[lo:hi].tolist(), weighted[lo:hi].tolist()):
+                s = eta * _expit(sum(map(mul, theta, g), cfg.zeta))
+                theta = [t - s * x for t, x in zip(theta, f)]
+    w = np.empty((dataset.d, dataset.d))
+    w[rows, cols] = theta
+    w[cols, rows] = theta
     trace = TrainTrace(
         i=ii, j=jj, k=kk, eta=np.full(cfg.T, eta), n_plus=n_plus, n_minus=n_minus
     )

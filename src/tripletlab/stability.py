@@ -138,6 +138,13 @@ def probe_max_loss_diff(
     return max_diff, max_abs
 
 
+def _sigma_or_t(trainer) -> float:
+    """A report's sigma_or_T: sigma for RRM, the step count T for SGD, else 0."""
+    if trainer.kind == "rrm":
+        return trainer.cfg.sigma
+    return float(trainer.cfg.T) if trainer.kind == "sgd" else 0.0
+
+
 def _pick_slot(rng: np.random.Generator, n_plus: int, n_minus: int) -> SlotRef:
     u = int(rng.integers(0, n_plus + n_minus))
     if u < n_plus:
@@ -198,18 +205,12 @@ def estimate_uniform_stability(
         elif trainer.kind == "sgd":
             per_bound.append(sgd_stability_bound(trace, slot, L))
     bounds = tuple(per_bound) if per_bound else None
-    if trainer.kind == "rrm":
-        sigma_or_t = trainer.cfg.sigma
-    elif trainer.kind == "sgd":
-        sigma_or_t = float(trainer.cfg.T)
-    else:
-        sigma_or_t = 0.0
     return StabilityReport(
         protocol="uniform_sup",
         trainer_kind=trainer.kind,
         n_plus=n_plus,
         n_minus=n_minus,
-        sigma_or_T=sigma_or_t,
+        sigma_or_T=_sigma_or_t(trainer),
         gamma_hat=max(per_gamma),
         gamma_bound=max(bounds) if bounds else None,
         M_hat=m_hat,
@@ -294,18 +295,12 @@ def estimate_on_average_stability(
     diffs = np.array(diffs)
     signed_mean = float(diffs.mean())
     std_error = float(diffs.std(ddof=1)) / math.sqrt(len(diffs)) if len(diffs) > 1 else 0.0
-    if trainer.kind == "rrm":
-        sigma_or_t = trainer.cfg.sigma
-    elif trainer.kind == "sgd":
-        sigma_or_t = float(trainer.cfg.T)
-    else:
-        sigma_or_t = 0.0
     return StabilityReport(
         protocol="on_average",
         trainer_kind=trainer.kind,
         n_plus=n_plus,
         n_minus=n_minus,
-        sigma_or_T=sigma_or_t,
+        sigma_or_T=_sigma_or_t(trainer),
         gamma_hat=abs(signed_mean),
         gamma_bound=None,
         M_hat=m_hat,

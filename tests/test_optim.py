@@ -98,11 +98,16 @@ def test_sgd_deterministic_in_seed():
     assert not np.array_equal(w1.w, w3.w)
 
 
-def test_sgd_iterate_stays_symmetric():
-    cfg = TaskConfig(d=4, n_plus=8, n_minus=8, seed=7)
-    train, _ = gen_task(cfg)
-    w, _ = sgd_train(train, SgdConfig(T=50, c=1 / 32, seed=1))
-    assert np.array_equal(w.w, w.w.T)
+def test_sgd_iterate_stays_symmetric(monkeypatch):
+    # the matrix rebuilt from the svec coordinates, before MetricParams
+    # averages it with its transpose
+    monkeypatch.setattr(optim, "MetricParams", lambda w: w)
+    for d in (1, 3, 4, 10):
+        train, _ = gen_task(TaskConfig(d=d, n_plus=8, n_minus=8, seed=7))
+        w, _ = sgd_train(train, SgdConfig(T=50, c=1 / 32, seed=1, zeta=0.5))
+        assert w.shape == (d, d)
+        assert np.all(w != 0.0)
+        assert np.array_equal(w, w.T)
 
 
 def test_sgd_config_validation():
@@ -114,7 +119,7 @@ def test_sgd_config_validation():
         SgdConfig(T=10, c=0.1, seed=0, zeta=-1.0)
 
 
-# --- SGD against the per-step loop ---
+# --- SGD against the per-step loops ---
 
 
 def per_step_sgd(dataset, cfg):
@@ -148,6 +153,40 @@ def per_step_sgd(dataset, cfg):
     return w, ii, jj, kk, np.full(cfg.T, eta)
 
 
+def per_step_svec_sgd(dataset, cfg):
+    """The svec step loop without blocks: one rng.integers call per draw, each
+    step's features formed from its own rows in Python floats, the margin
+    summed left to right from zeta, scipy's expit. Returns (w, i, j, k, eta)."""
+    X = dataset.positive_features.tolist()
+    Y = dataset.negative_features.tolist()
+    n_plus, n_minus, d = dataset.n_plus, dataset.n_minus, dataset.d
+    pairs = [(a, b) for a in range(d) for b in range(a, d)]
+    rng = np.random.default_rng(np.random.SeedSequence(int(cfg.seed)))
+    eta = cfg.c / math.sqrt(cfg.T) if cfg.T else 0.0
+    theta = [0.0] * len(pairs)
+    ii, jj, kk = [], [], []
+    for _ in range(cfg.T):
+        i, j = rng.integers(0, n_plus, size=2)
+        while i == j:
+            i, j = rng.integers(0, n_plus, size=2)
+        k = rng.integers(0, n_minus)
+        ii.append(i)
+        jj.append(j)
+        kk.append(k)
+        dp = [a - b for a, b in zip(X[i], X[j])]
+        dn = [a - b for a, b in zip(X[i], Y[k])]
+        f = [dp[a] * dp[b] - dn[a] * dn[b] for a, b in pairs]
+        m = cfg.zeta
+        for (a, b), t, x in zip(pairs, theta, f):
+            m += t * (x if a == b else 2.0 * x)
+        s = eta * float(expit(m))
+        theta = [t - s * x for t, x in zip(theta, f)]
+    w = np.zeros((d, d))
+    for (a, b), t in zip(pairs, theta):
+        w[a, b] = w[b, a] = t
+    return (w, *(np.array(v, np.int64) for v in (ii, jj, kk)), np.full(cfg.T, eta))
+
+
 def assert_same_run(got, expected):
     """w and trace arrays equal bit for bit, dtypes included."""
     w, trace = got
@@ -159,11 +198,40 @@ def assert_same_run(got, expected):
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 10])
 @pytest.mark.parametrize("n_plus, n_minus", [(50, 50), (2, 1), (3, 200), (128, 128)])
 def test_sgd_matches_the_per_step_loop_bit_for_bit(d, n_plus, n_minus):
+    # the trace bit for bit; w within 1e-13 of the oracle's largest entry,
+    # since the svec margin sums its terms in another order than dp.w.dp
     train, _ = gen_task(TaskConfig(d=d, n_plus=n_plus, n_minus=n_minus, seed=d + n_plus))
     for T in (0, 1, 7, 5000):
         for zeta in (0.0, 1.0):
             cfg = SgdConfig(T=T, c=1 / 32, seed=T + n_minus, zeta=zeta)
-            assert_same_run(sgd_train(train, cfg), per_step_sgd(train, cfg))
+            w, trace = sgd_train(train, cfg)
+            w_ref, *expected = per_step_sgd(train, cfg)
+            for a, b in zip((trace.i, trace.j, trace.k, trace.eta), expected):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+            assert w.w.dtype == w_ref.dtype and w.w.shape == w_ref.shape
+            assert np.abs(w.w - w_ref).max() <= 1e-13 * np.abs(w_ref).max()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 10])
+@pytest.mark.parametrize("n_plus, n_minus", [(50, 50), (2, 1), (3, 200)])
+def test_sgd_matches_the_unblocked_svec_loop_bit_for_bit(d, n_plus, n_minus):
+    train, _ = gen_task(TaskConfig(d=d, n_plus=n_plus, n_minus=n_minus, seed=d + n_plus))
+    for T in (0, 1, 7, 3000):
+        for zeta in (0.0, 1.0):
+            cfg = SgdConfig(T=T, c=1 / 32, seed=T + n_minus, zeta=zeta)
+            assert_same_run(sgd_train(train, cfg), per_step_svec_sgd(train, cfg))
+
+
+def test_expit_matches_scipy_bit_for_bit():
+    # math.exp raises OverflowError below m = -709.78, where expit gives 0.0
+    ms = [-1e308, -745.0, -709.8, -709.7, -36.0, 0.0, 36.0, 710.0]
+    rng = np.random.default_rng(3)
+    for scale in (1.0, 30.0, 300.0):
+        ms += (scale * rng.standard_normal(2000)).tolist()
+    for m in ms:
+        assert optim._expit(m).hex() == float(expit(m)).hex(), m
+    assert optim._expit(-709.8) == 0.0 and optim._expit(-709.7) > 0.0
 
 
 @pytest.mark.parametrize(
@@ -189,12 +257,19 @@ def test_index_decoder_matches_per_call_draws(n_plus, n_minus):
 @pytest.mark.parametrize("d", [3, 10])
 @pytest.mark.parametrize("block", [1, 70])
 def test_sgd_does_not_depend_on_the_block_size(monkeypatch, d, block):
-    # BLOCK = 70 gives blocks of 7 steps at d = 3 and of one step at d = 10
+    # BLOCK = 70 gives blocks of 7 steps at d = 3 and of one step at d = 10;
+    # the default BLOCK gives one block of 300 steps at d = 3 and blocks of
+    # 655 at d = 10, cut into sub-blocks of 1, 7 and SUB_BLOCK steps
     train, _ = gen_task(TaskConfig(d=d, n_plus=6, n_minus=5, seed=8))
     cfg = SgdConfig(T=300, c=1 / 32, seed=9, zeta=0.5)
     w, trace = sgd_train(train, cfg)
-    monkeypatch.setattr(loss_module, "BLOCK", block)
-    assert_same_run(sgd_train(train, cfg), (w.w, trace.i, trace.j, trace.k, trace.eta))
+    expected = (w.w, trace.i, trace.j, trace.k, trace.eta)
+    sub_blocks = (1, 7, optim.SUB_BLOCK)
+    for loss_block in (loss_module.BLOCK, block):
+        monkeypatch.setattr(loss_module, "BLOCK", loss_block)
+        for sub_block in sub_blocks:
+            monkeypatch.setattr(optim, "SUB_BLOCK", sub_block)
+            assert_same_run(sgd_train(train, cfg), expected)
 
 
 # --- trace ---
