@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import sys
 import time
 from dataclasses import replace
@@ -29,6 +28,7 @@ from .core import (
     feature_bound,
     parse_int,
     read_dataset_csv,
+    write_csv,
     write_dataset_csv,
 )
 from .lab import (
@@ -126,9 +126,9 @@ def _parse_grid(raw) -> tuple:
 
 def _task_config(cfg: _FileConfig, args, seed: int) -> TaskConfig:
     return TaskConfig(
-        d=cfg.get("task", "d", int, 3, getattr(args, "d", None)),
-        n_plus=cfg.get("task", "n_plus", int, 32, getattr(args, "n_plus", None)),
-        n_minus=cfg.get("task", "n_minus", int, 32, getattr(args, "n_minus", None)),
+        d=cfg.get("task", "d", parse_int, 3, getattr(args, "d", None)),
+        n_plus=cfg.get("task", "n_plus", parse_int, 32, getattr(args, "n_plus", None)),
+        n_minus=cfg.get("task", "n_minus", parse_int, 32, getattr(args, "n_minus", None)),
         B=cfg.get("task", "b", float, 1.0, getattr(args, "B", None)),
         separation=cfg.get("task", "separation", float, 1.0, getattr(args, "separation", None)),
         noise_scale=cfg.get(
@@ -175,19 +175,12 @@ def _cmd_gen(cfg, args) -> int:
 
 
 def _write_metrics_csv(path, estimate, extra=()):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "value", "std_error", "n_terms"])
-        writer.writerow(
-            [
-                estimate.mode.value,
-                repr(float(estimate.value)),
-                repr(float(estimate.std_error)),
-                estimate.n_terms,
-            ]
-        )
-        for key, value in extra:
-            writer.writerow([key, value, "", ""])
+    write_csv(
+        path,
+        ["mode", "value", "std_error", "n_terms"],
+        [[estimate.mode.value, estimate.value, estimate.std_error, estimate.n_terms]]
+        + [[key, value, "", ""] for key, value in extra],
+    )
 
 
 def _cmd_sgd(cfg, args) -> int:
@@ -197,7 +190,7 @@ def _cmd_sgd(cfg, args) -> int:
     if algo_seed is None:
         algo_seed = _split_seed(args.seed, 2)[1]
     loss_cfg = _loss_config(cfg, args)
-    T = cfg.get("sgd", "t", int, None, args.T)
+    T = cfg.get("sgd", "t", parse_int, None, args.T)
     if T is None:
         raise ValidationError("sgd needs T (flag --T or [sgd] t in the config file)")
     c = cfg.get("sgd", "c", float, None, args.c)
@@ -225,10 +218,10 @@ def _cmd_rrm(cfg, args) -> int:
     rrm_cfg = RrmConfig(
         lam=lam,
         tol=cfg.get("rrm", "tol", float, 1e-8, args.tol),
-        max_iters=cfg.get("rrm", "max_iters", int, 10_000, args.max_iters),
+        max_iters=cfg.get("rrm", "max_iters", parse_int, 10_000, args.max_iters),
         zeta=loss_cfg.zeta,
         method=cfg.get("rrm", "method", str, "newton", args.method),
-        budget=cfg.get("rrm", "budget", int, max(2_000_000, dataset.n_triplets), args.budget),
+        budget=cfg.get("rrm", "budget", parse_int, max(2_000_000, dataset.n_triplets), args.budget),
     )
     w, iterations = rrm_train(dataset, rrm_cfg)
     write_metric_csv(w, out / "model.csv")
@@ -257,7 +250,7 @@ def _cmd_stability(cfg, args) -> int:
         budget = max(2_000_000, task.n_plus * (task.n_plus - 1) * task.n_minus)
         trainer = RrmTrainer(RrmConfig(lam=lam, zeta=loss_cfg.zeta, budget=budget))
     elif trainer_kind == "sgd":
-        T = cfg.get("sgd", "t", int, None, args.T)
+        T = cfg.get("sgd", "t", parse_int, None, args.T)
         if T is None:
             raise ValidationError("stability with the sgd trainer needs --T")
         c = cfg.get("sgd", "c", float, None, args.c)
@@ -269,15 +262,15 @@ def _cmd_stability(cfg, args) -> int:
     else:
         raise ValidationError(f"unknown trainer {trainer_kind!r}")
     protocol = cfg.get("stability", "protocol", str, "uniform", args.protocol)
-    trials = cfg.get("stability", "trials", int, 20, args.trials)
+    trials = cfg.get("stability", "trials", parse_int, 20, args.trials)
     if protocol == "uniform":
-        probe_size = cfg.get("stability", "probe_size", int, 2000, args.probe_size)
+        probe_size = cfg.get("stability", "probe_size", parse_int, 2000, args.probe_size)
         report = estimate_uniform_stability(
             trainer, sampler, task.n_plus, task.n_minus, trials, probe_size,
             loss_cfg, seed=args.seed,
         )
     elif protocol == "on-average":
-        subsample = cfg.get("stability", "triplet_subsample", int, 20, args.triplet_subsample)
+        subsample = cfg.get("stability", "triplet_subsample", parse_int, 20, args.triplet_subsample)
         report = estimate_on_average_stability(
             trainer, sampler, task.n_plus, task.n_minus, trials, subsample,
             loss_cfg, seed=args.seed,
@@ -303,13 +296,13 @@ def _sweep_config(cfg, args, algorithm_default="sgd") -> SweepConfig:
     return SweepConfig(
         algorithm=cfg.get("sweep", "algorithm", str, algorithm_default, args.algorithm),
         n_grid=_parse_grid(grid_raw),
-        trials_per_n=cfg.get("sweep", "trials_per_n", int, 20, args.trials_per_n),
+        trials_per_n=cfg.get("sweep", "trials_per_n", parse_int, 20, args.trials_per_n),
         sigma_rule=cfg.get("sweep", "sigma_rule", str, "inv_sqrt_n", args.sigma_rule),
         sigma0=cfg.get("sweep", "sigma0", float, 1.0, args.sigma0),
         c=cfg.get("sweep", "c", float, None, args.c),
         task=task,
         zeta=_loss_config(cfg, args).zeta,
-        population_m=cfg.get("sweep", "population_m", int, 100_000, args.population_m),
+        population_m=cfg.get("sweep", "population_m", parse_int, 100_000, args.population_m),
         seed=args.seed,
     )
 
@@ -471,30 +464,26 @@ def _cmd_check(cfg, args) -> int:
     lip_viol, smooth_viol, convex_viol = _suite_regularity(rng, probes)
     expan_viol = _suite_expansiveness(rng, probes)
     results = [
-        ("gradient_vs_finite_difference", grad_probes, grad_viol),
-        ("lipschitz_ratio", probes, lip_viol),
-        ("smoothness_ratio", probes, smooth_viol),
-        ("midpoint_convexity", probes, convex_viol),
-        ("expansiveness", probes, expan_viol),
+        (name, count, viol, "pass" if viol == 0 else "FAIL")
+        for name, count, viol in (
+            ("gradient_vs_finite_difference", grad_probes, grad_viol),
+            ("lipschitz_ratio", probes, lip_viol),
+            ("smoothness_ratio", probes, smooth_viol),
+            ("midpoint_convexity", probes, convex_viol),
+            ("expansiveness", probes, expan_viol),
+        )
     ]
-    with open(out / "check.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["suite", "probes", "violations", "status"])
-        for name, count, viol in results:
-            writer.writerow([name, count, viol, "pass" if viol == 0 else "FAIL"])
+    write_csv(out / "check.csv", ["suite", "probes", "violations", "status"], results)
     write_manifest(
         out / "manifest.json",
         "check",
         {"seed": args.seed, "probes": probes, "grad_probes": grad_probes},
         started,
     )
-    failed = False
-    for name, count, viol in results:
-        status = "pass" if viol == 0 else "FAIL"
+    for name, count, viol, status in results:
         print(f"{name}: {status} ({viol}/{count} violations)")
-        failed = failed or viol > 0
     print(f"worst gradient relative error: {grad_worst:.3e}")
-    return EXIT_DOMINATION if failed else EXIT_OK
+    return EXIT_DOMINATION if any(viol for _, _, viol, _ in results) else EXIT_OK
 
 
 def _require(args, names):
@@ -556,9 +545,9 @@ def _parse_slot(raw: str):
 
 
 def _add_task_flags(p):
-    p.add_argument("--d", type=int, help="feature dimension")
-    p.add_argument("--n-plus", dest="n_plus", type=int, help="positive pool size")
-    p.add_argument("--n-minus", dest="n_minus", type=int, help="negative pool size")
+    p.add_argument("--d", type=parse_int, help="feature dimension")
+    p.add_argument("--n-plus", dest="n_plus", type=parse_int, help="positive pool size")
+    p.add_argument("--n-minus", dest="n_minus", type=parse_int, help="negative pool size")
     p.add_argument("--B", type=float, help="feature norm cap")
     p.add_argument("--separation", type=float, help="distance between pool means")
     p.add_argument("--noise-scale", dest="noise_scale", type=float)
@@ -568,7 +557,7 @@ def _add_task_flags(p):
 def _add_common(p, seed_required=True):
     p.add_argument("--config", help="INI config file")
     p.add_argument("--outdir", default=".", help="output directory")
-    p.add_argument("--seed", type=int, required=seed_required, help="root seed")
+    p.add_argument("--seed", type=parse_int, required=seed_required, help="root seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -587,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_task_flags(p)
     p.add_argument("--data", help="dataset CSV (generated when omitted)")
-    p.add_argument("--T", type=int, help="step count")
+    p.add_argument("--T", type=parse_int, help="step count")
     p.add_argument("--c", type=float, help="step factor (eta = c/sqrt(T))")
     p.set_defaults(func=_cmd_sgd)
 
@@ -597,9 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="dataset CSV (generated when omitted)")
     p.add_argument("--lam", type=float, help="ridge weight")
     p.add_argument("--tol", type=float, help="gradient-norm stopping tolerance")
-    p.add_argument("--max-iters", dest="max_iters", type=int)
+    p.add_argument("--max-iters", dest="max_iters", type=parse_int)
     p.add_argument("--method", choices=["newton", "gd"])
-    p.add_argument("--budget", type=int, help="exact-risk triplet cap")
+    p.add_argument("--budget", type=parse_int, help="exact-risk triplet cap")
     p.set_defaults(func=_cmd_rrm)
 
     p = sub.add_parser("stability", help="run a stability estimation protocol")
@@ -607,11 +596,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_task_flags(p)
     p.add_argument("--trainer", choices=["sgd", "rrm", "constant"])
     p.add_argument("--protocol", choices=["uniform", "on-average"])
-    p.add_argument("--trials", type=int)
-    p.add_argument("--probe-size", dest="probe_size", type=int)
-    p.add_argument("--triplet-subsample", dest="triplet_subsample", type=int)
+    p.add_argument("--trials", type=parse_int)
+    p.add_argument("--probe-size", dest="probe_size", type=parse_int)
+    p.add_argument("--triplet-subsample", dest="triplet_subsample", type=parse_int)
     p.add_argument("--lam", type=float, help="ridge weight for the rrm trainer")
-    p.add_argument("--T", type=int, help="steps for the sgd trainer")
+    p.add_argument("--T", type=parse_int, help="steps for the sgd trainer")
     p.add_argument("--c", type=float, help="step factor for the sgd trainer")
     p.set_defaults(func=_cmd_stability)
 
@@ -625,17 +614,17 @@ def build_parser() -> argparse.ArgumentParser:
         _add_task_flags(p)
         p.add_argument("--algorithm", choices=["sgd", "rrm", "constant"])
         p.add_argument("--n-grid", dest="n_grid", help="e.g. '32 64 128'")
-        p.add_argument("--trials-per-n", dest="trials_per_n", type=int)
+        p.add_argument("--trials-per-n", dest="trials_per_n", type=parse_int)
         p.add_argument("--sigma-rule", dest="sigma_rule", choices=["inv_sqrt_n", "optimistic"])
         p.add_argument("--sigma0", type=float)
         p.add_argument("--c", type=float)
-        p.add_argument("--population-m", dest="population_m", type=int)
+        p.add_argument("--population-m", dest="population_m", type=parse_int)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("check", help="gradient / regularity / expansiveness property suites")
     _add_common(p)
-    p.add_argument("--probes", type=int, default=10_000)
-    p.add_argument("--grad-probes", dest="grad_probes", type=int, default=1000)
+    p.add_argument("--probes", type=parse_int, default=10_000)
+    p.add_argument("--grad-probes", dest="grad_probes", type=parse_int, default=1000)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("bounds", help="evaluate a closed-form bound")
@@ -655,13 +644,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float)
     p.add_argument("--tau", type=float)
     p.add_argument("--delta", type=float)
-    p.add_argument("--n-plus", dest="n_plus", type=int)
-    p.add_argument("--n-minus", dest="n_minus", type=int)
+    p.add_argument("--n-plus", dest="n_plus", type=parse_int)
+    p.add_argument("--n-minus", dest="n_minus", type=parse_int)
     p.add_argument("--L", type=float)
     p.add_argument("--sigma", type=float)
     p.add_argument("--gamma", type=float)
     p.add_argument("--M", type=float)
-    p.add_argument("--T", type=int)
+    p.add_argument("--T", type=parse_int)
     p.add_argument("--alpha", type=float)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--emp-risk", dest="emp_risk", type=float)

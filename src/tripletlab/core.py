@@ -239,20 +239,40 @@ def feature_bound(dataset: TripletDataset) -> float:
     return float(max(pos_norms.max(), neg_norms.max()))
 
 
+def _cell(value):
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (bool, np.bool_)):
+        return int(value)
+    return value
+
+
+def write_csv(path, header, rows) -> None:
+    """Write `rows` under `header` (None writes no header row) in the one cell
+    format of every CSV the package writes: a float, numpy's included, as
+    repr(float(v)), so it reads back bit for bit; a bool, numpy's included,
+    as 0 or 1; None as an empty cell; anything else as csv writes it."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+
+
 def write_dataset_csv(dataset: TripletDataset, path) -> None:
     """Write `pool,label,f0..f{d-1}` rows; positives first, then negatives.
 
     Row order within each pool is the slot order, so a round trip preserves
     slot identity.
     """
-    header = ["pool", "label"] + [f"f{a}" for a in range(dataset.d)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for sample in dataset.positives + dataset.negatives:
-            writer.writerow(
-                [sample.pool.value, sample.label] + [repr(float(v)) for v in sample.features]
-            )
+    write_csv(
+        path,
+        ["pool", "label"] + [f"f{a}" for a in range(dataset.d)],
+        (
+            [s.pool.value, s.label, *s.features.tolist()]
+            for s in dataset.positives + dataset.negatives
+        ),
+    )
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")

@@ -10,17 +10,16 @@ time and are the one intentionally non-reproducible output.
 """
 from __future__ import annotations
 
-import csv
 import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 from scipy.stats import linregress
 
-from .core import ValidationError
+from .core import ValidationError, write_csv
 from .loss import LossConfig, MetricParams, regularity_constants, triplet_losses_rowwise
 from .optim import RrmConfig, SgdConfig, rrm_train, sgd_train
 from .risk import (
@@ -260,46 +259,26 @@ def write_sweep_rows_csv(report: SweepReport, path) -> None:
         "gap",
         "abs_gap",
     ]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in report.rows:
-            writer.writerow(
-                [
-                    report.algorithm,
-                    row.n,
-                    row.trial,
-                    row.task_seed,
-                    row.algo_seed,
-                    row.emp.mode.value,
-                    repr(float(row.emp.value)),
-                    repr(float(row.emp.std_error)),
-                    row.emp.n_terms,
-                    row.pop.mode.value,
-                    repr(float(row.pop.value)),
-                    repr(float(row.pop.std_error)),
-                    row.pop.n_terms,
-                    repr(float(row.gap)),
-                    repr(abs(float(row.gap))),
-                ]
-            )
+    write_csv(
+        path,
+        header,
+        (
+            [report.algorithm, r.n, r.trial, r.task_seed, r.algo_seed]
+            + [r.emp.mode.value, r.emp.value, r.emp.std_error, r.emp.n_terms]
+            + [r.pop.mode.value, r.pop.value, r.pop.std_error, r.pop.n_terms]
+            + [r.gap, abs(r.gap)]
+            for r in report.rows
+        ),
+    )
 
 
 def write_sweep_summary_csv(report: SweepReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "mean_abs_gap", "slope", "slope_stderr", "intercept", "r_squared"])
-        for n, g in zip(report.n_grid, report.mean_abs_gap):
-            writer.writerow(
-                [
-                    n,
-                    repr(float(g)),
-                    repr(float(report.slope)),
-                    repr(float(report.slope_stderr)),
-                    repr(float(report.intercept)),
-                    repr(float(report.r_squared)),
-                ]
-            )
+    fit = [report.slope, report.slope_stderr, report.intercept, report.r_squared]
+    write_csv(
+        path,
+        ["n", "mean_abs_gap", "slope", "slope_stderr", "intercept", "r_squared"],
+        ([n, g] + fit for n, g in zip(report.n_grid, report.mean_abs_gap)),
+    )
 
 
 @dataclass(frozen=True)
@@ -392,43 +371,12 @@ def run_excess_risk_experiment(cfg: SweepConfig) -> ExcessReport:
 
 
 def write_excess_csv(report: ExcessReport, path) -> None:
-    header = [
-        "algorithm",
-        "n",
-        "trial",
-        "task_seed",
-        "algo_seed",
-        "estimation",
-        "optimization",
-        "deviation",
-        "total",
-        "bernstein_bound",
-        "emp_model",
-        "pop_model",
-        "emp_proxy",
-        "pop_proxy",
-    ]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for r in report.rows:
-            writer.writerow(
-                [report.algorithm, r.n, r.trial, r.task_seed, r.algo_seed]
-                + [
-                    repr(float(v))
-                    for v in (
-                        r.estimation,
-                        r.optimization,
-                        r.deviation,
-                        r.total,
-                        r.bernstein_bound,
-                        r.emp_model,
-                        r.pop_model,
-                        r.emp_proxy,
-                        r.pop_proxy,
-                    )
-                ]
-            )
+    columns = [f.name for f in fields(ExcessRow)]
+    write_csv(
+        path,
+        ["algorithm"] + columns,
+        ([report.algorithm] + [getattr(r, c) for c in columns] for r in report.rows),
+    )
 
 
 @dataclass(frozen=True)
@@ -603,34 +551,20 @@ def write_optimistic_cells_csv(report: OptimisticReport, path) -> None:
         "dominated",
         "trials",
     ]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for c in report.cells:
-            writer.writerow(
-                [
-                    c.n,
-                    repr(float(c.sigma)),
-                    repr(float(c.lam)),
-                    repr(float(c.epsilon)),
-                    repr(float(report.alpha)),
-                    repr(float(c.mean_gap)),
-                    repr(float(c.mean_emp)),
-                    repr(float(c.bound)),
-                    int(c.dominated),
-                    c.trials,
-                ]
-            )
+    write_csv(
+        path,
+        header,
+        (
+            [c.n, c.sigma, c.lam, c.epsilon, report.alpha]
+            + [c.mean_gap, c.mean_emp, c.bound, c.dominated, c.trials]
+            for c in report.cells
+        ),
+    )
 
 
 def write_optimistic_rows_csv(report: OptimisticReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "trial", "task_seed", "emp_value", "pop_value", "gap"])
-        for n, trial, task_seed, emp, pop, gap in report.rows:
-            writer.writerow(
-                [n, trial, task_seed, repr(float(emp)), repr(float(pop)), repr(float(gap))]
-            )
+    header = ["n", "trial", "task_seed", "emp_value", "pop_value", "gap"]
+    write_csv(path, header, report.rows)
 
 
 def package_version() -> str:

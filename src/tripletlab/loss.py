@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .core import DimensionMismatch, ValidationError
+from .core import DimensionMismatch, ValidationError, open_input_csv, write_csv
 
 SYMMETRY_TOL = 1e-12
 
@@ -408,22 +408,25 @@ def margin_terms(m: np.ndarray, slope: bool = False, curvature: bool = False):
 
 def write_metric_csv(w: MetricParams, path) -> None:
     """Row-major CSV of the d x d matrix, no header."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in w.w:
-            writer.writerow([repr(float(v)) for v in row])
+    write_csv(path, None, w.w.tolist())
 
 
 def read_metric_csv(path) -> MetricParams:
-    """Load a matrix CSV; symmetry re-validated at tolerance 1e-12, then exactly symmetrized."""
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if row:
-                rows.append([float(v) for v in row])
+    """Load a matrix CSV; symmetry re-validated at tolerance 1e-12, then exactly
+    symmetrized. A file that cannot be opened, a non-numeric cell or a row
+    whose length is not the row count raises ValidationError naming the file."""
+    with open_input_csv(path) as fh:
+        rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise ValidationError(f"{path}: empty matrix file")
-    arr = np.array(rows, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch(f"{path}: matrix file has shape {arr.shape}, expected square")
-    return MetricParams(arr)
+    for row in rows:
+        if len(row) != len(rows):
+            raise DimensionMismatch(
+                f"{path}: matrix file has {len(rows)} rows and a row of {len(row)} "
+                "fields, expected square"
+            )
+    try:
+        values = [[float(v) for v in row] for row in rows]
+    except ValueError as exc:
+        raise ValidationError(f"{path}: malformed matrix file: {exc}") from exc
+    return MetricParams(values)

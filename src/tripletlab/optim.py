@@ -43,6 +43,7 @@ from .core import (
     feature_bound,
     open_input_csv,
     parse_int,
+    write_csv,
 )
 from .loss import (
     MetricParams,
@@ -210,11 +211,13 @@ def _draw_indices(rng, n_plus: int, n_minus: int, T: int, block: int):
 
     The same values, from the same generator words, as the per-step calls
     rng.integers(0, n_plus, size=2) (repeated while i == j) and
-    rng.integers(0, n_minus): the words come in bulk draws of WORDS from
-    rng's buffered 32-bit stream, as integers(0, 2**32, dtype=uint32) returns
-    them, and are decoded under both bounds at once (_lemire). A bound of 1
-    takes no word. The last bulk draw overruns the steps; rng is the
-    trainer's own, so nothing else sees its position.
+    rng.integers(0, n_minus): the words come in bulk draws from rng's
+    buffered 32-bit stream, as integers(0, 2**32, dtype=uint32) returns them,
+    and are decoded under both bounds at once (_lemire). A bound of 1 takes
+    no word. A bulk draw takes three words for each step still to come (i, j
+    and k), at most WORDS; a redrawn pair or a rejected word uses more, and
+    the next draw continues the same stream. The last bulk draw may overrun
+    the steps; rng is the trainer's own, so nothing else sees its position.
     """
     pos, neg, p = [], [], 0  # decoded words not yet used start at p
     for start in range(0, T, block):
@@ -248,7 +251,8 @@ def _draw_indices(rng, n_plus: int, n_minus: int, T: int, block: int):
                 kk.append(k)
                 p = q
             except IndexError:  # out of words mid-step: draw more, redo the step
-                words = rng.integers(0, 2**32, size=WORDS, dtype=np.uint32)
+                size = min(WORDS, 3 * (T - start - len(kk)))
+                words = rng.integers(0, 2**32, size=size, dtype=np.uint32)
                 pos = pos[p:] + _lemire(words, n_plus)
                 neg = neg[p:] + _lemire(words, n_minus)
                 p = 0
@@ -359,20 +363,19 @@ def sampling_uniformity_check(trace: TrainTrace, dataset: TripletDataset):
 
 def write_trace_csv(trace: TrainTrace, path, slot: SlotRef | None = None) -> None:
     """CSV columns t,i,j,k,eta,hit_slot_flag (flag is 0 when no slot is given)."""
-    flags = trace.hit_mask(slot).astype(int) if slot is not None else np.zeros(trace.T, int)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "i", "j", "k", "eta", "hit_slot_flag"])
-        writer.writerows(
-            zip(
-                range(1, trace.T + 1),
-                trace.i.tolist(),
-                trace.j.tolist(),
-                trace.k.tolist(),
-                map(repr, trace.eta.tolist()),
-                flags.tolist(),
-            )
-        )
+    flags = trace.hit_mask(slot).tolist() if slot is not None else [0] * trace.T
+    write_csv(
+        path,
+        ["t", "i", "j", "k", "eta", "hit_slot_flag"],
+        zip(
+            range(1, trace.T + 1),
+            trace.i.tolist(),
+            trace.j.tolist(),
+            trace.k.tolist(),
+            trace.eta.tolist(),
+            flags,
+        ),
+    )
 
 
 def read_trace_csv(path, n_plus: int, n_minus: int) -> TrainTrace:

@@ -20,13 +20,12 @@ regardless of the start, so the probe is unaffected beyond tol/(2 lam).
 """
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import Pool, SlotRef, TripletDataset, ValidationError, replace_samples
+from .core import Pool, SlotRef, TripletDataset, ValidationError, replace_samples, write_csv
 from .loss import (
     LossConfig,
     MetricParams,
@@ -441,46 +440,9 @@ def optimistic_gap_bound(
     return coefficient * empirical_risk_mean
 
 
-def _repr_or_empty(value) -> str:
-    return "" if value is None else repr(float(value))
-
-
 def write_stability_csv(reports, path) -> None:
-    """One row per report; signed_mean and std_error are empty for the uniform
-    protocol, which takes no signed estimate."""
-    header = [
-        "protocol",
-        "trainer_kind",
-        "n_plus",
-        "n_minus",
-        "sigma_or_T",
-        "gamma_hat",
-        "gamma_bound",
-        "M_hat",
-        "trials",
-        "probe_size",
-        "seed",
-        "signed_mean",
-        "std_error",
-    ]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for rep in reports:
-            writer.writerow(
-                [
-                    rep.protocol,
-                    rep.trainer_kind,
-                    rep.n_plus,
-                    rep.n_minus,
-                    repr(float(rep.sigma_or_T)),
-                    repr(float(rep.gamma_hat)),
-                    _repr_or_empty(rep.gamma_bound),
-                    repr(float(rep.M_hat)),
-                    rep.trials,
-                    rep.probe_size,
-                    "" if rep.seed is None else int(rep.seed),
-                    _repr_or_empty(rep.signed_mean),
-                    _repr_or_empty(rep.std_error),
-                ]
-            )
+    """One row per report, a column for each field but the per-trial tuples;
+    signed_mean and std_error are empty for the uniform protocol, which takes
+    no signed estimate."""
+    columns = [f.name for f in fields(StabilityReport) if not f.name.startswith("per_trial")]
+    write_csv(path, columns, ([getattr(rep, c) for c in columns] for rep in reports))

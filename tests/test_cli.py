@@ -151,6 +151,26 @@ def test_config_file_supplies_values_and_flags_override(tmp_path):
     assert read_trace_csv(b / "trace.csv", 4, 3).T == 5
 
 
+@pytest.mark.parametrize(
+    "flags, ini, token",
+    [(["--d", "1_0"], "", "'1_0'"), ([], "[task]\nd = 0_3\n", "'0_3'")],
+    ids=["flag", "ini"],
+)
+def test_integer_with_digit_separator_exits_2(tmp_path, capsys, flags, ini, token):
+    # int() reads "1_0" as 10; an integer flag or INI value is [+-]?[0-9]+
+    config = tmp_path / "cfg.ini"
+    config.write_text(ini)
+    out = tmp_path / "out"
+    argv = ["gen", "--seed", "1", "--outdir", str(out), "--config", str(config)] + flags
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse refuses a flag value with exit status 2
+        rc = exc.code
+    assert rc == EXIT_CONFIG
+    assert token in capsys.readouterr().err
+    assert not (out / "dataset.csv").exists()
+
+
 def test_missing_config_file_is_a_config_error(tmp_path):
     rc = main(
         ["gen", "--seed", "1", "--outdir", str(tmp_path),

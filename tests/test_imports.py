@@ -1,10 +1,13 @@
-"""No module of the package or of the tests imports a name it never uses.
+"""No module of the package or of the tests imports a name it never uses, and
+no module of the package but core writes a CSV itself.
 
-No linter ships with the project, so this scan stands in for one: it parses
-every module under src/ and tests/ and lists each name an import statement
-binds but no expression of the module reads. `from __future__` imports and
-the package's __init__.py, whose imports are its public re-exports, are not
-scanned.
+No linter ships with the project, so these scans stand in for one. The first
+parses every module under src/ and tests/ and lists each name an import
+statement binds but no expression of the module reads. `from __future__`
+imports and the package's __init__.py, whose imports are its public
+re-exports, are not scanned. The second lists each reference to csv.writer
+under src/ outside core.py: every CSV goes through core.write_csv, the one
+place that knows the cell format.
 """
 import ast
 from pathlib import Path
@@ -42,3 +45,41 @@ def test_no_module_imports_a_name_it_never_uses():
     ]
     assert len(paths) > 10
     assert found == []
+
+
+def csv_writer_references(source: str):
+    """Lines of `source` that read csv.writer or import it from csv."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "writer"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "csv"
+        )
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "csv"
+            and any(alias.name == "writer" for alias in node.names)
+        )
+    ]
+
+
+def test_the_scan_finds_a_csv_writer():
+    source = "import csv\nfrom csv import reader, writer as w\nw = csv.writer(fh)\ncsv.reader(fh)\n"
+    assert csv_writer_references(source) == [2, 3]
+
+
+def test_only_core_references_csv_writer():
+    paths = sorted((ROOT / "src").rglob("*.py"))
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in paths
+        if path.name != "core.py"
+        for line in csv_writer_references(path.read_text())
+    ]
+    assert len(paths) > 5
+    assert found == []
+    core = ROOT / "src" / "tripletlab" / "core.py"
+    assert len(csv_writer_references(core.read_text())) == 1

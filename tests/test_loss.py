@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tripletlab import loss as loss_module
-from tripletlab.core import Pool, Sample, make_dataset
+from tripletlab.core import Pool, Sample, ValidationError, make_dataset
 from tripletlab.loss import (
     AsymmetricMatrix,
     LossConfig,
@@ -533,3 +533,21 @@ def test_metric_csv_round_trip(tmp_path):
     write_metric_csv(w, path)
     back = read_metric_csv(path)
     assert np.array_equal(back.w, w.w)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "cannot open"),
+        ("0.1,0.2\n0.2,x\n", "malformed matrix file"),
+        ("0.1,0.2\n0.2\n", "expected square"),
+    ],
+    ids=["missing", "non-numeric", "ragged"],
+)
+def test_read_metric_csv_names_the_file_in_a_validation_error(tmp_path, text, message):
+    path = tmp_path / "w.csv"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ValidationError, match=message) as info:
+        read_metric_csv(path)
+    assert str(path) in str(info.value)

@@ -254,6 +254,36 @@ def test_index_decoder_matches_per_call_draws(n_plus, n_minus):
     assert [step for i, j, k in blocks for step in zip(i, j, k)] == expected
 
 
+class CountingRng:
+    """A generator that records the size of each bulk draw it serves."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def integers(self, low, high, size, dtype):
+        self.sizes.append(size)
+        return self.rng.integers(low, high, size=size, dtype=dtype)
+
+
+@pytest.mark.parametrize("n_plus, n_minus", [(2, 1), (2, 5), (3, 200), (50, 50)])
+def test_bulk_draws_are_sized_by_the_steps_still_to_come(n_plus, n_minus):
+    # three words a step (i, j, k) at most WORDS: a short run draws a few
+    # words, not WORDS; a redrawn pair (half of them at n_plus = 2) runs a
+    # draw out mid-step, and the next draw continues the same stream
+    train, _ = gen_task(TaskConfig(d=2, n_plus=n_plus, n_minus=n_minus, seed=n_plus))
+    for T in (1, 10, 1000):
+        cfg = SgdConfig(T=T, c=1 / 32, seed=T + n_minus)
+        _, trace = sgd_train(train, cfg)
+        _, *expected = per_step_sgd(train, cfg)
+        for a, b in zip((trace.i, trace.j, trace.k, trace.eta), expected):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        rng = CountingRng(np.random.SeedSequence(cfg.seed))
+        list(optim._draw_indices(rng, n_plus, n_minus, T, 7))
+        assert rng.sizes[0] == min(optim.WORDS, 3 * T)
+        assert sum(rng.sizes) < 6 * T + 10
+
+
 @pytest.mark.parametrize("d", [3, 10])
 @pytest.mark.parametrize("block", [1, 70])
 def test_sgd_does_not_depend_on_the_block_size(monkeypatch, d, block):
