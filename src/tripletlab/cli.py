@@ -242,14 +242,14 @@ def _cmd_stability(cfg, args) -> int:
     task = _task_config(cfg, args, task_seed)
     loss_cfg = _loss_config(cfg, args)
     _, sampler = gen_task(task)
-    trainer_kind = cfg.get("stability", "trainer", str, "rrm", args.trainer)
-    if trainer_kind == "rrm":
+    trainer_name = cfg.get("stability", "trainer", str, "rrm", args.trainer)
+    if trainer_name == "rrm":
         lam = cfg.get("rrm", "lam", float, None, args.lam)
         if lam is None:
             raise ValidationError("stability with the rrm trainer needs --lam")
         budget = max(2_000_000, task.n_plus * (task.n_plus - 1) * task.n_minus)
         trainer = RrmTrainer(RrmConfig(lam=lam, zeta=loss_cfg.zeta, budget=budget))
-    elif trainer_kind == "sgd":
+    elif trainer_name == "sgd":
         T = cfg.get("sgd", "t", parse_int, None, args.T)
         if T is None:
             raise ValidationError("stability with the sgd trainer needs --T")
@@ -257,10 +257,10 @@ def _cmd_stability(cfg, args) -> int:
         if c is None:
             c = regularity_constants(task.B).eta_max
         trainer = SgdTrainer(SgdConfig(T=T, c=c, seed=algo_seed, zeta=loss_cfg.zeta))
-    elif trainer_kind == "constant":
+    elif trainer_name == "constant":
         trainer = ConstantTrainer(MetricParams.zeros(task.d))
     else:
-        raise ValidationError(f"unknown trainer {trainer_kind!r}")
+        raise ValidationError(f"unknown trainer {trainer_name!r}")
     protocol = cfg.get("stability", "protocol", str, "uniform", args.protocol)
     trials = cfg.get("stability", "trials", parse_int, 20, args.trials)
     if protocol == "uniform":

@@ -1,9 +1,11 @@
 """Data model for triplet training sets.
 
-A training set holds an ordered pool of positive samples and an ordered pool
-of negative samples. Slot identity is positional: the stability protocols
-replace "the sample at slot m", so list order is semantic and datasets are
-immutable once built.
+A training set is two read-only float64 arrays, the positive rows (n_plus, d)
+and the negative rows (n_minus, d), with an integer label per row. Slot
+identity is positional: the stability protocols replace "the sample at slot
+m", which is row m of its pool, so row order is semantic. A dataset copies
+and validates its rows once, when it is built, and never changes after;
+replace_samples builds a new one with some rows swapped.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ import csv
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,69 +42,13 @@ class DuplicateSlot(ValidationError):
     pass
 
 
-class PoolMismatch(ValidationError):
-    pass
-
-
 class Pool(Enum):
     POSITIVE = "pos"
     NEGATIVE = "neg"
 
 
-def _frozen_vector(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True)
-    if arr.ndim != 1:
-        raise DimensionMismatch(f"features must be a 1-d vector, got shape {arr.shape}")
-    if arr.size == 0:
-        raise DimensionMismatch("features must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("features must be finite")
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class Sample:
-    """One labeled feature vector, tagged with the pool it belongs to."""
-
-    features: np.ndarray
-    label: int
-    pool: Pool
-
-    def __post_init__(self):
-        object.__setattr__(self, "features", _frozen_vector(self.features))
-        object.__setattr__(self, "label", int(self.label))
-        if not isinstance(self.pool, Pool):
-            raise PoolMismatch(f"pool must be a Pool enum, got {self.pool!r}")
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[0]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sample):
-            return NotImplemented
-        return (
-            self.pool is other.pool
-            and self.label == other.label
-            and np.array_equal(self.features, other.features)
-        )
-
-    def __repr__(self) -> str:
-        return f"Sample({self.features.tolist()}, label={self.label}, pool={self.pool.value})"
-
-
-@dataclass(frozen=True)
-class TripletIndex:
-    """One summand (i, j, k) of the U-statistic risk: i, j index positives (i != j), k negatives."""
-
-    i: int
-    j: int
-    k: int
-
-    def __post_init__(self):
-        if self.i == self.j:
-            raise ValidationError(f"triplet requires i != j, got i = j = {self.i}")
+POSITIVE_LABEL = 1
+NEGATIVE_LABEL = 0
 
 
 @dataclass(frozen=True)
@@ -113,45 +59,75 @@ class SlotRef:
     index: int
 
 
+def _pool(rows, labels, pool: Pool, default_label: int):
+    """(rows, labels) of one pool: a read-only float64 copy of the rows, which
+    must form an (n, d) array unless there are none, and a tuple of n integer
+    labels, default_label for each when labels is None."""
+    name = pool.name.lower()
+    try:
+        arr = np.array(rows, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"{name} features are not an (n, d) array: {exc}") from exc
+    if arr.ndim != 2 and arr.size:
+        raise DimensionMismatch(f"{name} features must be an (n, d) array, got shape {arr.shape}")
+    arr.setflags(write=False)
+    labels = (default_label,) * len(arr) if labels is None else tuple(int(v) for v in labels)
+    if len(labels) != len(arr):
+        raise DimensionMismatch(f"{len(labels)} {name} labels for {len(arr)} rows")
+    return arr, labels
+
+
 @dataclass(frozen=True, eq=False)
 class TripletDataset:
-    """Immutable training set of n_plus positives and n_minus negatives in R^d.
+    """Immutable training set: n_plus positive and n_minus negative feature
+    rows in R^d, with one integer label per row.
 
-    Validated at construction: at least 2 positives (the risk averages over
-    pairs i != j), at least 1 negative, every sample tagged with its pool and
-    of dimension d.
+    positives (n_plus, d) and negatives (n_minus, d) are read-only float64
+    copies of the rows given, and row m of a pool is its slot m. Validated at
+    construction: at least 2 positives (the risk averages over pairs i != j),
+    at least 1 negative, d >= 1 in both pools, every feature finite. Labels
+    default to POSITIVE_LABEL and NEGATIVE_LABEL.
     """
 
-    positives: tuple
-    negatives: tuple
-    d: int
+    positives: np.ndarray
+    negatives: np.ndarray
+    positive_labels: tuple = None
+    negative_labels: tuple = None
 
     def __post_init__(self):
-        if len(self.positives) < 2:
+        pos, pos_labels = _pool(self.positives, self.positive_labels, Pool.POSITIVE, POSITIVE_LABEL)
+        neg, neg_labels = _pool(self.negatives, self.negative_labels, Pool.NEGATIVE, NEGATIVE_LABEL)
+        if len(pos) < 2:
             raise TooFewPositives(
                 "need at least 2 positive samples (the risk averages over i != j), "
-                f"got {len(self.positives)}"
+                f"got {len(pos)}"
             )
-        if len(self.negatives) < 1:
+        if len(neg) < 1:
             raise EmptyNegatives("need at least 1 negative sample")
-        for pool, samples in ((Pool.POSITIVE, self.positives), (Pool.NEGATIVE, self.negatives)):
-            for s in samples:
-                if s.pool is not pool:
-                    raise PoolMismatch(
-                        f"sample in the {pool.name.lower()} list is tagged {s.pool.value}"
-                    )
-                if s.dim != self.d:
-                    raise DimensionMismatch(
-                        f"{pool.name.lower()} sample has dimension {s.dim}, expected {self.d}"
-                    )
+        if pos.shape[1] < 1 or neg.shape[1] != pos.shape[1]:
+            raise DimensionMismatch(
+                f"positives have dimension {pos.shape[1]} and negatives {neg.shape[1]}; "
+                "both must be the same d >= 1"
+            )
+        if not (np.isfinite(pos).all() and np.isfinite(neg).all()):
+            raise ValidationError("features must be finite")
+        for name, value in zip(
+            ("positives", "negatives", "positive_labels", "negative_labels"),
+            (pos, neg, pos_labels, neg_labels),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def d(self) -> int:
+        return self.positives.shape[1]
 
     @property
     def n_plus(self) -> int:
-        return len(self.positives)
+        return self.positives.shape[0]
 
     @property
     def n_minus(self) -> int:
-        return len(self.negatives)
+        return self.negatives.shape[0]
 
     @property
     def n_triplets(self) -> int:
@@ -159,38 +135,22 @@ class TripletDataset:
 
     @property
     def positive_features(self) -> np.ndarray:
-        """Stacked (n_plus, d) feature matrix, row order = slot order."""
-        return np.stack([s.features for s in self.positives])
+        """The (n_plus, d) positive rows, row order = slot order."""
+        return self.positives
 
     @property
     def negative_features(self) -> np.ndarray:
-        return np.stack([s.features for s in self.negatives])
-
-    def slot(self, ref: SlotRef) -> Sample:
-        pool = self.positives if ref.pool is Pool.POSITIVE else self.negatives
-        if not (0 <= ref.index < len(pool)):
-            raise SlotOutOfBounds(
-                f"slot {ref.pool.value}:{ref.index} out of bounds "
-                f"(n_plus={self.n_plus}, n_minus={self.n_minus})"
-            )
-        return pool[ref.index]
+        return self.negatives
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TripletDataset):
             return NotImplemented
         return (
-            self.d == other.d
-            and self.positives == other.positives
-            and self.negatives == other.negatives
+            np.array_equal(self.positives, other.positives)
+            and np.array_equal(self.negatives, other.negatives)
+            and self.positive_labels == other.positive_labels
+            and self.negative_labels == other.negative_labels
         )
-
-
-def make_dataset(positives: Sequence[Sample], negatives: Sequence[Sample]) -> TripletDataset:
-    """Validate and freeze a training set. Input order defines slot identity;
-    the dimension is the first positive's."""
-    positives = tuple(positives)
-    d = positives[0].dim if positives else 0
-    return TripletDataset(positives=positives, negatives=tuple(negatives), d=d)
 
 
 def replace_samples(
@@ -198,38 +158,34 @@ def replace_samples(
 ) -> TripletDataset:
     """Return a new dataset equal to `dataset` except at the listed slots.
 
-    `replacements` is a list of (SlotRef, Sample) pairs; slots must be pairwise
-    distinct and each replacement must match the slot's pool and the dataset
-    dimension (checked as the new dataset is built). The input dataset is
-    unchanged.
+    `replacements` is a list of (SlotRef, row) pairs, each row a length-d
+    feature vector copied into its slot; slots must be pairwise distinct, and
+    a replaced slot keeps its label. The input dataset is unchanged.
     """
-    pos = list(dataset.positives)
-    neg = list(dataset.negatives)
+    rows = {Pool.POSITIVE: dataset.positives.copy(), Pool.NEGATIVE: dataset.negatives.copy()}
     seen = set()
-    for ref, sample in replacements:
+    for ref, row in replacements:
         key = (ref.pool, ref.index)
         if key in seen:
             raise DuplicateSlot(f"slot {ref.pool.value}:{ref.index} replaced twice")
         seen.add(key)
-        target = pos if ref.pool is Pool.POSITIVE else neg
+        target = rows[ref.pool]
         if not (0 <= ref.index < len(target)):
             raise SlotOutOfBounds(
                 f"slot {ref.pool.value}:{ref.index} out of bounds "
                 f"(n_plus={dataset.n_plus}, n_minus={dataset.n_minus})"
             )
-        target[ref.index] = sample
-    return TripletDataset(positives=tuple(pos), negatives=tuple(neg), d=dataset.d)
-
-
-def enumerate_triplets(dataset: TripletDataset) -> Iterator[TripletIndex]:
-    """Yield all n_plus*(n_plus-1)*n_minus valid triplets in lexicographic (i, j, k) order."""
-    n_plus, n_minus = dataset.n_plus, dataset.n_minus
-    for i in range(n_plus):
-        for j in range(n_plus):
-            if j == i:
-                continue
-            for k in range(n_minus):
-                yield TripletIndex(i, j, k)
+        if np.shape(row) != (dataset.d,):
+            raise DimensionMismatch(
+                f"replacement row has shape {np.shape(row)}, expected ({dataset.d},)"
+            )
+        target[ref.index] = row
+    return TripletDataset(
+        rows[Pool.POSITIVE],
+        rows[Pool.NEGATIVE],
+        dataset.positive_labels,
+        dataset.negative_labels,
+    )
 
 
 def feature_bound(dataset: TripletDataset) -> float:
@@ -269,8 +225,12 @@ def write_dataset_csv(dataset: TripletDataset, path) -> None:
         path,
         ["pool", "label"] + [f"f{a}" for a in range(dataset.d)],
         (
-            [s.pool.value, s.label, *s.features.tolist()]
-            for s in dataset.positives + dataset.negatives
+            [pool.value, label, *row]
+            for pool, labels, rows in (
+                (Pool.POSITIVE, dataset.positive_labels, dataset.positives),
+                (Pool.NEGATIVE, dataset.negative_labels, dataset.negatives),
+            )
+            for label, row in zip(labels, rows.tolist())
         ),
     )
 
@@ -299,8 +259,8 @@ def open_input_csv(path):
 def read_dataset_csv(path) -> TripletDataset:
     """Load a dataset written by write_dataset_csv. Rows may interleave pools;
     slot index within each pool follows row order."""
-    positives = []
-    negatives = []
+    rows = {Pool.POSITIVE: [], Pool.NEGATIVE: []}
+    labels = {Pool.POSITIVE: [], Pool.NEGATIVE: []}
     with open_input_csv(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -315,13 +275,18 @@ def read_dataset_csv(path) -> TripletDataset:
             if len(row) != d + 2:
                 raise ValidationError(f"{path}: row has {len(row)} fields, expected {d + 2}")
             try:
-                tag, label, features = row[0], parse_int(row[1]), [float(v) for v in row[2:]]
+                label, features = parse_int(row[1]), [float(v) for v in row[2:]]
             except ValueError as exc:
                 raise ValidationError(f"{path}: malformed row {row!r}: {exc}") from exc
-            if tag == Pool.POSITIVE.value:
-                positives.append(Sample(features, label, Pool.POSITIVE))
-            elif tag == Pool.NEGATIVE.value:
-                negatives.append(Sample(features, label, Pool.NEGATIVE))
-            else:
-                raise ValidationError(f"{path}: unknown pool tag {tag!r}")
-    return make_dataset(positives, negatives)
+            try:
+                pool = Pool(row[0])
+            except ValueError:
+                raise ValidationError(f"{path}: unknown pool tag {row[0]!r}") from None
+            rows[pool].append(features)
+            labels[pool].append(label)
+    return TripletDataset(
+        np.reshape(rows[Pool.POSITIVE], (-1, d)),
+        np.reshape(rows[Pool.NEGATIVE], (-1, d)),
+        labels[Pool.POSITIVE],
+        labels[Pool.NEGATIVE],
+    )

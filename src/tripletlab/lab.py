@@ -21,7 +21,7 @@ from scipy.stats import linregress
 
 from .core import ValidationError, write_csv
 from .loss import LossConfig, MetricParams, regularity_constants, triplet_losses_rowwise
-from .optim import RrmConfig, SgdConfig, rrm_train, sgd_train
+from .optim import RrmConfig, SgdConfig, rrm_train
 from .risk import (
     DEFAULT_TRIPLET_BUDGET,
     RiskEstimate,
@@ -29,7 +29,14 @@ from .risk import (
     empirical_risk,
     population_risk,
 )
-from .stability import RegimeViolation, optimistic_epsilon, optimistic_gap_bound
+from .stability import (
+    ConstantTrainer,
+    RegimeViolation,
+    RrmTrainer,
+    SgdTrainer,
+    optimistic_epsilon,
+    optimistic_gap_bound,
+)
 from .synth import TaskConfig, gen_task, low_noise_task
 
 
@@ -151,7 +158,7 @@ def _train_cell(cfg: SweepConfig, n: int, task_seed: int, algo_seed: int):
     task = replace(cfg.task, n_plus=n, n_minus=n, seed=task_seed)
     train, sampler = gen_task(task)
     if cfg.algorithm == "sgd":
-        w, _ = sgd_train(train, SgdConfig(T=n, c=_sgd_c(cfg), seed=algo_seed, zeta=cfg.zeta))
+        trainer = SgdTrainer(SgdConfig(T=n, c=_sgd_c(cfg), seed=algo_seed, zeta=cfg.zeta))
     elif cfg.algorithm == "rrm":
         if cfg.sigma_rule != "inv_sqrt_n":
             raise ValidationError(
@@ -160,11 +167,10 @@ def _train_cell(cfg: SweepConfig, n: int, task_seed: int, algo_seed: int):
             )
         sigma = cfg.sigma0 / np.sqrt(n)
         budget = max(DEFAULT_TRIPLET_BUDGET, n * (n - 1) * n)
-        w, _ = rrm_train(
-            train, RrmConfig(lam=sigma / 2.0, zeta=cfg.zeta, budget=budget)
-        )
+        trainer = RrmTrainer(RrmConfig(lam=sigma / 2.0, zeta=cfg.zeta, budget=budget))
     else:
-        w = MetricParams.zeros(task.d)
+        trainer = ConstantTrainer(MetricParams.zeros(task.d))
+    w, _ = trainer.fit(train)
     return w, train, sampler
 
 

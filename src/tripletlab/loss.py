@@ -240,12 +240,6 @@ def _margins(positive_scores: np.ndarray, negative_scores: np.ndarray, zeta: flo
     return positive_scores
 
 
-def triplet_margins_rowwise(
-    w_arr: np.ndarray, Xa: np.ndarray, Xp: np.ndarray, Xn: np.ndarray, zeta: float
-) -> np.ndarray:
-    return _margins(row_scores(w_arr, Xa, Xp), row_scores(w_arr, Xa, Xn), zeta)
-
-
 def streamed_triplet_losses(
     w_arr: np.ndarray, Xa: np.ndarray, positive_blocks, negative_blocks, zeta: float
 ) -> np.ndarray:

@@ -31,7 +31,6 @@ from operator import mul
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.stats import chi2, chisquare
 
 from . import loss
 from .core import (
@@ -57,6 +56,9 @@ from .risk import DEFAULT_TRIPLET_BUDGET, exact_mean_loss
 
 WORDS = 4096  # 32-bit words per bulk draw of the SGD index stream
 SUB_BLOCK = 256  # SGD steps whose features are converted to Python floats at once
+# predicted decreases of F_S up to this many ulps of F_S are too small for the
+# Armijo test to resolve (rrm_train)
+ROUNDING_ULPS = 4
 
 
 class StepSizeTooLarge(ValidationError):
@@ -87,7 +89,8 @@ class MaxItersExceeded(SolverFailure):
 
 class LineSearchExhausted(SolverFailure):
     """No step of a Newton line search, from the full step down to 2**-59 of
-    it, met the Armijo condition."""
+    it, met the Armijo condition, and the full step was not taken by the
+    rounding rule of rrm_train either."""
 
 
 @dataclass(frozen=True)
@@ -328,39 +331,6 @@ def sgd_train(dataset: TripletDataset, cfg: SgdConfig):
     return MetricParams(w), trace
 
 
-def sampling_uniformity_check(trace: TrainTrace, dataset: TripletDataset):
-    """Chi-square goodness of fit of the trace draws against the uniform law.
-
-    Tests the joint (i, j, k) cell counts when the cell count is at most 10 T;
-    beyond that it falls back to slot-hit marginals (positive-slot hits expect
-    2T/n+ each, negative-slot hits T/n-, statistics summed; the two hits a
-    step deals to distinct positive slots are weakly dependent, so the
-    marginal p-value is approximate, which is fine for a sanity screen).
-    Returns (statistic, p_value).
-    """
-    if trace.T == 0:
-        raise ValidationError("cannot test an empty trace")
-    n_plus, n_minus = dataset.n_plus, dataset.n_minus
-    cells = n_plus * (n_plus - 1) * n_minus
-    if cells <= 10 * trace.T:
-        pair = trace.i * (n_plus - 1) + trace.j - (trace.j > trace.i)
-        cell = pair * n_minus + trace.k
-        counts = np.bincount(cell, minlength=cells)
-        stat, p = chisquare(counts)
-        return float(stat), float(p)
-    pos_counts = np.bincount(trace.i, minlength=n_plus) + np.bincount(
-        trace.j, minlength=n_plus
-    )
-    neg_counts = np.bincount(trace.k, minlength=n_minus)
-    exp_pos = 2.0 * trace.T / n_plus
-    exp_neg = trace.T / n_minus
-    stat = float(((pos_counts - exp_pos) ** 2 / exp_pos).sum()) + float(
-        ((neg_counts - exp_neg) ** 2 / exp_neg).sum()
-    )
-    dof = (n_plus - 1) + (n_minus - 1)
-    return stat, float(chi2.sf(stat, dof))
-
-
 def write_trace_csv(trace: TrainTrace, path, slot: SlotRef | None = None) -> None:
     """CSV columns t,i,j,k,eta,hit_slot_flag (flag is 0 when no slot is given)."""
     flags = trace.hit_mask(slot).tolist() if slot is not None else [0] * trace.T
@@ -486,7 +456,10 @@ def rrm_train(dataset: TripletDataset, cfg: RrmConfig, w0: MetricParams | None =
     minimizer in Frobenius norm. w0 is an optional warm start (default zero);
     it changes the path, not the certificate. Raises MaxItersExceeded if the
     cap is hit first, and LineSearchExhausted if no step along a Newton
-    direction meets the Armijo condition; both carry the best iterate.
+    direction meets the Armijo condition; both carry the best iterate. Near
+    the optimum a Newton step can lower F_S by less than F_S's rounding, which
+    the Armijo test cannot see: a step whose predicted decrease is at most
+    ROUNDING_ULPS ulps of F_S is taken whole when it lowers ||grad F_S||.
     """
     if dataset.n_triplets > cfg.budget:
         raise BudgetExceeded(
@@ -524,19 +497,23 @@ def rrm_train(dataset: TripletDataset, cfg: RrmConfig, w0: MetricParams | None =
             slope = -gnorm**2
         # Armijo backtracking over t = 1, 1/2, ..., 2**-59: the full step is
         # scored with the Hessian sweep, reused as the next iteration's, the
-        # halvings loss-only
+        # halvings loss-only; the rounding rule (see the docstring) reads the
+        # full step's gradient from the same sweep
         t = 1.0
         w_try = w + s
         parts = _risk_parts(w_try, X, Y, cfg.zeta, hessian=True)
         f_try = parts[0] + cfg.lam * float(np.sum(w_try * w_try))
-        for _ in range(59):
-            if f_try <= f_val + 0.25 * t * slope:
-                break
+        accepted = f_try <= f_val + 0.25 * slope or (
+            -slope <= ROUNDING_ULPS * math.ulp(f_val)
+            and float(np.linalg.norm(parts[1] + 2.0 * cfg.lam * w_try)) < gnorm
+        )
+        while not accepted and t > 2.0**-59:
             t *= 0.5
             w_try, parts = w + t * s, None
             risk_try = exact_mean_loss(w_try, X, Y, cfg.zeta)
             f_try = risk_try + cfg.lam * float(np.sum(w_try * w_try))
-        if not f_try <= f_val + 0.25 * t * slope:
+            accepted = f_try <= f_val + 0.25 * t * slope
+        if not accepted:
             gnorm_best, w_best, it_best = best
             raise LineSearchExhausted(
                 f"no step down to 2**-59 of the Newton step decreases F_S enough "

@@ -48,6 +48,11 @@ class RegimeViolation(ValidationError):
 
 
 # --- trainers: deterministic maps dataset -> parameters ---
+#
+# Every trainer has fit(dataset, warm=None) -> (w, record), the bound
+# stability_bound(record, slot, n_plus, n_minus, L) its record certifies (None
+# when it has none), and sigma_or_T, the parameter a report carries. kind
+# names the trainer in reports only.
 
 
 @dataclass(frozen=True)
@@ -56,9 +61,14 @@ class ConstantTrainer:
 
     w: MetricParams
     kind = "constant"
+    sigma_or_T = 0.0
 
-    def train(self, dataset: TripletDataset) -> MetricParams:
-        return self.w
+    def fit(self, dataset: TripletDataset, warm: MetricParams | None = None):
+        """(w, None): the fixed metric, whatever the data."""
+        return self.w, None
+
+    def stability_bound(self, record, slot: SlotRef, n_plus: int, n_minus: int, L: float):
+        return None
 
 
 @dataclass(frozen=True)
@@ -66,11 +76,19 @@ class SgdTrainer:
     cfg: SgdConfig
     kind = "sgd"
 
-    def train(self, dataset: TripletDataset) -> MetricParams:
-        return sgd_train(dataset, self.cfg)[0]
+    @property
+    def sigma_or_T(self) -> float:
+        return float(self.cfg.T)
 
-    def train_with_trace(self, dataset: TripletDataset):
+    def fit(self, dataset: TripletDataset, warm: MetricParams | None = None):
+        """sgd_train's (w, trace). warm is ignored: paired runs both start at
+        w = 0 on one seed, which is the coupling the stability bound needs."""
         return sgd_train(dataset, self.cfg)
+
+    def stability_bound(
+        self, trace: TrainTrace, slot: SlotRef, n_plus: int, n_minus: int, L: float
+    ):
+        return sgd_stability_bound(trace, slot, L)
 
 
 @dataclass(frozen=True)
@@ -78,8 +96,17 @@ class RrmTrainer:
     cfg: RrmConfig
     kind = "rrm"
 
-    def train(self, dataset: TripletDataset, w0: MetricParams | None = None) -> MetricParams:
-        return rrm_train(dataset, self.cfg, w0=w0)[0]
+    @property
+    def sigma_or_T(self) -> float:
+        return self.cfg.sigma
+
+    def fit(self, dataset: TripletDataset, warm: MetricParams | None = None):
+        """rrm_train's (w, iterations), started from warm (default zero); the
+        certificate places w within tol/(2 lam) of the minimizer either way."""
+        return rrm_train(dataset, self.cfg, w0=warm)
+
+    def stability_bound(self, iterations, slot: SlotRef, n_plus: int, n_minus: int, L: float):
+        return rrm_stability_bound(n_plus, n_minus, L, self.cfg.sigma)
 
 
 @dataclass(frozen=True)
@@ -137,13 +164,6 @@ def probe_max_loss_diff(
     return max_diff, max_abs
 
 
-def _sigma_or_t(trainer) -> float:
-    """A report's sigma_or_T: sigma for RRM, the step count T for SGD, else 0."""
-    if trainer.kind == "rrm":
-        return trainer.cfg.sigma
-    return float(trainer.cfg.T) if trainer.kind == "sgd" else 0.0
-
-
 def _pick_slot(rng: np.random.Generator, n_plus: int, n_minus: int) -> SlotRef:
     u = int(rng.integers(0, n_plus + n_minus))
     if u < n_plus:
@@ -186,30 +206,19 @@ def estimate_uniform_stability(
         train_set = trial.draw_dataset(n_plus, n_minus)
         slot = _pick_slot(aux, n_plus, n_minus)
         perturbed = replace_samples(train_set, [(slot, _fresh_for(trial, slot))])
-        trace = None
-        if trainer.kind == "sgd":
-            w_a, trace = trainer.train_with_trace(train_set)
-            w_b = trainer.train(perturbed)
-        elif trainer.kind == "rrm":
-            w_a = trainer.train(train_set)
-            w_b = trainer.train(perturbed, w0=w_a)
-        else:
-            w_a = trainer.train(train_set)
-            w_b = trainer.train(perturbed)
+        w_a, record = trainer.fit(train_set)
+        w_b, _ = trainer.fit(perturbed, warm=w_a)
         gamma_t, m_t = probe_max_loss_diff(w_a, w_b, train_set, trial.draw(probe_size), cfg)
         per_gamma.append(gamma_t)
         m_hat = max(m_hat, m_t)
-        if trainer.kind == "rrm":
-            per_bound.append(rrm_stability_bound(n_plus, n_minus, L, trainer.cfg.sigma))
-        elif trainer.kind == "sgd":
-            per_bound.append(sgd_stability_bound(trace, slot, L))
-    bounds = tuple(per_bound) if per_bound else None
+        per_bound.append(trainer.stability_bound(record, slot, n_plus, n_minus, L))
+    bounds = None if None in per_bound else tuple(per_bound)
     return StabilityReport(
         protocol="uniform_sup",
         trainer_kind=trainer.kind,
         n_plus=n_plus,
         n_minus=n_minus,
-        sigma_or_T=_sigma_or_t(trainer),
+        sigma_or_T=trainer.sigma_or_T,
         gamma_hat=max(per_gamma),
         gamma_bound=max(bounds) if bounds else None,
         M_hat=m_hat,
@@ -252,7 +261,8 @@ def estimate_on_average_stability(
         trial = sampler.fork()
         aux = trial.spawn_generator()
         train_set = trial.draw_dataset(n_plus, n_minus)
-        w_base = trainer.train(train_set)
+        w_base, _ = trainer.fit(train_set)
+        X, Y = train_set.positives, train_set.negatives
         if exhaustive:
             triples = [
                 (i, j, k)
@@ -280,15 +290,9 @@ def estimate_on_average_stability(
                     (SlotRef(Pool.NEGATIVE, k), trial.negative_sample()),
                 ],
             )
-            if trainer.kind == "rrm":
-                w_new = trainer.train(replaced, w0=w_base)
-            else:
-                w_new = trainer.train(replaced)
-            zi = train_set.positives[i].features
-            zj = train_set.positives[j].features
-            zk = train_set.negatives[k].features
-            l_new = logistic_triplet_loss(w_new, zi, zj, zk, cfg)
-            l_base = logistic_triplet_loss(w_base, zi, zj, zk, cfg)
+            w_new, _ = trainer.fit(replaced, warm=w_base)
+            l_new = logistic_triplet_loss(w_new, X[i], X[j], Y[k], cfg)
+            l_base = logistic_triplet_loss(w_base, X[i], X[j], Y[k], cfg)
             diffs.append(l_new - l_base)
             m_hat = max(m_hat, abs(l_new), abs(l_base))
     diffs = np.array(diffs)
@@ -299,7 +303,7 @@ def estimate_on_average_stability(
         trainer_kind=trainer.kind,
         n_plus=n_plus,
         n_minus=n_minus,
-        sigma_or_T=_sigma_or_t(trainer),
+        sigma_or_T=trainer.sigma_or_T,
         gamma_hat=abs(signed_mean),
         gamma_bound=None,
         M_hat=m_hat,

@@ -18,11 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import loss
-from .core import Pool, Sample, TripletDataset, ValidationError, make_dataset
+from .core import TripletDataset, ValidationError
 from .loss import MetricParams
-
-POSITIVE_LABEL = 1
-NEGATIVE_LABEL = 0
 
 
 class InvalidConfig(ValidationError):
@@ -170,21 +167,17 @@ class TripletSampler:
         negatives = self.draw_negative(m)
         return anchors, positives, negatives
 
-    def positive_sample(self) -> Sample:
-        return Sample(self.draw_positive(1)[0], POSITIVE_LABEL, Pool.POSITIVE)
+    def positive_sample(self) -> np.ndarray:
+        """One fresh positive row, (d,)."""
+        return self.draw_positive(1)[0]
 
-    def negative_sample(self) -> Sample:
-        return Sample(self.draw_negative(1)[0], NEGATIVE_LABEL, Pool.NEGATIVE)
+    def negative_sample(self) -> np.ndarray:
+        """One fresh negative row, (d,)."""
+        return self.draw_negative(1)[0]
 
     def draw_dataset(self, n_plus: int, n_minus: int) -> TripletDataset:
         """A fresh training set from this stream (slot order = draw order)."""
-        pos = [
-            Sample(row, POSITIVE_LABEL, Pool.POSITIVE) for row in self.draw_positive(n_plus)
-        ]
-        neg = [
-            Sample(row, NEGATIVE_LABEL, Pool.NEGATIVE) for row in self.draw_negative(n_minus)
-        ]
-        return make_dataset(pos, neg)
+        return TripletDataset(self.draw_positive(n_plus), self.draw_negative(n_minus))
 
     def fork(self) -> "TripletSampler":
         child = self._seq.spawn(1)[0]
@@ -206,10 +199,7 @@ def gen_task(config: TaskConfig):
     rng = np.random.default_rng(train_seq)
     pos_rows = _draw_pool(rng, mu_plus, config.noise_scale, config.B, config.n_plus, config.d)
     neg_rows = _draw_pool(rng, mu_minus, config.noise_scale, config.B, config.n_minus, config.d)
-    train = make_dataset(
-        [Sample(row, POSITIVE_LABEL, Pool.POSITIVE) for row in pos_rows],
-        [Sample(row, NEGATIVE_LABEL, Pool.NEGATIVE) for row in neg_rows],
-    )
+    train = TripletDataset(pos_rows, neg_rows)
     sampler = TripletSampler(mu_plus, mu_minus, config.noise_scale, config.B, sampler_seq)
     return train, sampler
 

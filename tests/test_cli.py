@@ -122,6 +122,17 @@ def test_dataset_label_with_digit_separator_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "malformed row" in err
 
 
+def test_dataset_label_outside_int64_is_kept(tmp_path):
+    # labels are Python integers: a dataset read with one trains as any other
+    data = tmp_path / "dataset.csv"
+    data.write_text(f"pool,label,f0\npos,{2**64},0.1\npos,1,0.2\nneg,{-(2**70)},0.3\n")
+    rc = main(["sgd", "--seed", "1", "--outdir", str(tmp_path / "run"),
+               "--data", str(data), "--T", "5"])
+    assert rc == EXIT_OK
+    dataset = read_dataset_csv(data)
+    assert dataset.positive_labels == (2**64, 1) and dataset.negative_labels == (-(2**70),)
+
+
 @pytest.mark.parametrize("command", [["sgd", "--T", "5"], ["rrm", "--lam", "0.3"]])
 def test_missing_data_file_exits_2(tmp_path, capsys, command):
     missing = tmp_path / "absent.csv"

@@ -11,64 +11,77 @@ from tripletlab.core import (
     DuplicateSlot,
     EmptyNegatives,
     Pool,
-    PoolMismatch,
-    Sample,
     SlotOutOfBounds,
     SlotRef,
     TooFewPositives,
     TripletDataset,
-    TripletIndex,
     ValidationError,
-    enumerate_triplets,
     feature_bound,
-    make_dataset,
     parse_int,
     read_dataset_csv,
     replace_samples,
     write_dataset_csv,
 )
 
-
-def pos(*features):
-    return Sample(np.array(features, dtype=float), 1, Pool.POSITIVE)
-
-
-def neg(*features):
-    return Sample(np.array(features, dtype=float), 0, Pool.NEGATIVE)
+POSITIVES = [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]
+NEGATIVES = [[-1.0, 0.0], [0.0, -1.0]]
 
 
 def small_dataset():
-    return make_dataset(
-        [pos(1.0, 0.0), pos(0.5, 0.5), pos(0.0, 1.0)],
-        [neg(-1.0, 0.0), neg(0.0, -1.0)],
-    )
+    return TripletDataset(POSITIVES, NEGATIVES)
+
+
+def column(*values):
+    """Rows of a 1-dimensional pool."""
+    return [[v] for v in values]
 
 
 def test_sample_features_frozen():
-    s = pos(1.0, 2.0)
-    with pytest.raises(ValueError):
-        s.features[0] = 99.0
+    # a slot's row cannot be written, through the arrays or the properties
+    ds = small_dataset()
+    for rows in (ds.positives, ds.negatives, ds.positive_features, ds.negative_features):
+        with pytest.raises(ValueError):
+            rows[0, 0] = 99.0
+        with pytest.raises(ValueError):
+            rows[1] += 1.0
+    assert ds.positive_features is ds.positives  # stored, not restacked
+    assert ds.negative_features is ds.negatives
+
+
+def test_dataset_arrays_are_read_only_copies():
+    P, N = np.array(POSITIVES), np.array(NEGATIVES, dtype=np.float32)
+    ds = TripletDataset(P, N)
+    for rows, given_rows in ((ds.positives, P), (ds.negatives, N)):
+        assert rows.dtype == np.float64 and not rows.flags.writeable
+        assert not np.shares_memory(rows, given_rows)
+        with pytest.raises(ValueError):
+            np.copyto(rows, 0.0)
+    P[0, 0] = N[0, 0] = 42.0  # the caller's arrays stay the caller's
+    assert ds == small_dataset()
 
 
 def test_sample_rejects_matrix_features():
+    # each pool is one (n, d) array: a vector or a stack of matrices is not
     with pytest.raises(DimensionMismatch):
-        Sample(np.ones((2, 2)), 1, Pool.POSITIVE)
+        TripletDataset(np.ones((2, 2, 2)), [[0.0, 0.0]])
+    with pytest.raises(DimensionMismatch):
+        TripletDataset(POSITIVES, [0.0, 0.0])
 
 
 def test_sample_rejects_nan():
-    with pytest.raises(ValidationError):
-        Sample(np.array([1.0, np.nan]), 1, Pool.POSITIVE)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            TripletDataset([[1.0, bad], [0.0, 0.0]], NEGATIVES)
+        with pytest.raises(ValidationError):
+            TripletDataset(POSITIVES, [[0.0, 0.0], [-bad, 1.0]])
 
 
 def test_sample_equality_is_by_value():
-    assert pos(1.0, 2.0) == pos(1.0, 2.0)
-    assert pos(1.0, 2.0) != pos(1.0, 2.1)
-    assert pos(1.0, 2.0) != neg(1.0, 2.0)
-
-
-def test_triplet_index_rejects_equal_pair():
-    with pytest.raises(ValidationError):
-        TripletIndex(2, 2, 0)
+    assert small_dataset() == TripletDataset(np.array(POSITIVES), tuple(NEGATIVES))
+    moved = [[1.0, 0.0], [0.5, 0.5], [0.0, 1.1]]
+    assert small_dataset() != TripletDataset(moved, NEGATIVES)
+    assert small_dataset() != TripletDataset(POSITIVES, NEGATIVES, positive_labels=[1, 1, 2])
+    assert small_dataset() != TripletDataset(NEGATIVES + [[0.0, 1.0]], POSITIVES[:2])
 
 
 def test_make_dataset_counts():
@@ -77,55 +90,61 @@ def test_make_dataset_counts():
     assert ds.n_minus == 2
     assert ds.d == 2
     assert ds.n_triplets == 3 * 2 * 2
+    assert ds.positive_labels == (1, 1, 1) and ds.negative_labels == (0, 0)
 
 
 def test_triplet_count_formula():
     # n+ * (n+ - 1) * n- at the documented sizes
-    ds = make_dataset([pos(float(i)) for i in range(100)], [neg(float(k)) for k in range(50)])
+    ds = TripletDataset(np.zeros((100, 1)), np.zeros((50, 1)))
     assert ds.n_triplets == 495000
 
 
 def test_make_dataset_needs_two_positives():
     with pytest.raises(TooFewPositives):
-        make_dataset([pos(1.0)], [neg(0.0)])
+        TripletDataset(column(1.0), column(0.0))
 
 
 def test_make_dataset_needs_a_negative():
     with pytest.raises(EmptyNegatives):
-        make_dataset([pos(1.0), pos(2.0)], [])
+        TripletDataset(column(1.0, 2.0), [])
 
 
 def test_make_dataset_rejects_mixed_dims():
     with pytest.raises(DimensionMismatch):
-        make_dataset([pos(1.0), pos(1.0, 2.0)], [neg(0.0)])
+        TripletDataset([[1.0], [1.0, 2.0]], column(0.0))
 
 
-def test_make_dataset_rejects_wrong_pool_tag():
-    with pytest.raises(PoolMismatch):
-        make_dataset([pos(1.0), neg(2.0)], [neg(0.0)])
+def test_make_dataset_rejects_wrong_pool_tag(tmp_path):
+    # a row's pool tag lives in the CSV only: a row tagged with neither pool
+    # cannot be read into a dataset
+    path = tmp_path / "ds.csv"
+    for tag in ("positive", "Pos", "pos ", ""):
+        path.write_text(f"pool,label,f0\npos,1,0.5\npos,1,0.1\n{tag},0,0.2\n")
+        with pytest.raises(ValidationError, match="unknown pool tag"):
+            read_dataset_csv(path)
 
 
 def test_dataset_built_directly_needs_two_positives():
     # without the check, empirical_risk divided by n+ (n+ - 1) n- = 0
     with pytest.raises(TooFewPositives):
-        TripletDataset((pos(0.5, 0.0),), (neg(0.0, 0.0),), 2)
+        TripletDataset([[0.5, 0.0]], [[0.0, 0.0]])
 
 
 @pytest.mark.parametrize(
-    "positives, negatives, d, error",
+    "positives, negatives, labels, error",
     [
-        ((pos(1.0), pos(2.0)), (), 1, EmptyNegatives),
-        ((pos(1.0), pos(2.0)), (neg(0.0),), 2, DimensionMismatch),
-        ((pos(1.0), pos(2.0, 0.0)), (neg(0.0),), 1, DimensionMismatch),
-        ((pos(1.0), pos(2.0)), (neg(0.0, 1.0),), 1, DimensionMismatch),
-        ((pos(1.0), neg(2.0)), (neg(0.0),), 1, PoolMismatch),
-        ((pos(1.0), pos(2.0)), (pos(0.0),), 1, PoolMismatch),
+        (column(1.0, 2.0), np.empty((0, 1)), {}, EmptyNegatives),
+        (np.empty((2, 0)), np.empty((1, 0)), {}, DimensionMismatch),
+        ([[1.0], [2.0, 0.0]], column(0.0), {}, DimensionMismatch),
+        (column(1.0, 2.0), [[0.0, 1.0]], {}, DimensionMismatch),
+        (column(1.0, 2.0), column(0.0), {"positive_labels": [1]}, DimensionMismatch),
+        (column(1.0, 2.0), column(0.0), {"negative_labels": [0, 0]}, DimensionMismatch),
     ],
-    ids=["no negative", "d", "positive dim", "negative dim", "positive tag", "negative tag"],
+    ids=["no negative", "d", "positive dim", "negative dim", "positive labels", "negative labels"],
 )
-def test_dataset_built_directly_is_validated(positives, negatives, d, error):
+def test_dataset_built_directly_is_validated(positives, negatives, labels, error):
     with pytest.raises(error):
-        TripletDataset(positives, negatives, d)
+        TripletDataset(positives, negatives, **labels)
 
 
 @pytest.mark.parametrize("token", ["0", "7", "-12", "+3", "007"])
@@ -148,28 +167,20 @@ def test_feature_matrices_follow_slot_order():
 
 
 def test_slot_lookup():
+    # slot m is row m of its pool; a slot past either pool is out of bounds
     ds = small_dataset()
-    assert ds.slot(SlotRef(Pool.NEGATIVE, 1)) == neg(0.0, -1.0)
-    with pytest.raises(SlotOutOfBounds):
-        ds.slot(SlotRef(Pool.POSITIVE, 3))
-
-
-def test_enumerate_triplets_matches_count_and_excludes_diagonal():
-    ds = small_dataset()
-    triplets = list(enumerate_triplets(ds))
-    assert len(triplets) == ds.n_triplets
-    assert len(set(triplets)) == len(triplets)
-    assert all(t.i != t.j for t in triplets)
+    assert np.array_equal(ds.negatives[1], [0.0, -1.0])
+    for ref in (SlotRef(Pool.POSITIVE, 3), SlotRef(Pool.NEGATIVE, 2), SlotRef(Pool.NEGATIVE, -1)):
+        with pytest.raises(SlotOutOfBounds):
+            replace_samples(ds, [(ref, [0.0, 0.0])])
 
 
 def test_replace_samples_is_positional_and_pure():
     ds = small_dataset()
-    fresh = pos(9.0, 9.0)
-    out = replace_samples(ds, [(SlotRef(Pool.POSITIVE, 1), fresh)])
-    assert out.slot(SlotRef(Pool.POSITIVE, 1)) == fresh
-    # untouched slots are shared, original unchanged
-    assert out.slot(SlotRef(Pool.POSITIVE, 0)) is ds.positives[0]
-    assert ds.slot(SlotRef(Pool.POSITIVE, 1)) == pos(0.5, 0.5)
+    out = replace_samples(ds, [(SlotRef(Pool.POSITIVE, 1), np.array([9.0, 9.0]))])
+    assert np.array_equal(out.positives, [[1.0, 0.0], [9.0, 9.0], [0.0, 1.0]])
+    assert np.array_equal(out.negatives, ds.negatives)
+    assert ds == small_dataset()  # original unchanged
 
 
 def test_replace_samples_multiple_slots():
@@ -177,13 +188,15 @@ def test_replace_samples_multiple_slots():
     out = replace_samples(
         ds,
         [
-            (SlotRef(Pool.POSITIVE, 0), pos(7.0, 0.0)),
-            (SlotRef(Pool.NEGATIVE, 1), neg(0.0, 7.0)),
+            (SlotRef(Pool.POSITIVE, 0), [7.0, 0.0]),
+            (SlotRef(Pool.NEGATIVE, 1), [0.0, 7.0]),
         ],
     )
     assert out.n_plus == ds.n_plus and out.n_minus == ds.n_minus
-    assert out.slot(SlotRef(Pool.POSITIVE, 0)) == pos(7.0, 0.0)
-    assert out.slot(SlotRef(Pool.NEGATIVE, 1)) == neg(0.0, 7.0)
+    assert np.array_equal(out.positives[0], [7.0, 0.0])
+    assert np.array_equal(out.negatives[1], [0.0, 7.0])
+    assert np.array_equal(out.positives[1:], ds.positives[1:])
+    assert np.array_equal(out.negatives[0], ds.negatives[0])
 
 
 def test_replace_samples_rejects_duplicate_slot():
@@ -192,22 +205,40 @@ def test_replace_samples_rejects_duplicate_slot():
         replace_samples(
             ds,
             [
-                (SlotRef(Pool.POSITIVE, 0), pos(1.0, 1.0)),
-                (SlotRef(Pool.POSITIVE, 0), pos(2.0, 2.0)),
+                (SlotRef(Pool.POSITIVE, 0), [1.0, 1.0]),
+                (SlotRef(Pool.POSITIVE, 0), [2.0, 2.0]),
             ],
         )
 
 
-def test_replace_samples_rejects_pool_mismatch():
-    ds = small_dataset()
-    with pytest.raises(PoolMismatch):
-        replace_samples(ds, [(SlotRef(Pool.POSITIVE, 0), neg(1.0, 1.0))])
-
-
 def test_replace_samples_rejects_bad_dim():
     ds = small_dataset()
-    with pytest.raises(DimensionMismatch):
-        replace_samples(ds, [(SlotRef(Pool.POSITIVE, 0), pos(1.0, 1.0, 1.0))])
+    # a scalar would broadcast over the whole row
+    for row in ([1.0, 1.0, 1.0], [1.0], 1.0, [[1.0, 1.0]]):
+        with pytest.raises(DimensionMismatch):
+            replace_samples(ds, [(SlotRef(Pool.POSITIVE, 0), row)])
+
+
+def test_replace_samples_rejects_a_non_finite_row():
+    with pytest.raises(ValidationError):
+        replace_samples(small_dataset(), [(SlotRef(Pool.NEGATIVE, 0), [np.nan, 0.0])])
+
+
+def test_replace_samples_leaves_its_input_untouched():
+    ds = TripletDataset(POSITIVES, NEGATIVES, [5, -6, 7], [8, 2**70])
+    before = ds.positives.tobytes(), ds.negatives.tobytes()
+    arrays = ds.positives, ds.negatives
+    out = replace_samples(
+        ds,
+        [(SlotRef(Pool.POSITIVE, 2), [3.0, 3.0]), (SlotRef(Pool.NEGATIVE, 1), [4.0, 4.0])],
+    )
+    assert (ds.positives, ds.negatives) == arrays  # the same array objects
+    assert (ds.positives.tobytes(), ds.negatives.tobytes()) == before
+    assert (ds.positive_labels, ds.negative_labels) == ((5, -6, 7), (8, 2**70))
+    # a replaced slot keeps its label; the new dataset owns fresh arrays
+    assert (out.positive_labels, out.negative_labels) == ((5, -6, 7), (8, 2**70))
+    assert not np.shares_memory(out.positives, ds.positives)
+    assert not out.positives.flags.writeable and not out.negatives.flags.writeable
 
 
 def test_feature_bound_matches_brute_force():
@@ -218,10 +249,7 @@ def test_feature_bound_matches_brute_force():
         d = int(rng.integers(1, 5))
         P = rng.normal(size=(n_p, d)) * rng.uniform(0.1, 3.0)
         N = rng.normal(size=(n_m, d)) * rng.uniform(0.1, 3.0)
-        ds = make_dataset(
-            [Sample(row, 1, Pool.POSITIVE) for row in P],
-            [Sample(row, 0, Pool.NEGATIVE) for row in N],
-        )
+        ds = TripletDataset(P, N)
         expected = max(float(np.linalg.norm(r)) for r in np.vstack([P, N]))
         assert feature_bound(ds) == pytest.approx(expected, rel=0, abs=0)
 
@@ -240,10 +268,20 @@ def test_dataset_csv_round_trip(tmp_path):
 
 def test_dataset_csv_round_trip_awkward_floats(tmp_path):
     vals = [0.1 + 0.2, 1e-17, -3.9999999999999996, 2**-52]
-    ds = make_dataset([pos(vals[0], vals[1]), pos(vals[2], vals[3])], [neg(1 / 3, 2 / 3)])
+    ds = TripletDataset([vals[:2], vals[2:]], [[1 / 3, 2 / 3]])
     path = tmp_path / "ds.csv"
     write_dataset_csv(ds, path)
     assert read_dataset_csv(path) == ds
+
+
+@pytest.mark.parametrize("label", [2**63, -(2**63) - 1, 10**40, -(10**40)])
+def test_dataset_csv_round_trips_a_label_outside_int64(tmp_path, label):
+    path = tmp_path / "ds.csv"
+    path.write_text(f"pool,label,f0\npos,{label},0.5\nneg,0,0.25\npos,1,-0.5\n")
+    ds = read_dataset_csv(path)
+    assert ds.positive_labels == (label, 1) and ds.negative_labels == (0,)
+    write_dataset_csv(ds, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_text().splitlines()[1] == f"pos,{label},0.5"
 
 
 def test_read_dataset_csv_rejects_garbage(tmp_path):
@@ -265,9 +303,11 @@ def datasets(draw):
     labels = st.integers(-(2**63), 2**63 - 1)
     positives = draw(st.lists(st.tuples(vectors, labels), min_size=2, max_size=6))
     negatives = draw(st.lists(st.tuples(vectors, labels), min_size=1, max_size=6))
-    return make_dataset(
-        [Sample(f, label, Pool.POSITIVE) for f, label in positives],
-        [Sample(f, label, Pool.NEGATIVE) for f, label in negatives],
+    return TripletDataset(
+        [f for f, _ in positives],
+        [f for f, _ in negatives],
+        [label for _, label in positives],
+        [label for _, label in negatives],
     )
 
 
@@ -277,7 +317,11 @@ def test_dataset_csv_round_trips_any_dataset(ds):
         path = Path(tmp) / "ds.csv"
         write_dataset_csv(ds, path)
         back = read_dataset_csv(path)
-    assert back == ds  # features bit for bit, labels, pools and slot order
+    # features bit for bit (-0.0 included), labels and slot order
+    assert back.positives.tobytes() == ds.positives.tobytes()
+    assert back.negatives.tobytes() == ds.negatives.tobytes()
+    assert back.positive_labels == ds.positive_labels
+    assert back.negative_labels == ds.negative_labels
 
 
 @given(datasets(), st.data())
@@ -287,10 +331,16 @@ def test_replace_samples_leaves_untouched_slots_equal(ds, data):
     ]
     chosen = data.draw(st.lists(st.sampled_from(slots), unique=True, max_size=len(slots)))
     vector = st.lists(FEATURES, min_size=ds.d, max_size=ds.d)
-    replacements = [(ref, Sample(data.draw(vector), 7, ref.pool)) for ref in chosen]
-    before = [ds.slot(ref) for ref in slots]
+    replacements = [(ref, data.draw(vector)) for ref in chosen]
+    before = ds.positives.tobytes(), ds.negatives.tobytes()
     out = replace_samples(ds, replacements)
     replaced = dict(replacements)
-    for ref, old in zip(slots, before):
-        assert out.slot(ref) == replaced.get(ref, old)
-        assert ds.slot(ref) is old  # the input is unchanged
+
+    def row(dataset, ref):
+        return (dataset.positives if ref.pool is Pool.POSITIVE else dataset.negatives)[ref.index]
+
+    for ref in slots:
+        want = np.array(replaced[ref]) if ref in replaced else row(ds, ref)
+        assert row(out, ref).tobytes() == want.tobytes()
+    assert (out.positive_labels, out.negative_labels) == (ds.positive_labels, ds.negative_labels)
+    assert (ds.positives.tobytes(), ds.negatives.tobytes()) == before  # the input is unchanged

@@ -14,12 +14,11 @@ from tripletlab import (
     Pool,
     RiskEstimate,
     RiskMode,
-    Sample,
     SlotRef,
     StabilityReport,
     SweepReport,
     TrainTrace,
-    make_dataset,
+    TripletDataset,
     write_dataset_csv,
     write_metric_csv,
     write_stability_csv,
@@ -46,12 +45,11 @@ def csv_bytes(*lines):
 
 
 def test_dataset_csv_format(tmp_path):
-    ds = make_dataset(
-        [
-            Sample([0.1, -0.0], -1, Pool.POSITIVE),
-            Sample([1 / 3, 5e-324], np.int64(2), Pool.POSITIVE),
-        ],
-        [Sample([np.float64(2.5), -7.0], 0, Pool.NEGATIVE)],
+    ds = TripletDataset(
+        [[0.1, -0.0], [1 / 3, 5e-324]],
+        [[np.float64(2.5), -7.0]],
+        positive_labels=[-1, np.int64(2)],
+        negative_labels=[0],
     )
     path = tmp_path / "dataset.csv"
     write_dataset_csv(ds, path)

@@ -1,5 +1,6 @@
-"""No module of the package or of the tests imports a name it never uses, and
-no module of the package but core writes a CSV itself.
+"""No module of the package or of the tests imports a name it never uses, no
+module of the package but core writes a CSV itself, and no module of the
+package dispatches on a trainer's kind.
 
 No linter ships with the project, so these scans stand in for one. The first
 parses every module under src/ and tests/ and lists each name an import
@@ -7,7 +8,9 @@ statement binds but no expression of the module reads. `from __future__`
 imports and the package's __init__.py, whose imports are its public
 re-exports, are not scanned. The second lists each reference to csv.writer
 under src/ outside core.py: every CSV goes through core.write_csv, the one
-place that knows the cell format.
+place that knows the cell format. The third lists each comparison under
+src/ that reads an attribute named kind: a trainer is used through its fit,
+stability_bound and sigma_or_T, and its kind is report data only.
 """
 import ast
 from pathlib import Path
@@ -83,3 +86,39 @@ def test_only_core_references_csv_writer():
     assert found == []
     core = ROOT / "src" / "tripletlab" / "core.py"
     assert len(csv_writer_references(core.read_text())) == 1
+
+
+def kind_comparisons(source: str):
+    """Lines of `source` with a comparison that reads an attribute named kind."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Compare)
+        and any(
+            isinstance(operand, ast.Attribute) and operand.attr == "kind"
+            for operand in [node.left, *node.comparators]
+        )
+    ]
+
+
+def test_the_scan_finds_a_kind_comparison():
+    source = (
+        'if trainer.kind == "rrm":\n'
+        '    pass\n'
+        'x = "sgd" != self.trainer.kind\n'
+        'y = kind == "rrm"\n'
+        'z = trainer.kind\n'
+        'ok = a < b.kind in c\n'
+    )
+    assert kind_comparisons(source) == [1, 3, 6]
+
+
+def test_no_module_compares_a_trainer_kind():
+    paths = sorted((ROOT / "src").rglob("*.py"))
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in paths
+        for line in kind_comparisons(path.read_text())
+    ]
+    assert len(paths) > 5
+    assert found == []

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from tripletlab import lab, risk
+from tripletlab import lab, risk, stability
 from tripletlab.core import ValidationError
 from tripletlab.lab import (
     ExcessReport,
@@ -334,9 +334,10 @@ FAILING_SWEEP = SweepConfig(
 def _failing_fits(monkeypatch, failing, pause):
     """Make the SGD fits whose seed is in `failing` raise after failing[seed]
     seconds, and the others take `pause` seconds; returns the list of seeds
-    fitted so far."""
+    fitted so far. The sweep's SgdTrainer reaches sgd_train through the
+    stability module."""
     fitted = []
-    sgd_train = lab.sgd_train
+    sgd_train = stability.sgd_train
 
     def fit(train, sgd_cfg):
         fitted.append(sgd_cfg.seed)
@@ -345,7 +346,7 @@ def _failing_fits(monkeypatch, failing, pause):
             raise FloatingPointError(f"fit {sgd_cfg.seed} diverged")
         return sgd_train(train, sgd_cfg)
 
-    monkeypatch.setattr(lab, "sgd_train", fit)
+    monkeypatch.setattr(stability, "sgd_train", fit)
     return fitted
 
 

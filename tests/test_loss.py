@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tripletlab import loss as loss_module
-from tripletlab.core import Pool, Sample, ValidationError, make_dataset
+from tripletlab.core import TripletDataset, ValidationError
 from tripletlab.loss import (
     AsymmetricMatrix,
     LossConfig,
@@ -21,10 +21,10 @@ from tripletlab.loss import (
     phi_prime,
     read_metric_csv,
     regularity_constants,
+    row_scores,
     triplet_blocks,
     triplet_losses_rowwise,
     triplet_margin,
-    triplet_margins_rowwise,
     write_metric_csv,
     zero_one_triplet_loss,
 )
@@ -277,6 +277,12 @@ def test_pair_scores_matches_scalar():
             assert S[i, k] == pytest.approx(metric_score(w, X[i], Y[k]), rel=1e-12)
 
 
+def triplet_margins_rowwise(w_arr, Xa, Xp, Xn, zeta):
+    """Margins h_w(a, p) - h_w(a, n) + zeta of aligned triplets, from the row
+    scores the loss kernels take them from."""
+    return row_scores(w_arr, Xa, Xp) - row_scores(w_arr, Xa, Xn) + zeta
+
+
 def test_rowwise_margins_match_scalar():
     rng = np.random.default_rng(5)
     w = sym(rng, 2)
@@ -380,9 +386,7 @@ def _sweep_outputs():
     X = rng.uniform(-1, 1, (7, 3))
     Y = rng.uniform(-1, 1, (5, 3))
     w_a, w_b = sym(rng, 3), sym(rng, 3)
-    ds = make_dataset(
-        [Sample(x, 1, Pool.POSITIVE) for x in X], [Sample(y, 0, Pool.NEGATIVE) for y in Y]
-    )
+    ds = TripletDataset(X, Y)
     fresh = tuple(rng.uniform(-1, 1, (4, 3)) for _ in range(3))
     blocks = margin_blocks(pair_scores(w_a.w, X, X), pair_scores(w_a.w, X, Y), 0.2)
     starts = [start for start, _ in blocks]
@@ -411,9 +415,7 @@ def test_sweeps_do_not_depend_on_the_block_size(monkeypatch):
 
 
 def _all_sweeps(X, Y, w_a, w_b, zeta, fresh):
-    ds = make_dataset(
-        [Sample(x, 1, Pool.POSITIVE) for x in X], [Sample(y, 0, Pool.NEGATIVE) for y in Y]
-    )
+    ds = TripletDataset(X, Y)
     return (
         exact_mean_loss(w_a.w, X, Y, zeta),
         _risk_parts(w_a.w, X, Y, zeta, hessian=True),

@@ -1,20 +1,22 @@
 import csv
 import math
+import time
 
 import numpy as np
 import pytest
 
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
+from scipy.stats import chi2, chisquare
 
 from tripletlab import loss as loss_module
 from tripletlab import optim
-from tripletlab.core import Pool, SlotRef, make_dataset, Sample
+from tripletlab.core import Pool, SlotRef, TripletDataset
 from tripletlab.loss import (
     LossConfig,
     MetricParams,
+    row_scores,
     triplet_losses_rowwise,
-    triplet_margins_rowwise,
 )
 from tripletlab.optim import (
     BudgetExceeded,
@@ -28,7 +30,6 @@ from tripletlab.optim import (
     read_trace_csv,
     regularized_objective,
     rrm_train,
-    sampling_uniformity_check,
     sgd_train,
     write_trace_csv,
 )
@@ -39,10 +40,7 @@ from tripletlab.synth import TaskConfig, gen_task, low_noise_task
 def two_point_dataset():
     # only i=0,j=1 / i=1,j=0 pairs exist; anchor differences are degenerate on
     # purpose so single SGD steps are hand-checkable
-    return make_dataset(
-        [Sample([1.0, 0.0], 1, Pool.POSITIVE), Sample([1.0, 0.0], 1, Pool.POSITIVE)],
-        [Sample([0.0, 0.0], 0, Pool.NEGATIVE)],
-    )
+    return TripletDataset([[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0]])
 
 
 # --- SGD ---
@@ -376,6 +374,38 @@ def test_trace_csv_round_trip_keeps_the_row_format(tmp_path):
     assert path.read_bytes() == old.read_bytes()
 
 
+def sampling_uniformity_check(trace: TrainTrace, dataset: TripletDataset):
+    """Chi-square goodness of fit of the trace draws against the uniform law.
+
+    Tests the joint (i, j, k) cell counts when the cell count is at most 10 T;
+    beyond that it falls back to slot-hit marginals (positive-slot hits expect
+    2T/n+ each, negative-slot hits T/n-, statistics summed; the two hits a
+    step deals to distinct positive slots are weakly dependent, so the
+    marginal p-value is approximate, which is fine for a sanity screen).
+    Returns (statistic, p_value).
+    """
+    assert trace.T > 0
+    n_plus, n_minus = dataset.n_plus, dataset.n_minus
+    cells = n_plus * (n_plus - 1) * n_minus
+    if cells <= 10 * trace.T:
+        pair = trace.i * (n_plus - 1) + trace.j - (trace.j > trace.i)
+        cell = pair * n_minus + trace.k
+        counts = np.bincount(cell, minlength=cells)
+        stat, p = chisquare(counts)
+        return float(stat), float(p)
+    pos_counts = np.bincount(trace.i, minlength=n_plus) + np.bincount(
+        trace.j, minlength=n_plus
+    )
+    neg_counts = np.bincount(trace.k, minlength=n_minus)
+    exp_pos = 2.0 * trace.T / n_plus
+    exp_neg = trace.T / n_minus
+    stat = float(((pos_counts - exp_pos) ** 2 / exp_pos).sum()) + float(
+        ((neg_counts - exp_neg) ** 2 / exp_neg).sum()
+    )
+    dof = (n_plus - 1) + (n_minus - 1)
+    return stat, float(chi2.sf(stat, dof))
+
+
 def test_sampling_uniformity_joint_cells():
     cfg = TaskConfig(d=2, n_plus=4, n_minus=3, seed=3)
     train, _ = gen_task(cfg)
@@ -450,7 +480,7 @@ def test_rrm_learns_well_ordered_metric_on_low_noise_task():
     train, sampler, _ = low_noise_task(cfg)
     w, _ = rrm_train(train, RrmConfig(lam=0.01))
     Xa, Xp, Xn = sampler.draw(200_000)
-    margins = triplet_margins_rowwise(w.w, Xa, Xp, Xn, 0.0)
+    margins = row_scores(w.w, Xa, Xp) - row_scores(w.w, Xa, Xn)
     assert float((margins >= 0.0).mean()) <= 0.05
     # a well-ordered triplet (margin < 0) scores below phi(0) = log 2, a
     # violated one (margin >= 0) at or above it
@@ -475,6 +505,11 @@ def newton_rescoring_every_point(train, cfg, w0):
         s = (s + s.T) / 2.0
         slope = float(np.vdot(grad, s))
         t, w_try = 1.0, w + s
+        if -slope <= optim.ROUNDING_ULPS * math.ulp(f_val):
+            grad_try = optim._risk_parts(w_try, X, Y, cfg.zeta)[1] + 2.0 * cfg.lam * w_try
+            if float(np.linalg.norm(grad_try)) < float(np.linalg.norm(grad)):
+                w = w_try
+                continue
         for _ in range(60):
             f_try = exact_mean_loss(w_try, X, Y, cfg.zeta) + cfg.lam * float(np.sum(w_try**2))
             if f_try <= f_val + 0.25 * t * slope:
@@ -504,6 +539,37 @@ def test_rrm_newton_scores_each_candidate_once(monkeypatch, w0_scale, rejected):
     # one sweep per iterate plus one per rejected full step; each rejected
     # step here is accepted after one halving, scored loss-only
     assert calls == {"_risk_parts": it + 1 + rejected, "exact_mean_loss": rejected}
+
+
+# The n = 12, trial 1 solve of `tripletlab optimistic --seed 23 --d 2 --n-grid
+# "8 12 16" --trials-per-n 2` (the default task, so alpha = 64 and the
+# optimistic sigma = 8 alpha / n, lam = sigma / 2 = 21.3): one Newton step
+# takes ||grad F_S|| from 0.34 to 3.6e-8, and the next full step, which would
+# bring it to about 1e-16, predicts a decrease of F_S below one ulp of F_S.
+STALLED_TASK = TaskConfig(d=2, n_plus=12, n_minus=12, seed=17786411414766091916)
+STALLED_LAM = (8.0 * 64.0 / 12) * (1.0 + 1e-9) / 2.0
+
+
+def test_rrm_certifies_tol_when_the_newton_decrease_is_below_rounding():
+    train, _, _ = low_noise_task(STALLED_TASK)
+    cfg = RrmConfig(lam=STALLED_LAM)
+    started = time.perf_counter()
+    w, iterations = rrm_train(train, cfg)
+    took = time.perf_counter() - started
+    _, grad_r, _ = optim._risk_parts(w.w, train.positives, train.negatives, 0.0)
+    assert float(np.linalg.norm(grad_r + 2.0 * cfg.lam * w.w)) <= cfg.tol
+    assert iterations == 2
+    assert took < 0.5
+
+
+def test_rrm_stalls_there_without_the_rounding_rule(monkeypatch):
+    # the Armijo test alone rejects the full step, and its halvings pass by
+    # rounding without lowering ||grad F_S||
+    train, _, _ = low_noise_task(STALLED_TASK)
+    monkeypatch.setattr(optim, "ROUNDING_ULPS", 0)
+    with pytest.raises(MaxItersExceeded) as err:
+        rrm_train(train, RrmConfig(lam=STALLED_LAM, max_iters=20))
+    assert 1e-8 < err.value.grad_norm < 1e-7
 
 
 def test_rrm_huge_lambda_pins_solution_near_zero():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tripletlab import loss as loss_module
-from tripletlab.core import make_dataset, Pool, Sample
+from tripletlab.core import TripletDataset
 from tripletlab.loss import (
     LossConfig,
     MetricParams,
@@ -30,10 +30,7 @@ from tripletlab.synth import TaskConfig, gen_task
 def random_dataset(rng, n_plus, n_minus, d):
     P = rng.standard_normal((n_plus, d))
     N = rng.standard_normal((n_minus, d))
-    return make_dataset(
-        [Sample(row, 1, Pool.POSITIVE) for row in P],
-        [Sample(row, 0, Pool.NEGATIVE) for row in N],
-    )
+    return TripletDataset(P, N)
 
 
 def random_metric(rng, d, scale=1.0):

@@ -53,8 +53,8 @@ def brute_probe_max(w_a, w_b, dataset, fresh, cfg):
             if i == j:
                 continue
             for zk in dataset.negatives:
-                la = logistic_triplet_loss(w_a, zi.features, zj.features, zk.features, cfg)
-                lb = logistic_triplet_loss(w_b, zi.features, zj.features, zk.features, cfg)
+                la = logistic_triplet_loss(w_a, zi, zj, zk, cfg)
+                lb = logistic_triplet_loss(w_b, zi, zj, zk, cfg)
                 diffs.append(abs(la - lb))
                 absmax.extend([abs(la), abs(lb)])
     return max(diffs), max(absmax)
@@ -91,6 +91,49 @@ def test_probe_max_empty_fresh_uses_training_triplets():
     want_diff, want_abs = brute_probe_max(w_a, w_b, train, empty, CFG)
     assert diff == pytest.approx(want_diff, rel=1e-12)
     assert absmax == pytest.approx(want_abs, rel=1e-12)
+
+
+# --- the trainer protocol ---
+
+
+def test_sgd_fit_ignores_warm():
+    # paired SGD runs must both start at 0 on one seed, warm or not
+    train, _ = small_task(n_plus=6, n_minus=5, seed=3)
+    trainer = SgdTrainer(SgdConfig(T=300, c=1.0 / 32.0, seed=4))
+    w_cold, trace_cold = trainer.fit(train)
+    w_warm, trace_warm = trainer.fit(train, warm=MetricParams.identity(3, 5.0))
+    assert w_warm.w.tobytes() == w_cold.w.tobytes()
+    for name in ("i", "j", "k", "eta"):
+        assert getattr(trace_warm, name).tobytes() == getattr(trace_cold, name).tobytes()
+
+
+def test_rrm_fit_warm_and_cold_agree_within_the_certificate():
+    train, _ = small_task(n_plus=8, n_minus=6, seed=12)
+    trainer = RrmTrainer(RrmConfig(lam=0.05))
+    w_cold, iters_cold = trainer.fit(train)
+    rng = np.random.default_rng(1)
+    raw = rng.standard_normal((3, 3))
+    w_warm, iters_warm = trainer.fit(train, warm=MetricParams(raw + raw.T))
+    assert iters_cold >= 1 and iters_warm >= 1
+    assert np.linalg.norm(w_warm.w - w_cold.w) <= trainer.cfg.tol / (2.0 * trainer.cfg.lam)
+
+
+def test_trainers_report_their_bound_and_parameter():
+    train, _ = small_task()
+    slot, L = SlotRef(Pool.NEGATIVE, 2), 8.0
+    constant = ConstantTrainer(MetricParams.identity(3))
+    w, record = constant.fit(train)
+    assert (w, record) == (constant.w, None)
+    assert constant.stability_bound(record, slot, 5, 4, L) is None
+    assert constant.sigma_or_T == 0.0
+    sgd = SgdTrainer(SgdConfig(T=50, c=1.0 / 32.0, seed=2))
+    _, trace = sgd.fit(train)
+    assert sgd.stability_bound(trace, slot, 5, 4, L) == sgd_stability_bound(trace, slot, L)
+    assert sgd.sigma_or_T == 50.0
+    rrm = RrmTrainer(RrmConfig(lam=0.25))
+    _, iterations = rrm.fit(train)
+    assert rrm.stability_bound(iterations, slot, 5, 4, L) == rrm_stability_bound(5, 4, L, 0.5)
+    assert rrm.sigma_or_T == 0.5
 
 
 # --- uniform protocol ---

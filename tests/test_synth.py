@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tripletlab import loss as loss_module
-from tripletlab.core import Pool, feature_bound
+from tripletlab.core import feature_bound
 from tripletlab.loss import LossConfig, zero_one_triplet_loss
 from tripletlab.synth import (
     InvalidConfig,
@@ -32,8 +32,8 @@ def test_gen_task_shapes_and_pools():
     cfg = TaskConfig(d=3, n_plus=10, n_minus=7, seed=1)
     train, sampler = gen_task(cfg)
     assert train.n_plus == 10 and train.n_minus == 7 and train.d == 3
-    assert all(s.pool is Pool.POSITIVE and s.label == 1 for s in train.positives)
-    assert all(s.pool is Pool.NEGATIVE and s.label == 0 for s in train.negatives)
+    assert train.positives.shape == (10, 3) and train.negatives.shape == (7, 3)
+    assert train.positive_labels == (1,) * 10 and train.negative_labels == (0,) * 7
     assert sampler.d == 3
 
 
