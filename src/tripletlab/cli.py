@@ -6,9 +6,9 @@ manifest.json into --outdir; values come from an optional INI config file
 (sections [task], [loss], [sgd], [rrm], [sweep], [stability]) with every flag
 overriding the file.
 
-Exit codes: 0 success, 2 config or validation error, 3 a measured quantity
-exceeded its closed-form bound (or a property suite found a violation),
-4 regime violation.
+Exit codes: 0 success, 2 config or validation error (or an RRM solve that
+did not converge), 3 a measured quantity exceeded its closed-form bound (or
+a property suite found a violation), 4 regime violation.
 """
 from __future__ import annotations
 
@@ -220,7 +220,6 @@ def _cmd_rrm(cfg, args) -> int:
         tol=cfg.get("rrm", "tol", float, 1e-8, args.tol),
         max_iters=cfg.get("rrm", "max_iters", parse_int, 10_000, args.max_iters),
         zeta=loss_cfg.zeta,
-        method=cfg.get("rrm", "method", str, "newton", args.method),
         budget=cfg.get("rrm", "budget", parse_int, max(2_000_000, dataset.n_triplets), args.budget),
     )
     w, iterations = rrm_train(dataset, rrm_cfg)
@@ -297,7 +296,6 @@ def _sweep_config(cfg, args, algorithm_default="sgd") -> SweepConfig:
         algorithm=cfg.get("sweep", "algorithm", str, algorithm_default, args.algorithm),
         n_grid=_parse_grid(grid_raw),
         trials_per_n=cfg.get("sweep", "trials_per_n", parse_int, 20, args.trials_per_n),
-        sigma_rule=cfg.get("sweep", "sigma_rule", str, "inv_sqrt_n", args.sigma_rule),
         sigma0=cfg.get("sweep", "sigma0", float, 1.0, args.sigma0),
         c=cfg.get("sweep", "c", float, None, args.c),
         task=task,
@@ -336,9 +334,7 @@ def _cmd_excess(cfg, args) -> int:
 def _cmd_optimistic(cfg, args) -> int:
     started = time.time()
     out = _outdir(args)
-    sweep_cfg = _sweep_config(cfg, args, algorithm_default="rrm")
-    if sweep_cfg.sigma_rule != "optimistic":
-        sweep_cfg = replace(sweep_cfg, sigma_rule="optimistic")
+    sweep_cfg = replace(_sweep_config(cfg, args, algorithm_default="rrm"), sigma_rule="optimistic")
     report = run_optimistic_experiment(sweep_cfg)
     write_optimistic_cells_csv(report, out / "optimistic_cells.csv")
     write_optimistic_rows_csv(report, out / "optimistic_rows.csv")
@@ -587,7 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, help="ridge weight")
     p.add_argument("--tol", type=float, help="gradient-norm stopping tolerance")
     p.add_argument("--max-iters", dest="max_iters", type=parse_int)
-    p.add_argument("--method", choices=["newton", "gd"])
     p.add_argument("--budget", type=parse_int, help="exact-risk triplet cap")
     p.set_defaults(func=_cmd_rrm)
 
@@ -615,7 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--algorithm", choices=["sgd", "rrm", "constant"])
         p.add_argument("--n-grid", dest="n_grid", help="e.g. '32 64 128'")
         p.add_argument("--trials-per-n", dest="trials_per_n", type=parse_int)
-        p.add_argument("--sigma-rule", dest="sigma_rule", choices=["inv_sqrt_n", "optimistic"])
         p.add_argument("--sigma0", type=float)
         p.add_argument("--c", type=float)
         p.add_argument("--population-m", dest="population_m", type=parse_int)

@@ -59,6 +59,13 @@ class SlotRef:
     index: int
 
 
+def read_only_view(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of arr, which owns its data and is held by no one else:
+    numpy refuses to make a view writeable when its base is read-only."""
+    arr.setflags(write=False)
+    return arr.view()
+
+
 def _pool(rows, labels, pool: Pool, default_label: int):
     """(rows, labels) of one pool: a read-only float64 copy of the rows, which
     must form an (n, d) array unless there are none, and a tuple of n integer
@@ -70,11 +77,10 @@ def _pool(rows, labels, pool: Pool, default_label: int):
         raise DimensionMismatch(f"{name} features are not an (n, d) array: {exc}") from exc
     if arr.ndim != 2 and arr.size:
         raise DimensionMismatch(f"{name} features must be an (n, d) array, got shape {arr.shape}")
-    arr.setflags(write=False)
     labels = (default_label,) * len(arr) if labels is None else tuple(int(v) for v in labels)
     if len(labels) != len(arr):
         raise DimensionMismatch(f"{len(labels)} {name} labels for {len(arr)} rows")
-    return arr, labels
+    return read_only_view(arr), labels
 
 
 @dataclass(frozen=True, eq=False)

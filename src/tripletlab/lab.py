@@ -31,7 +31,6 @@ from .risk import (
 )
 from .stability import (
     ConstantTrainer,
-    RegimeViolation,
     RrmTrainer,
     SgdTrainer,
     optimistic_epsilon,
@@ -71,6 +70,10 @@ class SweepConfig:
 
     algorithm: "sgd" (T = n steps, eta = c/sqrt(T)), "rrm" (lam = sigma/2 with
     sigma from sigma_rule), or "constant" (w = 0 null model, for tests).
+    sigma_rule: "inv_sqrt_n" (sigma = sigma0 / sqrt(n)), which the rate sweep
+    and the excess-risk split require of rrm, or "optimistic", which
+    run_optimistic_experiment requires: sigma at the regime floor
+    (8 alpha / n)(1 + 1e-9), whatever sigma0 is.
     task is a shape template; its pool sizes and seed are overridden per cell.
     c = None picks the largest safe SGD step factor 2/alpha for task.B.
     """
@@ -163,7 +166,7 @@ def _train_cell(cfg: SweepConfig, n: int, task_seed: int, algo_seed: int):
         if cfg.sigma_rule != "inv_sqrt_n":
             raise ValidationError(
                 "rate sweeps support sigma_rule='inv_sqrt_n' only; "
-                "use run_optimistic_experiment for the optimistic schedule"
+                "use run_optimistic_experiment for the optimistic rule"
             )
         sigma = cfg.sigma0 / np.sqrt(n)
         budget = max(DEFAULT_TRIPLET_BUDGET, n * (n - 1) * n)
@@ -414,49 +417,6 @@ class OptimisticReport:
         return all(c.dominated for c in self.cells)
 
 
-def _reference_loss_cap(task: TaskConfig, w_ref: MetricParams, zeta: float) -> float:
-    """An upper bound on every triplet loss under a positive semidefinite w_ref.
-
-    Features lie in the B-ball, so pair distances are at most 2B: h(a, p) is at
-    most 4 B^2 lambda_max(w_ref) and h(a, n) >= 0. Every margin is then at most
-    4 B^2 lambda_max + zeta, and every loss phi(-margin) at most
-    log(1 + e^(4 B^2 lambda_max + zeta)).
-    """
-    top = float(np.linalg.eigvalsh(w_ref.w)[-1])
-    return float(np.logaddexp(0.0, 4.0 * task.B**2 * top + zeta))
-
-
-def _optimistic_sigmas(cfg: SweepConfig, alpha: float):
-    """Per-n sigma: the low-noise schedule n^(-3/4) sqrt(R(w_ref)) / ||w_ref||,
-    floored at the regime boundary 8 alpha / n (with a hair of headroom so the
-    product sigma * n clears 8 alpha after rounding).
-
-    R(w_ref) is a population_m-triplet Monte Carlo estimate, drawn only when
-    the schedule could beat the floor somewhere on the grid. No estimate can
-    exceed the loss cap of _reference_loss_cap (for w_ref = (4 / separation^2) I,
-    log(1 + e^(16 B^2 / separation^2 + zeta))), so when the schedule at twice
-    that cap (the factor covers rounding in the estimate) stays below the floor
-    at every n, sigma is the floor at every n whatever the estimate would be,
-    and skipping the draw leaves every sigma bit for bit. The estimate draws
-    from a sampler of its own, so skipping it moves no other draw either.
-    At criterion 11's config the schedule at the cap is at most 0.07 against
-    floors of 4 down to 0.25.
-    """
-    probe_task = replace(cfg.task, n_plus=4, n_minus=4, seed=int(cfg.seed))
-    _, sampler, w_ref = low_noise_task(probe_task)
-    w_ref_norm = w_ref.norm()
-
-    def schedule(n, risk):
-        return float(n) ** (-0.75) * np.sqrt(max(risk, 0.0)) / w_ref_norm
-
-    floors = [(8.0 * alpha / n) * (1.0 + 1e-9) for n in cfg.n_grid]
-    cap = 2.0 * _reference_loss_cap(probe_task, w_ref, cfg.zeta)
-    if all(schedule(n, cap) < floor for n, floor in zip(cfg.n_grid, floors)):
-        return floors
-    ref_risk = population_risk(w_ref, sampler, cfg.population_m, LossConfig(cfg.zeta)).value
-    return [max(schedule(n, ref_risk), floor) for n, floor in zip(cfg.n_grid, floors)]
-
-
 def _optimistic_trial(
     cfg: SweepConfig, n: int, trial: int, task_seed: int, lam: float, tol: float, budget: int
 ):
@@ -471,9 +431,10 @@ def _optimistic_trial(
 
 
 def run_optimistic_experiment(cfg: SweepConfig) -> OptimisticReport:
-    """Low-noise RRM runs with the balanced epsilon; checks that the measured
-    mean gap is dominated by the multiplicative bound in every cell and fits
-    the decay exponent of the mean gap.
+    """Low-noise RRM runs with the balanced epsilon, at sigma on the regime
+    floor 8 alpha / n; checks that the measured mean gap is dominated by the
+    multiplicative bound in every cell and fits the decay exponent of the
+    mean gap.
 
     Every trial's seed is derived first, in trial order; the trials then run
     on a thread pool (_run_trials).
@@ -483,12 +444,10 @@ def run_optimistic_experiment(cfg: SweepConfig) -> OptimisticReport:
             "the optimistic experiment requires algorithm='rrm' and sigma_rule='optimistic'"
         )
     alpha = regularity_constants(cfg.task.B).alpha
-    sigmas = _optimistic_sigmas(cfg, alpha)
-    for n, sigma in zip(cfg.n_grid, sigmas):
-        if sigma * n < 8.0 * alpha:
-            raise RegimeViolation(
-                f"sigma = {sigma:g} at n = {n} violates sigma * n >= 8 alpha = {8 * alpha:g}"
-            )
+    # sigma at the regime floor, the smallest with sigma * n >= 8 alpha (the
+    # regime of optimistic_gap_bound), with a hair of headroom so the product
+    # clears 8 alpha after rounding
+    sigmas = [(8.0 * alpha / n) * (1.0 + 1e-9) for n in cfg.n_grid]
     root = np.random.SeedSequence(int(cfg.seed))
     jobs = []
     for n, sigma in zip(cfg.n_grid, sigmas):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .core import DimensionMismatch, ValidationError, open_input_csv, write_csv
+from .core import DimensionMismatch, ValidationError, open_input_csv, read_only_view, write_csv
 
 SYMMETRY_TOL = 1e-12
 
@@ -63,9 +63,7 @@ class MetricParams:
             raise AsymmetricMatrix(
                 f"matrix is asymmetric: max |w - w^T| = {asym:g} exceeds tolerance"
             )
-        arr = (arr + arr.T) / 2.0
-        arr.setflags(write=False)
-        object.__setattr__(self, "w", arr)
+        object.__setattr__(self, "w", read_only_view((arr + arr.T) / 2.0))
 
     @property
     def d(self) -> int:
@@ -252,8 +250,10 @@ def streamed_triplet_losses(
     one stream after the other, into one reused buffer. A positive block's
     scores are kept in the output; each negative block turns its rows into
     margins and then losses, so no block of triplets is ever held whole.
-    Each row's loss is computed on its own, so any blocking gives the same
-    losses.
+    A row's loss does not depend on the other rows, and a fixed blocking
+    gives the same losses on every run; but numpy computes a one-row block's
+    (X - Y) @ w as a matrix-vector product, which at d >= 4 can round
+    differently in the last bits than the same row in a larger block.
     """
     losses = np.empty(Xa.shape[0])
     start = 0
@@ -295,11 +295,9 @@ def triplet_losses_rowwise(
 MAX_FACTORED_MARGIN = 700.0
 
 
-def triplet_blocks(
-    S_pp: np.ndarray, S_pn: np.ndarray, zeta: float, slope: bool = False, curvature: bool = False
-):
-    """Yield (start, loss, sigmoid, curvature) over anchor blocks of the triplet
-    tensor: phi(-m), sigmoid(m) and phi''(m) of the margins
+def triplet_blocks(S_pp: np.ndarray, S_pn: np.ndarray, zeta: float, derivatives: bool = False):
+    """Yield (start, phi(-m), sigmoid(m), phi''(m)) over anchor blocks of the
+    triplet tensor, for the margins
     m[a, j, k] = S_pp[i, j] - S_pn[i, k] + zeta, anchor i = start + a, in the
     blocks of margin_blocks. The derivatives are None unless asked for, and
     every yielded array is overwritten by the next block. The excluded
@@ -323,14 +321,13 @@ def triplet_blocks(
     c = a.max(axis=1, keepdims=True)
     if float((c[:, 0] - S_pn.min(axis=1)).max()) > MAX_FACTORED_MARGIN:
         for start, m in margin_blocks(S_pp, S_pn, zeta):
-            yield (start, *margin_terms(m, slope, curvature))
+            yield (start, *margin_terms(m, derivatives))
         return
     U = np.exp(np.subtract(a, c, out=a), out=a)
     V = np.exp(np.subtract(c, S_pn))
     n_plus, n_minus = S_pn.shape
     step = max(1, BLOCK // S_pn.size)
     size = min(step, n_plus) * S_pn.size
-    derivatives = slope or curvature
     # the block arrays are reused from block to block: fresh ones of this
     # size would page-fault on every block
     bufs = [np.empty(size) for _ in range(3 if derivatives else 1)]
@@ -347,8 +344,7 @@ def triplet_blocks(
         np.add(p, 1.0, out=r)
         np.reciprocal(r, out=r)
         sig = np.multiply(p, r, out=p)
-        curv = np.multiply(sig, r, out=r) if curvature else None
-        yield start, loss, (sig if slope else None), curv
+        yield start, loss, sig, np.multiply(sig, r, out=r)
 
 
 def margin_blocks(S_pp: np.ndarray, S_pn: np.ndarray, zeta: float):
@@ -369,7 +365,7 @@ def margin_blocks(S_pp: np.ndarray, S_pn: np.ndarray, zeta: float):
         yield start, m
 
 
-def margin_terms(m: np.ndarray, slope: bool = False, curvature: bool = False):
+def margin_terms(m: np.ndarray, derivatives: bool = False):
     """(phi(-m), sigmoid(m) = -phi'(-m), phi''(m)) of a float64 array m from one exp.
 
     The two derivatives in m are None unless asked for; m is overwritten. With
@@ -380,21 +376,18 @@ def margin_terms(m: np.ndarray, slope: bool = False, curvature: bool = False):
     e = np.abs(m)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    nonneg = m >= 0.0 if slope else None
+    nonneg = m >= 0.0 if derivatives else None
     loss = np.log1p(e)
     loss += np.maximum(m, 0.0, out=m)
-    if not (slope or curvature):
+    if not derivatives:
         return loss, None, None
     inv = np.add(e, 1.0, out=m)
     np.reciprocal(inv, out=inv)
-    curv = None
-    if curvature:
-        curv = np.multiply(e, inv)
-        curv *= inv
-    if slope:
-        np.maximum(e, nonneg, out=e)  # 1 for m >= 0, e below
-        e *= inv
-    return loss, (e if slope else None), curv
+    curv = np.multiply(e, inv)
+    curv *= inv
+    np.maximum(e, nonneg, out=e)  # 1 for m >= 0, e below
+    e *= inv
+    return loss, e, curv
 
 
 # --- serialization ---

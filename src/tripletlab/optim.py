@@ -15,12 +15,11 @@ index sequence.
 
 The regularized objective F_S(w) = R_S(w) + lam ||w||_F^2 is 2*lam-strongly
 convex, so the gradient-norm stopping rule certifies
-||w - argmin F_S|| <= tol / (2 lam). The default solver is a damped Newton
-method on the d^2-dimensional flattened parameter (the Hessian solve is tiny;
-the cost per iteration is one sweep over the triplet tensor, same as a
-gradient). method="gd" selects plain gradient descent with the safe step
-1/(alpha + 2 lam) instead; it needs O(kappa) iterations and is kept for
-cross-checking the Newton path.
+||w - argmin F_S|| <= tol / (2 lam). rrm_train minimizes it by damped Newton
+on the d^2-dimensional flattened parameter (the Hessian solve is tiny; the
+cost per iteration is one sweep over the triplet tensor, which yields the
+loss, gradient and Hessian at once). A solve that cannot reach tol raises a
+SolverFailure that carries its best iterate.
 """
 from __future__ import annotations
 
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from . import loss
 from .core import (
@@ -42,6 +41,7 @@ from .core import (
     feature_bound,
     open_input_csv,
     parse_int,
+    read_only_view,
     write_csv,
 )
 from .loss import (
@@ -121,7 +121,6 @@ class RrmConfig:
     tol: float = 1e-8
     max_iters: int = 10_000
     zeta: float = 0.0
-    method: str = "newton"
     budget: int = DEFAULT_TRIPLET_BUDGET
 
     def __post_init__(self):
@@ -133,8 +132,6 @@ class RrmConfig:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.zeta < 0:
             raise ValidationError(f"zeta must be >= 0, got {self.zeta}")
-        if self.method not in ("newton", "gd"):
-            raise ValidationError(f"method must be 'newton' or 'gd', got {self.method!r}")
         if self.budget < 1:
             raise ValidationError(f"budget must be >= 1, got {self.budget}")
 
@@ -156,10 +153,10 @@ class TrainTrace:
     n_minus: int
 
     def __post_init__(self):
-        i = np.asarray(self.i, dtype=np.int64)
-        j = np.asarray(self.j, dtype=np.int64)
-        k = np.asarray(self.k, dtype=np.int64)
-        eta = np.asarray(self.eta, dtype=np.float64)
+        i = np.array(self.i, dtype=np.int64)
+        j = np.array(self.j, dtype=np.int64)
+        k = np.array(self.k, dtype=np.int64)
+        eta = np.array(self.eta, dtype=np.float64)
         if not (len(i) == len(j) == len(k) == len(eta)):
             raise ValidationError("trace arrays must have equal length")
         if np.any(i == j):
@@ -174,8 +171,7 @@ class TrainTrace:
         ):
             raise ValidationError("trace contains out-of-range triplet indices")
         for name, arr in (("i", i), ("j", j), ("k", k), ("eta", eta)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, read_only_view(arr))
 
     @property
     def T(self) -> int:
@@ -386,9 +382,9 @@ def _pair_outer_vecs(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return outer.reshape(X.shape[0] * Y.shape[0], -1)
 
 
-def _risk_parts(w_arr, X, Y, zeta, hessian=False):
+def _risk_parts(w_arr, X, Y, zeta):
     """One sweep over the triplet tensor: mean loss, exact gradient of R_S,
-    and (when hessian is set) the d^2 x d^2 Hessian of R_S.
+    and the d^2 x d^2 Hessian of R_S.
 
     The loss of triplet (i, j, k) is phi(-m_ijk), with m-derivatives
     sigmoid(m_ijk) and phi''(m_ijk) (triplet_blocks). The gradient uses the
@@ -405,22 +401,21 @@ def _risk_parts(w_arr, X, Y, zeta, hessian=False):
     A = np.empty((n_plus, n_plus))
     Bw = np.empty((n_plus, n_minus))
     loss_parts = []
-    hess = np.zeros((X.shape[1] ** 2,) * 2) if hessian else None
+    hess = np.zeros((X.shape[1] ** 2,) * 2)
     blocks = triplet_blocks(
-        pair_scores(w_arr, X, X), pair_scores(w_arr, X, Y), zeta, slope=True, curvature=hessian
+        pair_scores(w_arr, X, X), pair_scores(w_arr, X, Y), zeta, derivatives=True
     )
     for start, losses, g1, g2 in blocks:
         stop = start + losses.shape[0]
         loss_parts.append(float(losses.sum()))
         A[start:stop] = g1.sum(axis=2)
         Bw[start:stop] = g1.sum(axis=1)
-        if hessian:
-            P = _pair_outer_vecs(X[start:stop], X)
-            Q = _pair_outer_vecs(X[start:stop], Y)
-            cross = P.T @ np.matmul(g2, Q.reshape(len(g2), n_minus, -1)).reshape(P.shape)
-            hess += (P.T * g2.sum(axis=2).reshape(-1)) @ P
-            hess += (Q.T * g2.sum(axis=1).reshape(-1)) @ Q
-            hess -= cross + cross.T
+        P = _pair_outer_vecs(X[start:stop], X)
+        Q = _pair_outer_vecs(X[start:stop], Y)
+        cross = P.T @ np.matmul(g2, Q.reshape(len(g2), n_minus, -1)).reshape(P.shape)
+        hess += (P.T * g2.sum(axis=2).reshape(-1)) @ P
+        hess += (Q.T * g2.sum(axis=1).reshape(-1)) @ Q
+        hess -= cross + cross.T
     mean_loss = math.fsum(loss_parts) / N
 
     r, c = A.sum(axis=1), A.sum(axis=0)
@@ -432,11 +427,8 @@ def _risk_parts(w_arr, X, Y, zeta, hessian=False):
     k_minus = (X * rb[:, None]).T @ X - xby - xby.T + (Y * cb[:, None]).T @ Y
     grad = (k_plus - k_minus) / N
     grad = (grad + grad.T) / 2.0  # kill last-ulp BLAS asymmetry
-
-    if hessian:
-        hess /= N
-        hess = (hess + hess.T) / 2.0
-    return mean_loss, grad, hess
+    hess /= N
+    return mean_loss, grad, (hess + hess.T) / 2.0
 
 
 def regularized_objective(w: MetricParams, dataset: TripletDataset, cfg: RrmConfig) -> float:
@@ -449,17 +441,26 @@ def regularized_objective(w: MetricParams, dataset: TripletDataset, cfg: RrmConf
     return risk + cfg.lam * float(np.sum(w.w * w.w))
 
 
+def _failure(cls, message: str, best) -> SolverFailure:
+    """cls(message) carrying best = (grad_norm, w array, iteration)."""
+    gnorm, w, it = best
+    return cls(message, MetricParams(w), it, gnorm)
+
+
 def rrm_train(dataset: TripletDataset, cfg: RrmConfig, w0: MetricParams | None = None):
     """Minimize F_S to ||grad F_S||_F <= tol; returns (w, iterations).
 
     By 2*lam-strong convexity the result is within tol/(2 lam) of the unique
     minimizer in Frobenius norm. w0 is an optional warm start (default zero);
     it changes the path, not the certificate. Raises MaxItersExceeded if the
-    cap is hit first, and LineSearchExhausted if no step along a Newton
-    direction meets the Armijo condition; both carry the best iterate. Near
-    the optimum a Newton step can lower F_S by less than F_S's rounding, which
-    the Armijo test cannot see: a step whose predicted decrease is at most
-    ROUNDING_ULPS ulps of F_S is taken whole when it lowers ||grad F_S||.
+    cap is hit first, LineSearchExhausted if no step along a Newton direction
+    meets the Armijo condition, and SolverFailure if the Newton system yields
+    no descent direction (as when lam is so small that rounding swamps the
+    2 lam that alone holds w's antisymmetric directions and the Cholesky
+    factorization fails); all three carry the best iterate. Near the optimum
+    a Newton step can lower F_S by less than F_S's rounding, which the Armijo
+    test cannot see: a step whose predicted decrease is at most ROUNDING_ULPS
+    ulps of F_S is taken whole when it lowers ||grad F_S||.
     """
     if dataset.n_triplets > cfg.budget:
         raise BudgetExceeded(
@@ -469,11 +470,8 @@ def rrm_train(dataset: TripletDataset, cfg: RrmConfig, w0: MetricParams | None =
     Y = dataset.negative_features
     d = dataset.d
     w = np.zeros((d, d)) if w0 is None else w0.w.copy()
-    newton = cfg.method == "newton"
-    if not newton:
-        gd_step = 1.0 / (regularity_constants(feature_bound(dataset)).alpha + 2.0 * cfg.lam)
     best = None
-    risk_val, grad_r, hess_r = _risk_parts(w, X, Y, cfg.zeta, hessian=newton)
+    risk_val, grad_r, hess_r = _risk_parts(w, X, Y, cfg.zeta)
     for it in range(cfg.max_iters + 1):
         grad = grad_r + 2.0 * cfg.lam * w
         gnorm = float(np.linalg.norm(grad))
@@ -483,25 +481,28 @@ def rrm_train(dataset: TripletDataset, cfg: RrmConfig, w0: MetricParams | None =
             return MetricParams(w), it
         if it == cfg.max_iters:
             break
-        if not newton:
-            w = w - gd_step * grad
-            risk_val, grad_r, hess_r = _risk_parts(w, X, Y, cfg.zeta)
-            continue
         f_val = risk_val + cfg.lam * float(np.sum(w * w))
         hess = hess_r + 2.0 * cfg.lam * np.eye(d * d)
-        s = cho_solve(cho_factor(hess), -grad.reshape(-1)).reshape(d, d)
+        try:
+            s = cho_solve(cho_factor(hess), -grad.reshape(-1)).reshape(d, d)
+        except LinAlgError:  # no factorization, no direction: the check below raises
+            s = np.zeros((d, d))
         s = (s + s.T) / 2.0
         slope = float(np.vdot(grad, s))
-        if slope >= 0.0:  # numerically degenerate direction: fall back to steepest descent
-            s = -grad
-            slope = -gnorm**2
+        if not slope < 0.0:
+            raise _failure(
+                SolverFailure,
+                f"the Newton system gives no descent direction at lam = {cfg.lam:g}, "
+                f"iteration {it} (||grad|| = {gnorm:g})",
+                best,
+            )
         # Armijo backtracking over t = 1, 1/2, ..., 2**-59: the full step is
         # scored with the Hessian sweep, reused as the next iteration's, the
         # halvings loss-only; the rounding rule (see the docstring) reads the
         # full step's gradient from the same sweep
         t = 1.0
         w_try = w + s
-        parts = _risk_parts(w_try, X, Y, cfg.zeta, hessian=True)
+        parts = _risk_parts(w_try, X, Y, cfg.zeta)
         f_try = parts[0] + cfg.lam * float(np.sum(w_try * w_try))
         accepted = f_try <= f_val + 0.25 * slope or (
             -slope <= ROUNDING_ULPS * math.ulp(f_val)
@@ -514,23 +515,19 @@ def rrm_train(dataset: TripletDataset, cfg: RrmConfig, w0: MetricParams | None =
             f_try = risk_try + cfg.lam * float(np.sum(w_try * w_try))
             accepted = f_try <= f_val + 0.25 * t * slope
         if not accepted:
-            gnorm_best, w_best, it_best = best
-            raise LineSearchExhausted(
+            raise _failure(
+                LineSearchExhausted,
                 f"no step down to 2**-59 of the Newton step decreases F_S enough "
                 f"at iteration {it} (||grad|| = {gnorm:g})",
-                MetricParams(w_best),
-                it_best,
-                gnorm_best,
+                best,
             )
         w = w_try
-        risk_val, grad_r, hess_r = parts or _risk_parts(w, X, Y, cfg.zeta, hessian=True)
-    gnorm, w_best, it_best = best
-    raise MaxItersExceeded(
-        f"{cfg.method} stopped at ||grad|| = {gnorm:g} > tol = {cfg.tol:g} "
+        risk_val, grad_r, hess_r = parts or _risk_parts(w, X, Y, cfg.zeta)
+    raise _failure(
+        MaxItersExceeded,
+        f"newton stopped at ||grad|| = {gnorm:g} > tol = {cfg.tol:g} "
         f"after {cfg.max_iters} iterations",
-        MetricParams(w_best),
-        it_best,
-        gnorm,
+        best,
     )
 
 

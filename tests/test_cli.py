@@ -82,13 +82,36 @@ def test_rrm_without_lam_is_a_config_error(tmp_path):
     assert main(["rrm", "--seed", "3", "--outdir", str(tmp_path)] + TINY_TASK) == EXIT_CONFIG
 
 
-def test_rrm_gd_hitting_max_iters_maps_to_config_error(tmp_path, capsys):
+def test_rrm_hitting_max_iters_maps_to_config_error(tmp_path, capsys):
     rc = main(
         ["rrm", "--seed", "3", "--outdir", str(tmp_path), "--lam", "0.01",
-         "--method", "gd", "--max-iters", "1"] + TINY_TASK
+         "--tol", "1e-14", "--max-iters", "1"] + TINY_TASK
     )
     assert rc == EXIT_CONFIG
     assert "did not converge" in capsys.readouterr().err
+
+
+def test_rrm_failed_newton_factorization_maps_to_config_error(tmp_path, capsys):
+    # at lam = 1e-18 the Newton system's Cholesky factorization fails; at
+    # lam = 1e-17 the same solve converges
+    argv = ["rrm", "--seed", "3", "--n-plus", "12", "--n-minus", "10", "--d", "3"]
+    rc = main(argv + ["--lam", "1e-18", "--outdir", str(tmp_path / "a")])
+    assert rc == EXIT_CONFIG
+    assert "did not converge" in capsys.readouterr().err
+    assert not (tmp_path / "a" / "model.csv").exists()
+    assert main(argv + ["--lam", "1e-17", "--outdir", str(tmp_path / "b")]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["rrm", "--lam", "0.1", "--method", "gd"]]
+    + [[cmd, "--sigma-rule", "optimistic"] for cmd in ("sweep", "excess", "optimistic")],
+)
+def test_removed_solver_and_sigma_flags_exit_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "1", "--outdir", str(tmp_path)] + TINY_TASK)
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_rrm_consumes_generated_dataset(tmp_path):

@@ -56,6 +56,8 @@ def test_dataset_arrays_are_read_only_copies():
         assert not np.shares_memory(rows, given_rows)
         with pytest.raises(ValueError):
             np.copyto(rows, 0.0)
+        with pytest.raises(ValueError):  # the flag cannot be set back either
+            rows.setflags(write=True)
     P[0, 0] = N[0, 0] = 42.0  # the caller's arrays stay the caller's
     assert ds == small_dataset()
 

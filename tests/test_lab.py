@@ -3,7 +3,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -28,8 +27,8 @@ from tripletlab.lab import (
     write_sweep_rows_csv,
     write_sweep_summary_csv,
 )
-from tripletlab.loss import regularity_constants, triplet_losses_rowwise
-from tripletlab.synth import TaskConfig, low_noise_task
+from tripletlab.loss import regularity_constants
+from tripletlab.synth import TaskConfig
 
 TASK = TaskConfig(d=2, n_plus=4, n_minus=4, seed=0)
 LOW_NOISE_TASK = TaskConfig(
@@ -213,7 +212,9 @@ def test_optimistic_experiment_structure():
     assert rep.alpha == alpha
     assert tuple(c.n for c in rep.cells) == cfg.n_grid
     for c in rep.cells:
-        assert c.sigma * c.n >= 8.0 * alpha * (1.0 - 1e-12)
+        # sigma is the regime floor, with its headroom, in every cell
+        assert c.sigma == (8.0 * alpha / c.n) * (1.0 + 1e-9)
+        assert c.sigma * c.n >= 8.0 * alpha
         assert c.lam == c.sigma / 2.0
         assert c.epsilon > 0.0
         assert c.bound > 0.0
@@ -235,64 +236,6 @@ def test_optimistic_experiment_requires_rrm_and_rule():
         run_optimistic_experiment(optimistic_cfg(algorithm="sgd", sigma_rule="optimistic"))
     with pytest.raises(ValidationError):
         run_optimistic_experiment(optimistic_cfg(sigma_rule="inv_sqrt_n"))
-
-
-def _criterion_11_sweep(**task_overrides):
-    task = dict(d=3, n_plus=4, n_minus=4, B=0.5, separation=0.8, noise_scale=0.15, seed=0)
-    task.update(task_overrides)
-    return SweepConfig(
-        algorithm="rrm",
-        sigma_rule="optimistic",
-        n_grid=(8, 16, 32, 64, 128),
-        trials_per_n=150,
-        task=TaskConfig(**task),
-        population_m=1_000_000,
-        seed=20260816,
-    )
-
-
-def _count_reference_draws(monkeypatch):
-    drawn = []
-    real = lab.population_risk
-
-    def counting(w, sampler, m, cfg):
-        drawn.append(m)
-        return real(w, sampler, m, cfg)
-
-    monkeypatch.setattr(lab, "population_risk", counting)
-    return drawn
-
-
-def test_optimistic_sigmas_skip_the_reference_draw_when_the_floor_binds(monkeypatch):
-    drawn = _count_reference_draws(monkeypatch)
-    cfg = _criterion_11_sweep()
-    alpha = regularity_constants(cfg.task.B).alpha
-    skipped = lab._optimistic_sigmas(cfg, alpha)
-    assert drawn == []
-    assert skipped == [(8.0 * alpha / n) * (1.0 + 1e-9) for n in cfg.n_grid]
-    # the full path: a cap that never rules the schedule out forces the draw
-    monkeypatch.setattr(lab, "_reference_loss_cap", lambda *args: math.inf)
-    assert lab._optimistic_sigmas(cfg, alpha) == skipped
-    assert drawn == [cfg.population_m]
-
-
-def test_optimistic_sigmas_draw_where_the_schedule_can_bind(monkeypatch):
-    drawn = _count_reference_draws(monkeypatch)
-    cfg = replace(_criterion_11_sweep(B=0.1), population_m=20_000)
-    alpha = regularity_constants(cfg.task.B).alpha
-    sigmas = lab._optimistic_sigmas(cfg, alpha)
-    assert drawn == [cfg.population_m]
-    assert all(s > 8.0 * alpha / n * (1.0 + 1e-9) for s, n in zip(sigmas, cfg.n_grid))
-
-
-def test_reference_loss_cap_bounds_every_loss():
-    for B, separation, zeta in ((0.5, 0.8, 0.0), (0.1, 0.8, 0.3), (1.0, 1.0, 0.0)):
-        task = TaskConfig(d=3, n_plus=4, n_minus=4, B=B, separation=separation,
-                          noise_scale=1.0, seed=5)
-        _, sampler, w_ref = low_noise_task(task)
-        cap = lab._reference_loss_cap(task, w_ref, zeta)
-        losses = triplet_losses_rowwise(w_ref.w, *sampler.draw(50_000), zeta)
-        assert losses.max() <= cap
 
 
 # --- trials on a thread pool ---

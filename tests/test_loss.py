@@ -68,6 +68,16 @@ def test_metric_params_rejects_nonsquare():
         MetricParams(np.ones((2, 3)))
 
 
+def test_metric_params_matrix_stays_read_only():
+    given = np.array([[1.0, 0.5], [0.5, 2.0]])
+    m = MetricParams(given)
+    assert not m.w.flags.writeable and not np.shares_memory(m.w, given)
+    with pytest.raises(ValueError):
+        m.w.setflags(write=True)
+    with pytest.raises(ValueError):
+        np.copyto(m.w, 0.0)
+
+
 # --- phi and derivatives ---
 
 
@@ -340,7 +350,7 @@ KERNEL_MARGINS = [0.0, 1e-300, -1e-300, 1.0, -1.0, 40.0, -40.0, 700.0, -700.0, 8
 
 def test_margin_terms_match_scalar_reference():
     m = np.array(KERNEL_MARGINS)
-    loss, slope, curvature = margin_terms(m.copy(), slope=True, curvature=True)
+    loss, slope, curvature = margin_terms(m.copy(), derivatives=True)
     # float64 rounding of a few operations, with an absolute floor for underflow
     tol = dict(rel=1e-14, abs=1e-300)
     for t, u in enumerate(KERNEL_MARGINS):
@@ -355,14 +365,12 @@ def test_margin_terms_computes_only_what_is_asked():
     m = np.array(KERNEL_MARGINS)
     loss, slope, curvature = margin_terms(m.copy())
     assert slope is None and curvature is None
-    _, slope, curvature = margin_terms(m.copy(), curvature=True)
-    assert slope is None
-    assert np.array_equal(curvature, margin_terms(m.copy(), slope=True, curvature=True)[2])
+    assert np.array_equal(loss, margin_terms(m.copy(), derivatives=True)[0])
 
 
 def test_excluded_triplets_contribute_nothing():
     # j = i carries margin -inf, where every term is exactly zero
-    terms = margin_terms(np.array([-np.inf]), slope=True, curvature=True)
+    terms = margin_terms(np.array([-np.inf]), derivatives=True)
     assert [float(t[0]) for t in terms] == [0.0, 0.0, 0.0]
     rng = np.random.default_rng(7)
     X = rng.standard_normal((3, 2))
@@ -392,7 +400,7 @@ def _sweep_outputs():
     starts = [start for start, _ in blocks]
     return starts, {
         "exact": exact_mean_loss(w_a.w, X, Y, 0.2),
-        "parts": _risk_parts(w_a.w, X, Y, 0.2, hessian=True),
+        "parts": _risk_parts(w_a.w, X, Y, 0.2),
         "probe": probe_max_loss_diff(w_a, w_b, ds, fresh, LossConfig(0.2)),
     }
 
@@ -418,7 +426,7 @@ def _all_sweeps(X, Y, w_a, w_b, zeta, fresh):
     ds = TripletDataset(X, Y)
     return (
         exact_mean_loss(w_a.w, X, Y, zeta),
-        _risk_parts(w_a.w, X, Y, zeta, hessian=True),
+        _risk_parts(w_a.w, X, Y, zeta),
         probe_max_loss_diff(w_a, w_b, ds, fresh, LossConfig(zeta)),
     )
 
@@ -453,7 +461,7 @@ def test_factored_sweeps_match_the_margin_form(monkeypatch, n_plus, n_minus, d, 
 def _blocks(S_pp, S_pn, zeta):
     return [
         (start, *(t.copy() for t in terms))
-        for start, *terms in triplet_blocks(S_pp, S_pn, zeta, slope=True, curvature=True)
+        for start, *terms in triplet_blocks(S_pp, S_pn, zeta, derivatives=True)
     ]
 
 
@@ -501,7 +509,7 @@ def test_sweep_above_the_switch_is_the_margin_form_bit_for_bit():
     S_pp, S_pn = _scores_with_largest_margin(700.5)
     got = _blocks(S_pp, S_pn, 0.0)
     want = [
-        (start, *margin_terms(m, slope=True, curvature=True))
+        (start, *margin_terms(m, derivatives=True))
         for start, m in margin_blocks(S_pp, S_pn, 0.0)
     ]
     assert len(got) == len(want)
@@ -515,7 +523,7 @@ def test_sweep_just_below_the_switch_stays_finite_and_accurate():
     S_pp, S_pn = _scores_with_largest_margin(699.5)
     got = _blocks(S_pp, S_pn, 0.0)
     want = [
-        (start, *margin_terms(m, slope=True, curvature=True))
+        (start, *margin_terms(m, derivatives=True))
         for start, m in margin_blocks(S_pp, S_pn, 0.0)
     ]
     assert max(float(t[1].max()) for t in got) == pytest.approx(699.5, rel=1e-15)

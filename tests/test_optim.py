@@ -5,7 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.optimize import minimize
 from scipy.special import expit
 from scipy.stats import chi2, chisquare
 
@@ -15,6 +16,7 @@ from tripletlab.core import Pool, SlotRef, TripletDataset
 from tripletlab.loss import (
     LossConfig,
     MetricParams,
+    logistic_triplet_grad,
     row_scores,
     triplet_losses_rowwise,
 )
@@ -24,6 +26,7 @@ from tripletlab.optim import (
     MaxItersExceeded,
     RrmConfig,
     SgdConfig,
+    SolverFailure,
     StepSizeTooLarge,
     TrainTrace,
     expansiveness_check,
@@ -319,6 +322,19 @@ def test_trace_validates_bounds_and_pairs():
         TrainTrace(**{**ok, "k": np.array([0, 1])})  # k out of range
 
 
+def test_trace_arrays_stay_read_only_copies():
+    given = dict(i=np.array([0, 1]), j=np.array([1, 0]), k=np.array([0, 0]),
+                 eta=np.array([0.1, 0.1]))
+    trace = TrainTrace(**given, n_plus=2, n_minus=1)
+    for name, arr in given.items():
+        stored = getattr(trace, name)
+        assert not stored.flags.writeable and not np.shares_memory(stored, arr)
+        with pytest.raises(ValueError):
+            stored.setflags(write=True)
+    given["i"][0] = 1  # the caller's arrays stay the caller's
+    assert trace.i.tolist() == [0, 1]
+
+
 def test_trace_hit_masks_and_counts():
     trace = TrainTrace(
         i=np.array([0, 1, 2]),
@@ -439,8 +455,6 @@ def test_rrm_config_validation():
         RrmConfig(lam=0.0)
     with pytest.raises(ValueError):
         RrmConfig(lam=0.1, tol=0.0)
-    with pytest.raises(ValueError):
-        RrmConfig(lam=0.1, method="cg")
     assert RrmConfig(lam=0.25).sigma == 0.5
 
 
@@ -462,12 +476,30 @@ def test_rrm_stationarity_certificate():
         assert abs(slope) < 1e-5
 
 
-def test_rrm_newton_and_gd_agree():
+def test_rrm_newton_agrees_with_lbfgs_on_the_objective():
+    # an independent minimizer: scipy's L-BFGS on regularized_objective, with
+    # the gradient summed triplet by triplet from logistic_triplet_grad
     cfg = TaskConfig(d=2, n_plus=8, n_minus=8, seed=10)
     train, _ = gen_task(cfg)
-    w_n, _ = rrm_train(train, RrmConfig(lam=0.2, tol=1e-10))
-    w_g, _ = rrm_train(train, RrmConfig(lam=0.2, tol=1e-8, method="gd", max_iters=200_000))
-    assert np.linalg.norm(w_n.w - w_g.w) < 1e-6
+    rrm = RrmConfig(lam=0.2, tol=1e-10)
+    w_n, _ = rrm_train(train, rrm)
+    X, Y = train.positives, train.negatives
+    triplets = [
+        (X[i], X[j], Y[k])
+        for i in range(len(X)) for j in range(len(X)) if j != i for k in range(len(Y))
+    ]
+
+    def objective(flat):
+        w = MetricParams(flat.reshape(2, 2))
+        grads = [logistic_triplet_grad(w, *t, LossConfig(rrm.zeta)) for t in triplets]
+        grad = np.sum(grads, axis=0) / len(triplets) + 2.0 * rrm.lam * w.w
+        return regularized_objective(w, train, rrm), grad.reshape(-1)
+
+    res = minimize(objective, np.zeros(4), jac=True, method="L-BFGS-B",
+                   options={"gtol": 1e-12, "ftol": 0.0, "maxiter": 1000})
+    assert res.success
+    assert np.linalg.norm(w_n.w - res.x.reshape(2, 2)) < 1e-8
+    assert regularized_objective(w_n, train, rrm) <= res.fun + 1e-15
 
 
 def test_rrm_learns_well_ordered_metric_on_low_noise_task():
@@ -495,7 +527,7 @@ def newton_rescoring_every_point(train, cfg, w0):
     X, Y, d = train.positive_features, train.negative_features, train.d
     w = w0.w.copy()
     for it in range(cfg.max_iters + 1):
-        risk_val, grad_r, hess_r = optim._risk_parts(w, X, Y, cfg.zeta, hessian=True)
+        risk_val, grad_r, hess_r = optim._risk_parts(w, X, Y, cfg.zeta)
         f_val = risk_val + cfg.lam * float(np.sum(w * w))
         grad = grad_r + 2.0 * cfg.lam * w
         if float(np.linalg.norm(grad)) <= cfg.tol:
@@ -597,10 +629,12 @@ def test_rrm_max_iters_carries_best_iterate():
     cfg = TaskConfig(d=2, n_plus=8, n_minus=6, seed=13)
     train, _ = gen_task(cfg)
     with pytest.raises(MaxItersExceeded) as err:
-        rrm_train(train, RrmConfig(lam=0.05, tol=1e-14, method="gd", max_iters=3))
-    assert err.value.iterations == 3
+        rrm_train(train, RrmConfig(lam=0.05, tol=1e-14, max_iters=1))
+    assert err.value.iterations == 1
     assert isinstance(err.value.w, MetricParams)
-    assert err.value.grad_norm > 0
+    _, grad_r, _ = optim._risk_parts(err.value.w.w, train.positives, train.negatives, 0.0)
+    assert err.value.grad_norm == float(np.linalg.norm(grad_r + 2.0 * 0.05 * err.value.w.w))
+    assert err.value.grad_norm > 1e-14
 
 
 def test_rrm_exhausted_line_search_raises_with_the_best_iterate(monkeypatch):
@@ -627,6 +661,47 @@ def test_rrm_exhausted_line_search_raises_with_the_best_iterate(monkeypatch):
     assert err.value.grad_norm > 0.01
     # steps 1, 1/2, ..., 2**-59 are each scored once, and none is taken
     assert trials == ["start", "full"] + ["halving"] * 59
+
+
+def test_rrm_non_descent_newton_direction_raises_with_the_best_iterate(monkeypatch):
+    # a Newton solve that points uphill: the direction is +grad
+    train, _ = gen_task(TaskConfig(d=2, n_plus=8, n_minus=8, seed=3))
+    monkeypatch.setattr(optim, "cho_solve", lambda factor, rhs: -rhs)
+    with pytest.raises(SolverFailure) as err:
+        rrm_train(train, RrmConfig(lam=0.01))
+    assert type(err.value) is SolverFailure
+    assert err.value.iterations == 0
+    assert np.array_equal(err.value.w.w, np.zeros((2, 2)))
+    message = str(err.value)
+    assert "lam = 0.01" in message and "iteration 0" in message
+    assert f"||grad|| = {err.value.grad_norm:g}" in message
+
+
+# `tripletlab rrm --seed 3 --lam 1e-18 --n-plus 12 --n-minus 10 --d 3`: the
+# task seed the CLI derives from --seed 3. Only the ridge term 2 lam holds the
+# antisymmetric directions of the flattened w, and at lam = 1e-18 rounding in
+# the Hessian swamps it, so its Cholesky factorization fails
+TINY_LAM_TASK = TaskConfig(d=3, n_plus=12, n_minus=10, seed=14449357594836781232)
+
+
+def test_rrm_failed_newton_factorization_raises_with_the_best_iterate(monkeypatch):
+    train, _ = gen_task(TINY_LAM_TASK)
+    failed = []
+
+    def spy(hess):
+        try:
+            return cho_factor(hess)
+        except LinAlgError:
+            failed.append(True)
+            raise
+
+    monkeypatch.setattr(optim, "cho_factor", spy)
+    with pytest.raises(SolverFailure) as err:
+        rrm_train(train, RrmConfig(lam=1e-18))
+    assert failed == [True]
+    assert err.value.iterations == 0 and err.value.grad_norm > 0.1
+    assert "lam = 1e-18" in str(err.value)
+    rrm_train(train, RrmConfig(lam=1e-17))  # the factorization holds here
 
 
 def test_rrm_budget_guard():
