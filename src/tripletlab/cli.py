@@ -4,7 +4,8 @@ Subcommands: gen, sgd, rrm, stability, sweep, excess, optimistic, check,
 bounds. Experiment commands require --seed and write fixed-name CSVs plus a
 manifest.json into --outdir; values come from an optional INI config file
 (sections [task], [loss], [sgd], [rrm], [sweep], [stability]) with every flag
-overriding the file.
+overriding the file. A file key the subcommand does not read is a config
+error, not a silent no-op.
 
 Exit codes: 0 success, 2 config or validation error (or an RRM solve that
 did not converge), 3 a measured quantity exceeded its closed-form bound (or
@@ -14,9 +15,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -88,16 +89,23 @@ EXIT_REGIME = 4
 
 
 class _FileConfig:
-    """INI file access with typed lookups; flags always win over the file."""
+    """INI file access with typed lookups; flags always win over the file.
+
+    Every (section, key) looked up is recorded, so that reject_unread can
+    refuse a file key that no lookup of the subcommand read (a misspelt key,
+    or one the subcommand has no use for). [DEFAULT] is an ordinary section.
+    """
 
     def __init__(self, path: str | None):
-        self.parser = configparser.ConfigParser()
+        self.parser = configparser.ConfigParser(default_section="")
+        self.read = set()
         if path is not None:
             found = self.parser.read(path)
             if not found:
                 raise ValidationError(f"config file not found: {path}")
 
     def get(self, section, key, cast=str, default=None, override=None):
+        self.read.add((section, key))
         if override is not None:
             return override
         if self.parser.has_option(section, key):
@@ -107,6 +115,20 @@ class _FileConfig:
             except ValueError as exc:
                 raise ValidationError(f"[{section}] {key} = {raw!r}: {exc}") from exc
         return default
+
+    def reject_unread(self, command: str) -> None:
+        """Raise ValidationError naming every file key no lookup has read;
+        called once the subcommand has built its config."""
+        unread = [
+            f"[{section}] {key}"
+            for section in self.parser.sections()
+            for key in self.parser.options(section)
+            if (section, key) not in self.read
+        ]
+        if unread:
+            raise ValidationError(
+                f"config file keys that `{command}` does not read: " + ", ".join(unread)
+            )
 
 
 def _parse_grid(raw) -> tuple:
@@ -167,6 +189,7 @@ def _cmd_gen(cfg, args) -> int:
     started = time.time()
     out = _outdir(args)
     task = _task_config(cfg, args, args.seed)
+    cfg.reject_unread("gen")
     train, _ = gen_task(task)
     write_dataset_csv(train, out / "dataset.csv")
     write_manifest(out / "manifest.json", "gen", task, started)
@@ -197,6 +220,7 @@ def _cmd_sgd(cfg, args) -> int:
     if c is None:
         c = regularity_constants(feature_bound(dataset)).eta_max
     sgd_cfg = SgdConfig(T=T, c=c, seed=algo_seed, zeta=loss_cfg.zeta)
+    cfg.reject_unread("sgd")
     w, trace = sgd_train(dataset, sgd_cfg)
     write_metric_csv(w, out / "model.csv")
     write_trace_csv(trace, out / "trace.csv")
@@ -222,6 +246,7 @@ def _cmd_rrm(cfg, args) -> int:
         zeta=loss_cfg.zeta,
         budget=cfg.get("rrm", "budget", parse_int, max(2_000_000, dataset.n_triplets), args.budget),
     )
+    cfg.reject_unread("rrm")
     w, iterations = rrm_train(dataset, rrm_cfg)
     write_metric_csv(w, out / "model.csv")
     est = empirical_risk(w, dataset, loss_cfg, budget=rrm_cfg.budget)
@@ -263,19 +288,17 @@ def _cmd_stability(cfg, args) -> int:
     protocol = cfg.get("stability", "protocol", str, "uniform", args.protocol)
     trials = cfg.get("stability", "trials", parse_int, 20, args.trials)
     if protocol == "uniform":
-        probe_size = cfg.get("stability", "probe_size", parse_int, 2000, args.probe_size)
-        report = estimate_uniform_stability(
-            trainer, sampler, task.n_plus, task.n_minus, trials, probe_size,
-            loss_cfg, seed=args.seed,
-        )
+        estimate = estimate_uniform_stability
+        size = cfg.get("stability", "probe_size", parse_int, 2000, args.probe_size)
     elif protocol == "on-average":
-        subsample = cfg.get("stability", "triplet_subsample", parse_int, 20, args.triplet_subsample)
-        report = estimate_on_average_stability(
-            trainer, sampler, task.n_plus, task.n_minus, trials, subsample,
-            loss_cfg, seed=args.seed,
-        )
+        estimate = estimate_on_average_stability
+        size = cfg.get("stability", "triplet_subsample", parse_int, 20, args.triplet_subsample)
     else:
         raise ValidationError(f"unknown protocol {protocol!r} (uniform or on-average)")
+    cfg.reject_unread("stability")
+    report = estimate(
+        trainer, sampler, task.n_plus, task.n_minus, trials, size, loss_cfg, seed=args.seed
+    )
     write_stability_csv([report], out / "stability.csv")
     write_manifest(out / "manifest.json", "stability", task, started)
     bound_txt = "n/a" if report.gamma_bound is None else f"{report.gamma_bound:.6g}"
@@ -289,26 +312,35 @@ def _cmd_stability(cfg, args) -> int:
     return EXIT_OK
 
 
-def _sweep_config(cfg, args, algorithm_default="sgd") -> SweepConfig:
-    task = _task_config(cfg, args, 0)
-    grid_raw = cfg.get("sweep", "n_grid", str, "32 64 128", args.n_grid)
-    return SweepConfig(
-        algorithm=cfg.get("sweep", "algorithm", str, algorithm_default, args.algorithm),
-        n_grid=_parse_grid(grid_raw),
+def _sweep_config(cfg, args, command: str) -> SweepConfig:
+    """The SweepConfig of sweep, excess or optimistic. sigma0 and c are read
+    only by sweep and excess: optimistic puts sigma on the regime floor and
+    trains no SGD."""
+    if command == "optimistic":
+        algorithm, rule = "rrm", {"sigma_rule": "optimistic"}
+    else:
+        algorithm, rule = "sgd", {
+            "sigma0": cfg.get("sweep", "sigma0", float, 1.0, args.sigma0),
+            "c": cfg.get("sweep", "c", float, None, args.c),
+        }
+    sweep_cfg = SweepConfig(
+        algorithm=cfg.get("sweep", "algorithm", str, algorithm, args.algorithm),
+        n_grid=_parse_grid(cfg.get("sweep", "n_grid", str, "32 64 128", args.n_grid)),
         trials_per_n=cfg.get("sweep", "trials_per_n", parse_int, 20, args.trials_per_n),
-        sigma0=cfg.get("sweep", "sigma0", float, 1.0, args.sigma0),
-        c=cfg.get("sweep", "c", float, None, args.c),
-        task=task,
+        task=_task_config(cfg, args, 0),
         zeta=_loss_config(cfg, args).zeta,
         population_m=cfg.get("sweep", "population_m", parse_int, 100_000, args.population_m),
         seed=args.seed,
+        **rule,
     )
+    cfg.reject_unread(command)
+    return sweep_cfg
 
 
 def _cmd_sweep(cfg, args) -> int:
     started = time.time()
     out = _outdir(args)
-    sweep_cfg = _sweep_config(cfg, args)
+    sweep_cfg = _sweep_config(cfg, args, "sweep")
     report = run_rate_sweep(sweep_cfg)
     write_sweep_rows_csv(report, out / "sweep_rows.csv")
     write_sweep_summary_csv(report, out / "sweep_summary.csv")
@@ -323,7 +355,7 @@ def _cmd_sweep(cfg, args) -> int:
 def _cmd_excess(cfg, args) -> int:
     started = time.time()
     out = _outdir(args)
-    sweep_cfg = _sweep_config(cfg, args)
+    sweep_cfg = _sweep_config(cfg, args, "excess")
     report = run_excess_risk_experiment(sweep_cfg)
     write_excess_csv(report, out / "excess.csv")
     write_manifest(out / "manifest.json", "excess", sweep_cfg, started)
@@ -334,7 +366,7 @@ def _cmd_excess(cfg, args) -> int:
 def _cmd_optimistic(cfg, args) -> int:
     started = time.time()
     out = _outdir(args)
-    sweep_cfg = replace(_sweep_config(cfg, args, algorithm_default="rrm"), sigma_rule="optimistic")
+    sweep_cfg = _sweep_config(cfg, args, "optimistic")
     report = run_optimistic_experiment(sweep_cfg)
     write_optimistic_cells_csv(report, out / "optimistic_cells.csv")
     write_optimistic_rows_csv(report, out / "optimistic_rows.csv")
@@ -451,6 +483,7 @@ def _suite_expansiveness(rng, probes):
 
 
 def _cmd_check(cfg, args) -> int:
+    cfg.reject_unread("check")
     started = time.time()
     out = _outdir(args)
     rng = np.random.default_rng(np.random.SeedSequence(int(args.seed)))
@@ -561,7 +594,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tripletlab",
         description="Triplet metric learning trainers and a stability/generalization lab.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviated flags: a flag a subcommand lacks must not pass as the
+    # prefix of another (--c of optimistic as --config)
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False),
+    )
 
     p = sub.add_parser("gen", help="generate a synthetic dataset CSV")
     _add_common(p)
@@ -610,9 +649,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--algorithm", choices=["sgd", "rrm", "constant"])
         p.add_argument("--n-grid", dest="n_grid", help="e.g. '32 64 128'")
         p.add_argument("--trials-per-n", dest="trials_per_n", type=parse_int)
-        p.add_argument("--sigma0", type=float)
-        p.add_argument("--c", type=float)
         p.add_argument("--population-m", dest="population_m", type=parse_int)
+        if name != "optimistic":  # sigma sits on the regime floor there
+            p.add_argument("--sigma0", type=float, help="sigma = sigma0 / sqrt(n) for rrm")
+            p.add_argument("--c", type=float, help="SGD step factor (eta = c/sqrt(n))")
         p.set_defaults(func=fn)
 
     p = sub.add_parser("check", help="gradient / regularity / expansiveness property suites")

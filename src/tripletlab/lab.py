@@ -4,21 +4,22 @@ and the optimistic (low-noise) regime, with CSV/JSON persistence.
 Every runner derives all cell-level seeds from one root seed through numpy
 SeedSequence spawning, in a fixed loop order, so a rerun with the same config
 reproduces every CSV byte for byte. The sweep runners then run their trials
-on a thread pool (_run_trials) and collect them in trial order, so the bytes
-do not depend on the thread count either. Summary JSON manifests carry wall
+through parallel.run_jobs, on the calling thread and the process's shared
+thread pool, and collect them in trial order; the exact sweeps inside a
+trial take pool threads only when trials leave some idle. So the bytes do
+not depend on the thread count either. Summary JSON manifests carry wall
 time and are the one intentionally non-reproducible output.
 """
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 from scipy.stats import linregress
 
+from . import parallel
 from .core import ValidationError, write_csv
 from .loss import LossConfig, MetricParams, regularity_constants, triplet_losses_rowwise
 from .optim import RrmConfig, SgdConfig, rrm_train
@@ -177,33 +178,6 @@ def _train_cell(cfg: SweepConfig, n: int, task_seed: int, algo_seed: int):
     return w, train, sampler
 
 
-def _available_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_trials(trial, jobs):
-    """[trial(*job) for job in jobs] on a pool of one thread per available CPU
-    (at most one per job); returns (results, worker count).
-
-    Every argument a trial depends on is in its job, bound at submission. The
-    results come back in job order, so they do not depend on the worker count:
-    numpy's generator fills, ufuncs and BLAS calls release the GIL, so trials
-    overlap, but each trial draws from generators of its own. If trials
-    fail, the first failing one in job order raises, as in a serial run, and
-    the trials not yet started are cancelled.
-    """
-    workers = min(_available_cpus(), len(jobs))
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        futures = [pool.submit(trial, *job) for job in jobs]
-        return [future.result() for future in futures], workers
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _sweep_trial(cfg: SweepConfig, n: int, trial: int, task_seed: int, algo_seed: int):
     loss_cfg = LossConfig(cfg.zeta)
     w, train, sampler = _train_cell(cfg, n, task_seed, algo_seed)
@@ -218,7 +192,7 @@ def run_rate_sweep(cfg: SweepConfig) -> SweepReport:
     """Generalization gap vs n, with a log-log slope fit on the mean |gap|.
 
     Every trial's seeds are derived first, in trial order; the trials then
-    run on a thread pool (_run_trials).
+    run on the shared thread pool (parallel.run_jobs).
     """
     root = np.random.SeedSequence(int(cfg.seed))
     jobs = [
@@ -226,7 +200,7 @@ def run_rate_sweep(cfg: SweepConfig) -> SweepReport:
         for n in cfg.n_grid
         for trial in range(cfg.trials_per_n)
     ]
-    rows, workers = _run_trials(_sweep_trial, jobs)
+    rows, workers = parallel.run_jobs(_sweep_trial, jobs)
     mean_abs = [
         float(np.mean([abs(row.gap) for row in rows if row.n == n])) for n in cfg.n_grid
     ]
@@ -437,7 +411,7 @@ def run_optimistic_experiment(cfg: SweepConfig) -> OptimisticReport:
     mean gap.
 
     Every trial's seed is derived first, in trial order; the trials then run
-    on a thread pool (_run_trials).
+    on the shared thread pool (parallel.run_jobs).
     """
     if cfg.algorithm != "rrm" or cfg.sigma_rule != "optimistic":
         raise ValidationError(
@@ -462,7 +436,7 @@ def run_optimistic_experiment(cfg: SweepConfig) -> OptimisticReport:
         for trial in range(cfg.trials_per_n):
             task_seed, _ = _cell_seeds(root)
             jobs.append((cfg, n, trial, task_seed, lam, tol, budget))
-    rows, workers = _run_trials(_optimistic_trial, jobs)
+    rows, workers = parallel.run_jobs(_optimistic_trial, jobs)
     cells = []
     for n, sigma in zip(cfg.n_grid, sigmas):
         cell_rows = [row for row in rows if row[0] == n]

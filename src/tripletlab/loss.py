@@ -18,20 +18,26 @@ With B = max feature norm, the logistic loss is 8B^2-Lipschitz and
 eta <= 2/(64B^4) = 1/(32B^4).
 
 Exact risks and their derivatives sweep every training triplet through one
-engine, triplet_blocks. It needs one exp per pair, not per triplet: for
+engine, triplet_sweep. It needs one exp per pair, not per triplet: for
 anchor i, exp(m_ijk) = U[i, j] * V[i, k], with U and V the exps of the pair
 scores shifted by the anchor's largest positive-pair score. Sweeps with a
 margin above MAX_FACTORED_MARGIN = 700, where V would overflow, run on the
-margin tensor instead (margin_blocks, margin_terms).
+margin tensor instead (margin_block, margin_terms). The anchor blocks are cut
+into one contiguous run per CPU and the runs computed on the shared thread
+pool (parallel.run_jobs); each block's result comes back to the caller in
+block order, so every sum over blocks is folded in the serial order and the
+results are bit-identical for any thread count.
 """
 from __future__ import annotations
 
 import csv
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
+from . import parallel
 from .core import DimensionMismatch, ValidationError, open_input_csv, read_only_view, write_csv
 
 SYMMETRY_TOL = 1e-12
@@ -216,6 +222,9 @@ def pair_scores(w_arr: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 # doubles per block of the blocked kernels (512 KB): a block and its
 # temporaries stay in cache
 BLOCK = 1 << 16
+# fewest anchor blocks a thread takes at once in a split sweep (triplet_sweep):
+# handing a single block to another thread costs about what it saves
+MIN_RUN = 2
 
 
 def row_scores(w_arr: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -295,13 +304,79 @@ def triplet_losses_rowwise(
 MAX_FACTORED_MARGIN = 700.0
 
 
-def triplet_blocks(S_pp: np.ndarray, S_pn: np.ndarray, zeta: float, derivatives: bool = False):
-    """Yield (start, phi(-m), sigmoid(m), phi''(m)) over anchor blocks of the
-    triplet tensor, for the margins
-    m[a, j, k] = S_pp[i, j] - S_pn[i, k] + zeta, anchor i = start + a, in the
-    blocks of margin_blocks. The derivatives are None unless asked for, and
-    every yielded array is overwritten by the next block. The excluded
-    triplets j = i contribute exactly 0 to all three terms.
+def anchor_blocks(n_plus: int, n_minus: int) -> list:
+    """(start, stop) of the anchor blocks of a sweep over n_plus anchors with
+    n_plus * n_minus terms each: max(1, BLOCK // (n_plus * n_minus)) anchors
+    a block, so a block holds at most BLOCK terms (at least one anchor)."""
+    step = max(1, BLOCK // (n_plus * n_minus))
+    return [(start, min(start + step, n_plus)) for start in range(0, n_plus, step)]
+
+
+def margin_block(S_pp: np.ndarray, S_pn: np.ndarray, zeta: float, start: int, stop: int):
+    """The margins m[a, j, k] = S_pp[i, j] - S_pn[i, k] + zeta of anchors
+    i = start + a in [start, stop), as a fresh array, with S_pp, S_pn the pair
+    scores of the positives with positives and negatives. The excluded
+    triplets j = i carry m = -inf, where every term of margin_terms is exactly
+    0, so sums and maxima cover valid triplets only."""
+    m = np.subtract(S_pp[start:stop, :, None], S_pn[start:stop, None, :])
+    m += zeta
+    anchors = np.arange(m.shape[0])
+    m[anchors, start + anchors] = -np.inf
+    return m
+
+
+def _block_terms(S_pp: np.ndarray, S_pn: np.ndarray, zeta: float, derivatives: bool):
+    """The function terms(start, stop, bufs) -> (phi(-m), sigmoid(m),
+    phi''(m)) of the anchors in [start, stop) of one triplet tensor (see
+    triplet_sweep), written into the caller's reused arrays bufs. U, V and
+    the choice between the factored and the margin form are made here, once
+    per sweep, and only read by the blocks."""
+    a = S_pp + zeta
+    np.fill_diagonal(a, -np.inf)
+    c = a.max(axis=1, keepdims=True)
+    if float((c[:, 0] - S_pn.min(axis=1)).max()) > MAX_FACTORED_MARGIN:
+        return lambda start, stop, bufs: margin_terms(
+            margin_block(S_pp, S_pn, zeta, start, stop), derivatives
+        )
+    U = np.exp(np.subtract(a, c, out=a), out=a)
+    V = np.exp(np.subtract(c, S_pn))
+    n_plus, n_minus = S_pn.shape
+
+    def terms(start, stop, bufs):
+        shape = (stop - start, n_plus, n_minus)
+        p, *rest = (buf[: shape[0] * S_pn.size].reshape(shape) for buf in bufs)
+        np.multiply(U[start:stop, :, None], V[start:stop, None, :], out=p)
+        if not derivatives:
+            return np.log1p(p, out=p), None, None
+        loss, r = rest
+        np.log1p(p, out=loss)
+        np.add(p, 1.0, out=r)
+        np.reciprocal(r, out=r)
+        sig = np.multiply(p, r, out=p)
+        return loss, sig, np.multiply(sig, r, out=r)
+
+    return terms
+
+
+def triplet_sweep(scores, zeta: float, reduce, derivatives: bool = False) -> list:
+    """[reduce(start, *terms) for every anchor block], in block order.
+
+    scores is a list of pair-score pairs (S_pp, S_pn) of one shape, each the
+    scores of the positives with the positives and with the negatives under
+    one metric. For a block of anchors i = start + a, terms holds one triple
+    (phi(-m), sigmoid(m), phi''(m)) per pair, over its margins
+    m[a, j, k] = S_pp[i, j] - S_pn[i, k] + zeta; the derivatives are None
+    unless asked for, every array is overwritten by the next block, and the
+    excluded triplets j = i contribute exactly 0 to all three terms.
+
+    The blocks are those of anchor_blocks, cut into one contiguous run per
+    available CPU, of at least MIN_RUN blocks each (a sweep of fewer than
+    2 MIN_RUN blocks runs on the calling thread alone); the runs go through
+    parallel.run_jobs, each thread that takes runs reusing its own block
+    arrays, and reduce runs on the thread that computed its block. The
+    per-block results come back in block order, so a caller that folds them
+    in that order gets the same bits for any thread count; reduce may write
+    into shared arrays only at its own block's rows.
 
     For anchor i the margins factor as m_ijk = a_ij - b_ik with a = S_pp + zeta
     and b = S_pn, so exp(m_ijk) = U[i, j] * V[i, k] with the per-anchor shift
@@ -312,57 +387,33 @@ def triplet_blocks(S_pp: np.ndarray, S_pn: np.ndarray, zeta: float, derivatives:
     U and V cost O(n+^2 + n+ n-) exps per sweep; a block is then p = U V, with
     phi(-m) = log1p(p) and, with r = 1/(1 + p), sigmoid(m) = p r and
     phi''(m) = sigmoid(m) r. V[i, k] = exp(max_j m_ijk) overflows only for a
-    margin above ~709.8, so when the largest margin of the sweep exceeds
-    MAX_FACTORED_MARGIN the blocks come from margin_blocks and margin_terms,
-    which stay finite at any margin.
+    margin above ~709.8, so when the largest margin of a pair's tensor
+    exceeds MAX_FACTORED_MARGIN its blocks come from margin_block and
+    margin_terms, which stay finite at any margin.
     """
-    a = S_pp + zeta
-    np.fill_diagonal(a, -np.inf)
-    c = a.max(axis=1, keepdims=True)
-    if float((c[:, 0] - S_pn.min(axis=1)).max()) > MAX_FACTORED_MARGIN:
-        for start, m in margin_blocks(S_pp, S_pn, zeta):
-            yield (start, *margin_terms(m, derivatives))
-        return
-    U = np.exp(np.subtract(a, c, out=a), out=a)
-    V = np.exp(np.subtract(c, S_pn))
-    n_plus, n_minus = S_pn.shape
-    step = max(1, BLOCK // S_pn.size)
-    size = min(step, n_plus) * S_pn.size
-    # the block arrays are reused from block to block: fresh ones of this
-    # size would page-fault on every block
-    bufs = [np.empty(size) for _ in range(3 if derivatives else 1)]
-    for start in range(0, n_plus, step):
-        stop = min(start + step, n_plus)
-        shape = (stop - start, n_plus, n_minus)
-        p, *rest = (buf[: shape[0] * S_pn.size].reshape(shape) for buf in bufs)
-        np.multiply(U[start:stop, :, None], V[start:stop, None, :], out=p)
-        if not derivatives:
-            yield start, np.log1p(p, out=p), None, None
-            continue
-        loss, r = rest
-        np.log1p(p, out=loss)
-        np.add(p, 1.0, out=r)
-        np.reciprocal(r, out=r)
-        sig = np.multiply(p, r, out=p)
-        yield start, loss, sig, np.multiply(sig, r, out=r)
+    n_plus, n_minus = scores[0][1].shape
+    blocks = anchor_blocks(n_plus, n_minus)
+    tensors = [_block_terms(S_pp, S_pn, zeta, derivatives) for S_pp, S_pn in scores]
+    size = (blocks[0][1] - blocks[0][0]) * n_plus * n_minus
 
+    scratch = {}  # thread id -> the block arrays that thread reuses in this sweep
 
-def margin_blocks(S_pp: np.ndarray, S_pn: np.ndarray, zeta: float):
-    """Yield (start, m) over anchor blocks of the margin tensor, in anchor order.
+    def run(first, last):
+        # fresh block arrays would page-fault on every block, and fresh ones
+        # per run on every run a thread takes
+        bufs = scratch.get(threading.get_ident())
+        if bufs is None:
+            bufs = [[np.empty(size) for _ in range(3 if derivatives else 1)] for _ in tensors]
+            scratch[threading.get_ident()] = bufs
+        return [
+            reduce(start, *(terms(start, stop, b) for terms, b in zip(tensors, bufs)))
+            for start, stop in blocks[first:last]
+        ]
 
-    m[a, j, k] = S_pp[i, j] - S_pn[i, k] + zeta for anchor i = start + a, with
-    S_pp, S_pn the pair scores of the positives with positives and negatives.
-    A block holds at most BLOCK margins (at least one anchor) and is a fresh
-    array. The excluded triplets j = i carry m = -inf, where every term of
-    margin_terms is exactly 0, so sums and maxima cover valid triplets only.
-    """
-    step = max(1, BLOCK // S_pn.size)
-    for start in range(0, S_pn.shape[0], step):
-        m = np.subtract(S_pp[start : start + step, :, None], S_pn[start : start + step, None, :])
-        m += zeta
-        anchors = np.arange(m.shape[0])
-        m[anchors, start + anchors] = -np.inf
-        yield start, m
+    count = max(1, min(parallel.available_cpus(), len(blocks) // MIN_RUN))
+    cuts = [len(blocks) * r // count for r in range(count + 1)]
+    runs, _ = parallel.run_jobs(run, zip(cuts, cuts[1:]))
+    return [result for results in runs for result in results]
 
 
 def margin_terms(m: np.ndarray, derivatives: bool = False):

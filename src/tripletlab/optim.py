@@ -18,8 +18,10 @@ convex, so the gradient-norm stopping rule certifies
 ||w - argmin F_S|| <= tol / (2 lam). rrm_train minimizes it by damped Newton
 on the d^2-dimensional flattened parameter (the Hessian solve is tiny; the
 cost per iteration is one sweep over the triplet tensor, which yields the
-loss, gradient and Hessian at once). A solve that cannot reach tol raises a
-SolverFailure that carries its best iterate.
+loss, gradient and Hessian at once). The sweep's anchor blocks run on all
+CPUs (loss.triplet_sweep), and their Hessian terms are added in block order,
+so every iterate is bit-identical for any thread count. A solve that cannot
+reach tol raises a SolverFailure that carries its best iterate.
 """
 from __future__ import annotations
 
@@ -50,7 +52,7 @@ from .loss import (
     LossConfig,
     pair_scores,
     regularity_constants,
-    triplet_blocks,
+    triplet_sweep,
 )
 from .risk import DEFAULT_TRIPLET_BUDGET, exact_mean_loss
 
@@ -387,7 +389,7 @@ def _risk_parts(w_arr, X, Y, zeta):
     and the d^2 x d^2 Hessian of R_S.
 
     The loss of triplet (i, j, k) is phi(-m_ijk), with m-derivatives
-    sigmoid(m_ijk) and phi''(m_ijk) (triplet_blocks). The gradient uses the
+    sigmoid(m_ijk) and phi''(m_ijk) (triplet_sweep). The gradient uses the
     aggregated pair weights A[i,j] = sum_k sigmoid(m_ijk) and
     Bw[i,k] = sum_j sigmoid(m_ijk); the weighted sums of difference outer
     products collapse to a handful of d x d matrix products (graph-Laplacian
@@ -395,28 +397,38 @@ def _risk_parts(w_arr, X, Y, zeta):
     sums phi''(m_ijk) (p_ij - q_ik)(p_ij - q_ik)^T block by block, with p, q
     the vectorized outer products of the block's pair differences; its cross
     term sum_ijk phi''(m_ijk) p_ij q_ik^T is one batched product per block.
+    Each block fills its own rows of A and Bw and returns its loss sum and
+    its three d^2 x d^2 Hessian terms, which are added in block order, so
+    the result does not depend on how many threads ran the blocks.
     """
     n_plus, n_minus = X.shape[0], Y.shape[0]
     N = n_plus * (n_plus - 1) * n_minus
     A = np.empty((n_plus, n_plus))
     Bw = np.empty((n_plus, n_minus))
-    loss_parts = []
-    hess = np.zeros((X.shape[1] ** 2,) * 2)
-    blocks = triplet_blocks(
-        pair_scores(w_arr, X, X), pair_scores(w_arr, X, Y), zeta, derivatives=True
-    )
-    for start, losses, g1, g2 in blocks:
+
+    def block(start, terms):
+        losses, g1, g2 = terms
         stop = start + losses.shape[0]
-        loss_parts.append(float(losses.sum()))
         A[start:stop] = g1.sum(axis=2)
         Bw[start:stop] = g1.sum(axis=1)
         P = _pair_outer_vecs(X[start:stop], X)
         Q = _pair_outer_vecs(X[start:stop], Y)
         cross = P.T @ np.matmul(g2, Q.reshape(len(g2), n_minus, -1)).reshape(P.shape)
-        hess += (P.T * g2.sum(axis=2).reshape(-1)) @ P
-        hess += (Q.T * g2.sum(axis=1).reshape(-1)) @ Q
-        hess -= cross + cross.T
-    mean_loss = math.fsum(loss_parts) / N
+        return (
+            float(losses.sum()),
+            (P.T * g2.sum(axis=2).reshape(-1)) @ P,
+            (Q.T * g2.sum(axis=1).reshape(-1)) @ Q,
+            cross + cross.T,
+        )
+
+    scores = [(pair_scores(w_arr, X, X), pair_scores(w_arr, X, Y))]
+    parts = triplet_sweep(scores, zeta, block, derivatives=True)
+    hess = np.zeros((X.shape[1] ** 2,) * 2)
+    for _, pp, qq, cross in parts:  # in block order, as a serial sweep adds them
+        hess += pp
+        hess += qq
+        hess -= cross
+    mean_loss = math.fsum(part[0] for part in parts) / N
 
     r, c = A.sum(axis=1), A.sum(axis=0)
     M = -(A + A.T)

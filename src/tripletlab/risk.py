@@ -21,7 +21,7 @@ from .loss import (
     pair_scores,
     phi,
     streamed_triplet_losses,
-    triplet_blocks,
+    triplet_sweep,
     triplet_losses_rowwise,
 )
 from .synth import TripletSampler
@@ -62,7 +62,7 @@ class RiskEstimate:
 def exact_mean_loss(w_arr: np.ndarray, X: np.ndarray, Y: np.ndarray, zeta: float) -> float:
     """Mean logistic loss phi(-margin) over all ordered triplets, summed in a fixed order.
 
-    Sweeps anchor blocks (triplet_blocks); per-block sums use numpy's pairwise
+    Sweeps anchor blocks (triplet_sweep); per-block sums use numpy's pairwise
     summation and blocks are combined with math.fsum, so the result is
     reproducible and permutation-stable to well below 1e-12 relative.
     """
@@ -75,7 +75,7 @@ def exact_mean_loss(w_arr: np.ndarray, X: np.ndarray, Y: np.ndarray, zeta: float
     hi = float((S_pp.max(axis=1, initial=-np.inf, where=off) - S_pn.min(axis=1)).max()) + zeta
     if lo == hi:  # constant integrand: the mean is that one loss, with no rounding
         return float(phi(-hi))
-    partials = [float(loss.sum()) for _, loss, _, _ in triplet_blocks(S_pp, S_pn, zeta)]
+    partials = triplet_sweep([(S_pp, S_pn)], zeta, lambda start, terms: float(terms[0].sum()))
     return math.fsum(partials) / (n_plus * (n_plus - 1) * n_minus)
 
 

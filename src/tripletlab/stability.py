@@ -31,7 +31,7 @@ from .loss import (
     MetricParams,
     logistic_triplet_loss,
     pair_scores,
-    triplet_blocks,
+    triplet_sweep,
     triplet_losses_rowwise,
 )
 from .optim import RrmConfig, SgdConfig, TrainTrace, rrm_train, sgd_train
@@ -144,24 +144,24 @@ def probe_max_loss_diff(
     """(max |loss(w_a) - loss(w_b)|, max |loss|) over the probe set.
 
     The probe set is the given fresh triplets (three aligned arrays) plus all
-    training triplets of the dataset.
+    training triplets of the dataset, whose losses under both metrics come
+    from one split sweep (triplet_sweep); maxima do not depend on the order
+    the blocks are taken in.
     """
     X = dataset.positive_features
     Y = dataset.negative_features
 
-    def losses(w: MetricParams):
-        yield triplet_losses_rowwise(w.w, *fresh, cfg.zeta)
-        S_pp, S_pn = pair_scores(w.w, X, X), pair_scores(w.w, X, Y)
-        for _, loss, _, _ in triplet_blocks(S_pp, S_pn, cfg.zeta):
-            yield loss
-
-    # losses are >= 0, so a maximum with initial 0 also covers an empty fresh set
-    max_diff = max_abs = 0.0
-    for loss_a, loss_b in zip(losses(w_a), losses(w_b)):
-        max_abs = max(max_abs, float(loss_a.max(initial=0.0)), float(loss_b.max(initial=0.0)))
+    # losses are >= 0, so maxima with initial 0 also cover an empty fresh set
+    def block(start, terms_a, terms_b):
+        loss_a, loss_b = terms_a[0], terms_b[0]
+        max_abs = max(float(loss_a.max(initial=0.0)), float(loss_b.max(initial=0.0)))
         loss_a -= loss_b
-        max_diff = max(max_diff, float(np.abs(loss_a, out=loss_a).max(initial=0.0)))
-    return max_diff, max_abs
+        return float(np.abs(loss_a, out=loss_a).max(initial=0.0)), max_abs
+
+    fresh_losses = [(triplet_losses_rowwise(w.w, *fresh, cfg.zeta),) for w in (w_a, w_b)]
+    scores = [(pair_scores(w.w, X, X), pair_scores(w.w, X, Y)) for w in (w_a, w_b)]
+    parts = [block(0, *fresh_losses)] + triplet_sweep(scores, cfg.zeta, block)
+    return max(part[0] for part in parts), max(part[1] for part in parts)
 
 
 def _pick_slot(rng: np.random.Generator, n_plus: int, n_minus: int) -> SlotRef:

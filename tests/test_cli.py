@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from tripletlab import lab
+from tripletlab import parallel
 from tripletlab.cli import (
     EXIT_CONFIG,
     EXIT_DOMINATION,
@@ -213,6 +213,38 @@ def test_missing_config_file_is_a_config_error(tmp_path):
     assert rc == EXIT_CONFIG
 
 
+SMALL_GRID = ["--n-grid", "4 6 8", "--trials-per-n", "1", "--population-m", "200", "--d", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, ini, key",
+    [
+        (["rrm", "--lam", "0.5"] + TINY_TASK, "[rrm]\nmethod = gd\n", "[rrm] method"),
+        (["sweep"] + SMALL_GRID, "[sweep]\nsigma_rule = optimistic\n", "[sweep] sigma_rule"),
+        (["optimistic"] + SMALL_GRID, "[sweep]\nsigma0 = 50\n", "[sweep] sigma0"),
+    ],
+    ids=["removed-key", "unknown-key", "key-of-another-command"],
+)
+def test_config_key_that_no_lookup_reads_exits_2(tmp_path, capsys, argv, ini, key):
+    config = tmp_path / "cfg.ini"
+    config.write_text(ini + "[task]\nnoise_scale = 0.2\n")  # a read key passes
+    out = tmp_path / "out"
+    rc = main(argv[:1] + ["--seed", "1", "--outdir", str(out), "--config", str(config)] + argv[1:])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert key in err and "noise_scale" not in err
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("flag", ["--sigma0", "--c"])
+def test_optimistic_refuses_sigma0_and_c(tmp_path, capsys, flag):
+    # sigma sits on the regime floor and no SGD runs: the flags would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["optimistic", "--seed", "1", "--outdir", str(tmp_path), flag, "2"] + SMALL_GRID)
+    assert exc.value.code == EXIT_CONFIG
+    assert flag in capsys.readouterr().err
+
+
 def test_stability_constant_trainer_reports_zero_gamma(tmp_path):
     rc = main(
         ["stability", "--seed", "3", "--outdir", str(tmp_path),
@@ -290,7 +322,7 @@ def test_optimistic_writes_cells_and_rows(tmp_path):
 
 @pytest.mark.parametrize("cpus", [1, 2, 8])
 def test_sweep_and_optimistic_manifests_record_the_worker_count(tmp_path, monkeypatch, cpus):
-    monkeypatch.setattr(lab, "_available_cpus", lambda: cpus)
+    monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
     grid = ["--n-grid", "4 6 8", "--trials-per-n", "2", "--population-m", "2000", "--d", "2"]
     for command in ("sweep", "optimistic"):
         out = tmp_path / command

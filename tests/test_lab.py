@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from tripletlab import lab, risk, stability
+from tripletlab import lab, parallel, risk, stability
 from tripletlab.core import ValidationError
 from tripletlab.lab import (
     ExcessReport,
@@ -259,7 +259,7 @@ def test_runners_give_the_same_report_on_any_worker_count(monkeypatch, name):
     sys.setswitchinterval(1e-5)  # switch threads often, to shake out shared state
     try:
         for cpus in (1, 2, 8):  # 8: more threads than cores
-            monkeypatch.setattr(lab, "_available_cpus", lambda cpus=cpus: cpus)
+            monkeypatch.setattr(parallel, "available_cpus", lambda cpus=cpus: cpus)
             report = run(cfg)
             assert report.workers == min(cpus, 9)
             reports[cpus] = repr(report)
@@ -298,7 +298,7 @@ def test_the_first_failing_trial_in_trial_order_raises(monkeypatch):
     # trial 1 fails late and trial 5 at once: on two workers trial 5 fails first
     _failing_fits(monkeypatch, {seeds[1]: 0.2, seeds[5]: 0.0}, pause=0.0)
     for cpus in (1, 2):
-        monkeypatch.setattr(lab, "_available_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(parallel, "available_cpus", lambda cpus=cpus: cpus)
         with pytest.raises(FloatingPointError, match=f"^fit {seeds[1]} diverged$"):
             run_rate_sweep(FAILING_SWEEP)
 
@@ -306,7 +306,7 @@ def test_the_first_failing_trial_in_trial_order_raises(monkeypatch):
 def test_a_failing_trial_cancels_the_trials_not_yet_started(monkeypatch):
     seeds = [row.algo_seed for row in run_rate_sweep(FAILING_SWEEP).rows]
     fitted = _failing_fits(monkeypatch, {seeds[0]: 0.0}, pause=0.05)
-    monkeypatch.setattr(lab, "_available_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
     with pytest.raises(FloatingPointError, match=f"^fit {seeds[0]} diverged$"):
         run_rate_sweep(FAILING_SWEEP)
     assert seeds[0] in fitted

@@ -10,9 +10,10 @@ from tripletlab.loss import (
     LossConfig,
     MetricParams,
     NonpositiveBound,
+    anchor_blocks,
     logistic_triplet_grad,
     logistic_triplet_loss,
-    margin_blocks,
+    margin_block,
     margin_terms,
     metric_score,
     pair_scores,
@@ -22,9 +23,9 @@ from tripletlab.loss import (
     read_metric_csv,
     regularity_constants,
     row_scores,
-    triplet_blocks,
     triplet_losses_rowwise,
     triplet_margin,
+    triplet_sweep,
     write_metric_csv,
     zero_one_triplet_loss,
 )
@@ -345,6 +346,15 @@ def test_rowwise_losses_do_not_depend_on_the_block_size(monkeypatch):
 
 # --- the triplet-tensor sweep: fused kernel and anchor blocks ---
 
+
+def margin_blocks(S_pp, S_pn, zeta):
+    """(start, margin tensor) of every anchor block of the sweep, in order."""
+    return [
+        (start, margin_block(S_pp, S_pn, zeta, start, stop))
+        for start, stop in anchor_blocks(*S_pn.shape)
+    ]
+
+
 KERNEL_MARGINS = [0.0, 1e-300, -1e-300, 1.0, -1.0, 40.0, -40.0, 700.0, -700.0, 800.0, -800.0]
 
 
@@ -459,10 +469,12 @@ def test_factored_sweeps_match_the_margin_form(monkeypatch, n_plus, n_minus, d, 
 
 
 def _blocks(S_pp, S_pn, zeta):
-    return [
-        (start, *(t.copy() for t in terms))
-        for start, *terms in triplet_blocks(S_pp, S_pn, zeta, derivatives=True)
-    ]
+    return triplet_sweep(
+        [(S_pp, S_pn)],
+        zeta,
+        lambda start, terms: (start, *(t.copy() for t in terms)),
+        derivatives=True,
+    )
 
 
 def test_factored_sweep_gives_exact_zeros_on_excluded_triplets():
