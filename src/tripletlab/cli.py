@@ -344,7 +344,10 @@ def _cmd_sweep(cfg, args) -> int:
     report = run_rate_sweep(sweep_cfg)
     write_sweep_rows_csv(report, out / "sweep_rows.csv")
     write_sweep_summary_csv(report, out / "sweep_summary.csv")
-    write_manifest(out / "manifest.json", "sweep", sweep_cfg, started, workers=report.workers)
+    write_manifest(
+        out / "manifest.json", "sweep", sweep_cfg, started,
+        workers=report.workers, population_sample=report.population_sample,
+    )
     print(
         f"wrote {out / 'sweep_rows.csv'}; slope={report.slope:.4f} "
         f"(stderr {report.slope_stderr:.4f}, r^2 {report.r_squared:.4f})"
@@ -371,7 +374,8 @@ def _cmd_optimistic(cfg, args) -> int:
     write_optimistic_cells_csv(report, out / "optimistic_cells.csv")
     write_optimistic_rows_csv(report, out / "optimistic_rows.csv")
     write_manifest(
-        out / "manifest.json", "optimistic", sweep_cfg, started, workers=report.workers
+        out / "manifest.json", "optimistic", sweep_cfg, started,
+        workers=report.workers, population_sample=report.population_sample,
     )
     print(
         f"wrote {out / 'optimistic_cells.csv'}; slope={report.slope:.4f}, "

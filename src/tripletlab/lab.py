@@ -9,6 +9,13 @@ thread pool, and collect them in trial order; the exact sweeps inside a
 trial take pool threads only when trials leave some idle. So the bytes do
 not depend on the thread count either. Summary JSON manifests carry wall
 time and are the one intentionally non-reproducible output.
+
+The sweep runners (run_rate_sweep, run_optimistic_experiment) draw one
+population sample per run from the task law, with a seed of its own derived
+from the root seed (_population_sample), and score every trial's w on it:
+the trials' population risks share common random numbers, so the sample's
+own error is common to a cell's trials and does not average out over them.
+The excess-risk split still draws fresh population triplets per trial.
 """
 from __future__ import annotations
 
@@ -27,8 +34,10 @@ from .risk import (
     DEFAULT_TRIPLET_BUDGET,
     RiskEstimate,
     bernstein_ustat_bound,
+    draw_evaluation_sample,
     empirical_risk,
     population_risk,
+    sample_risk,
 )
 from .stability import (
     ConstantTrainer,
@@ -37,7 +46,7 @@ from .stability import (
     optimistic_epsilon,
     optimistic_gap_bound,
 )
-from .synth import TaskConfig, gen_task, low_noise_task
+from .synth import TaskConfig, gen_task, low_noise_task, task_sampler
 
 
 class NonpositiveValue(ValidationError):
@@ -142,6 +151,7 @@ class SweepReport:
     slope_stderr: float
     r_squared: float
     workers: int = field(default=1, repr=False, compare=False)
+    population_sample: dict | None = field(default=None, compare=False)
 
 
 def _cell_seeds(root: np.random.SeedSequence):
@@ -150,6 +160,28 @@ def _cell_seeds(root: np.random.SeedSequence):
         int(cell_a.generate_state(1, np.uint64)[0]),
         int(cell_b.generate_state(1, np.uint64)[0]),
     )
+
+
+def _population_sample(cfg: SweepConfig, trials: int):
+    """(sample, record) of a sweep run's one population sample: population_m
+    triplets of cfg.task's law (draw_evaluation_sample), drawn by
+    task_sampler at a seed s of their own, and its manifest record.
+
+    s is the first 64-bit word of SeedSequence(cfg.seed)'s own state. The
+    trial seeds come from that SeedSequence's spawned children, so none of
+    them changes, and the sample's stream is apart from theirs.
+    """
+    seed = int(np.random.SeedSequence(int(cfg.seed)).generate_state(1, np.uint64)[0])
+    sampler = task_sampler(replace(cfg.task, seed=seed))
+    record = {
+        "m": cfg.population_m,
+        "seed": seed,
+        "seed_derivation": "SeedSequence(config.seed).generate_state(1, uint64)[0], "
+        "drawn by task_sampler(config.task with that seed)",
+        "shared_by_all_trials": True,
+        "trials": trials,
+    }
+    return draw_evaluation_sample(sampler, cfg.population_m), record
 
 
 def _sgd_c(cfg: SweepConfig) -> float:
@@ -178,10 +210,10 @@ def _train_cell(cfg: SweepConfig, n: int, task_seed: int, algo_seed: int):
     return w, train, sampler
 
 
-def _sweep_trial(cfg: SweepConfig, n: int, trial: int, task_seed: int, algo_seed: int):
+def _sweep_trial(cfg: SweepConfig, sample, n: int, trial: int, task_seed: int, algo_seed: int):
     loss_cfg = LossConfig(cfg.zeta)
-    w, train, sampler = _train_cell(cfg, n, task_seed, algo_seed)
-    pop = population_risk(w, sampler, cfg.population_m, loss_cfg)
+    w, train, _ = _train_cell(cfg, n, task_seed, algo_seed)
+    pop = sample_risk(w, sample, loss_cfg)
     emp = empirical_risk(
         w, train, loss_cfg, budget=max(DEFAULT_TRIPLET_BUDGET, n * (n - 1) * n)
     )
@@ -192,15 +224,15 @@ def run_rate_sweep(cfg: SweepConfig) -> SweepReport:
     """Generalization gap vs n, with a log-log slope fit on the mean |gap|.
 
     Every trial's seeds are derived first, in trial order; the trials then
-    run on the shared thread pool (parallel.run_jobs).
+    run on the shared thread pool (parallel.run_jobs), each scored on the
+    run's one population sample (_population_sample).
     """
     root = np.random.SeedSequence(int(cfg.seed))
-    jobs = [
-        (cfg, n, trial, *_cell_seeds(root))
-        for n in cfg.n_grid
-        for trial in range(cfg.trials_per_n)
+    seeds = [
+        (n, trial, *_cell_seeds(root)) for n in cfg.n_grid for trial in range(cfg.trials_per_n)
     ]
-    rows, workers = parallel.run_jobs(_sweep_trial, jobs)
+    sample, record = _population_sample(cfg, len(seeds))
+    rows, workers = parallel.run_jobs(_sweep_trial, [(cfg, sample, *job) for job in seeds])
     mean_abs = [
         float(np.mean([abs(row.gap) for row in rows if row.n == n])) for n in cfg.n_grid
     ]
@@ -221,6 +253,7 @@ def run_rate_sweep(cfg: SweepConfig) -> SweepReport:
         slope_stderr=stderr,
         r_squared=r2,
         workers=workers,
+        population_sample=record,
     )
 
 
@@ -303,7 +336,10 @@ def run_excess_risk_experiment(cfg: SweepConfig) -> ExcessReport:
 
     The proxy solve is a ridge minimizer at the sigma rule evaluated at 10 n,
     so its exact-risk budget grows with n: keep the grid modest (the proxy
-    training set has 10 n samples per pool).
+    training set has 10 n samples per pool). Unlike the sweep runners, each
+    trial draws its own population triplets from its task's sampler; this
+    runner is to be replaced by one reference minimizer per task law, scored
+    on one shared sample, and is left as it is until then.
     """
     loss_cfg = LossConfig(cfg.zeta)
     root = np.random.SeedSequence(int(cfg.seed))
@@ -385,6 +421,7 @@ class OptimisticReport:
     slope_stderr: float
     r_squared: float
     workers: int = field(default=1, repr=False, compare=False)
+    population_sample: dict | None = field(default=None, compare=False)
 
     @property
     def all_dominated(self) -> bool:
@@ -392,15 +429,17 @@ class OptimisticReport:
 
 
 def _optimistic_trial(
-    cfg: SweepConfig, n: int, trial: int, task_seed: int, lam: float, tol: float, budget: int
+    cfg: SweepConfig, sample, n: int, trial: int, task_seed: int, lam: float, tol: float,
+    budget: int,
 ):
-    """One low-noise RRM fit: its row (n, trial, task_seed, emp, pop, gap)."""
+    """One low-noise RRM fit: its row (n, trial, task_seed, emp, pop, gap),
+    the population risk scored on the run's sample."""
     loss_cfg = LossConfig(cfg.zeta)
     task = replace(cfg.task, n_plus=n, n_minus=n, seed=task_seed)
-    train, sampler, _ = low_noise_task(task)
+    train, _, _ = low_noise_task(task)
     w, _ = rrm_train(train, RrmConfig(lam=lam, tol=tol, zeta=cfg.zeta, budget=budget))
     emp = empirical_risk(w, train, loss_cfg, budget=budget)
-    pop = population_risk(w, sampler, cfg.population_m, loss_cfg)
+    pop = sample_risk(w, sample, loss_cfg)
     return (n, trial, task_seed, emp.value, pop.value, pop.value - emp.value)
 
 
@@ -411,7 +450,8 @@ def run_optimistic_experiment(cfg: SweepConfig) -> OptimisticReport:
     mean gap.
 
     Every trial's seed is derived first, in trial order; the trials then run
-    on the shared thread pool (parallel.run_jobs).
+    on the shared thread pool (parallel.run_jobs), each scored on the run's
+    one population sample (_population_sample).
     """
     if cfg.algorithm != "rrm" or cfg.sigma_rule != "optimistic":
         raise ValidationError(
@@ -435,8 +475,9 @@ def run_optimistic_experiment(cfg: SweepConfig) -> OptimisticReport:
         tol = min(1e-8, max(1e-14, 2.0 * lam * 1e-7 / L))
         for trial in range(cfg.trials_per_n):
             task_seed, _ = _cell_seeds(root)
-            jobs.append((cfg, n, trial, task_seed, lam, tol, budget))
-    rows, workers = parallel.run_jobs(_optimistic_trial, jobs)
+            jobs.append((n, trial, task_seed, lam, tol, budget))
+    sample, record = _population_sample(cfg, len(jobs))
+    rows, workers = parallel.run_jobs(_optimistic_trial, [(cfg, sample, *job) for job in jobs])
     cells = []
     for n, sigma in zip(cfg.n_grid, sigmas):
         cell_rows = [row for row in rows if row[0] == n]
@@ -474,6 +515,7 @@ def run_optimistic_experiment(cfg: SweepConfig) -> OptimisticReport:
         slope_stderr=stderr,
         r_squared=r2,
         workers=workers,
+        population_sample=record,
     )
 
 

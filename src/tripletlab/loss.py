@@ -227,10 +227,9 @@ BLOCK = 1 << 16
 MIN_RUN = 2
 
 
-def row_scores(w_arr: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Vector of h_w(X[i], Y[i]) for aligned row sets: the rows of (X - Y) @ w
-    times X - Y, summed column by column (left to right)."""
-    delta = X - Y
+def difference_scores(w_arr: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Vector of delta[i]^T w delta[i]: the rows of delta @ w times delta,
+    summed column by column (left to right)."""
     terms = delta @ w_arr
     terms *= delta
     scores = terms[:, 0].copy()
@@ -239,63 +238,44 @@ def row_scores(w_arr: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return scores
 
 
-def _margins(positive_scores: np.ndarray, negative_scores: np.ndarray, zeta: float) -> np.ndarray:
-    """The triplet margin h_w(a, p) - h_w(a, n) + zeta from the two score
-    vectors, in place in positive_scores."""
-    positive_scores -= negative_scores
-    positive_scores += zeta
-    return positive_scores
+def row_scores(w_arr: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Vector of h_w(X[i], Y[i]) for aligned row sets: difference_scores of X - Y."""
+    return difference_scores(w_arr, X - Y)
 
 
-def streamed_triplet_losses(
-    w_arr: np.ndarray, Xa: np.ndarray, positive_blocks, negative_blocks, zeta: float
-) -> np.ndarray:
-    """Logistic triplet losses phi(-margin) of m aligned triplets, one per row
-    of the anchors Xa, with the positives and the negatives handed in as
-    consecutive row blocks that together cover the m rows.
+def difference_losses(w_arr: np.ndarray, shape, differences, zeta: float) -> np.ndarray:
+    """Logistic triplet losses phi(-margin) of m aligned triplets with d
+    features, shape = (m, d), scored in consecutive row blocks of BLOCK
+    doubles so a block's differences and scores stay in cache.
 
-    Every positive block is read before the first negative block, and each
-    block is used up before the next is taken, so both may be drawn lazily,
-    one stream after the other, into one reused buffer. A positive block's
-    scores are kept in the output; each negative block turns its rows into
-    margins and then losses, so no block of triplets is ever held whole.
-    A row's loss does not depend on the other rows, and a fixed blocking
-    gives the same losses on every run; but numpy computes a one-row block's
-    (X - Y) @ w as a matrix-vector product, which at d >= 4 can round
-    differently in the last bits than the same row in a larger block.
+    differences(rows) gives a block's rows of anchor - positive and of
+    anchor - negative, and the margin of a row is their difference_scores'
+    difference plus zeta. A row's loss does not depend on the other rows, and
+    the fixed blocking gives the same losses on every run; but numpy computes
+    a one-row block's delta @ w as a matrix-vector product, which at d >= 4
+    can round differently in the last bits than the same row in a larger
+    block.
     """
-    losses = np.empty(Xa.shape[0])
-    start = 0
-    for block in positive_blocks:
-        stop = start + block.shape[0]
-        losses[start:stop] = row_scores(w_arr, Xa[start:stop], block)
-        start = stop
-    start = 0
-    for block in negative_blocks:
-        stop = start + block.shape[0]
-        rows = losses[start:stop]
-        _margins(rows, row_scores(w_arr, Xa[start:stop], block), zeta)
-        rows[:] = margin_terms(rows)[0]
-        start = stop
+    m, d = shape
+    losses = np.empty(m)
+    step = max(1, BLOCK // d)
+    for start in range(0, m, step):
+        rows = slice(start, start + step)
+        dp, dn = differences(rows)
+        margins = losses[rows]
+        np.subtract(difference_scores(w_arr, dp), difference_scores(w_arr, dn), out=margins)
+        margins += zeta
+        margins[:] = margin_terms(margins)[0]
     return losses
 
 
 def triplet_losses_rowwise(
     w_arr: np.ndarray, Xa: np.ndarray, Xp: np.ndarray, Xn: np.ndarray, zeta: float
 ) -> np.ndarray:
-    """Logistic triplet losses phi(-margin) for m aligned triplets, one per row.
-
-    Scored in row blocks of BLOCK doubles (streamed_triplet_losses), so a
-    block's differences and scores stay in cache.
-    """
-    step = max(1, BLOCK // Xa.shape[1])
-    rows = range(0, Xa.shape[0], step)
-    return streamed_triplet_losses(
-        w_arr,
-        Xa,
-        (Xp[start : start + step] for start in rows),
-        (Xn[start : start + step] for start in rows),
-        zeta,
+    """Logistic triplet losses phi(-margin) for m aligned triplets, one per
+    row, their differences formed block by block (difference_losses)."""
+    return difference_losses(
+        w_arr, Xa.shape, lambda rows: (Xa[rows] - Xp[rows], Xa[rows] - Xn[rows]), zeta
     )
 
 

@@ -4,7 +4,10 @@ The empirical risk is the mean triplet loss over all n+ (n+ - 1) n- ordered
 triplets (a U-statistic). Up to a triplet budget (default 2e6) it is computed
 exactly in a fixed deterministic order; above the budget it falls back to a
 uniform i.i.d. subsample, which is unbiased for the exact value. Population
-risk is plain Monte Carlo over fresh triplets from a sampler.
+risk is plain Monte Carlo over fresh triplets from a sampler, in two halves:
+draw_evaluation_sample draws the triplets once, as read-only differences,
+and sample_risk scores a metric on them, so one sample can score every
+metric of a run (population_risk is the two in turn).
 """
 from __future__ import annotations
 
@@ -14,13 +17,13 @@ from enum import Enum
 
 import numpy as np
 
-from .core import DimensionMismatch, TripletDataset, ValidationError
+from .core import DimensionMismatch, TripletDataset, ValidationError, read_only_view
 from .loss import (
     LossConfig,
     MetricParams,
+    difference_losses,
     pair_scores,
     phi,
-    streamed_triplet_losses,
     triplet_sweep,
     triplet_losses_rowwise,
 )
@@ -124,35 +127,66 @@ def empirical_risk(
     return RiskEstimate(float(vals.mean()), std_error, budget, RiskMode.SAMPLED_TRIPLETS)
 
 
-def population_risk(
-    w: MetricParams, sampler: TripletSampler, m: int, cfg: LossConfig
-) -> RiskEstimate:
-    """Monte Carlo mean loss over m fresh triplets; advances the sampler.
+def draw_evaluation_sample(sampler: TripletSampler, m: int) -> np.ndarray:
+    """sampler.draw(m)'s triplets as differences: a read-only (2, m, d) array
+    of anchor - positive, then anchor - negative. Advances the sampler as
+    sampler.draw(m) does.
 
-    The triplets are sampler.draw(m)'s, but only the anchors are held whole:
-    the positives and then the negatives arrive in the sampler's row blocks
-    and are scored as they land, so the estimate and the sampler's state
-    afterwards are those of scoring sampler.draw(m), bit for bit.
+    The anchors are drawn straight into the second half; the positives and
+    then the negatives arrive in the sampler's row blocks and are subtracted
+    from them as they land, so no other m x d array is ever held. Each
+    difference is the subtraction triplet_losses_rowwise makes, bit for bit.
     """
     if m < 2:
         raise ValidationError(f"population risk needs m >= 2 triplets, got {m}")
-    if w.d != sampler.d:
-        raise DimensionMismatch(f"metric is {w.d}-dimensional, sampler is {sampler.d}")
-    anchors = sampler.draw_positive(m)
-    vals = streamed_triplet_losses(
-        w.w, anchors, sampler.positive_blocks(m), sampler.negative_blocks(m), cfg.zeta
-    )
+    sample = np.empty((2, m, sampler.d))
+    positive, negative = sample
+    sampler.draw_positive(m, out=negative)
+    halves = (sampler.positive_blocks(m), positive), (sampler.negative_blocks(m), negative)
+    for blocks, out in halves:
+        start = 0
+        for block in blocks:
+            rows = slice(start, start + block.shape[0])
+            np.subtract(negative[rows], block, out=out[rows])
+            start = rows.stop
+    return read_only_view(sample)
+
+
+def sample_risk(w: MetricParams, sample: np.ndarray, cfg: LossConfig) -> RiskEstimate:
+    """Monte Carlo mean loss of w over an evaluation sample
+    (draw_evaluation_sample), with its standard error.
+
+    The sample is only read, so one sample can score any number of metrics,
+    from any number of threads at once.
+    """
+    _, m, d = sample.shape
+    if w.d != d:
+        raise DimensionMismatch(f"metric is {w.d}-dimensional, sample is {d}")
+    vals = difference_losses(w.w, (m, d), lambda rows: sample[:, rows], cfg.zeta)
     if np.ptp(vals) == 0.0:
         # constant integrand: the mean is the common value, with no noise
         return RiskEstimate(float(vals[0]), 0.0, m, RiskMode.MONTE_CARLO_POPULATION)
     # vals.std(ddof=1)'s own operations, done in place: its m-long temporary
-    # would add a quarter to the estimate's memory at d = 3 (anchors and
-    # losses, 32 bytes a triplet)
+    # would be one more array of the losses' size per scored metric
     mean = float(vals.mean())
     np.subtract(vals, mean, out=vals)
     np.square(vals, out=vals)
     std_error = math.sqrt(float(vals.sum()) / (m - 1)) / math.sqrt(m)
     return RiskEstimate(mean, std_error, m, RiskMode.MONTE_CARLO_POPULATION)
+
+
+def population_risk(
+    w: MetricParams, sampler: TripletSampler, m: int, cfg: LossConfig
+) -> RiskEstimate:
+    """Monte Carlo mean loss over m fresh triplets; advances the sampler.
+
+    sample_risk on draw_evaluation_sample(sampler, m): the estimate and the
+    sampler's state afterwards are those of scoring sampler.draw(m), bit for
+    bit.
+    """
+    if w.d != sampler.d:
+        raise DimensionMismatch(f"metric is {w.d}-dimensional, sampler is {sampler.d}")
+    return sample_risk(w, draw_evaluation_sample(sampler, m), cfg)
 
 
 def generalization_gap(

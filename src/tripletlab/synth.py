@@ -96,15 +96,17 @@ def _fill_rows(rng: np.random.Generator, block: np.ndarray, mu, noise_scale, B) 
     return block
 
 
-def _draw_pool(rng: np.random.Generator, mu, noise_scale, B, m, d) -> np.ndarray:
+def _draw_pool(rng: np.random.Generator, mu, noise_scale, B, m, d, out=None) -> np.ndarray:
     """m rows of the pool law (see _fill_rows), filled in blocks of loss.BLOCK
-    doubles so each block's temporaries stay in cache.
+    doubles so each block's temporaries stay in cache, into out (m, d) when
+    given.
 
     The generator yields the same numbers in the same order as one (m, d)
     draw, and every operation is the unblocked one, row by row, so draws and
     generator state are bit-identical for any block size.
     """
-    out = np.empty((m, d))
+    if out is None:
+        out = np.empty((m, d))
     step = max(1, loss.BLOCK // d)
     for start in range(0, m, step):
         _fill_rows(rng, out[start : start + step], mu, noise_scale, B)
@@ -146,8 +148,9 @@ class TripletSampler:
     def d(self) -> int:
         return self.mu_plus.shape[0]
 
-    def draw_positive(self, m: int) -> np.ndarray:
-        return _draw_pool(self._rng, self.mu_plus, self.noise_scale, self.B, m, self.d)
+    def draw_positive(self, m: int, out=None) -> np.ndarray:
+        """m fresh positive rows, (m, d), drawn into out when given."""
+        return _draw_pool(self._rng, self.mu_plus, self.noise_scale, self.B, m, self.d, out)
 
     def draw_negative(self, m: int) -> np.ndarray:
         return _draw_pool(self._rng, self.mu_minus, self.noise_scale, self.B, m, self.d)
@@ -187,21 +190,29 @@ class TripletSampler:
         return np.random.default_rng(self._seq.spawn(1)[0])
 
 
+def _task_streams(config: TaskConfig):
+    """The seed's two disjoint sub-streams: (training set, sampler)."""
+    return np.random.SeedSequence(int(config.seed)).spawn(2)
+
+
+def task_sampler(config: TaskConfig) -> TripletSampler:
+    """The sampler of gen_task(config), without drawing its training set."""
+    mu_plus, mu_minus = _pool_means(config)
+    stream = _task_streams(config)[1]
+    return TripletSampler(mu_plus, mu_minus, config.noise_scale, config.B, stream)
+
+
 def gen_task(config: TaskConfig):
     """Generate (train, sampler) for a config; bit-identical on repeat calls.
 
     The training set and the sampler consume disjoint sub-streams of the seed,
     so drawing from the sampler never perturbs the training set.
     """
-    root = np.random.SeedSequence(int(config.seed))
-    train_seq, sampler_seq = root.spawn(2)
     mu_plus, mu_minus = _pool_means(config)
-    rng = np.random.default_rng(train_seq)
+    rng = np.random.default_rng(_task_streams(config)[0])
     pos_rows = _draw_pool(rng, mu_plus, config.noise_scale, config.B, config.n_plus, config.d)
     neg_rows = _draw_pool(rng, mu_minus, config.noise_scale, config.B, config.n_minus, config.d)
-    train = TripletDataset(pos_rows, neg_rows)
-    sampler = TripletSampler(mu_plus, mu_minus, config.noise_scale, config.B, sampler_seq)
-    return train, sampler
+    return TripletDataset(pos_rows, neg_rows), task_sampler(config)
 
 
 def low_noise_task(config: TaskConfig):

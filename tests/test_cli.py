@@ -6,6 +6,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -330,6 +331,20 @@ def test_sweep_and_optimistic_manifests_record_the_worker_count(tmp_path, monkey
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == command
         assert manifest["workers"] == min(cpus, 3 * 2)  # one per CPU, at most one per trial
+
+
+def test_sweep_and_optimistic_manifests_record_the_shared_population_sample(tmp_path):
+    grid = ["--n-grid", "4 6 8", "--trials-per-n", "2", "--population-m", "2000", "--d", "2"]
+    own_state = np.random.SeedSequence(3).generate_state(1, np.uint64)[0]
+    for command in ("sweep", "optimistic"):
+        out = tmp_path / command
+        assert main([command, "--seed", "3", "--outdir", str(out)] + grid) == EXIT_OK
+        sample = json.loads((out / "manifest.json").read_text())["population_sample"]
+        assert sample["m"] == 2000
+        assert sample["seed"] == int(own_state)
+        assert sample["seed_derivation"].startswith("SeedSequence(config.seed)")
+        assert sample["shared_by_all_trials"] is True
+        assert sample["trials"] == 3 * 2
 
 
 def test_check_small_probe_budget_passes(tmp_path, capsys):

@@ -3,7 +3,9 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from tripletlab import lab, parallel, risk, stability
@@ -27,8 +29,9 @@ from tripletlab.lab import (
     write_sweep_rows_csv,
     write_sweep_summary_csv,
 )
-from tripletlab.loss import regularity_constants
-from tripletlab.synth import TaskConfig
+from tripletlab.loss import LossConfig, regularity_constants
+from tripletlab.risk import draw_evaluation_sample, empirical_risk, sample_risk
+from tripletlab.synth import TaskConfig, gen_task, low_noise_task, task_sampler
 
 TASK = TaskConfig(d=2, n_plus=4, n_minus=4, seed=0)
 LOW_NOISE_TASK = TaskConfig(
@@ -236,6 +239,89 @@ def test_optimistic_experiment_requires_rrm_and_rule():
         run_optimistic_experiment(optimistic_cfg(algorithm="sgd", sigma_rule="optimistic"))
     with pytest.raises(ValidationError):
         run_optimistic_experiment(optimistic_cfg(sigma_rule="inv_sqrt_n"))
+
+
+# --- one population sample per run ---
+
+
+def _shared_sample(cfg):
+    """(seed, sample) of a sweep run's population sample, derived here apart
+    from the runner: the first 64-bit word of SeedSequence(seed)'s own state."""
+    seed = int(np.random.SeedSequence(cfg.seed).generate_state(1, np.uint64)[0])
+    sampler = task_sampler(replace(cfg.task, seed=seed))
+    return seed, draw_evaluation_sample(sampler, cfg.population_m)
+
+
+def _trial_seeds(cfg):
+    """(n, trial, task_seed, algo_seed) of every trial: the cells' spawned
+    children of SeedSequence(seed), one per trial, in trial order."""
+    root = np.random.SeedSequence(cfg.seed)
+    out = []
+    for n in cfg.n_grid:
+        for trial in range(cfg.trials_per_n):
+            seqs = root.spawn(1)[0].spawn(2)
+            out.append((n, trial, *(int(s.generate_state(1, np.uint64)[0]) for s in seqs)))
+    return out
+
+
+def _check_sample_record(report, cfg, seed):
+    assert report.population_sample["m"] == cfg.population_m
+    assert report.population_sample["seed"] == seed
+    assert report.population_sample["shared_by_all_trials"] is True
+    assert report.population_sample["trials"] == len(cfg.n_grid) * cfg.trials_per_n
+
+
+@pytest.mark.parametrize("algorithm", ["sgd", "rrm"])
+def test_rate_sweep_rows_score_each_fit_on_the_one_shared_sample(monkeypatch, algorithm):
+    fits = {}
+    train_cell = lab._train_cell
+
+    def record(cfg, n, task_seed, algo_seed):
+        w, train, sampler = train_cell(cfg, n, task_seed, algo_seed)
+        fits[(n, task_seed, algo_seed)] = (w, train)
+        return w, train, sampler
+
+    monkeypatch.setattr(lab, "_train_cell", record)
+    cfg = SweepConfig(
+        algorithm=algorithm, n_grid=(4, 6, 8), trials_per_n=2, task=TASK,
+        population_m=3000, sigma0=2.0, seed=31,
+    )
+    report = run_rate_sweep(cfg)
+    seed, sample = _shared_sample(cfg)
+    _check_sample_record(report, cfg, seed)
+    assert [(r.n, r.trial, r.task_seed, r.algo_seed) for r in report.rows] == _trial_seeds(cfg)
+    for row in report.rows:
+        w, train = fits[(row.n, row.task_seed, row.algo_seed)]
+        task = replace(TASK, n_plus=row.n, n_minus=row.n, seed=row.task_seed)
+        assert train == gen_task(task)[0]
+        assert row.emp == empirical_risk(w, train, LossConfig(0.0))
+        assert row.pop == sample_risk(w, sample, LossConfig(0.0))
+    # every trial's population risk differs: one sample, but a different w each
+    assert len({row.pop.value for row in report.rows}) == len(report.rows)
+
+
+def test_optimistic_rows_score_each_fit_on_the_one_shared_sample(monkeypatch):
+    fits = {}
+    rrm_train = lab.rrm_train
+
+    def record(train, rrm_cfg):
+        w, stats = rrm_train(train, rrm_cfg)
+        fits[train.positive_features.tobytes()] = (w, rrm_cfg)
+        return w, stats
+
+    monkeypatch.setattr(lab, "rrm_train", record)
+    cfg = optimistic_cfg(trials_per_n=2, population_m=3000)
+    report = run_optimistic_experiment(cfg)
+    seed, sample = _shared_sample(cfg)
+    _check_sample_record(report, cfg, seed)
+    seeds = _trial_seeds(cfg)
+    assert [row[:3] for row in report.rows] == [(n, trial, a) for n, trial, a, _ in seeds]
+    for n, _, task_seed, emp, pop, gap in report.rows:
+        train, _, _ = low_noise_task(replace(cfg.task, n_plus=n, n_minus=n, seed=task_seed))
+        w, rrm_cfg = fits[train.positive_features.tobytes()]
+        assert emp == empirical_risk(w, train, LossConfig(0.0), budget=rrm_cfg.budget).value
+        assert pop == sample_risk(w, sample, LossConfig(0.0)).value
+        assert gap == pop - emp
 
 
 # --- trials on a thread pool ---

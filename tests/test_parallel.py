@@ -205,3 +205,43 @@ def test_a_run_keeps_nothing_alive_behind_a_helper_still_queued(monkeypatch):
         release.set()
         busy.join(timeout=60)
     assert not busy.is_alive()
+
+
+def test_a_waiting_caller_runs_jobs_of_a_run_nested_in_a_job_it_did_not_take(monkeypatch):
+    # two CPUs and two outer jobs: the job the pool's one thread takes starts
+    # a nested run of two jobs that can only finish together, and the pool
+    # thread is busy; so the nested run finishes only if the caller, done
+    # with its own outer job and waiting, runs one of them
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    caller, pool = [], []
+    pool_thread_took_one = threading.Event()
+    together = threading.Barrier(2, timeout=30)
+    inner_threads = []
+
+    def inner(index):
+        inner_threads.append(threading.get_ident())
+        together.wait()
+        return index
+
+    def outer(index):
+        if threading.get_ident() == caller[0]:
+            pool_thread_took_one.wait(30)
+            return "caller"
+        pool.append(threading.get_ident())
+        pool_thread_took_one.set()
+        return parallel.run_jobs(inner, [(0,), (1,)])[0]
+
+    box = []
+
+    def run():
+        caller.append(threading.get_ident())
+        box.append(parallel.run_jobs(outer, [(0,), (1,)]))
+
+    runner = threading.Thread(target=run)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive()
+    assert box, "the nested run did not finish"
+    results, workers = box[0]
+    assert workers == 2 and sorted(results, key=str) == [[0, 1], "caller"]
+    assert sorted(inner_threads) == sorted(caller + pool)

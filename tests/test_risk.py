@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tripletlab import loss as loss_module
-from tripletlab.core import TripletDataset
+from tripletlab.core import DimensionMismatch, TripletDataset
 from tripletlab.loss import (
     LossConfig,
     MetricParams,
@@ -19,9 +19,11 @@ from tripletlab.risk import (
     RiskEstimate,
     RiskMode,
     bernstein_ustat_bound,
+    draw_evaluation_sample,
     empirical_risk,
     generalization_gap,
     population_risk,
+    sample_risk,
     sample_triplet_indices,
 )
 from tripletlab.synth import TaskConfig, gen_task
@@ -202,6 +204,60 @@ def test_streamed_population_risk_matches_draw_then_score_bit_for_bit(monkeypatc
             assert (got.n_terms, got.mode) == (want.n_terms, want.mode), case
             # the sampler sits where drawing every triplet whole leaves it
             assert got_sampler._rng.random() == want_sampler._rng.random(), case
+
+
+@pytest.mark.parametrize("block", [None, 70])  # the default block, then blocks of 70 // d rows
+@pytest.mark.parametrize("d", [1, 3, 4, 10])
+def test_scoring_a_drawn_sample_is_population_risk_bit_for_bit(monkeypatch, d, block):
+    if block is not None:
+        monkeypatch.setattr(loss_module, "BLOCK", block)
+    rows = max(1, loss_module.BLOCK // d)
+    task = TaskConfig(d=d, n_plus=4, n_minus=4, B=0.6, separation=0.8, noise_scale=0.3, seed=d)
+    w = random_metric(np.random.default_rng(d), d, scale=2.0)
+    for m in (2, rows - 1, rows, rows + 1, 3 * rows + 5):
+        if m < 2:
+            continue
+        _, sampler = gen_task(task)
+        _, reference = gen_task(task)
+        sample = draw_evaluation_sample(sampler, m)
+        xa, xp, xn = reference.draw(m)
+        case = (d, block, m)
+        assert sample.shape == (2, m, d), case
+        assert np.array_equal(sample[0], xa - xp) and np.array_equal(sample[1], xa - xn), case
+        # the sampler sits where drawing every triplet whole leaves it
+        assert sampler._rng.random() == reference._rng.random(), case
+        for zeta in (0.0, 0.3):
+            _, population_sampler = gen_task(task)
+            got = sample_risk(w, sample, LossConfig(zeta))
+            want = population_risk(w, population_sampler, m, LossConfig(zeta))
+            assert got.value.hex() == want.value.hex(), case
+            assert got.std_error.hex() == want.std_error.hex(), case
+            assert (got.n_terms, got.mode) == (want.n_terms, want.mode), case
+
+
+def test_an_evaluation_sample_is_read_only_and_scores_without_changing():
+    _, sampler = gen_task(TaskConfig(d=3, n_plus=4, n_minus=4, seed=4))
+    sample = draw_evaluation_sample(sampler, 500)
+    before = sample.copy()
+    for arr in (sample, sample[0], sample[1]):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
+    w = random_metric(np.random.default_rng(4), 3)
+    first = sample_risk(w, sample, LossConfig(0.2))
+    assert sample_risk(w, sample, LossConfig(0.2)) == first
+    assert np.array_equal(sample, before)
+
+
+def test_evaluation_sample_validation():
+    _, sampler = gen_task(TaskConfig(d=2, n_plus=4, n_minus=4, seed=5))
+    with pytest.raises(ValueError):
+        draw_evaluation_sample(sampler, 1)
+    sample = draw_evaluation_sample(sampler, 10)
+    with pytest.raises(DimensionMismatch):
+        sample_risk(MetricParams.zeros(3), sample, LossConfig(0.0))
+    with pytest.raises(DimensionMismatch):
+        population_risk(MetricParams.zeros(3), sampler, 10, LossConfig(0.0))
 
 
 def test_generalization_gap_zero_metric_is_exactly_zero():
