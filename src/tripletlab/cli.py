@@ -347,6 +347,7 @@ def _cmd_sweep(cfg, args) -> int:
     write_manifest(
         out / "manifest.json", "sweep", sweep_cfg, started,
         workers=report.workers, population_sample=report.population_sample,
+        phase_seconds=report.phase_seconds,
     )
     print(
         f"wrote {out / 'sweep_rows.csv'}; slope={report.slope:.4f} "
@@ -376,6 +377,7 @@ def _cmd_optimistic(cfg, args) -> int:
     write_manifest(
         out / "manifest.json", "optimistic", sweep_cfg, started,
         workers=report.workers, population_sample=report.population_sample,
+        phase_seconds=report.phase_seconds,
     )
     print(
         f"wrote {out / 'optimistic_cells.csv'}; slope={report.slope:.4f}, "

@@ -15,6 +15,9 @@ population sample per run from the task law, with a seed of its own derived
 from the root seed (_population_sample), and score every trial's w on it:
 the trials' population risks share common random numbers, so the sample's
 own error is common to a cell's trials and does not average out over them.
+Both run in two phases (_fit_and_score): first the draw, as job 0, beside
+the trials' fits and empirical risks, so the draw takes one CPU while the
+fits take the others; then the scoring of every fitted w on the sample.
 The excess-risk split still draws fresh population triplets per trial.
 """
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .risk import (
     DEFAULT_TRIPLET_BUDGET,
     RiskEstimate,
     bernstein_ustat_bound,
+    check_sample_size,
     draw_evaluation_sample,
     empirical_risk,
     population_risk,
@@ -152,6 +156,7 @@ class SweepReport:
     r_squared: float
     workers: int = field(default=1, repr=False, compare=False)
     population_sample: dict | None = field(default=None, compare=False)
+    phase_seconds: dict | None = field(default=None, repr=False, compare=False)
 
 
 def _cell_seeds(root: np.random.SeedSequence):
@@ -184,6 +189,43 @@ def _population_sample(cfg: SweepConfig, trials: int):
     return draw_evaluation_sample(sampler, cfg.population_m), record
 
 
+def _fit_and_score(cfg: SweepConfig, fit, jobs):
+    """Fit every trial of a sweep run and score each fit on the run's one
+    population sample, in two parallel.run_jobs calls.
+
+    Phase 1 runs the draw (_population_sample) as job 0 and fit(cfg, *job),
+    which returns (w, empirical risk), for each job after it, in trial order:
+    the draw takes one CPU while the fits take the others, and on one CPU it
+    runs before any fit. Phase 2 scores every w on the sample (sample_risk).
+    A sample larger than physical memory is refused before any job starts.
+
+    Returns ([(w, emp, pop)] in trial order, the sample's record, phase 2's
+    worker count (one per CPU, at most one per trial) and phase_seconds: the
+    wall times of the draw alone, of phase 1 and of phase 2).
+    """
+    check_sample_size(cfg.population_m, cfg.task.d)
+
+    def draw():
+        began = time.perf_counter()
+        return *_population_sample(cfg, len(jobs)), time.perf_counter() - began
+
+    started = time.perf_counter()
+    results, _ = parallel.run_jobs(
+        lambda job, *args: job(*args), [(draw,)] + [(fit, cfg, *job) for job in jobs]
+    )
+    fitted = time.perf_counter()
+    (sample, record, draw_seconds), fits = results[0], results[1:]
+    loss_cfg = LossConfig(cfg.zeta)
+    pops, workers = parallel.run_jobs(sample_risk, [(w, sample, loss_cfg) for w, _ in fits])
+    phase_seconds = {
+        "population_draw": draw_seconds,
+        "draw_and_fits": fitted - started,
+        "scoring": time.perf_counter() - fitted,
+    }
+    scored = [(w, emp, pop) for (w, emp), pop in zip(fits, pops)]
+    return scored, record, workers, phase_seconds
+
+
 def _sgd_c(cfg: SweepConfig) -> float:
     if cfg.c is not None:
         return cfg.c
@@ -210,29 +252,28 @@ def _train_cell(cfg: SweepConfig, n: int, task_seed: int, algo_seed: int):
     return w, train, sampler
 
 
-def _sweep_trial(cfg: SweepConfig, sample, n: int, trial: int, task_seed: int, algo_seed: int):
-    loss_cfg = LossConfig(cfg.zeta)
+def _sweep_fit(cfg: SweepConfig, n: int, task_seed: int, algo_seed: int):
+    """(w, empirical risk) of one rate-sweep trial."""
     w, train, _ = _train_cell(cfg, n, task_seed, algo_seed)
-    pop = sample_risk(w, sample, loss_cfg)
-    emp = empirical_risk(
-        w, train, loss_cfg, budget=max(DEFAULT_TRIPLET_BUDGET, n * (n - 1) * n)
-    )
-    return SweepRow(n, trial, task_seed, algo_seed, emp, pop)
+    budget = max(DEFAULT_TRIPLET_BUDGET, n * (n - 1) * n)
+    return w, empirical_risk(w, train, LossConfig(cfg.zeta), budget=budget)
 
 
 def run_rate_sweep(cfg: SweepConfig) -> SweepReport:
     """Generalization gap vs n, with a log-log slope fit on the mean |gap|.
 
-    Every trial's seeds are derived first, in trial order; the trials then
-    run on the shared thread pool (parallel.run_jobs), each scored on the
-    run's one population sample (_population_sample).
+    Every trial's seeds are derived first, in trial order; the trials are
+    then fitted beside the draw of the run's one population sample and
+    scored on it (_fit_and_score).
     """
     root = np.random.SeedSequence(int(cfg.seed))
     seeds = [
         (n, trial, *_cell_seeds(root)) for n in cfg.n_grid for trial in range(cfg.trials_per_n)
     ]
-    sample, record = _population_sample(cfg, len(seeds))
-    rows, workers = parallel.run_jobs(_sweep_trial, [(cfg, sample, *job) for job in seeds])
+    scored, record, workers, phase_seconds = _fit_and_score(
+        cfg, _sweep_fit, [(n, task_seed, algo_seed) for n, _, task_seed, algo_seed in seeds]
+    )
+    rows = [SweepRow(*seed, emp, pop) for seed, (_, emp, pop) in zip(seeds, scored)]
     mean_abs = [
         float(np.mean([abs(row.gap) for row in rows if row.n == n])) for n in cfg.n_grid
     ]
@@ -254,6 +295,7 @@ def run_rate_sweep(cfg: SweepConfig) -> SweepReport:
         r_squared=r2,
         workers=workers,
         population_sample=record,
+        phase_seconds=phase_seconds,
     )
 
 
@@ -415,6 +457,7 @@ class OptimisticCell:
 class OptimisticReport:
     cells: tuple
     rows: tuple  # (n, trial, task_seed, emp, pop, gap)
+    pop_std_errors: tuple  # the standard error of each row's pop
     alpha: float
     slope: float
     intercept: float
@@ -422,25 +465,21 @@ class OptimisticReport:
     r_squared: float
     workers: int = field(default=1, repr=False, compare=False)
     population_sample: dict | None = field(default=None, compare=False)
+    phase_seconds: dict | None = field(default=None, repr=False, compare=False)
 
     @property
     def all_dominated(self) -> bool:
         return all(c.dominated for c in self.cells)
 
 
-def _optimistic_trial(
-    cfg: SweepConfig, sample, n: int, trial: int, task_seed: int, lam: float, tol: float,
-    budget: int,
+def _optimistic_fit(
+    cfg: SweepConfig, n: int, task_seed: int, lam: float, tol: float, budget: int
 ):
-    """One low-noise RRM fit: its row (n, trial, task_seed, emp, pop, gap),
-    the population risk scored on the run's sample."""
-    loss_cfg = LossConfig(cfg.zeta)
+    """(w, empirical risk) of one low-noise RRM trial."""
     task = replace(cfg.task, n_plus=n, n_minus=n, seed=task_seed)
     train, _, _ = low_noise_task(task)
     w, _ = rrm_train(train, RrmConfig(lam=lam, tol=tol, zeta=cfg.zeta, budget=budget))
-    emp = empirical_risk(w, train, loss_cfg, budget=budget)
-    pop = sample_risk(w, sample, loss_cfg)
-    return (n, trial, task_seed, emp.value, pop.value, pop.value - emp.value)
+    return w, empirical_risk(w, train, LossConfig(cfg.zeta), budget=budget)
 
 
 def run_optimistic_experiment(cfg: SweepConfig) -> OptimisticReport:
@@ -449,9 +488,9 @@ def run_optimistic_experiment(cfg: SweepConfig) -> OptimisticReport:
     multiplicative bound in every cell and fits the decay exponent of the
     mean gap.
 
-    Every trial's seed is derived first, in trial order; the trials then run
-    on the shared thread pool (parallel.run_jobs), each scored on the run's
-    one population sample (_population_sample).
+    Every trial's seed is derived first, in trial order; the trials are
+    then fitted beside the draw of the run's one population sample and
+    scored on it (_fit_and_score).
     """
     if cfg.algorithm != "rrm" or cfg.sigma_rule != "optimistic":
         raise ValidationError(
@@ -463,7 +502,7 @@ def run_optimistic_experiment(cfg: SweepConfig) -> OptimisticReport:
     # clears 8 alpha after rounding
     sigmas = [(8.0 * alpha / n) * (1.0 + 1e-9) for n in cfg.n_grid]
     root = np.random.SeedSequence(int(cfg.seed))
-    jobs = []
+    keys, jobs = [], []
     for n, sigma in zip(cfg.n_grid, sigmas):
         lam = sigma / 2.0
         budget = max(DEFAULT_TRIPLET_BUDGET, n * (n - 1) * n)
@@ -475,9 +514,13 @@ def run_optimistic_experiment(cfg: SweepConfig) -> OptimisticReport:
         tol = min(1e-8, max(1e-14, 2.0 * lam * 1e-7 / L))
         for trial in range(cfg.trials_per_n):
             task_seed, _ = _cell_seeds(root)
-            jobs.append((n, trial, task_seed, lam, tol, budget))
-    sample, record = _population_sample(cfg, len(jobs))
-    rows, workers = parallel.run_jobs(_optimistic_trial, [(cfg, sample, *job) for job in jobs])
+            keys.append((n, trial, task_seed))
+            jobs.append((n, task_seed, lam, tol, budget))
+    scored, record, workers, phase_seconds = _fit_and_score(cfg, _optimistic_fit, jobs)
+    rows = [
+        (*key, emp.value, pop.value, pop.value - emp.value)
+        for key, (_, emp, pop) in zip(keys, scored)
+    ]
     cells = []
     for n, sigma in zip(cfg.n_grid, sigmas):
         cell_rows = [row for row in rows if row[0] == n]
@@ -509,6 +552,7 @@ def run_optimistic_experiment(cfg: SweepConfig) -> OptimisticReport:
     return OptimisticReport(
         cells=tuple(cells),
         rows=tuple(rows),
+        pop_std_errors=tuple(pop.std_error for _, _, pop in scored),
         alpha=alpha,
         slope=slope,
         intercept=intercept,
@@ -516,6 +560,7 @@ def run_optimistic_experiment(cfg: SweepConfig) -> OptimisticReport:
         r_squared=r2,
         workers=workers,
         population_sample=record,
+        phase_seconds=phase_seconds,
     )
 
 
@@ -544,8 +589,15 @@ def write_optimistic_cells_csv(report: OptimisticReport, path) -> None:
 
 
 def write_optimistic_rows_csv(report: OptimisticReport, path) -> None:
-    header = ["n", "trial", "task_seed", "emp_value", "pop_value", "gap"]
-    write_csv(path, header, report.rows)
+    header = ["n", "trial", "task_seed", "emp_value", "pop_value", "pop_std_error", "gap"]
+    write_csv(
+        path,
+        header,
+        (
+            [*row[:5], std_error, row[5]]
+            for row, std_error in zip(report.rows, report.pop_std_errors, strict=True)
+        ),
+    )
 
 
 def package_version() -> str:

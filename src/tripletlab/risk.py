@@ -12,6 +12,7 @@ metric of a run (population_risk is the two in turn).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,6 +38,10 @@ class InvalidDelta(ValidationError):
 
 
 class InvalidCounts(ValidationError):
+    pass
+
+
+class SampleTooLarge(ValidationError):
     pass
 
 
@@ -127,6 +132,23 @@ def empirical_risk(
     return RiskEstimate(float(vals.mean()), std_error, budget, RiskMode.SAMPLED_TRIPLETS)
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory of the machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_sample_size(m: int, d: int) -> None:
+    """Raise SampleTooLarge if an evaluation sample of m triplets at dimension
+    d, 2 m d doubles (draw_evaluation_sample), is larger than physical memory."""
+    need = 2 * m * d * 8
+    have = physical_memory()
+    if need > have:
+        raise SampleTooLarge(
+            f"a population sample of m = {m} triplets at d = {d} needs {need} bytes "
+            f"(2*m*d*8), more than the {have} bytes of physical memory"
+        )
+
+
 def draw_evaluation_sample(sampler: TripletSampler, m: int) -> np.ndarray:
     """sampler.draw(m)'s triplets as differences: a read-only (2, m, d) array
     of anchor - positive, then anchor - negative. Advances the sampler as
@@ -136,9 +158,12 @@ def draw_evaluation_sample(sampler: TripletSampler, m: int) -> np.ndarray:
     then the negatives arrive in the sampler's row blocks and are subtracted
     from them as they land, so no other m x d array is ever held. Each
     difference is the subtraction triplet_losses_rowwise makes, bit for bit.
+    A sample larger than physical memory is refused (check_sample_size)
+    before anything is allocated.
     """
     if m < 2:
         raise ValidationError(f"population risk needs m >= 2 triplets, got {m}")
+    check_sample_size(m, sampler.d)
     sample = np.empty((2, m, sampler.d))
     positive, negative = sample
     sampler.draw_positive(m, out=negative)

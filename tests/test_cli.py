@@ -347,6 +347,29 @@ def test_sweep_and_optimistic_manifests_record_the_shared_population_sample(tmp_
         assert sample["trials"] == 3 * 2
 
 
+def test_sweep_and_optimistic_manifests_record_the_phase_timings(tmp_path):
+    grid = ["--n-grid", "4 6 8", "--trials-per-n", "2", "--population-m", "2000", "--d", "2"]
+    for command in ("sweep", "optimistic"):
+        out = tmp_path / command
+        assert main([command, "--seed", "3", "--outdir", str(out)] + grid) == EXIT_OK
+        times = json.loads((out / "manifest.json").read_text())["phase_seconds"]
+        assert set(times) == {"population_draw", "draw_and_fits", "scoring"}
+        assert all(t >= 0.0 for t in times.values())
+
+
+@pytest.mark.parametrize("command", ["sweep", "optimistic", "excess"])
+def test_a_population_sample_larger_than_memory_exits_2(tmp_path, capsys, command):
+    m = 10_000_000_000_000  # 2 m d 8 bytes = 480 TB at d = 3: refused, never allocated
+    rc = main(
+        [command, "--seed", "3", "--outdir", str(tmp_path), "--n-grid", "4 6 8",
+         "--trials-per-n", "1", "--population-m", str(m), "--d", "3"]
+    )
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"m = {m} triplets at d = 3 needs {2 * m * 3 * 8} bytes" in err
+    assert "bytes of physical memory" in err
+
+
 def test_check_small_probe_budget_passes(tmp_path, capsys):
     rc = main(
         ["check", "--seed", "0", "--outdir", str(tmp_path),

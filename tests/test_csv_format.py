@@ -265,6 +265,7 @@ def optimistic_report():
     return OptimisticReport(
         cells=cells,
         rows=rows,
+        pop_std_errors=(np.float64(0.01), 0.0),
         alpha=np.float64(64.0),
         slope=-1.0,
         intercept=0.0,
@@ -287,7 +288,7 @@ def test_optimistic_rows_csv_format(tmp_path):
     path = tmp_path / "optimistic_rows.csv"
     write_optimistic_rows_csv(optimistic_report(), path)
     assert path.read_bytes() == csv_bytes(
-        "n,trial,task_seed,emp_value,pop_value,gap",
-        "8,0,9223372036854775813,0.1,0.25,-0.0",
-        "16,2,11,0.3333333333333333,5e-324,-0.5",
+        "n,trial,task_seed,emp_value,pop_value,pop_std_error,gap",
+        "8,0,9223372036854775813,0.1,0.25,0.01,-0.0",
+        "16,2,11,0.3333333333333333,5e-324,0.0,-0.5",
     )

@@ -1,7 +1,9 @@
 import csv
+import itertools
 import json
 import math
 import sys
+import threading
 import time
 from dataclasses import replace
 
@@ -355,6 +357,62 @@ def test_runners_give_the_same_report_on_any_worker_count(monkeypatch, name):
     assert reports[8] == reports[1]
 
 
+def _watch_draw_and_fits(monkeypatch, name, on_draw, on_fit):
+    """Call on_draw() before a run's population draw, and on_fit(i) before
+    the i-th fit to start, counted from 0. The sweep's SgdTrainer reaches
+    sgd_train through the stability module."""
+    draw = lab.draw_evaluation_sample
+    owner, attr = (lab, "rrm_train") if name == "optimistic" else (stability, "sgd_train")
+    fit = getattr(owner, attr)
+    started = itertools.count()
+
+    def drawing(*args):
+        on_draw()
+        return draw(*args)
+
+    def fitting(*args):
+        on_fit(next(started))
+        return fit(*args)
+
+    monkeypatch.setattr(lab, "draw_evaluation_sample", drawing)
+    monkeypatch.setattr(owner, attr, fitting)
+
+
+@pytest.mark.parametrize("name", ["sgd", "optimistic"])
+def test_the_population_draw_runs_beside_the_first_fit(monkeypatch, name):
+    run, cfg = _runner_case(name)
+    want = repr(run(cfg))
+    # the draw and the first fit each wait for the other, so a draw made
+    # before any fit starts breaks the barrier at its timeout
+    meet = threading.Barrier(2, timeout=30)
+    _watch_draw_and_fits(monkeypatch, name, meet.wait, lambda i: i == 0 and meet.wait())
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    assert repr(run(cfg)) == want
+
+
+@pytest.mark.parametrize("name", ["sgd", "optimistic"])
+def test_on_one_cpu_the_population_draw_runs_before_any_fit(monkeypatch, name):
+    run, cfg = _runner_case(name)
+    events = []
+    _watch_draw_and_fits(
+        monkeypatch, name, lambda: events.append("draw"), lambda i: events.append("fit")
+    )
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
+    run(cfg)
+    assert events == ["draw"] + ["fit"] * 9
+
+
+@pytest.mark.parametrize("name", ["sgd", "optimistic"])
+def test_runners_time_their_phases_outside_the_report_repr(name):
+    run, cfg = _runner_case(name)
+    report = run(cfg)
+    times = report.phase_seconds
+    assert set(times) == {"population_draw", "draw_and_fits", "scoring"}
+    assert all(t >= 0.0 for t in times.values())
+    assert times["population_draw"] <= times["draw_and_fits"]
+    assert "phase_seconds" not in repr(report)
+
+
 FAILING_SWEEP = SweepConfig(
     algorithm="sgd", n_grid=(4, 6, 8), trials_per_n=4, task=TASK, population_m=200, seed=21
 )
@@ -458,8 +516,11 @@ def test_write_optimistic_csvs(tmp_path):
     assert cells[1][8] in ("0", "1")
     with open(rows_path, newline="") as fh:
         rrows = list(csv.reader(fh))
-    assert rrows[0] == ["n", "trial", "task_seed", "emp_value", "pop_value", "gap"]
+    assert rrows[0] == [
+        "n", "trial", "task_seed", "emp_value", "pop_value", "pop_std_error", "gap",
+    ]
     assert len(rrows) == 1 + len(rep.rows)
+    assert float(rrows[1][5]) == rep.pop_std_errors[0] > 0.0
 
 
 def test_write_manifest(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tripletlab import loss as loss_module
+from tripletlab import risk
 from tripletlab.core import DimensionMismatch, TripletDataset
 from tripletlab.loss import (
     LossConfig,
@@ -18,7 +19,9 @@ from tripletlab.risk import (
     InvalidDelta,
     RiskEstimate,
     RiskMode,
+    SampleTooLarge,
     bernstein_ustat_bound,
+    check_sample_size,
     draw_evaluation_sample,
     empirical_risk,
     generalization_gap,
@@ -258,6 +261,22 @@ def test_evaluation_sample_validation():
         sample_risk(MetricParams.zeros(3), sample, LossConfig(0.0))
     with pytest.raises(DimensionMismatch):
         population_risk(MetricParams.zeros(3), sampler, 10, LossConfig(0.0))
+
+
+def test_a_sample_larger_than_physical_memory_is_refused_before_any_draw(monkeypatch):
+    d, m = 3, 1000
+    need = 2 * m * d * 8
+    monkeypatch.setattr(risk, "physical_memory", lambda: need)
+    check_sample_size(m, d)  # exactly at the limit: allowed
+    with pytest.raises(SampleTooLarge, match=f"m = {m + 1} .* d = {d} needs {need + 48} bytes"):
+        check_sample_size(m + 1, d)
+    monkeypatch.setattr(risk, "physical_memory", lambda: need - 1)
+    task = TaskConfig(d=d, n_plus=4, n_minus=4, seed=6)
+    (_, sampler), (_, twin) = gen_task(task), gen_task(task)
+    with pytest.raises(SampleTooLarge, match=f"more than the {need - 1} bytes"):
+        draw_evaluation_sample(sampler, m)
+    # nothing was drawn: the sampler goes on as its untouched twin does
+    assert np.array_equal(sampler.draw(5)[0], twin.draw(5)[0])
 
 
 def test_generalization_gap_zero_metric_is_exactly_zero():
