@@ -80,68 +80,3 @@ from .lab import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConstantTrainer",
-    "DimensionMismatch",
-    "LineSearchExhausted",
-    "LossConfig",
-    "MaxItersExceeded",
-    "MetricParams",
-    "Pool",
-    "RegimeViolation",
-    "RegularityConstants",
-    "RiskEstimate",
-    "RiskMode",
-    "RrmConfig",
-    "RrmTrainer",
-    "SgdConfig",
-    "SgdTrainer",
-    "SlotRef",
-    "StabilityReport",
-    "SweepConfig",
-    "SweepReport",
-    "TaskConfig",
-    "TrainTrace",
-    "TripletDataset",
-    "TripletSampler",
-    "ValidationError",
-    "bernstein_ustat_bound",
-    "chernoff_hit_bound",
-    "empirical_risk",
-    "estimate_on_average_stability",
-    "estimate_uniform_stability",
-    "expansiveness_check",
-    "feature_bound",
-    "fit_loglog_slope",
-    "gen_task",
-    "generalization_gap",
-    "high_probability_gap_bound",
-    "logistic_triplet_grad",
-    "logistic_triplet_loss",
-    "loss_expectation_bound",
-    "low_noise_task",
-    "metric_score",
-    "optimistic_epsilon",
-    "optimistic_gap_bound",
-    "population_risk",
-    "read_dataset_csv",
-    "read_metric_csv",
-    "read_trace_csv",
-    "regularity_constants",
-    "regularized_objective",
-    "replace_samples",
-    "rrm_stability_bound",
-    "rrm_train",
-    "run_excess_risk_experiment",
-    "run_optimistic_experiment",
-    "run_rate_sweep",
-    "sgd_stability_bound",
-    "sgd_train",
-    "triplet_margin",
-    "write_dataset_csv",
-    "write_metric_csv",
-    "write_stability_csv",
-    "write_trace_csv",
-    "zero_one_triplet_loss",
-]

@@ -355,8 +355,7 @@ def triplet_sweep(scores, zeta: float, reduce, derivatives: bool = False) -> lis
     parallel.run_jobs, each thread that takes runs reusing its own block
     arrays, and reduce runs on the thread that computed its block. The
     per-block results come back in block order, so a caller that folds them
-    in that order gets the same bits for any thread count; reduce may write
-    into shared arrays only at its own block's rows.
+    in that order gets the same bits for any thread count.
 
     For anchor i the margins factor as m_ijk = a_ij - b_ik with a = S_pp + zeta
     and b = S_pn, so exp(m_ijk) = U[i, j] * V[i, k] with the per-anchor shift

@@ -16,12 +16,13 @@ index sequence.
 The regularized objective F_S(w) = R_S(w) + lam ||w||_F^2 is 2*lam-strongly
 convex, so the gradient-norm stopping rule certifies
 ||w - argmin F_S|| <= tol / (2 lam). rrm_train minimizes it by damped Newton
-on the d^2-dimensional flattened parameter (the Hessian solve is tiny; the
-cost per iteration is one sweep over the triplet tensor, which yields the
-loss, gradient and Hessian at once). The sweep's anchor blocks run on all
-CPUs (loss.triplet_sweep), and their Hessian terms are added in block order,
-so every iterate is bit-identical for any thread count. A solve that cannot
-reach tol raises a SolverFailure that carries its best iterate.
+on u, the same p coordinates of w scaled to be isometric (off-diagonal
+entries times sqrt(2), so ||u|| = ||w||_F). The p x p solve is tiny; the cost
+per iteration is one sweep over the triplet tensor, which yields the loss,
+gradient and Hessian at once. The sweep's anchor blocks run on all CPUs
+(loss.triplet_sweep), and their gradients and Hessian terms are added in
+block order, so every iterate is bit-identical for any thread count. A solve
+that cannot reach tol raises a SolverFailure that carries its best iterate.
 """
 from __future__ import annotations
 
@@ -377,45 +378,49 @@ def read_trace_csv(path, n_plus: int, n_minus: int) -> TrainTrace:
 # --- full-batch objective machinery ---
 
 
-def _pair_outer_vecs(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Rows vec((X[a] - Y[b])(X[a] - Y[b])^T) for all (a, b), row index a*len(Y)+b."""
-    diff = X[:, None, :] - Y[None, :, :]
-    outer = diff[:, :, :, None] * diff[:, :, None, :]
-    return outer.reshape(X.shape[0] * Y.shape[0], -1)
+def _svec_basis(d: int):
+    """(rows, cols, scale) of the svec coordinates of a symmetric d x d matrix:
+    its upper triangle row by row, with the off-diagonal entries times sqrt(2),
+    so that <svec(a), svec(b)> = <a, b>_F and ||svec(w)|| = ||w||_F."""
+    rows, cols = np.triu_indices(d)
+    return rows, cols, np.where(rows == cols, 1.0, math.sqrt(2.0))
 
 
 def _risk_parts(w_arr, X, Y, zeta):
-    """One sweep over the triplet tensor: mean loss, exact gradient of R_S,
-    and the d^2 x d^2 Hessian of R_S.
+    """One sweep over the triplet tensor: the mean loss R_S(w), and its
+    gradient and Hessian in the p = d(d+1)/2 svec coordinates u of w.
 
     The loss of triplet (i, j, k) is phi(-m_ijk), with m-derivatives
-    sigmoid(m_ijk) and phi''(m_ijk) (triplet_sweep). The gradient uses the
-    aggregated pair weights A[i,j] = sum_k sigmoid(m_ijk) and
-    Bw[i,k] = sum_j sigmoid(m_ijk); the weighted sums of difference outer
-    products collapse to a handful of d x d matrix products (graph-Laplacian
-    identity), so no per-triplet outer product is ever formed. The Hessian
-    sums phi''(m_ijk) (p_ij - q_ik)(p_ij - q_ik)^T block by block, with p, q
-    the vectorized outer products of the block's pair differences; its cross
-    term sum_ijk phi''(m_ijk) p_ij q_ik^T is one batched product per block.
-    Each block fills its own rows of A and Bw and returns its loss sum and
-    its three d^2 x d^2 Hessian terms, which are added in block order, so
-    the result does not depend on how many threads ran the blocks.
+    sigmoid(m_ijk) and phi''(m_ijk) (triplet_sweep), and the margin is linear
+    in u: m_ijk = <u, p_ij - q_ik> + zeta, with p_ij the svec of dd^T for
+    d = X[i] - X[j], and q_ik that for d = X[i] - Y[k]. Each anchor block forms
+    its rows p_ij and q_ik once, as P and Q. Its gradient is
+    P^T (sum_k sigmoid) - Q^T (sum_j sigmoid), and its Hessian
+    sum phi''(m_ijk) (p_ij - q_ik)(p_ij - q_ik)^T comes as three p x p terms,
+    the cross term sum phi''(m_ijk) p_ij q_ik^T one batched product. The
+    blocks' loss sums, gradients and Hessian terms are added in block order,
+    so the result does not depend on how many threads ran the blocks.
     """
     n_plus, n_minus = X.shape[0], Y.shape[0]
     N = n_plus * (n_plus - 1) * n_minus
-    A = np.empty((n_plus, n_plus))
-    Bw = np.empty((n_plus, n_minus))
+    rows, cols, scale = _svec_basis(X.shape[1])
+
+    def features(anchors, others):
+        diff = anchors[:, None, :] - others[None, :, :]
+        f = diff[..., rows]
+        f *= diff[..., cols]
+        f *= scale
+        return f.reshape(-1, len(scale))
 
     def block(start, terms):
         losses, g1, g2 = terms
-        stop = start + losses.shape[0]
-        A[start:stop] = g1.sum(axis=2)
-        Bw[start:stop] = g1.sum(axis=1)
-        P = _pair_outer_vecs(X[start:stop], X)
-        Q = _pair_outer_vecs(X[start:stop], Y)
+        anchors = X[start : start + len(losses)]
+        P = features(anchors, X)
+        Q = features(anchors, Y)
         cross = P.T @ np.matmul(g2, Q.reshape(len(g2), n_minus, -1)).reshape(P.shape)
         return (
             float(losses.sum()),
+            P.T @ g1.sum(axis=2).reshape(-1) - Q.T @ g1.sum(axis=1).reshape(-1),
             (P.T * g2.sum(axis=2).reshape(-1)) @ P,
             (Q.T * g2.sum(axis=1).reshape(-1)) @ Q,
             cross + cross.T,
@@ -423,24 +428,15 @@ def _risk_parts(w_arr, X, Y, zeta):
 
     scores = [(pair_scores(w_arr, X, X), pair_scores(w_arr, X, Y))]
     parts = triplet_sweep(scores, zeta, block, derivatives=True)
-    hess = np.zeros((X.shape[1] ** 2,) * 2)
-    for _, pp, qq, cross in parts:  # in block order, as a serial sweep adds them
+    grad = np.zeros(len(scale))
+    hess = np.zeros((len(scale),) * 2)
+    for _, g, pp, qq, cross in parts:  # in block order, as a serial sweep adds them
+        grad += g
         hess += pp
         hess += qq
         hess -= cross
     mean_loss = math.fsum(part[0] for part in parts) / N
-
-    r, c = A.sum(axis=1), A.sum(axis=0)
-    M = -(A + A.T)
-    M[np.diag_indices(n_plus)] += r + c
-    k_plus = X.T @ M @ X
-    rb, cb = Bw.sum(axis=1), Bw.sum(axis=0)
-    xby = X.T @ Bw @ Y
-    k_minus = (X * rb[:, None]).T @ X - xby - xby.T + (Y * cb[:, None]).T @ Y
-    grad = (k_plus - k_minus) / N
-    grad = (grad + grad.T) / 2.0  # kill last-ulp BLAS asymmetry
-    hess /= N
-    return mean_loss, grad, (hess + hess.T) / 2.0
+    return mean_loss, grad / N, hess / N
 
 
 def regularized_objective(w: MetricParams, dataset: TripletDataset, cfg: RrmConfig) -> float:
@@ -453,26 +449,21 @@ def regularized_objective(w: MetricParams, dataset: TripletDataset, cfg: RrmConf
     return risk + cfg.lam * float(np.sum(w.w * w.w))
 
 
-def _failure(cls, message: str, best) -> SolverFailure:
-    """cls(message) carrying best = (grad_norm, w array, iteration)."""
-    gnorm, w, it = best
-    return cls(message, MetricParams(w), it, gnorm)
-
-
 def rrm_train(dataset: TripletDataset, cfg: RrmConfig, w0: MetricParams | None = None):
     """Minimize F_S to ||grad F_S||_F <= tol; returns (w, iterations).
 
     By 2*lam-strong convexity the result is within tol/(2 lam) of the unique
     minimizer in Frobenius norm. w0 is an optional warm start (default zero);
-    it changes the path, not the certificate. Raises MaxItersExceeded if the
-    cap is hit first, LineSearchExhausted if no step along a Newton direction
-    meets the Armijo condition, and SolverFailure if the Newton system yields
-    no descent direction (as when lam is so small that rounding swamps the
-    2 lam that alone holds w's antisymmetric directions and the Cholesky
-    factorization fails); all three carry the best iterate. Near the optimum
-    a Newton step can lower F_S by less than F_S's rounding, which the Armijo
-    test cannot see: a step whose predicted decrease is at most ROUNDING_ULPS
-    ulps of F_S is taken whole when it lowers ||grad F_S||.
+    it changes the path, not the certificate. Damped Newton runs on
+    u = svec(w) (_svec_basis), where ||u|| = ||w||_F and the ridge term is
+    lam ||u||^2, so the stopping rule and the certificate read as in w; w0
+    and the result are converted at the edges. Raises MaxItersExceeded if
+    the cap is hit first, LineSearchExhausted if no step along a Newton
+    direction meets the Armijo condition, and SolverFailure if the Newton
+    system yields no descent direction; all three carry the best iterate.
+    Near the optimum a Newton step can lower F_S by less than F_S's rounding,
+    which the Armijo test cannot see: a step whose predicted decrease is at
+    most ROUNDING_ULPS ulps of F_S is taken whole when it lowers ||grad F_S||.
     """
     if dataset.n_triplets > cfg.budget:
         raise BudgetExceeded(
@@ -481,65 +472,72 @@ def rrm_train(dataset: TripletDataset, cfg: RrmConfig, w0: MetricParams | None =
     X = dataset.positive_features
     Y = dataset.negative_features
     d = dataset.d
-    w = np.zeros((d, d)) if w0 is None else w0.w.copy()
+    rows, cols, scale = _svec_basis(d)
+
+    def metric(u):
+        w = np.empty((d, d))
+        w[rows, cols] = w[cols, rows] = u / scale
+        return w
+
+    def failure(cls, message):
+        gnorm, u_best, it_best = best
+        return cls(message, MetricParams(metric(u_best)), it_best, gnorm)
+
+    u = np.zeros(len(scale)) if w0 is None else w0.w[rows, cols] * scale
+    ridge = 2.0 * cfg.lam * np.eye(len(scale))
     best = None
-    risk_val, grad_r, hess_r = _risk_parts(w, X, Y, cfg.zeta)
+    risk_val, grad_r, hess_r = _risk_parts(metric(u), X, Y, cfg.zeta)
     for it in range(cfg.max_iters + 1):
-        grad = grad_r + 2.0 * cfg.lam * w
+        grad = grad_r + 2.0 * cfg.lam * u
         gnorm = float(np.linalg.norm(grad))
         if best is None or gnorm < best[0]:
-            best = (gnorm, w.copy(), it)
+            best = (gnorm, u, it)
         if gnorm <= cfg.tol:
-            return MetricParams(w), it
+            return MetricParams(metric(u)), it
         if it == cfg.max_iters:
             break
-        f_val = risk_val + cfg.lam * float(np.sum(w * w))
-        hess = hess_r + 2.0 * cfg.lam * np.eye(d * d)
+        f_val = risk_val + cfg.lam * float(u @ u)
         try:
-            s = cho_solve(cho_factor(hess), -grad.reshape(-1)).reshape(d, d)
+            s = cho_solve(cho_factor(hess_r + ridge), -grad)
         except LinAlgError:  # no factorization, no direction: the check below raises
-            s = np.zeros((d, d))
-        s = (s + s.T) / 2.0
-        slope = float(np.vdot(grad, s))
+            s = np.zeros_like(u)
+        slope = float(grad @ s)
         if not slope < 0.0:
-            raise _failure(
+            raise failure(
                 SolverFailure,
                 f"the Newton system gives no descent direction at lam = {cfg.lam:g}, "
                 f"iteration {it} (||grad|| = {gnorm:g})",
-                best,
             )
         # Armijo backtracking over t = 1, 1/2, ..., 2**-59: the full step is
         # scored with the Hessian sweep, reused as the next iteration's, the
         # halvings loss-only; the rounding rule (see the docstring) reads the
         # full step's gradient from the same sweep
         t = 1.0
-        w_try = w + s
-        parts = _risk_parts(w_try, X, Y, cfg.zeta)
-        f_try = parts[0] + cfg.lam * float(np.sum(w_try * w_try))
+        u_try = u + s
+        parts = _risk_parts(metric(u_try), X, Y, cfg.zeta)
+        f_try = parts[0] + cfg.lam * float(u_try @ u_try)
         accepted = f_try <= f_val + 0.25 * slope or (
             -slope <= ROUNDING_ULPS * math.ulp(f_val)
-            and float(np.linalg.norm(parts[1] + 2.0 * cfg.lam * w_try)) < gnorm
+            and float(np.linalg.norm(parts[1] + 2.0 * cfg.lam * u_try)) < gnorm
         )
         while not accepted and t > 2.0**-59:
             t *= 0.5
-            w_try, parts = w + t * s, None
-            risk_try = exact_mean_loss(w_try, X, Y, cfg.zeta)
-            f_try = risk_try + cfg.lam * float(np.sum(w_try * w_try))
+            u_try, parts = u + t * s, None
+            risk_try = exact_mean_loss(metric(u_try), X, Y, cfg.zeta)
+            f_try = risk_try + cfg.lam * float(u_try @ u_try)
             accepted = f_try <= f_val + 0.25 * t * slope
         if not accepted:
-            raise _failure(
+            raise failure(
                 LineSearchExhausted,
                 f"no step down to 2**-59 of the Newton step decreases F_S enough "
                 f"at iteration {it} (||grad|| = {gnorm:g})",
-                best,
             )
-        w = w_try
-        risk_val, grad_r, hess_r = parts or _risk_parts(w, X, Y, cfg.zeta)
-    raise _failure(
+        u = u_try
+        risk_val, grad_r, hess_r = parts or _risk_parts(metric(u), X, Y, cfg.zeta)
+    raise failure(
         MaxItersExceeded,
         f"newton stopped at ||grad|| = {gnorm:g} > tol = {cfg.tol:g} "
         f"after {cfg.max_iters} iterations",
-        best,
     )
 
 

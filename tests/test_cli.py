@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.linalg import LinAlgError
 
-from tripletlab import parallel
+from tripletlab import optim, parallel
 from tripletlab.cli import (
     EXIT_CONFIG,
     EXIT_DOMINATION,
@@ -92,15 +93,25 @@ def test_rrm_hitting_max_iters_maps_to_config_error(tmp_path, capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
-def test_rrm_failed_newton_factorization_maps_to_config_error(tmp_path, capsys):
-    # at lam = 1e-18 the Newton system's Cholesky factorization fails; at
-    # lam = 1e-17 the same solve converges
-    argv = ["rrm", "--seed", "3", "--n-plus", "12", "--n-minus", "10", "--d", "3"]
-    rc = main(argv + ["--lam", "1e-18", "--outdir", str(tmp_path / "a")])
+def test_rrm_failed_newton_factorization_maps_to_config_error(tmp_path, capsys, monkeypatch):
+    # a Cholesky factorization of the Newton system that fails: the solver
+    # error exits 2 with nothing written; unpatched, the same lam = 1e-18
+    # solve converges
+    argv = ["rrm", "--seed", "3", "--n-plus", "12", "--n-minus", "10", "--d", "3",
+            "--lam", "1e-18"]
+
+    def failing(hess):
+        raise LinAlgError("not positive definite")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(optim, "cho_factor", failing)
+        rc = main(argv + ["--outdir", str(tmp_path / "a")])
     assert rc == EXIT_CONFIG
-    assert "did not converge" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "did not converge" in err
+    assert "lam = 1e-18" in err and "iteration 0" in err
     assert not (tmp_path / "a" / "model.csv").exists()
-    assert main(argv + ["--lam", "1e-17", "--outdir", str(tmp_path / "b")]) == EXIT_OK
+    assert main(argv + ["--outdir", str(tmp_path / "b")]) == EXIT_OK
 
 
 @pytest.mark.parametrize(

@@ -476,30 +476,88 @@ def test_rrm_stationarity_certificate():
         assert abs(slope) < 1e-5
 
 
-def test_rrm_newton_agrees_with_lbfgs_on_the_objective():
-    # an independent minimizer: scipy's L-BFGS on regularized_objective, with
-    # the gradient summed triplet by triplet from logistic_triplet_grad
-    cfg = TaskConfig(d=2, n_plus=8, n_minus=8, seed=10)
-    train, _ = gen_task(cfg)
-    rrm = RrmConfig(lam=0.2, tol=1e-10)
-    w_n, _ = rrm_train(train, rrm)
+def svec(w):
+    """The svec coordinates rrm_train solves in: w's upper triangle row by
+    row, off-diagonal entries times sqrt(2)."""
+    rows, cols, scale = optim._svec_basis(len(w))
+    return w[rows, cols] * scale
+
+
+def summed_triplet_grad(w, train, zeta):
+    """The d x d gradient of R_S at w, summed triplet by triplet from
+    logistic_triplet_grad."""
     X, Y = train.positives, train.negatives
-    triplets = [
-        (X[i], X[j], Y[k])
+    grads = [
+        logistic_triplet_grad(w, X[i], X[j], Y[k], LossConfig(zeta))
         for i in range(len(X)) for j in range(len(X)) if j != i for k in range(len(Y))
     ]
+    return np.sum(grads, axis=0) / len(grads)
 
-    def objective(flat):
-        w = MetricParams(flat.reshape(2, 2))
-        grads = [logistic_triplet_grad(w, *t, LossConfig(rrm.zeta)) for t in triplets]
-        grad = np.sum(grads, axis=0) / len(triplets) + 2.0 * rrm.lam * w.w
-        return regularized_objective(w, train, rrm), grad.reshape(-1)
 
-    res = minimize(objective, np.zeros(4), jac=True, method="L-BFGS-B",
-                   options={"gtol": 1e-12, "ftol": 0.0, "maxiter": 1000})
-    assert res.success
-    assert np.linalg.norm(w_n.w - res.x.reshape(2, 2)) < 1e-8
-    assert regularized_objective(w_n, train, rrm) <= res.fun + 1e-15
+def test_rrm_newton_agrees_with_lbfgs_on_the_objective():
+    # an independent minimizer: scipy's L-BFGS on regularized_objective over
+    # all d^2 entries of w, with the gradient summed triplet by triplet from
+    # logistic_triplet_grad
+    for d, lam, seed in ((2, 0.2, 10), (5, 0.05, 18)):
+        train, _ = gen_task(TaskConfig(d=d, n_plus=8, n_minus=8, seed=seed))
+        rrm = RrmConfig(lam=lam, tol=1e-10)
+        w_n, _ = rrm_train(train, rrm)
+
+        def objective(flat):
+            w = MetricParams(flat.reshape(d, d))
+            grad = summed_triplet_grad(w, train, rrm.zeta) + 2.0 * rrm.lam * w.w
+            return regularized_objective(w, train, rrm), grad.reshape(-1)
+
+        res = minimize(objective, np.zeros(d * d), jac=True, method="L-BFGS-B",
+                       options={"gtol": 1e-12, "ftol": 0.0, "maxiter": 1000})
+        assert res.success
+        assert np.linalg.norm(w_n.w - res.x.reshape(d, d)) < 1e-8
+        assert regularized_objective(w_n, train, rrm) <= res.fun + 1e-15
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_risk_parts_match_the_triplet_by_triplet_sums_in_svec_coordinates(d):
+    train, _ = gen_task(TaskConfig(d=d, n_plus=6, n_minus=5, seed=20 + d))
+    X, Y, zeta = train.positives, train.negatives, 0.3
+    rng = np.random.default_rng(d)
+    raw = rng.standard_normal((d, d))
+    w = (raw + raw.T) / 2
+    risk, grad, hess = optim._risk_parts(w, X, Y, zeta)
+    p = d * (d + 1) // 2
+    assert grad.shape == (p,) and hess.shape == (p, p)
+    assert risk == pytest.approx(exact_mean_loss(w, X, Y, zeta), rel=1e-12)
+    want = svec(summed_triplet_grad(MetricParams(w), train, zeta))
+    np.testing.assert_allclose(grad, want, rtol=1e-12, atol=1e-15)
+    # central differences along each svec coordinate e_q, that is along the
+    # symmetric matrix whose svec is e_q: of the loss for the gradient, of
+    # the summed gradient for the Hessian
+    rows, cols, scale = optim._svec_basis(d)
+    h = 1e-5
+    for q in range(p):
+        step = np.zeros((d, d))
+        step[rows[q], cols[q]] = step[cols[q], rows[q]] = h / scale[q]
+        ahead, behind = MetricParams(w + step), MetricParams(w - step)
+        rise = exact_mean_loss(ahead.w, X, Y, zeta) - exact_mean_loss(behind.w, X, Y, zeta)
+        assert rise / (2 * h) == pytest.approx(grad[q], rel=1e-6, abs=1e-9)
+        column = svec(
+            summed_triplet_grad(ahead, train, zeta) - summed_triplet_grad(behind, train, zeta)
+        ) / (2 * h)
+        np.testing.assert_allclose(hess[:, q], column, rtol=1e-6, atol=1e-9)
+
+
+def test_rrm_newton_solves_a_p_by_p_system(monkeypatch):
+    # at d = 10 the Newton system has p = 10 * 11 / 2 = 55 unknowns, not 100
+    train, _ = gen_task(TaskConfig(d=10, n_plus=6, n_minus=5, seed=19))
+    shapes = []
+
+    def spy(hess):
+        shapes.append(hess.shape)
+        return cho_factor(hess)
+
+    monkeypatch.setattr(optim, "cho_factor", spy)
+    _, iterations = rrm_train(train, RrmConfig(lam=0.1))
+    assert iterations >= 1
+    assert shapes == [(55, 55)] * iterations
 
 
 def test_rrm_learns_well_ordered_metric_on_low_noise_task():
@@ -522,33 +580,40 @@ def test_rrm_learns_well_ordered_metric_on_low_noise_task():
 
 
 def newton_rescoring_every_point(train, cfg, w0):
-    """The damped Newton solve with each iterate swept afresh and every line
-    search point, the full step included, scored loss-only."""
+    """The damped Newton solve in svec coordinates with each iterate swept
+    afresh and every line search point, the full step included, scored
+    loss-only."""
     X, Y, d = train.positive_features, train.negative_features, train.d
-    w = w0.w.copy()
+    rows, cols, scale = optim._svec_basis(d)
+
+    def metric(u):
+        w = np.empty((d, d))
+        w[rows, cols] = w[cols, rows] = u / scale
+        return w
+
+    u = svec(w0.w)
     for it in range(cfg.max_iters + 1):
-        risk_val, grad_r, hess_r = optim._risk_parts(w, X, Y, cfg.zeta)
-        f_val = risk_val + cfg.lam * float(np.sum(w * w))
-        grad = grad_r + 2.0 * cfg.lam * w
+        risk_val, grad_r, hess_r = optim._risk_parts(metric(u), X, Y, cfg.zeta)
+        f_val = risk_val + cfg.lam * float(u @ u)
+        grad = grad_r + 2.0 * cfg.lam * u
         if float(np.linalg.norm(grad)) <= cfg.tol:
-            return w, it
-        hess = hess_r + 2.0 * cfg.lam * np.eye(d * d)
-        s = cho_solve(cho_factor(hess), -grad.reshape(-1)).reshape(d, d)
-        s = (s + s.T) / 2.0
-        slope = float(np.vdot(grad, s))
-        t, w_try = 1.0, w + s
+            return metric(u), it
+        hess = hess_r + 2.0 * cfg.lam * np.eye(len(u))
+        s = cho_solve(cho_factor(hess), -grad)
+        slope = float(grad @ s)
+        t, u_try = 1.0, u + s
         if -slope <= optim.ROUNDING_ULPS * math.ulp(f_val):
-            grad_try = optim._risk_parts(w_try, X, Y, cfg.zeta)[1] + 2.0 * cfg.lam * w_try
+            grad_try = optim._risk_parts(metric(u_try), X, Y, cfg.zeta)[1] + 2.0 * cfg.lam * u_try
             if float(np.linalg.norm(grad_try)) < float(np.linalg.norm(grad)):
-                w = w_try
+                u = u_try
                 continue
         for _ in range(60):
-            f_try = exact_mean_loss(w_try, X, Y, cfg.zeta) + cfg.lam * float(np.sum(w_try**2))
+            f_try = exact_mean_loss(metric(u_try), X, Y, cfg.zeta) + cfg.lam * float(u_try @ u_try)
             if f_try <= f_val + 0.25 * t * slope:
                 break
             t *= 0.5
-            w_try = w + t * s
-        w = w_try
+            u_try = u + t * s
+        u = u_try
     raise AssertionError("reference solve did not converge")
 
 
@@ -589,7 +654,7 @@ def test_rrm_certifies_tol_when_the_newton_decrease_is_below_rounding():
     w, iterations = rrm_train(train, cfg)
     took = time.perf_counter() - started
     _, grad_r, _ = optim._risk_parts(w.w, train.positives, train.negatives, 0.0)
-    assert float(np.linalg.norm(grad_r + 2.0 * cfg.lam * w.w)) <= cfg.tol
+    assert float(np.linalg.norm(grad_r + 2.0 * cfg.lam * svec(w.w))) <= cfg.tol
     assert iterations == 2
     assert took < 0.5
 
@@ -633,7 +698,7 @@ def test_rrm_max_iters_carries_best_iterate():
     assert err.value.iterations == 1
     assert isinstance(err.value.w, MetricParams)
     _, grad_r, _ = optim._risk_parts(err.value.w.w, train.positives, train.negatives, 0.0)
-    assert err.value.grad_norm == float(np.linalg.norm(grad_r + 2.0 * 0.05 * err.value.w.w))
+    assert err.value.grad_norm == float(np.linalg.norm(grad_r + 2.0 * 0.05 * svec(err.value.w.w)))
     assert err.value.grad_norm > 1e-14
 
 
@@ -678,30 +743,37 @@ def test_rrm_non_descent_newton_direction_raises_with_the_best_iterate(monkeypat
 
 
 # `tripletlab rrm --seed 3 --lam 1e-18 --n-plus 12 --n-minus 10 --d 3`: the
-# task seed the CLI derives from --seed 3. Only the ridge term 2 lam holds the
-# antisymmetric directions of the flattened w, and at lam = 1e-18 rounding in
-# the Hessian swamps it, so its Cholesky factorization fails
+# task seed the CLI derives from --seed 3. In svec coordinates the Newton
+# system has no antisymmetric directions for the ridge term alone to hold, so
+# even at lam = 1e-18 its Cholesky factorization holds and the solve converges
 TINY_LAM_TASK = TaskConfig(d=3, n_plus=12, n_minus=10, seed=14449357594836781232)
+
+
+def test_rrm_meets_tol_at_a_tiny_lambda():
+    train, _ = gen_task(TINY_LAM_TASK)
+    cfg = RrmConfig(lam=1e-18)
+    w, iterations = rrm_train(train, cfg)
+    _, grad_r, _ = optim._risk_parts(w.w, train.positives, train.negatives, 0.0)
+    assert float(np.linalg.norm(grad_r + 2.0 * cfg.lam * svec(w.w))) <= cfg.tol
+    assert iterations == 7
 
 
 def test_rrm_failed_newton_factorization_raises_with_the_best_iterate(monkeypatch):
     train, _ = gen_task(TINY_LAM_TASK)
     failed = []
 
-    def spy(hess):
-        try:
-            return cho_factor(hess)
-        except LinAlgError:
-            failed.append(True)
-            raise
+    def failing(hess):
+        failed.append(True)
+        raise LinAlgError("not positive definite")
 
-    monkeypatch.setattr(optim, "cho_factor", spy)
+    monkeypatch.setattr(optim, "cho_factor", failing)
     with pytest.raises(SolverFailure) as err:
         rrm_train(train, RrmConfig(lam=1e-18))
+    assert type(err.value) is SolverFailure
     assert failed == [True]
     assert err.value.iterations == 0 and err.value.grad_norm > 0.1
-    assert "lam = 1e-18" in str(err.value)
-    rrm_train(train, RrmConfig(lam=1e-17))  # the factorization holds here
+    assert np.array_equal(err.value.w.w, np.zeros((3, 3)))
+    assert "lam = 1e-18" in str(err.value) and "iteration 0" in str(err.value)
 
 
 def test_rrm_budget_guard():
