@@ -63,7 +63,7 @@ from .optim import (
     sgd_train,
     write_trace_csv,
 )
-from .risk import bernstein_ustat_bound, empirical_risk
+from .risk import DEFAULT_TRIPLET_BUDGET, bernstein_ustat_bound, empirical_risk
 from .stability import (
     ConstantTrainer,
     RegimeViolation,
@@ -244,7 +244,9 @@ def _cmd_rrm(cfg, args) -> int:
         tol=cfg.get("rrm", "tol", float, 1e-8, args.tol),
         max_iters=cfg.get("rrm", "max_iters", parse_int, 10_000, args.max_iters),
         zeta=loss_cfg.zeta,
-        budget=cfg.get("rrm", "budget", parse_int, max(2_000_000, dataset.n_triplets), args.budget),
+        budget=cfg.get(
+            "rrm", "budget", parse_int, max(DEFAULT_TRIPLET_BUDGET, dataset.n_triplets), args.budget
+        ),
     )
     cfg.reject_unread("rrm")
     w, iterations = rrm_train(dataset, rrm_cfg)
@@ -271,7 +273,7 @@ def _cmd_stability(cfg, args) -> int:
         lam = cfg.get("rrm", "lam", float, None, args.lam)
         if lam is None:
             raise ValidationError("stability with the rrm trainer needs --lam")
-        budget = max(2_000_000, task.n_plus * (task.n_plus - 1) * task.n_minus)
+        budget = max(DEFAULT_TRIPLET_BUDGET, task.n_plus * (task.n_plus - 1) * task.n_minus)
         trainer = RrmTrainer(RrmConfig(lam=lam, zeta=loss_cfg.zeta, budget=budget))
     elif trainer_name == "sgd":
         T = cfg.get("sgd", "t", parse_int, None, args.T)

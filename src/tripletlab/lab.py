@@ -10,15 +10,15 @@ trial take pool threads only when trials leave some idle. So the bytes do
 not depend on the thread count either. Summary JSON manifests carry wall
 time and are the one intentionally non-reproducible output.
 
-The sweep runners (run_rate_sweep, run_optimistic_experiment) draw one
-population sample per run from the task law, with a seed of its own derived
-from the root seed (_population_sample), and score every trial's w on it:
-the trials' population risks share common random numbers, so the sample's
-own error is common to a cell's trials and does not average out over them.
-Both run in two phases (_fit_and_score): first the draw, as job 0, beside
-the trials' fits and empirical risks, so the draw takes one CPU while the
-fits take the others; then the scoring of every fitted w on the sample.
-The excess-risk split still draws fresh population triplets per trial.
+The sweep runners (run_rate_sweep, run_optimistic_experiment) share one
+trial pipeline, _run_trials(cfg, fit), and differ only in their fit(cfg, n,
+task_seed, algo_seed) -> (w, empirical risk) and in what they keep per cell
+of the rows it returns. The pipeline draws one population sample per run
+from the task law, at a seed of its own derived from the root seed, beside
+the fits, then scores every fitted w on it: the trials' population risks
+share common random numbers, so the sample's own error is common to a
+cell's trials and does not average out over them. The excess-risk split
+still draws fresh population triplets per trial.
 """
 from __future__ import annotations
 
@@ -167,6 +167,22 @@ def _cell_seeds(root: np.random.SeedSequence):
     )
 
 
+def _exact_budget(n: int) -> int:
+    """The triplet budget that keeps the risks and solves of an n-by-n task
+    exact: all n (n - 1) n triplets, and never less than the default."""
+    return max(DEFAULT_TRIPLET_BUDGET, n * (n - 1) * n)
+
+
+def _positive_slope(ns, values):
+    """fit_loglog_slope over the cells whose value is positive, or four NaNs
+    when fewer than 3 are: a zero mean (the zero trainer's) or a negative one
+    (Monte Carlo noise on a near-zero gap) cannot enter a log-log fit."""
+    points = [(n, v) for n, v in zip(ns, values) if v > 0]
+    if len(points) < 3:
+        return (float("nan"),) * 4
+    return fit_loglog_slope(points)
+
+
 def _population_sample(cfg: SweepConfig, trials: int):
     """(sample, record) of a sweep run's one population sample: population_m
     triplets of cfg.task's law (draw_evaluation_sample), drawn by
@@ -189,29 +205,35 @@ def _population_sample(cfg: SweepConfig, trials: int):
     return draw_evaluation_sample(sampler, cfg.population_m), record
 
 
-def _fit_and_score(cfg: SweepConfig, fit, jobs):
-    """Fit every trial of a sweep run and score each fit on the run's one
-    population sample, in two parallel.run_jobs calls.
+def _run_trials(cfg: SweepConfig, fit):
+    """The trial pipeline of a sweep run: every trial as a SweepRow, in trial
+    order, and the run's record, keyed by the report fields it fills
+    (workers, population_sample, phase_seconds).
 
-    Phase 1 runs the draw (_population_sample) as job 0 and fit(cfg, *job),
-    which returns (w, empirical risk), for each job after it, in trial order:
-    the draw takes one CPU while the fits take the others, and on one CPU it
-    runs before any fit. Phase 2 scores every w on the sample (sample_risk).
-    A sample larger than physical memory is refused before any job starts.
-
-    Returns ([(w, emp, pop)] in trial order, the sample's record, phase 2's
-    worker count (one per CPU, at most one per trial) and phase_seconds: the
-    wall times of the draw alone, of phase 1 and of phase 2).
+    The seeds of every (n, trial) are derived first, in trial order. Then
+    the draw of the run's one population sample (_population_sample) runs
+    as job 0 beside fit(cfg, n, task_seed, algo_seed) -> (w, empirical risk)
+    for each trial, so the draw takes one CPU while the fits take the
+    others, and on one CPU it runs before any fit; then every w is scored on
+    the sample (sample_risk). A sample larger than physical memory is
+    refused before any job starts. workers is the scoring's worker count
+    (one per CPU, at most one per trial); phase_seconds holds the wall times
+    of the draw alone, of the draw and the fits, and of the scoring.
     """
     check_sample_size(cfg.population_m, cfg.task.d)
+    root = np.random.SeedSequence(int(cfg.seed))
+    seeds = [
+        (n, trial, *_cell_seeds(root)) for n in cfg.n_grid for trial in range(cfg.trials_per_n)
+    ]
 
     def draw():
         began = time.perf_counter()
-        return *_population_sample(cfg, len(jobs)), time.perf_counter() - began
+        return *_population_sample(cfg, len(seeds)), time.perf_counter() - began
 
     started = time.perf_counter()
     results, _ = parallel.run_jobs(
-        lambda job, *args: job(*args), [(draw,)] + [(fit, cfg, *job) for job in jobs]
+        lambda job, *args: job(*args),
+        [(draw,)] + [(fit, cfg, n, task_seed, algo_seed) for n, _, task_seed, algo_seed in seeds],
     )
     fitted = time.perf_counter()
     (sample, record, draw_seconds), fits = results[0], results[1:]
@@ -222,80 +244,60 @@ def _fit_and_score(cfg: SweepConfig, fit, jobs):
         "draw_and_fits": fitted - started,
         "scoring": time.perf_counter() - fitted,
     }
-    scored = [(w, emp, pop) for (w, emp), pop in zip(fits, pops)]
-    return scored, record, workers, phase_seconds
+    rows = tuple(SweepRow(*seed, emp, pop) for seed, (_, emp), pop in zip(seeds, fits, pops))
+    return rows, {"workers": workers, "population_sample": record, "phase_seconds": phase_seconds}
 
 
-def _sgd_c(cfg: SweepConfig) -> float:
-    if cfg.c is not None:
-        return cfg.c
-    return regularity_constants(cfg.task.B).eta_max
+def _check_rate_rule(cfg: SweepConfig) -> None:
+    """Refuse RRM under any sigma rule but inv_sqrt_n, before anything is
+    drawn or fitted: run_optimistic_experiment owns the optimistic rule."""
+    if cfg.algorithm == "rrm" and cfg.sigma_rule != "inv_sqrt_n":
+        raise ValidationError(
+            "rate sweeps support sigma_rule='inv_sqrt_n' only; "
+            "use run_optimistic_experiment for the optimistic rule"
+        )
 
 
-def _train_cell(cfg: SweepConfig, n: int, task_seed: int, algo_seed: int):
-    task = replace(cfg.task, n_plus=n, n_minus=n, seed=task_seed)
-    train, sampler = gen_task(task)
+def _trainer(cfg: SweepConfig, n: int, algo_seed: int):
+    """The trainer of an n-by-n cell of the rate sweep or the excess split."""
     if cfg.algorithm == "sgd":
-        trainer = SgdTrainer(SgdConfig(T=n, c=_sgd_c(cfg), seed=algo_seed, zeta=cfg.zeta))
-    elif cfg.algorithm == "rrm":
-        if cfg.sigma_rule != "inv_sqrt_n":
-            raise ValidationError(
-                "rate sweeps support sigma_rule='inv_sqrt_n' only; "
-                "use run_optimistic_experiment for the optimistic rule"
-            )
+        c = regularity_constants(cfg.task.B).eta_max if cfg.c is None else cfg.c
+        return SgdTrainer(SgdConfig(T=n, c=c, seed=algo_seed, zeta=cfg.zeta))
+    if cfg.algorithm == "rrm":
         sigma = cfg.sigma0 / np.sqrt(n)
-        budget = max(DEFAULT_TRIPLET_BUDGET, n * (n - 1) * n)
-        trainer = RrmTrainer(RrmConfig(lam=sigma / 2.0, zeta=cfg.zeta, budget=budget))
-    else:
-        trainer = ConstantTrainer(MetricParams.zeros(task.d))
-    w, _ = trainer.fit(train)
-    return w, train, sampler
+        return RrmTrainer(RrmConfig(lam=sigma / 2.0, zeta=cfg.zeta, budget=_exact_budget(n)))
+    return ConstantTrainer(MetricParams.zeros(cfg.task.d))
 
 
 def _sweep_fit(cfg: SweepConfig, n: int, task_seed: int, algo_seed: int):
     """(w, empirical risk) of one rate-sweep trial."""
-    w, train, _ = _train_cell(cfg, n, task_seed, algo_seed)
-    budget = max(DEFAULT_TRIPLET_BUDGET, n * (n - 1) * n)
-    return w, empirical_risk(w, train, LossConfig(cfg.zeta), budget=budget)
+    train, _ = gen_task(replace(cfg.task, n_plus=n, n_minus=n, seed=task_seed))
+    w, _ = _trainer(cfg, n, algo_seed).fit(train)
+    return w, empirical_risk(w, train, LossConfig(cfg.zeta), budget=_exact_budget(n))
 
 
 def run_rate_sweep(cfg: SweepConfig) -> SweepReport:
     """Generalization gap vs n, with a log-log slope fit on the mean |gap|.
 
-    Every trial's seeds are derived first, in trial order; the trials are
-    then fitted beside the draw of the run's one population sample and
-    scored on it (_fit_and_score).
+    The trials run through the one trial pipeline (_run_trials), fitted by
+    _sweep_fit.
     """
-    root = np.random.SeedSequence(int(cfg.seed))
-    seeds = [
-        (n, trial, *_cell_seeds(root)) for n in cfg.n_grid for trial in range(cfg.trials_per_n)
-    ]
-    scored, record, workers, phase_seconds = _fit_and_score(
-        cfg, _sweep_fit, [(n, task_seed, algo_seed) for n, _, task_seed, algo_seed in seeds]
-    )
-    rows = [SweepRow(*seed, emp, pop) for seed, (_, emp, pop) in zip(seeds, scored)]
-    mean_abs = [
+    _check_rate_rule(cfg)
+    rows, run = _run_trials(cfg, _sweep_fit)
+    mean_abs = tuple(
         float(np.mean([abs(row.gap) for row in rows if row.n == n])) for n in cfg.n_grid
-    ]
-    # The zero trainer produces exactly zero gaps; those cells cannot enter a
-    # log-log fit.
-    fit_points = [(n, v) for n, v in zip(cfg.n_grid, mean_abs) if v > 0]
-    if len(fit_points) >= 3:
-        slope, intercept, stderr, r2 = fit_loglog_slope(fit_points)
-    else:
-        slope = intercept = stderr = r2 = float("nan")
+    )
+    slope, intercept, stderr, r2 = _positive_slope(cfg.n_grid, mean_abs)
     return SweepReport(
         algorithm=cfg.algorithm,
-        rows=tuple(rows),
+        rows=rows,
         n_grid=cfg.n_grid,
-        mean_abs_gap=tuple(mean_abs),
+        mean_abs_gap=mean_abs,
         slope=slope,
         intercept=intercept,
         slope_stderr=stderr,
         r_squared=r2,
-        workers=workers,
-        population_sample=record,
-        phase_seconds=phase_seconds,
+        **run,
     )
 
 
@@ -383,24 +385,25 @@ def run_excess_risk_experiment(cfg: SweepConfig) -> ExcessReport:
     runner is to be replaced by one reference minimizer per task law, scored
     on one shared sample, and is left as it is until then.
     """
+    _check_rate_rule(cfg)
     loss_cfg = LossConfig(cfg.zeta)
     root = np.random.SeedSequence(int(cfg.seed))
     rows = []
     for n in cfg.n_grid:
         for trial in range(cfg.trials_per_n):
             task_seed, algo_seed = _cell_seeds(root)
-            w_model, train, sampler = _train_cell(cfg, n, task_seed, algo_seed)
+            train, sampler = gen_task(replace(cfg.task, n_plus=n, n_minus=n, seed=task_seed))
+            w_model, _ = _trainer(cfg, n, algo_seed).fit(train)
             big = 10 * n
             proxy_set = sampler.fork().draw_dataset(big, big)
             sigma_big = cfg.sigma0 / np.sqrt(big)
-            proxy_budget = max(DEFAULT_TRIPLET_BUDGET, big * (big - 1) * big)
             w_proxy, _ = rrm_train(
                 proxy_set,
-                RrmConfig(lam=sigma_big / 2.0, zeta=cfg.zeta, budget=proxy_budget),
+                RrmConfig(lam=sigma_big / 2.0, zeta=cfg.zeta, budget=_exact_budget(big)),
             )
             pop_model = population_risk(w_model, sampler, cfg.population_m, loss_cfg)
             pop_proxy = population_risk(w_proxy, sampler, cfg.population_m, loss_cfg)
-            budget = max(DEFAULT_TRIPLET_BUDGET, n * (n - 1) * n)
+            budget = _exact_budget(n)
             emp_model = empirical_risk(w_model, train, loss_cfg, budget=budget)
             emp_proxy = empirical_risk(w_proxy, train, loss_cfg, budget=budget)
             estimation = pop_model.value - emp_model.value
@@ -472,12 +475,25 @@ class OptimisticReport:
         return all(c.dominated for c in self.cells)
 
 
-def _optimistic_fit(
-    cfg: SweepConfig, n: int, task_seed: int, lam: float, tol: float, budget: int
-):
-    """(w, empirical risk) of one low-noise RRM trial."""
-    task = replace(cfg.task, n_plus=n, n_minus=n, seed=task_seed)
-    train, _, _ = low_noise_task(task)
+def _optimistic_sigma(cfg: SweepConfig, n: int) -> float:
+    """sigma at the regime floor, the smallest with sigma * n >= 8 alpha (the
+    regime of optimistic_gap_bound), with a hair of headroom so the product
+    clears 8 alpha after rounding."""
+    return (8.0 * regularity_constants(cfg.task.B).alpha / n) * (1.0 + 1e-9)
+
+
+def _optimistic_fit(cfg: SweepConfig, n: int, task_seed: int, algo_seed: int):
+    """(w, empirical risk) of one low-noise RRM trial at lam = sigma / 2. The
+    solve is deterministic, so algo_seed is not read."""
+    lam = _optimistic_sigma(cfg, n) / 2.0
+    # The stopping certificate places the iterate within tol / (2 lam) of
+    # the argmin, which can move the probe losses by L tol / (2 lam). The
+    # gaps in this regime can be far smaller than the default tol would
+    # then allow, so scale tol with lam to pin that slack near 1e-7.
+    L = 8.0 * cfg.task.B**2
+    tol = min(1e-8, max(1e-14, 2.0 * lam * 1e-7 / L))
+    budget = _exact_budget(n)
+    train, _, _ = low_noise_task(replace(cfg.task, n_plus=n, n_minus=n, seed=task_seed))
     w, _ = rrm_train(train, RrmConfig(lam=lam, tol=tol, zeta=cfg.zeta, budget=budget))
     return w, empirical_risk(w, train, LossConfig(cfg.zeta), budget=budget)
 
@@ -488,52 +504,28 @@ def run_optimistic_experiment(cfg: SweepConfig) -> OptimisticReport:
     multiplicative bound in every cell and fits the decay exponent of the
     mean gap.
 
-    Every trial's seed is derived first, in trial order; the trials are
-    then fitted beside the draw of the run's one population sample and
-    scored on it (_fit_and_score).
+    The trials run through the one trial pipeline (_run_trials), fitted by
+    _optimistic_fit.
     """
     if cfg.algorithm != "rrm" or cfg.sigma_rule != "optimistic":
         raise ValidationError(
             "the optimistic experiment requires algorithm='rrm' and sigma_rule='optimistic'"
         )
     alpha = regularity_constants(cfg.task.B).alpha
-    # sigma at the regime floor, the smallest with sigma * n >= 8 alpha (the
-    # regime of optimistic_gap_bound), with a hair of headroom so the product
-    # clears 8 alpha after rounding
-    sigmas = [(8.0 * alpha / n) * (1.0 + 1e-9) for n in cfg.n_grid]
-    root = np.random.SeedSequence(int(cfg.seed))
-    keys, jobs = [], []
-    for n, sigma in zip(cfg.n_grid, sigmas):
-        lam = sigma / 2.0
-        budget = max(DEFAULT_TRIPLET_BUDGET, n * (n - 1) * n)
-        # The stopping certificate places the iterate within tol / (2 lam) of
-        # the argmin, which can move the probe losses by L tol / (2 lam). The
-        # gaps in this regime can be far smaller than the default tol would
-        # then allow, so scale tol with lam to pin that slack near 1e-7.
-        L = 8.0 * cfg.task.B**2
-        tol = min(1e-8, max(1e-14, 2.0 * lam * 1e-7 / L))
-        for trial in range(cfg.trials_per_n):
-            task_seed, _ = _cell_seeds(root)
-            keys.append((n, trial, task_seed))
-            jobs.append((n, task_seed, lam, tol, budget))
-    scored, record, workers, phase_seconds = _fit_and_score(cfg, _optimistic_fit, jobs)
-    rows = [
-        (*key, emp.value, pop.value, pop.value - emp.value)
-        for key, (_, emp, pop) in zip(keys, scored)
-    ]
+    trials, run = _run_trials(cfg, _optimistic_fit)
     cells = []
-    for n, sigma in zip(cfg.n_grid, sigmas):
-        cell_rows = [row for row in rows if row[0] == n]
-        mean_gap = float(np.mean([row[5] for row in cell_rows]))
-        mean_emp = float(np.mean([row[3] for row in cell_rows]))
-        lam = sigma / 2.0
+    for n in cfg.n_grid:
+        cell_trials = [row for row in trials if row.n == n]
+        mean_gap = float(np.mean([row.gap for row in cell_trials]))
+        mean_emp = float(np.mean([row.emp.value for row in cell_trials]))
+        sigma = _optimistic_sigma(cfg, n)
         epsilon = optimistic_epsilon(n, n, sigma)
         bound = optimistic_gap_bound(epsilon, alpha, sigma, n, n, mean_emp)
         cells.append(
             OptimisticCell(
                 n=n,
                 sigma=float(sigma),
-                lam=float(lam),
+                lam=float(sigma / 2.0),
                 epsilon=float(epsilon),
                 mean_gap=mean_gap,
                 mean_emp=mean_emp,
@@ -542,25 +534,20 @@ def run_optimistic_experiment(cfg: SweepConfig) -> OptimisticReport:
                 trials=cfg.trials_per_n,
             )
         )
-    # Monte Carlo noise can push a near-zero mean gap negative; those cells
-    # still count for domination but cannot enter a log-log fit.
-    fit_points = [(c.n, c.mean_gap) for c in cells if c.mean_gap > 0]
-    if len(fit_points) >= 3:
-        slope, intercept, stderr, r2 = fit_loglog_slope(fit_points)
-    else:
-        slope = intercept = stderr = r2 = float("nan")
+    slope, intercept, stderr, r2 = _positive_slope(cfg.n_grid, [c.mean_gap for c in cells])
     return OptimisticReport(
         cells=tuple(cells),
-        rows=tuple(rows),
-        pop_std_errors=tuple(pop.std_error for _, _, pop in scored),
+        rows=tuple(
+            (row.n, row.trial, row.task_seed, row.emp.value, row.pop.value, row.gap)
+            for row in trials
+        ),
+        pop_std_errors=tuple(row.pop.std_error for row in trials),
         alpha=alpha,
         slope=slope,
         intercept=intercept,
         slope_stderr=stderr,
         r_squared=r2,
-        workers=workers,
-        population_sample=record,
-        phase_seconds=phase_seconds,
+        **run,
     )
 
 

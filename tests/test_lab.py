@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tripletlab import lab, parallel, risk, stability
+from tripletlab import cli, lab, parallel, risk, stability
 from tripletlab.core import ValidationError
 from tripletlab.lab import (
     ExcessReport,
@@ -142,13 +142,23 @@ def test_rrm_sweep_deterministic():
     assert rep1.mean_abs_gap == rep2.mean_abs_gap
 
 
-def test_rate_sweep_rejects_optimistic_rule():
+def test_rate_sweep_rejects_optimistic_rule(monkeypatch):
     cfg = SweepConfig(
         algorithm="rrm", n_grid=(4, 6, 8), sigma_rule="optimistic", task=LOW_NOISE_TASK,
         population_m=100,
     )
-    with pytest.raises(ValidationError):
-        run_rate_sweep(cfg)
+    calls = []
+    for name in ("draw_evaluation_sample", "gen_task"):
+        original = getattr(lab, name)
+        monkeypatch.setattr(
+            lab, name, lambda *args, name=name, f=original: calls.append(name) or f(*args)
+        )
+    # the excess split trains its cells under the same rule
+    for run in (run_rate_sweep, run_excess_risk_experiment):
+        with pytest.raises(ValidationError, match="inv_sqrt_n"):
+            run(cfg)
+    # refused before any population sample or training set is drawn
+    assert calls == []
 
 
 # --- excess-risk decomposition ---
@@ -236,6 +246,31 @@ def test_optimistic_experiment_deterministic():
     assert rep1.rows == rep2.rows
 
 
+def test_optimistic_slope_is_nan_when_fewer_than_3_cells_have_a_positive_gap(
+    monkeypatch, tmp_path, capsys
+):
+    # a population risk of 0 scores below every empirical risk: every gap is negative
+    def zero_risk(w, sample, loss_cfg):
+        return replace(sample_risk(w, sample, loss_cfg), value=0.0)
+
+    monkeypatch.setattr(lab, "sample_risk", zero_risk)
+    rep = run_optimistic_experiment(optimistic_cfg())
+    assert all(c.mean_gap < 0.0 for c in rep.cells)
+    assert all(math.isnan(v) for v in (rep.slope, rep.intercept, rep.slope_stderr, rep.r_squared))
+    # a negative mean gap still counts for domination
+    assert rep.all_dominated
+    write_optimistic_cells_csv(rep, tmp_path / "cells.csv")
+    with open(tmp_path / "cells.csv", newline="") as fh:
+        cells = list(csv.DictReader(fh))
+    assert [row["dominated"] for row in cells] == ["1"] * len(rep.cells)
+    assert [float(row["mean_gap"]) for row in cells] == [c.mean_gap for c in rep.cells]
+    # the cells CSV has no slope column; the command prints the NaN slope
+    argv = ["optimistic", "--seed", "17", "--outdir", str(tmp_path / "cli"), "--d", "2",
+            "--n-grid", "4 6 8", "--trials-per-n", "2", "--population-m", "2000"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert "slope=nan, dominated in 3/3 cells" in capsys.readouterr().out
+
+
 def test_optimistic_experiment_requires_rrm_and_rule():
     with pytest.raises(ValidationError):
         run_optimistic_experiment(optimistic_cfg(algorithm="sgd", sigma_rule="optimistic"))
@@ -276,14 +311,14 @@ def _check_sample_record(report, cfg, seed):
 @pytest.mark.parametrize("algorithm", ["sgd", "rrm"])
 def test_rate_sweep_rows_score_each_fit_on_the_one_shared_sample(monkeypatch, algorithm):
     fits = {}
-    train_cell = lab._train_cell
+    sweep_fit = lab._sweep_fit
 
     def record(cfg, n, task_seed, algo_seed):
-        w, train, sampler = train_cell(cfg, n, task_seed, algo_seed)
-        fits[(n, task_seed, algo_seed)] = (w, train)
-        return w, train, sampler
+        w, emp = sweep_fit(cfg, n, task_seed, algo_seed)
+        fits[(n, task_seed, algo_seed)] = w
+        return w, emp
 
-    monkeypatch.setattr(lab, "_train_cell", record)
+    monkeypatch.setattr(lab, "_sweep_fit", record)
     cfg = SweepConfig(
         algorithm=algorithm, n_grid=(4, 6, 8), trials_per_n=2, task=TASK,
         population_m=3000, sigma0=2.0, seed=31,
@@ -293,9 +328,8 @@ def test_rate_sweep_rows_score_each_fit_on_the_one_shared_sample(monkeypatch, al
     _check_sample_record(report, cfg, seed)
     assert [(r.n, r.trial, r.task_seed, r.algo_seed) for r in report.rows] == _trial_seeds(cfg)
     for row in report.rows:
-        w, train = fits[(row.n, row.task_seed, row.algo_seed)]
-        task = replace(TASK, n_plus=row.n, n_minus=row.n, seed=row.task_seed)
-        assert train == gen_task(task)[0]
+        w = fits[(row.n, row.task_seed, row.algo_seed)]
+        train, _ = gen_task(replace(TASK, n_plus=row.n, n_minus=row.n, seed=row.task_seed))
         assert row.emp == empirical_risk(w, train, LossConfig(0.0))
         assert row.pop == sample_risk(w, sample, LossConfig(0.0))
     # every trial's population risk differs: one sample, but a different w each
