@@ -376,10 +376,16 @@ def _cmd_optimistic(cfg, args) -> int:
     report = run_optimistic_experiment(sweep_cfg)
     write_optimistic_cells_csv(report, out / "optimistic_cells.csv")
     write_optimistic_rows_csv(report, out / "optimistic_rows.csv")
+    # the log-log fit of the cells' mean gaps; null where there is none (NaN)
+    fit = {
+        name: getattr(report, name)
+        for name in ("slope", "slope_stderr", "intercept", "r_squared")
+    }
     write_manifest(
         out / "manifest.json", "optimistic", sweep_cfg, started,
         workers=report.workers, population_sample=report.population_sample,
         phase_seconds=report.phase_seconds,
+        slope_fit={name: v if np.isfinite(v) else None for name, v in fit.items()},
     )
     print(
         f"wrote {out / 'optimistic_cells.csv'}; slope={report.slope:.4f}, "

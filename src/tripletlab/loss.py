@@ -251,16 +251,20 @@ def difference_losses(w_arr: np.ndarray, shape, differences, zeta: float) -> np.
     differences(rows) gives a block's rows of anchor - positive and of
     anchor - negative, and the margin of a row is their difference_scores'
     difference plus zeta. A row's loss does not depend on the other rows, and
-    the fixed blocking gives the same losses on every run; but numpy computes
-    a one-row block's delta @ w as a matrix-vector product, which at d >= 4
-    can round differently in the last bits than the same row in a larger
-    block.
+    the fixed blocking gives the same losses on every run. numpy computes a
+    one-row delta @ w as a matrix-vector product, which at d >= 4 can round
+    differently in the last bits than the same row in a larger block, so no
+    block has one row: a lone last row joins the block before it, and a
+    block has at least 2 rows (only a call of m = 1 scores one row alone).
     """
     m, d = shape
     losses = np.empty(m)
-    step = max(1, BLOCK // d)
-    for start in range(0, m, step):
-        rows = slice(start, start + step)
+    step = max(2, BLOCK // d)
+    starts = list(range(0, m, step))
+    if len(starts) > 1 and m - starts[-1] == 1:
+        starts.pop()
+    for start, stop in zip(starts, starts[1:] + [m]):
+        rows = slice(start, stop)
         dp, dn = differences(rows)
         margins = losses[rows]
         np.subtract(difference_scores(w_arr, dp), difference_scores(w_arr, dn), out=margins)

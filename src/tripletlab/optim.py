@@ -55,7 +55,7 @@ from .loss import (
     regularity_constants,
     triplet_sweep,
 )
-from .risk import DEFAULT_TRIPLET_BUDGET, exact_mean_loss
+from .risk import DEFAULT_TRIPLET_BUDGET, exact_mean_loss, swept_mean_loss
 
 WORDS = 4096  # 32-bit words per bulk draw of the SGD index stream
 SUB_BLOCK = 256  # SGD steps whose features are converted to Python floats at once
@@ -510,8 +510,9 @@ def rrm_train(dataset: TripletDataset, cfg: RrmConfig, w0: MetricParams | None =
             )
         # Armijo backtracking over t = 1, 1/2, ..., 2**-59: the full step is
         # scored with the Hessian sweep, reused as the next iteration's, the
-        # halvings loss-only; the rounding rule (see the docstring) reads the
-        # full step's gradient from the same sweep
+        # halvings loss-only, summed over every triplet as f_val is
+        # (swept_mean_loss, never the series form); the rounding rule (see
+        # the docstring) reads the full step's gradient from the same sweep
         t = 1.0
         u_try = u + s
         parts = _risk_parts(metric(u_try), X, Y, cfg.zeta)
@@ -523,7 +524,7 @@ def rrm_train(dataset: TripletDataset, cfg: RrmConfig, w0: MetricParams | None =
         while not accepted and t > 2.0**-59:
             t *= 0.5
             u_try, parts = u + t * s, None
-            risk_try = exact_mean_loss(metric(u_try), X, Y, cfg.zeta)
+            risk_try = swept_mean_loss(metric(u_try), X, Y, cfg.zeta)
             f_try = risk_try + cfg.lam * float(u_try @ u_try)
             accepted = f_try <= f_val + 0.25 * t * slope
         if not accepted:

@@ -2,12 +2,17 @@
 
 The empirical risk is the mean triplet loss over all n+ (n+ - 1) n- ordered
 triplets (a U-statistic). Up to a triplet budget (default 2e6) it is computed
-exactly in a fixed deterministic order; above the budget it falls back to a
-uniform i.i.d. subsample, which is unbiased for the exact value. Population
-risk is plain Monte Carlo over fresh triplets from a sampler, in two halves:
-draw_evaluation_sample draws the triplets once, as read-only differences,
-and sample_risk scores a metric on them, so one sample can score every
-metric of a run (population_risk is the two in turn).
+exactly (exact_mean_loss), in one of two forms: a sweep that sums every
+triplet's loss in a fixed deterministic order, or, when every |margin| is at
+most MAX_SERIES_MARGIN = 1 and the sweep would cost more, a series in the
+margin whose moments come from per-anchor power sums of the n+ (n+ + n-)
+pair scores (series_mean_loss); the two agree to 1e-15 relative. Above the
+budget it falls back to a uniform i.i.d. subsample, which is unbiased for
+the exact value. Population risk is plain Monte Carlo over fresh triplets
+from a sampler, in two halves: draw_evaluation_sample draws the triplets
+once, as read-only differences, and sample_risk scores a metric on them, so
+one sample can score every metric of a run (population_risk is the two in
+turn).
 """
 from __future__ import annotations
 
@@ -15,11 +20,13 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
 from .core import DimensionMismatch, TripletDataset, ValidationError, read_only_view
 from .loss import (
+    BLOCK,
     LossConfig,
     MetricParams,
     difference_losses,
@@ -67,13 +74,93 @@ class RiskEstimate:
             raise ValidationError(f"n_terms must be >= 1, got {self.n_terms}")
 
 
-def exact_mean_loss(w_arr: np.ndarray, X: np.ndarray, Y: np.ndarray, zeta: float) -> float:
-    """Mean logistic loss phi(-margin) over all ordered triplets, summed in a fixed order.
+def _bernoulli_even(count: int) -> list:
+    """[B_0, B_2, ..., B_{2 count - 2}], the even Bernoulli numbers, exactly."""
+    B = [Fraction(1)]
+    for m in range(1, 2 * count - 1):
+        B.append(-sum(math.comb(m + 1, j) * B[j] for j in range(m)) / (m + 1))
+    return B[::2]
 
-    Sweeps anchor blocks (triplet_sweep); per-block sums use numpy's pairwise
-    summation and blocks are combined with math.fsum, so the result is
-    reproducible and permutation-stable to well below 1e-12 relative.
+
+# margins of at most this size (in absolute value) take the series form of
+# exact_mean_loss; log cosh(m / 2) is analytic for |m| < pi
+MAX_SERIES_MARGIN = 1.0
+# the series is cut where its tail bound falls to this, far below an ulp of
+# the mean loss (at least log(1 + e^-1) = 0.31 in the series' range)
+SERIES_TAIL = 1e-17
+
+
+def series_order(h: float) -> int:
+    """The least K for which the tail of the series past c_K m^2K is at most
+    SERIES_TAIL at every |m| <= h < pi: |c_k| <= zeta(2k) / (k pi^2k) <=
+    (pi^2 / 6) / (k pi^2k), so the tail is at most
+    (pi^2 / 6) / (K + 1) (h / pi)^(2K + 2) / (1 - (h / pi)^2)."""
+    r = (h / math.pi) ** 2
+    K = 0
+    while math.pi**2 / 6 / (K + 1) * r ** (K + 1) / (1.0 - r) > SERIES_TAIL:
+        K += 1
+    return K
+
+
+# SERIES_COEFFS[k - 1] = c_k = (2^2k - 1) B_2k / (2k (2k)!), the coefficient
+# of m^2k in log cosh(m / 2): 1/8, -1/192, 1/2880, ..., as far as any margin
+# up to MAX_SERIES_MARGIN needs (16 terms at 1)
+SERIES_COEFFS = [
+    float((4**k - 1) * b / (2 * k * math.factorial(2 * k)))
+    for k, b in enumerate(_bernoulli_even(series_order(MAX_SERIES_MARGIN) + 1)) if k
+]
+
+
+def _power_sums(base: np.ndarray, count: int, top: int) -> np.ndarray:
+    """(rows, top + 1) array of each row's power sums of base, sum_j base_ij^s
+    in column s >= 1 and count in column 0, computed in row blocks of BLOCK
+    doubles so a block and its running power stay in cache."""
+    sums = np.empty((base.shape[0], top + 1))
+    sums[:, 0] = count
+    step = max(1, BLOCK // base.shape[1])
+    for start in range(0, base.shape[0], step):
+        rows = slice(start, start + step)
+        power = base[rows].copy()
+        for s in range(1, top + 1):
+            if s > 1:
+                power *= base[rows]
+            sums[rows, s] = power.sum(axis=1)
+    return sums
+
+
+def series_mean_loss(S_pp: np.ndarray, S_pn: np.ndarray, zeta: float, K: int) -> float:
+    """exact_mean_loss's series form, from the pair scores S_pp (n+, n+) and
+    S_pn (n+, n-), to the order K of series_order(h), h the largest |margin|.
+
+    phi(-m) = log(1 + e^m) = log 2 + m / 2 + log cosh(m / 2), so the mean over
+    the N triplets is log 2 + M_1 / (2N) + sum_{k <= K} c_k M_2k / N, with
+    M_r the sum of m^r. For anchor i the margins are m_ijk = alpha_ij - beta_ik,
+    with alpha_ij = S_pp[i, j] + zeta - c_i (j != i), beta_ik = S_pn[i, k] - c_i
+    and c_i the midpoint of the anchor's scores, so |alpha|, |beta| <= h; then
+    M_r = sum_i sum_s C(r, s) A_is (-1)^(r - s) B_i,r-s over the per-anchor
+    power sums A_is of alpha and B_it of beta. That is O(n+ (n+ + n-) K) work.
     """
+    n_plus, n_minus = S_pn.shape
+    off = ~np.eye(n_plus, dtype=bool)
+    a = S_pp + zeta
+    top = np.maximum(a.max(axis=1, initial=-np.inf, where=off), S_pn.max(axis=1))
+    bottom = np.minimum(a.min(axis=1, initial=np.inf, where=off), S_pn.min(axis=1))
+    centre = ((top + bottom) / 2.0)[:, None]
+    alpha = np.subtract(a, centre, out=a)
+    np.fill_diagonal(alpha, 0.0)  # so j = i adds nothing to any power sum
+    beta = S_pn - centre
+    A = _power_sums(alpha, n_plus - 1, 2 * K)
+    B = _power_sums(beta, n_minus, 2 * K)
+
+    def moment(r):
+        weights = [math.comb(r, s) * (-1) ** (r - s) for s in range(r + 1)]
+        return float((A[:, : r + 1] * B[:, r::-1]).sum(axis=0) @ weights)
+
+    terms = [moment(1) / 2.0] + [c * moment(2 * k) for k, c in enumerate(SERIES_COEFFS[:K], 1)]
+    return math.log(2.0) + math.fsum(terms) / (n_plus * (n_plus - 1) * n_minus)
+
+
+def _mean_loss(w_arr, X, Y, zeta, series: bool) -> float:
     n_plus, n_minus = X.shape[0], Y.shape[0]
     S_pp = pair_scores(w_arr, X, X)
     S_pn = pair_scores(w_arr, X, Y)
@@ -83,8 +170,36 @@ def exact_mean_loss(w_arr: np.ndarray, X: np.ndarray, Y: np.ndarray, zeta: float
     hi = float((S_pp.max(axis=1, initial=-np.inf, where=off) - S_pn.min(axis=1)).max()) + zeta
     if lo == hi:  # constant integrand: the mean is that one loss, with no rounding
         return float(phi(-hi))
+    h = max(-lo, hi)
+    if series and h <= MAX_SERIES_MARGIN:
+        K = series_order(h)
+        # 2K products per pair score against one log1p per triplet
+        if 2 * K * (n_plus + n_minus) < (n_plus - 1) * n_minus:
+            return series_mean_loss(S_pp, S_pn, zeta, K)
     partials = triplet_sweep([(S_pp, S_pn)], zeta, lambda start, terms: float(terms[0].sum()))
     return math.fsum(partials) / (n_plus * (n_plus - 1) * n_minus)
+
+
+def exact_mean_loss(w_arr: np.ndarray, X: np.ndarray, Y: np.ndarray, zeta: float) -> float:
+    """Mean logistic loss phi(-margin) over all ordered triplets, in one of two
+    exact forms, chosen by the margin range [lo, hi] and the work of each.
+
+    The sweep (swept_mean_loss) sums every triplet's loss: anchor blocks
+    (triplet_sweep) summed with numpy's pairwise summation, combined with
+    math.fsum, so the result is reproducible and permutation-stable to well
+    below 1e-12 relative. When every |margin| is at most MAX_SERIES_MARGIN
+    and the series' 2K n+ (n+ + n-) products are fewer than the sweep's
+    n+ (n+ - 1) n- terms, the mean comes from series_mean_loss instead, in
+    O(n^2) work; both forms agree to 1e-15 relative. A constant integrand
+    (lo == hi) gives that one loss, phi(-hi), in either form.
+    """
+    return _mean_loss(w_arr, X, Y, zeta, series=True)
+
+
+def swept_mean_loss(w_arr: np.ndarray, X: np.ndarray, Y: np.ndarray, zeta: float) -> float:
+    """exact_mean_loss in its sweep form at any margin: the sum over every
+    triplet that the Newton solve's own sweeps (optim._risk_parts) make."""
+    return _mean_loss(w_arr, X, Y, zeta, series=False)
 
 
 def sample_triplet_indices(rng: np.random.Generator, n_plus: int, n_minus: int, m: int):

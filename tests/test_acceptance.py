@@ -24,6 +24,7 @@ from tripletlab.cli import (
 from tripletlab.core import Pool, SlotRef, replace_samples
 from tripletlab.lab import (
     SweepConfig,
+    _exact_budget,
     fit_loglog_slope,
     run_optimistic_experiment,
     run_rate_sweep,
@@ -177,7 +178,7 @@ def test_criterion_06_rrm_stability_domination():
     for n in (32, 64, 128):
         for lam in (0.05, 0.5):
             _, sampler = gen_task(TaskConfig(d=3, n_plus=n, n_minus=n, seed=0))
-            budget = max(2_000_000, n * (n - 1) * n)
+            budget = _exact_budget(n)
             trainer = RrmTrainer(RrmConfig(lam=lam, budget=budget))
             report = estimate_uniform_stability(
                 trainer, sampler, n, n, trials=50, probe_size=500,
@@ -206,7 +207,7 @@ def test_criterion_07_triple_replacement_envelope():
     n, lam, trials = 64, 0.1, 30
     _, sampler = gen_task(TaskConfig(d=3, n_plus=n, n_minus=n, seed=0))
     rng = sampler.spawn_generator()
-    cfg = RrmConfig(lam=lam, budget=max(2_000_000, n * (n - 1) * n))
+    cfg = RrmConfig(lam=lam, budget=_exact_budget(n))
     loss_cfg = LossConfig(0.0)
     envelope = 3.0 * rrm_stability_bound(n, n, 8.0, 2.0 * lam)
     worst = 0.0

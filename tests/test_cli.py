@@ -5,6 +5,7 @@ Everything goes through main(argv) with tmp_path outdirs; no subprocesses.
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError
 
-from tripletlab import optim, parallel
+from tripletlab import lab, optim, parallel
 from tripletlab.cli import (
     EXIT_CONFIG,
     EXIT_DOMINATION,
@@ -23,6 +24,7 @@ from tripletlab.cli import (
     read_trace_csv,
 )
 from tripletlab.core import Pool, SlotRef, ValidationError, read_dataset_csv
+from tripletlab.risk import sample_risk
 from tripletlab.stability import sgd_stability_bound
 
 TINY_TASK = ["--d", "2", "--n-plus", "4", "--n-minus", "3"]
@@ -366,6 +368,27 @@ def test_sweep_and_optimistic_manifests_record_the_phase_timings(tmp_path):
         times = json.loads((out / "manifest.json").read_text())["phase_seconds"]
         assert set(times) == {"population_draw", "draw_and_fits", "scoring"}
         assert all(t >= 0.0 for t in times.values())
+
+
+def test_optimistic_manifest_records_the_slope_fit(tmp_path, monkeypatch):
+    grid = ["--n-grid", "4 6 8 10", "--trials-per-n", "2", "--population-m", "2000", "--d", "2"]
+    out = tmp_path / "fit"
+    assert main(["optimistic", "--seed", "3", "--outdir", str(out)] + grid) == EXIT_OK
+    fit = json.loads((out / "manifest.json").read_text())["slope_fit"]
+    with open(out / "optimistic_cells.csv", newline="") as fh:
+        cells = list(csv.DictReader(fh))
+    ns = [int(c["n"]) for c in cells]
+    want = lab._positive_slope(ns, [float(c["mean_gap"]) for c in cells])
+    assert [fit[name] for name in ("slope", "intercept", "slope_stderr", "r_squared")] == list(want)
+    assert all(math.isfinite(v) for v in want)
+    # a population risk of 0 makes every gap negative: no fit, recorded as null
+    monkeypatch.setattr(
+        lab, "sample_risk", lambda w, sample, cfg: replace(sample_risk(w, sample, cfg), value=0.0)
+    )
+    out = tmp_path / "none"
+    assert main(["optimistic", "--seed", "3", "--outdir", str(out)] + grid) == EXIT_OK
+    fit = json.loads((out / "manifest.json").read_text())["slope_fit"]
+    assert fit == dict.fromkeys(["slope", "slope_stderr", "intercept", "r_squared"])
 
 
 @pytest.mark.parametrize("command", ["sweep", "optimistic", "excess"])

@@ -339,9 +339,26 @@ def test_rowwise_losses_do_not_depend_on_the_block_size(monkeypatch):
     (A, P, N), _ = _fresh_triplets(3, 101, seed=3)
     w_arr = sym(np.random.default_rng(3), 3).w
     whole = triplet_losses_rowwise(w_arr, A, P, N, 0.2)
-    for block in (70, 1):  # blocks of 23 rows, then of one row
+    for block in (70, 1):  # blocks of 23 rows, then of two (the fewest a block has)
         monkeypatch.setattr(loss_module, "BLOCK", block)
         assert np.array_equal(triplet_losses_rowwise(w_arr, A, P, N, 0.2), whole)
+
+
+def test_a_lone_last_row_is_scored_as_in_a_block(monkeypatch):
+    # numpy scores a one-row block's delta @ w by a matrix-vector product,
+    # which at d = 8 rounds about half of these rows differently from the
+    # same row inside a block; a lone last row joins the block before it
+    d = 8
+    monkeypatch.setattr(loss_module, "BLOCK", 4 * d)  # blocks of 4 rows
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        A, P, N = (rng.standard_normal((9, d)) * 0.4 for _ in range(3))
+        w_arr = sym(rng, d).w
+        # rows 4..8 are one block of the 9-row call; row 4 would be alone in
+        # the 5-row call
+        whole = triplet_losses_rowwise(w_arr, A, P, N, 0.0)
+        head = triplet_losses_rowwise(w_arr, A[:5], P[:5], N[:5], 0.0)
+        assert np.array_equal(head, whole[:5])
 
 
 # --- the triplet-tensor sweep: fused kernel and anchor blocks ---

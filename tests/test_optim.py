@@ -36,7 +36,7 @@ from tripletlab.optim import (
     sgd_train,
     write_trace_csv,
 )
-from tripletlab.risk import empirical_risk, exact_mean_loss
+from tripletlab.risk import empirical_risk, exact_mean_loss, swept_mean_loss
 from tripletlab.synth import TaskConfig, gen_task, low_noise_task
 
 
@@ -608,7 +608,7 @@ def newton_rescoring_every_point(train, cfg, w0):
                 u = u_try
                 continue
         for _ in range(60):
-            f_try = exact_mean_loss(metric(u_try), X, Y, cfg.zeta) + cfg.lam * float(u_try @ u_try)
+            f_try = swept_mean_loss(metric(u_try), X, Y, cfg.zeta) + cfg.lam * float(u_try @ u_try)
             if f_try <= f_val + 0.25 * t * slope:
                 break
             t *= 0.5
@@ -623,7 +623,7 @@ def test_rrm_newton_scores_each_candidate_once(monkeypatch, w0_scale, rejected):
     cfg = RrmConfig(lam=0.01)
     w0 = MetricParams.identity(2, w0_scale)
     w_ref, it_ref = newton_rescoring_every_point(train, cfg, w0)
-    calls = {"_risk_parts": 0, "exact_mean_loss": 0}
+    calls = {"_risk_parts": 0, "swept_mean_loss": 0}
     for name in calls:
         def counted(*args, _fn=getattr(optim, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -635,7 +635,7 @@ def test_rrm_newton_scores_each_candidate_once(monkeypatch, w0_scale, rejected):
     assert np.array_equal(w.w, w_ref)
     # one sweep per iterate plus one per rejected full step; each rejected
     # step here is accepted after one halving, scored loss-only
-    assert calls == {"_risk_parts": it + 1 + rejected, "exact_mean_loss": rejected}
+    assert calls == {"_risk_parts": it + 1 + rejected, "swept_mean_loss": rejected}
 
 
 # The n = 12, trial 1 solve of `tripletlab optimistic --seed 23 --d 2 --n-grid
@@ -718,7 +718,7 @@ def test_rrm_exhausted_line_search_raises_with_the_best_iterate(monkeypatch):
         return math.inf
 
     monkeypatch.setattr(optim, "_risk_parts", rejecting_parts)
-    monkeypatch.setattr(optim, "exact_mean_loss", rejecting_loss)
+    monkeypatch.setattr(optim, "swept_mean_loss", rejecting_loss)
     with pytest.raises(LineSearchExhausted) as err:
         rrm_train(train, RrmConfig(lam=0.01))
     assert err.value.iterations == 0

@@ -1,18 +1,23 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from tripletlab import loss as loss_module
-from tripletlab import risk
+from tripletlab import optim, risk
 from tripletlab.core import DimensionMismatch, TripletDataset
 from tripletlab.loss import (
     LossConfig,
     MetricParams,
     logistic_triplet_loss,
     margin_terms,
+    pair_scores,
+    phi,
     row_scores,
+    triplet_sweep,
 )
+from tripletlab.optim import RrmConfig, rrm_train
 from tripletlab.risk import (
     DEFAULT_TRIPLET_BUDGET,
     InvalidCounts,
@@ -336,3 +341,179 @@ def test_bernstein_rejects_bad_counts():
 
 def test_default_budget_value():
     assert DEFAULT_TRIPLET_BUDGET == 2_000_000
+
+
+# --- the series form of the exact risk ---
+
+
+def _margin_range(S_pp, S_pn, zeta):
+    margins = S_pp[:, :, None] - S_pn[:, None, :] + zeta
+    valid = ~np.eye(S_pp.shape[0], dtype=bool)[:, :, None].repeat(S_pn.shape[1], axis=2)
+    return float(margins[valid].min()), float(margins[valid].max())
+
+
+def _scaled_problem(seed, d, n_plus, n_minus, zeta, h):
+    """Features, a metric and its pair scores, with the metric scaled so the
+    largest |margin| over the valid triplets is h (to rounding)."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n_plus, d)) / math.sqrt(d)
+    Y = rng.standard_normal((n_minus, d)) / math.sqrt(d)
+    w = random_metric(rng, d).w
+    lo, hi = _margin_range(pair_scores(w, X, X), pair_scores(w, X, Y), 0.0)
+    # zeta + t hi = h or zeta + t lo = -h, whichever t comes first
+    t = min((h - zeta) / hi if hi > 0 else math.inf, (h + zeta) / -lo if lo < 0 else math.inf)
+    w = t * w
+    return w, X, Y, pair_scores(w, X, X), pair_scores(w, X, Y)
+
+
+def _mpmath_mean_loss(S_pp, S_pn, zeta):
+    """The mean of log(1 + e^m) over the valid triplets' margins, in 40 digits."""
+    with mpmath.workdps(40):
+        total = mpmath.mpf(0)
+        n_plus, n_minus = S_pn.shape
+        for i in range(n_plus):
+            for j in range(n_plus):
+                if j != i:
+                    a = mpmath.mpf(S_pp[i, j]) + mpmath.mpf(zeta)
+                    for k in range(n_minus):
+                        total += mpmath.log1p(mpmath.exp(a - mpmath.mpf(S_pn[i, k])))
+        return float(total / (n_plus * (n_plus - 1) * n_minus))
+
+
+def _parent_exact_mean_loss(w_arr, X, Y, zeta):
+    """exact_mean_loss before the series form: the sweep alone, with the
+    constant-integrand shortcut."""
+    n_plus, n_minus = X.shape[0], Y.shape[0]
+    S_pp = pair_scores(w_arr, X, X)
+    S_pn = pair_scores(w_arr, X, Y)
+    off = ~np.eye(n_plus, dtype=bool)
+    lo = float((S_pp.min(axis=1, initial=np.inf, where=off) - S_pn.max(axis=1)).min()) + zeta
+    hi = float((S_pp.max(axis=1, initial=-np.inf, where=off) - S_pn.min(axis=1)).max()) + zeta
+    if lo == hi:
+        return float(phi(-hi))
+    partials = triplet_sweep([(S_pp, S_pn)], zeta, lambda start, terms: float(terms[0].sum()))
+    return math.fsum(partials) / (n_plus * (n_plus - 1) * n_minus)
+
+
+def test_series_coefficients_and_order():
+    assert risk.SERIES_COEFFS[:3] == [1 / 8, -1 / 192, 1 / 2880]
+    # log cosh(m / 2) = log(1 + e^m) - log 2 - m / 2 at a small m
+    m = 0.3
+    series = sum(c * m ** (2 * k) for k, c in enumerate(risk.SERIES_COEFFS, 1))
+    assert series == pytest.approx(math.log1p(math.exp(m)) - math.log(2) - m / 2, rel=1e-15)
+    assert risk.series_order(risk.MAX_SERIES_MARGIN) == len(risk.SERIES_COEFFS) == 16
+    assert risk.series_order(0.0) == 0
+    # K is the least order whose tail bound is at most SERIES_TAIL
+    for h in (1e-9, 0.03, 0.5, 1.0):
+        r = (h / math.pi) ** 2
+        tail = [math.pi**2 / 6 / (K + 1) * r ** (K + 1) / (1 - r) for K in range(17)]
+        K = risk.series_order(h)
+        assert tail[K] <= risk.SERIES_TAIL and (K == 0 or tail[K - 1] > risk.SERIES_TAIL)
+
+
+ALMOST_ONE = risk.MAX_SERIES_MARGIN * (1 - 1e-9)
+
+
+@pytest.mark.parametrize(
+    "d, n_plus, n_minus, zeta, h",
+    [
+        (1, 9, 7, 0.0, 0.5),
+        (1, 6, 1, 0.2, 0.9),
+        (3, 12, 5, 0.2, ALMOST_ONE),
+        (3, 10, 13, 0.02, 0.03),
+        (5, 8, 1, 0.0, 0.3),
+        (5, 7, 11, 0.0, ALMOST_ONE),
+    ],
+)
+def test_series_matches_mpmath_and_the_sweep(d, n_plus, n_minus, zeta, h):
+    w, X, Y, S_pp, S_pn = _scaled_problem(d + n_plus, d, n_plus, n_minus, zeta, h)
+    lo, hi = _margin_range(S_pp, S_pn, zeta)
+    assert max(-lo, hi) == pytest.approx(h, rel=1e-12)
+    got = risk.series_mean_loss(S_pp, S_pn, zeta, risk.series_order(max(-lo, hi)))
+    want = _mpmath_mean_loss(S_pp, S_pn, zeta)
+    assert abs(got - want) <= 1e-15 * want
+    swept = risk.swept_mean_loss(w, X, Y, zeta)
+    assert abs(got - swept) <= 1e-15 * swept
+
+
+def test_series_keeps_its_accuracy_when_the_scores_dwarf_the_margins():
+    # the vertices of a regular simplex at squared distance 30, jittered: every
+    # pair score is about 30 while every margin is below 1, so the power sums
+    # are only accurate about each anchor's midpoint score
+    d, n_plus, n_minus, zeta = 5, 4, 2, 0.2
+    rng = np.random.default_rng(8)
+    vertices = np.sqrt(15.0) * np.eye(d + 1)[:, :d]
+    vertices[d] = np.sqrt(15.0) * (1 - np.sqrt(d + 1)) / d
+    vertices += 0.02 * rng.standard_normal(vertices.shape)
+    X, Y, w = vertices[:n_plus], vertices[n_plus:], np.eye(d)
+    S_pp, S_pn = pair_scores(w, X, X), pair_scores(w, X, Y)
+    lo, hi = _margin_range(S_pp, S_pn, zeta)
+    assert max(-lo, hi) < 1.0 and S_pn.min() > 25.0
+    got = risk.series_mean_loss(S_pp, S_pn, zeta, risk.series_order(max(-lo, hi)))
+    want = _mpmath_mean_loss(S_pp, S_pn, zeta)
+    assert abs(got - want) <= 1e-15 * want
+
+
+def _series_spy(monkeypatch):
+    calls = []
+    real = risk.series_mean_loss
+
+    def spy(*args):
+        calls.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(risk, "series_mean_loss", spy)
+    return calls
+
+
+@pytest.mark.parametrize("zeta", [0.0, 0.2])
+def test_exact_risk_takes_the_series_only_below_the_threshold(monkeypatch, zeta):
+    calls = _series_spy(monkeypatch)
+    # just under the threshold, with enough triplets per pair score for the
+    # series' 2K (n+ + n-) products per anchor to undercut the sweep
+    w, X, Y, _, _ = _scaled_problem(1, 3, 80, 70, zeta, ALMOST_ONE)
+    got = risk.exact_mean_loss(w, X, Y, zeta)
+    assert calls == [16]
+    swept = risk.swept_mean_loss(w, X, Y, zeta)
+    assert abs(got - swept) <= 1e-15 * swept
+    # just over it: the sweep, bit for bit the parent's
+    w, X, Y, _, _ = _scaled_problem(1, 3, 80, 70, zeta, risk.MAX_SERIES_MARGIN * (1 + 1e-9))
+    assert risk.exact_mean_loss(w, X, Y, zeta).hex() == _parent_exact_mean_loss(w, X, Y, zeta).hex()
+    # small margins but too few triplets per pair score: the sweep
+    w, X, Y, _, _ = _scaled_problem(2, 3, 8, 3, zeta, 0.1)
+    assert risk.exact_mean_loss(w, X, Y, zeta).hex() == _parent_exact_mean_loss(w, X, Y, zeta).hex()
+    # a constant integrand: its one loss
+    X, Y = np.ones((80, 3)), np.zeros((70, 3))
+    assert risk.exact_mean_loss(np.eye(3), X, Y, zeta) == float(phi(3.0 - zeta))
+    assert risk.exact_mean_loss(np.zeros((3, 3)), X, Y, zeta) == float(phi(-zeta))
+    assert calls == [16]
+
+
+def test_rrm_halvings_never_take_the_series(monkeypatch):
+    # a task whose margins stay small, large enough for exact_mean_loss to
+    # take the series there; the first full Newton step is scored +inf, so
+    # the line search halves it
+    rng = np.random.default_rng(5)
+    train = TripletDataset(0.05 * rng.standard_normal((40, 3)), 0.05 * rng.standard_normal((40, 3)))
+    real_parts, parts_calls, halvings = optim._risk_parts, [], []
+
+    def rejecting_first_step(w, *args, **kwargs):
+        parts_calls.append(w)
+        value, grad, hess = real_parts(w, *args, **kwargs)
+        return (math.inf if len(parts_calls) == 2 else value), grad, hess
+
+    def recording_sweep(w, *args):
+        halvings.append(w)
+        return risk.swept_mean_loss(w, *args)
+
+    calls = _series_spy(monkeypatch)
+    monkeypatch.setattr(optim, "_risk_parts", rejecting_first_step)
+    monkeypatch.setattr(optim, "swept_mean_loss", recording_sweep)
+    rrm_train(train, RrmConfig(lam=0.01))
+    assert halvings and calls == []
+    # at the same points exact_mean_loss takes the series, within 1e-15
+    X, Y = train.positives, train.negatives
+    for w in halvings:
+        got = risk.exact_mean_loss(w, X, Y, 0.0)
+        assert abs(got - risk.swept_mean_loss(w, X, Y, 0.0)) <= 1e-15 * got
+    assert len(calls) == len(halvings)
