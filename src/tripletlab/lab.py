@@ -14,11 +14,12 @@ The sweep runners (run_rate_sweep, run_optimistic_experiment) share one
 trial pipeline, _run_trials(cfg, fit), and differ only in their fit(cfg, n,
 task_seed, algo_seed) -> (w, empirical risk) and in what they keep per cell
 of the rows it returns. The pipeline draws one population sample per run
-from the task law, at a seed of its own derived from the root seed, beside
-the fits, then scores every fitted w on it: the trials' population risks
-share common random numbers, so the sample's own error is common to a
-cell's trials and does not average out over them. The excess-risk split
-still draws fresh population triplets per trial.
+from the task law, at a seed of its own derived from the root seed, in
+chunks of risk.SAMPLE_CHUNK rows, each from a stream of its own, beside the
+fits; then it scores every fitted w on it, chunk by chunk on every CPU. The
+trials' population risks share common random numbers, so the sample's own
+error is common to a cell's trials and does not average out over them. The
+excess-risk split still draws fresh population triplets per trial.
 """
 from __future__ import annotations
 
@@ -30,17 +31,19 @@ import numpy as np
 from scipy.stats import linregress
 
 from . import parallel
-from .core import ValidationError, write_csv
+from .core import ValidationError, read_only_view, write_csv
 from .loss import LossConfig, MetricParams, regularity_constants, triplet_losses_rowwise
 from .optim import RrmConfig, SgdConfig, rrm_train
 from .risk import (
     DEFAULT_TRIPLET_BUDGET,
+    SAMPLE_CHUNK,
     RiskEstimate,
     bernstein_ustat_bound,
     check_sample_size,
     draw_evaluation_sample,
     empirical_risk,
     population_risk,
+    sample_chunks,
     sample_risk,
 )
 from .stability import (
@@ -184,25 +187,41 @@ def _positive_slope(ns, values):
 
 
 def _population_sample(cfg: SweepConfig, trials: int):
-    """(sample, record) of a sweep run's one population sample: population_m
-    triplets of cfg.task's law (draw_evaluation_sample), drawn by
-    task_sampler at a seed s of their own, and its manifest record.
+    """(sample, draws, record) of a sweep run's one population sample:
+    population_m triplets of cfg.task's law, to be drawn into sample, an
+    unfilled (2, m, d) array, by the jobs in draws, one
+    (draw_evaluation_sample, sampler, rows, out) per chunk of
+    sample_chunks(m), in chunk order; and its manifest record.
 
-    s is the first 64-bit word of SeedSequence(cfg.seed)'s own state. The
-    trial seeds come from that SeedSequence's spawned children, so none of
-    them changes, and the sample's stream is apart from theirs.
+    Chunk 0 is drawn by task_sampler at a seed s of the sample's own, and
+    chunk c >= 1 by that sampler's c-th fork(), so the sample does not depend
+    on which thread draws which chunk, and one of at most SAMPLE_CHUNK rows
+    is draw_evaluation_sample(sampler, m) itself. s is the first 64-bit word
+    of SeedSequence(cfg.seed)'s own state. The trial seeds come from that
+    SeedSequence's spawned children, so none of them changes, and the
+    sample's streams are apart from theirs.
     """
     seed = int(np.random.SeedSequence(int(cfg.seed)).generate_state(1, np.uint64)[0])
     sampler = task_sampler(replace(cfg.task, seed=seed))
+    chunks = sample_chunks(cfg.population_m)
+    samplers = [sampler] + [sampler.fork() for _ in chunks[1:]]
+    sample = np.empty((2, cfg.population_m, cfg.task.d))
+    draws = [
+        (draw_evaluation_sample, chunk_sampler, rows.stop - rows.start, sample[:, rows])
+        for chunk_sampler, rows in zip(samplers, chunks)
+    ]
     record = {
         "m": cfg.population_m,
         "seed": seed,
-        "seed_derivation": "SeedSequence(config.seed).generate_state(1, uint64)[0], "
-        "drawn by task_sampler(config.task with that seed)",
+        "seed_derivation": "SeedSequence(config.seed).generate_state(1, uint64)[0]; "
+        "chunk 0 drawn by task_sampler(config.task with that seed), "
+        "chunk c >= 1 by its c-th fork()",
+        "chunk_rows": SAMPLE_CHUNK,
+        "chunks": len(chunks),
         "shared_by_all_trials": True,
         "trials": trials,
     }
-    return draw_evaluation_sample(sampler, cfg.population_m), record
+    return sample, draws, record
 
 
 def _run_trials(cfg: SweepConfig, fit):
@@ -211,36 +230,43 @@ def _run_trials(cfg: SweepConfig, fit):
     (workers, population_sample, phase_seconds).
 
     The seeds of every (n, trial) are derived first, in trial order. Then
-    the draw of the run's one population sample (_population_sample) runs
-    as job 0 beside fit(cfg, n, task_seed, algo_seed) -> (w, empirical risk)
-    for each trial, so the draw takes one CPU while the fits take the
-    others, and on one CPU it runs before any fit; then every w is scored on
-    the sample (sample_risk). A sample larger than physical memory is
-    refused before any job starts. workers is the scoring's worker count
-    (one per CPU, at most one per trial); phase_seconds holds the wall times
-    of the draw alone, of the draw and the fits, and of the scoring.
+    phase 1 is one parallel.run_jobs call: fit(cfg, n, task_seed, algo_seed)
+    -> (w, empirical risk) for each trial, the largest n first (in trial
+    order within an n), and after them the chunk draws of the run's one
+    population sample (_population_sample), so the draws fill the CPUs
+    around the fits, and on one CPU run after them; if fits fail, the first
+    failing one in that job order raises. Phase 2 scores every w
+    on the sample (sample_risk, whose chunks are jobs of their own). A
+    sample larger than physical memory is refused before any job starts.
+    workers is the scoring's worker count (one per CPU, at most one per
+    trial); phase_seconds holds the busy seconds of the chunk draws, summed
+    over the chunks, and the wall times of phase 1 and of phase 2.
     """
     check_sample_size(cfg.population_m, cfg.task.d)
     root = np.random.SeedSequence(int(cfg.seed))
     seeds = [
         (n, trial, *_cell_seeds(root)) for n in cfg.n_grid for trial in range(cfg.trials_per_n)
     ]
+    sample, draws, record = _population_sample(cfg, len(seeds))
+    order = sorted(range(len(seeds)), key=lambda trial: -seeds[trial][0])
+    fit_jobs = [(fit, cfg, n, task_seed, algo_seed) for n, _, task_seed, algo_seed in seeds]
 
-    def draw():
+    def timed(job, *args):
         began = time.perf_counter()
-        return *_population_sample(cfg, len(seeds)), time.perf_counter() - began
+        return job(*args), time.perf_counter() - began
 
     started = time.perf_counter()
-    results, _ = parallel.run_jobs(
-        lambda job, *args: job(*args),
-        [(draw,)] + [(fit, cfg, n, task_seed, algo_seed) for n, _, task_seed, algo_seed in seeds],
-    )
+    results, _ = parallel.run_jobs(timed, [fit_jobs[trial] for trial in order] + draws)
     fitted = time.perf_counter()
-    (sample, record, draw_seconds), fits = results[0], results[1:]
+    fits = [None] * len(seeds)
+    for trial, (result, _) in zip(order, results):
+        fits[trial] = result
+    draw_seconds = sum(seconds for _, seconds in results[len(seeds):])
+    sample = read_only_view(sample)
     loss_cfg = LossConfig(cfg.zeta)
     pops, workers = parallel.run_jobs(sample_risk, [(w, sample, loss_cfg) for w, _ in fits])
     phase_seconds = {
-        "population_draw": draw_seconds,
+        "population_draw_busy_sum": draw_seconds,
         "draw_and_fits": fitted - started,
         "scoring": time.perf_counter() - fitted,
     }

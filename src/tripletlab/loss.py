@@ -243,28 +243,32 @@ def row_scores(w_arr: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return difference_scores(w_arr, X - Y)
 
 
+def row_blocks(m: int, step: int) -> list:
+    """Slices of m rows in consecutive blocks of step rows, a lone last row
+    joining the block before it. numpy computes a one-row delta @ w as a
+    matrix-vector product, which at d >= 4 can round differently in the last
+    bits than the same row in a larger block, so with step >= 2 no block has
+    one row (only m = 1 gives one)."""
+    starts = list(range(0, m, step))
+    if len(starts) > 1 and m - starts[-1] == 1:
+        starts.pop()
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [m])]
+
+
 def difference_losses(w_arr: np.ndarray, shape, differences, zeta: float) -> np.ndarray:
     """Logistic triplet losses phi(-margin) of m aligned triplets with d
     features, shape = (m, d), scored in consecutive row blocks of BLOCK
-    doubles so a block's differences and scores stay in cache.
+    doubles (row_blocks, at least 2 rows each) so a block's differences and
+    scores stay in cache.
 
     differences(rows) gives a block's rows of anchor - positive and of
     anchor - negative, and the margin of a row is their difference_scores'
     difference plus zeta. A row's loss does not depend on the other rows, and
-    the fixed blocking gives the same losses on every run. numpy computes a
-    one-row delta @ w as a matrix-vector product, which at d >= 4 can round
-    differently in the last bits than the same row in a larger block, so no
-    block has one row: a lone last row joins the block before it, and a
-    block has at least 2 rows (only a call of m = 1 scores one row alone).
+    the fixed blocking gives the same losses on every run.
     """
     m, d = shape
     losses = np.empty(m)
-    step = max(2, BLOCK // d)
-    starts = list(range(0, m, step))
-    if len(starts) > 1 and m - starts[-1] == 1:
-        starts.pop()
-    for start, stop in zip(starts, starts[1:] + [m]):
-        rows = slice(start, stop)
+    for rows in row_blocks(m, max(2, BLOCK // d)):
         dp, dn = differences(rows)
         margins = losses[rows]
         np.subtract(difference_scores(w_arr, dp), difference_scores(w_arr, dn), out=margins)

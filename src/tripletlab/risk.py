@@ -12,7 +12,9 @@ the exact value. Population risk is plain Monte Carlo over fresh triplets
 from a sampler, in two halves: draw_evaluation_sample draws the triplets
 once, as read-only differences, and sample_risk scores a metric on them, so
 one sample can score every metric of a run (population_risk is the two in
-turn).
+turn). A sample is scored in chunks of SAMPLE_CHUNK rows on every CPU
+(sample_chunks); the sweep runners draw their shared sample in the same
+chunks (lab._population_sample).
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import parallel
 from .core import DimensionMismatch, TripletDataset, ValidationError, read_only_view
 from .loss import (
     BLOCK,
@@ -32,12 +35,16 @@ from .loss import (
     difference_losses,
     pair_scores,
     phi,
+    row_blocks,
     triplet_sweep,
     triplet_losses_rowwise,
 )
 from .synth import TripletSampler
 
 DEFAULT_TRIPLET_BUDGET = 2_000_000
+# rows per chunk of an evaluation sample (sample_chunks): the unit of a
+# parallel draw and of scoring, whose loss array is then one BLOCK of doubles
+SAMPLE_CHUNK = 1 << 16
 
 
 class InvalidDelta(ValidationError):
@@ -88,6 +95,11 @@ MAX_SERIES_MARGIN = 1.0
 # the series is cut where its tail bound falls to this, far below an ulp of
 # the mean loss (at least log(1 + e^-1) = 0.31 in the series' range)
 SERIES_TAIL = 1e-17
+# the series form's cost per order beyond its products, in triplets of the
+# sweep: a power-sum column and a moment per order cost about 11 us of numpy
+# calls, what the sweep spends on about 8,000 triplets where the two forms
+# cross (n = 24 to 70); the forms' other fixed costs per call are about equal
+SERIES_ORDER_COST = 8_000
 
 
 def series_order(h: float) -> int:
@@ -160,6 +172,14 @@ def series_mean_loss(S_pp: np.ndarray, S_pn: np.ndarray, zeta: float, K: int) ->
     return math.log(2.0) + math.fsum(terms) / (n_plus * (n_plus - 1) * n_minus)
 
 
+def series_is_cheaper(n_plus: int, n_minus: int, K: int) -> bool:
+    """Whether series_mean_loss to order K costs less than the sweep: its
+    2K products per pair score and K SERIES_ORDER_COST, against one log1p per
+    triplet."""
+    products = 2 * K * n_plus * (n_plus + n_minus)
+    return products + K * SERIES_ORDER_COST < n_plus * (n_plus - 1) * n_minus
+
+
 def _mean_loss(w_arr, X, Y, zeta, series: bool) -> float:
     n_plus, n_minus = X.shape[0], Y.shape[0]
     S_pp = pair_scores(w_arr, X, X)
@@ -173,8 +193,7 @@ def _mean_loss(w_arr, X, Y, zeta, series: bool) -> float:
     h = max(-lo, hi)
     if series and h <= MAX_SERIES_MARGIN:
         K = series_order(h)
-        # 2K products per pair score against one log1p per triplet
-        if 2 * K * (n_plus + n_minus) < (n_plus - 1) * n_minus:
+        if series_is_cheaper(n_plus, n_minus, K):
             return series_mean_loss(S_pp, S_pn, zeta, K)
     partials = triplet_sweep([(S_pp, S_pn)], zeta, lambda start, terms: float(terms[0].sum()))
     return math.fsum(partials) / (n_plus * (n_plus - 1) * n_minus)
@@ -188,9 +207,10 @@ def exact_mean_loss(w_arr: np.ndarray, X: np.ndarray, Y: np.ndarray, zeta: float
     (triplet_sweep) summed with numpy's pairwise summation, combined with
     math.fsum, so the result is reproducible and permutation-stable to well
     below 1e-12 relative. When every |margin| is at most MAX_SERIES_MARGIN
-    and the series' 2K n+ (n+ + n-) products are fewer than the sweep's
-    n+ (n+ - 1) n- terms, the mean comes from series_mean_loss instead, in
-    O(n^2) work; both forms agree to 1e-15 relative. A constant integrand
+    and the series costs less (series_is_cheaper: its 2K n+ (n+ + n-)
+    products and K SERIES_ORDER_COST against the sweep's n+ (n+ - 1) n-
+    terms), the mean comes from series_mean_loss instead, in O(n^2) work;
+    both forms agree to 1e-15 relative. A constant integrand
     (lo == hi) gives that one loss, phi(-hi), in either form.
     """
     return _mean_loss(w_arr, X, Y, zeta, series=True)
@@ -264,10 +284,19 @@ def check_sample_size(m: int, d: int) -> None:
         )
 
 
-def draw_evaluation_sample(sampler: TripletSampler, m: int) -> np.ndarray:
+def sample_chunks(m: int) -> list:
+    """Row slices of an m-triplet sample's chunks: SAMPLE_CHUNK rows each, the
+    last one taking the rest, and a lone remaining row joining the chunk
+    before it (loss.row_blocks), so every chunk of a sample has at least 2
+    rows and a sample of at most SAMPLE_CHUNK + 1 rows is one chunk."""
+    return row_blocks(m, SAMPLE_CHUNK)
+
+
+def draw_evaluation_sample(sampler: TripletSampler, m: int, out=None) -> np.ndarray:
     """sampler.draw(m)'s triplets as differences: a read-only (2, m, d) array
-    of anchor - positive, then anchor - negative. Advances the sampler as
-    sampler.draw(m) does.
+    of anchor - positive, then anchor - negative, or the writable (2, m, d)
+    array out filled with them (a chunk's rows of a larger sample). Advances
+    the sampler as sampler.draw(m) does.
 
     The anchors are drawn straight into the second half; the positives and
     then the negatives arrive in the sampler's row blocks and are subtracted
@@ -278,40 +307,63 @@ def draw_evaluation_sample(sampler: TripletSampler, m: int) -> np.ndarray:
     """
     if m < 2:
         raise ValidationError(f"population risk needs m >= 2 triplets, got {m}")
-    check_sample_size(m, sampler.d)
-    sample = np.empty((2, m, sampler.d))
-    positive, negative = sample
+    if out is None:
+        check_sample_size(m, sampler.d)
+        return read_only_view(draw_evaluation_sample(sampler, m, np.empty((2, m, sampler.d))))
+    positive, negative = out
     sampler.draw_positive(m, out=negative)
     halves = (sampler.positive_blocks(m), positive), (sampler.negative_blocks(m), negative)
-    for blocks, out in halves:
+    for blocks, half in halves:
         start = 0
         for block in blocks:
             rows = slice(start, start + block.shape[0])
-            np.subtract(negative[rows], block, out=out[rows])
+            np.subtract(negative[rows], block, out=half[rows])
             start = rows.stop
-    return read_only_view(sample)
+    return out
+
+
+def _chunk_moments(w_arr: np.ndarray, chunk: np.ndarray, zeta: float):
+    """(sum, sum of squared deviations about the chunk's mean, count, min,
+    max) of the losses of w_arr on chunk, a (2, rows, d) part of an
+    evaluation sample, scored by loss.difference_losses. The deviations are
+    vals.std(ddof=1)'s own operations, done in place on the chunk's losses."""
+    _, rows, d = chunk.shape
+    vals = difference_losses(w_arr, (rows, d), lambda block: chunk[:, block], zeta)
+    total = float(vals.sum())
+    low, high = float(vals.min()), float(vals.max())
+    np.subtract(vals, total / rows, out=vals)
+    np.square(vals, out=vals)
+    return total, float(vals.sum()), rows, low, high
 
 
 def sample_risk(w: MetricParams, sample: np.ndarray, cfg: LossConfig) -> RiskEstimate:
     """Monte Carlo mean loss of w over an evaluation sample
     (draw_evaluation_sample), with its standard error.
 
-    The sample is only read, so one sample can score any number of metrics,
-    from any number of threads at once.
+    The chunks of the sample (sample_chunks) are scored as parallel.run_jobs
+    jobs (_chunk_moments), and their moments are combined in chunk order: the
+    mean is the exactly rounded sum of the chunk sums over m, and the sum of
+    squared deviations about it is that of each chunk plus count (chunk mean
+    - mean)^2, summed exactly rounded. So the estimate does not depend on the
+    thread count; on one chunk it is numpy's one-pass mean and
+    std(ddof=1) / sqrt(m) bit for bit, and on more within 1e-12 relative of
+    them. A constant integrand (min == max) gives that one loss with
+    std_error 0. The sample is only read, so one sample can score any number
+    of metrics, from any number of threads at once.
     """
     _, m, d = sample.shape
     if w.d != d:
         raise DimensionMismatch(f"metric is {w.d}-dimensional, sample is {d}")
-    vals = difference_losses(w.w, (m, d), lambda rows: sample[:, rows], cfg.zeta)
-    if np.ptp(vals) == 0.0:
+    parts, _ = parallel.run_jobs(
+        _chunk_moments, [(w.w, sample[:, rows], cfg.zeta) for rows in sample_chunks(m)]
+    )
+    low = min(part[3] for part in parts)
+    if low == max(part[4] for part in parts):
         # constant integrand: the mean is the common value, with no noise
-        return RiskEstimate(float(vals[0]), 0.0, m, RiskMode.MONTE_CARLO_POPULATION)
-    # vals.std(ddof=1)'s own operations, done in place: its m-long temporary
-    # would be one more array of the losses' size per scored metric
-    mean = float(vals.mean())
-    np.subtract(vals, mean, out=vals)
-    np.square(vals, out=vals)
-    std_error = math.sqrt(float(vals.sum()) / (m - 1)) / math.sqrt(m)
+        return RiskEstimate(low, 0.0, m, RiskMode.MONTE_CARLO_POPULATION)
+    mean = math.fsum(part[0] for part in parts) / m
+    squares = math.fsum(ssd + n * (total / n - mean) ** 2 for total, ssd, n, _, _ in parts)
+    std_error = math.sqrt(squares / (m - 1)) / math.sqrt(m)
     return RiskEstimate(mean, std_error, m, RiskMode.MONTE_CARLO_POPULATION)
 
 

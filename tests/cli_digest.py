@@ -47,6 +47,9 @@ COMMANDS = [
     ("check", ["check", "--seed", "24", "--probes", "300", "--grad-probes", "50"]),
     ("rrm_tiny_lam", ["rrm", "--seed", "3", "--lam", "1e-18", "--n-plus", "12",
                       "--n-minus", "10", "--d", "3"]),
+    # a population sample of two chunks (risk.SAMPLE_CHUNK rows each at most)
+    ("optimistic_chunks", ["optimistic", "--seed", "25", "--d", "3", "--n-grid", "8 12 16",
+                           "--trials-per-n", "2", "--population-m", "70000"] + LOW_NOISE),
 ]
 
 

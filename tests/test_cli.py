@@ -356,6 +356,9 @@ def test_sweep_and_optimistic_manifests_record_the_shared_population_sample(tmp_
         assert sample["m"] == 2000
         assert sample["seed"] == int(own_state)
         assert sample["seed_derivation"].startswith("SeedSequence(config.seed)")
+        assert "c-th fork()" in sample["seed_derivation"]
+        assert sample["chunk_rows"] == 2**16
+        assert sample["chunks"] == 1
         assert sample["shared_by_all_trials"] is True
         assert sample["trials"] == 3 * 2
 
@@ -366,7 +369,7 @@ def test_sweep_and_optimistic_manifests_record_the_phase_timings(tmp_path):
         out = tmp_path / command
         assert main([command, "--seed", "3", "--outdir", str(out)] + grid) == EXIT_OK
         times = json.loads((out / "manifest.json").read_text())["phase_seconds"]
-        assert set(times) == {"population_draw", "draw_and_fits", "scoring"}
+        assert set(times) == {"population_draw_busy_sum", "draw_and_fits", "scoring"}
         assert all(t >= 0.0 for t in times.values())
 
 

@@ -281,12 +281,28 @@ def test_optimistic_experiment_requires_rrm_and_rule():
 # --- one population sample per run ---
 
 
+def _chunk_sizes(m):
+    """Rows of each chunk of an m-triplet sample: SAMPLE_CHUNK each, the last
+    one taking the rest, and a lone remaining row joining the last full one."""
+    size = risk.SAMPLE_CHUNK
+    full, rest = divmod(m, size)
+    if rest == 1 and full:
+        return [size] * (full - 1) + [size + 1]
+    return [size] * full + ([rest] if rest else [])
+
+
 def _shared_sample(cfg):
-    """(seed, sample) of a sweep run's population sample, derived here apart
-    from the runner: the first 64-bit word of SeedSequence(seed)'s own state."""
+    """(seed, sample) of a sweep run's population sample, rebuilt here apart
+    from the runner: task_sampler seeded by the first 64-bit word of
+    SeedSequence(seed)'s own state draws chunk 0 (draw_evaluation_sample),
+    and its c-th fork() draws chunk c."""
     seed = int(np.random.SeedSequence(cfg.seed).generate_state(1, np.uint64)[0])
     sampler = task_sampler(replace(cfg.task, seed=seed))
-    return seed, draw_evaluation_sample(sampler, cfg.population_m)
+    chunks = [
+        draw_evaluation_sample(sampler if c == 0 else sampler.fork(), rows)
+        for c, rows in enumerate(_chunk_sizes(cfg.population_m))
+    ]
+    return seed, np.concatenate(chunks, axis=1)
 
 
 def _trial_seeds(cfg):
@@ -304,8 +320,42 @@ def _trial_seeds(cfg):
 def _check_sample_record(report, cfg, seed):
     assert report.population_sample["m"] == cfg.population_m
     assert report.population_sample["seed"] == seed
+    assert report.population_sample["chunk_rows"] == risk.SAMPLE_CHUNK
+    assert report.population_sample["chunks"] == len(_chunk_sizes(cfg.population_m))
     assert report.population_sample["shared_by_all_trials"] is True
     assert report.population_sample["trials"] == len(cfg.n_grid) * cfg.trials_per_n
+
+
+def _scored_sample(monkeypatch, run, cfg):
+    """The sample every fit of run(cfg) was scored on, checked to be one."""
+    samples = []
+
+    def record(w, sample, loss_cfg):
+        samples.append(sample)
+        return sample_risk(w, sample, loss_cfg)
+
+    monkeypatch.setattr(lab, "sample_risk", record)
+    run(cfg)
+    assert all(sample is samples[0] for sample in samples)
+    return samples[0]
+
+
+@pytest.mark.parametrize(
+    "m", [2, 3000, risk.SAMPLE_CHUNK, risk.SAMPLE_CHUNK + 1, 2 * risk.SAMPLE_CHUNK + 2]
+)
+def test_the_shared_sample_is_drawn_in_chunks_and_one_chunk_is_a_plain_draw(monkeypatch, m):
+    cfg = SweepConfig(algorithm="constant", n_grid=(4, 5, 6), trials_per_n=1, task=TASK,
+                      population_m=m, seed=33)
+    sample = _scored_sample(monkeypatch, run_rate_sweep, cfg)
+    assert not sample.flags.writeable
+    seed, rebuilt = _shared_sample(cfg)
+    assert np.array_equal(sample, rebuilt)
+    if m <= risk.SAMPLE_CHUNK + 1:  # one chunk: draw_evaluation_sample's own sample
+        plain = draw_evaluation_sample(task_sampler(replace(TASK, seed=seed)), m)
+        assert np.array_equal(sample, plain)
+    else:  # every chunk from a stream of its own
+        first, second = sample[:, : risk.SAMPLE_CHUNK], sample[:, risk.SAMPLE_CHUNK :]
+        assert not np.array_equal(first[:, :100], second[:, :100])
 
 
 @pytest.mark.parametrize("algorithm", ["sgd", "rrm"])
@@ -319,21 +369,23 @@ def test_rate_sweep_rows_score_each_fit_on_the_one_shared_sample(monkeypatch, al
         return w, emp
 
     monkeypatch.setattr(lab, "_sweep_fit", record)
-    cfg = SweepConfig(
-        algorithm=algorithm, n_grid=(4, 6, 8), trials_per_n=2, task=TASK,
-        population_m=3000, sigma0=2.0, seed=31,
-    )
-    report = run_rate_sweep(cfg)
-    seed, sample = _shared_sample(cfg)
-    _check_sample_record(report, cfg, seed)
-    assert [(r.n, r.trial, r.task_seed, r.algo_seed) for r in report.rows] == _trial_seeds(cfg)
-    for row in report.rows:
-        w = fits[(row.n, row.task_seed, row.algo_seed)]
-        train, _ = gen_task(replace(TASK, n_plus=row.n, n_minus=row.n, seed=row.task_seed))
-        assert row.emp == empirical_risk(w, train, LossConfig(0.0))
-        assert row.pop == sample_risk(w, sample, LossConfig(0.0))
-    # every trial's population risk differs: one sample, but a different w each
-    assert len({row.pop.value for row in report.rows}) == len(report.rows)
+    for m in (3000, 70_000):  # one chunk, two chunks
+        cfg = SweepConfig(
+            algorithm=algorithm, n_grid=(4, 6, 8), trials_per_n=2, task=TASK,
+            population_m=m, sigma0=2.0, seed=31,
+        )
+        report = run_rate_sweep(cfg)
+        seed, sample = _shared_sample(cfg)
+        _check_sample_record(report, cfg, seed)
+        seeds = [(r.n, r.trial, r.task_seed, r.algo_seed) for r in report.rows]
+        assert seeds == _trial_seeds(cfg)
+        for row in report.rows:
+            w = fits[(row.n, row.task_seed, row.algo_seed)]
+            train, _ = gen_task(replace(TASK, n_plus=row.n, n_minus=row.n, seed=row.task_seed))
+            assert row.emp == empirical_risk(w, train, LossConfig(0.0))
+            assert row.pop == sample_risk(w, sample, LossConfig(0.0))
+        # every trial's population risk differs: one sample, but a different w each
+        assert len({row.pop.value for row in report.rows}) == len(report.rows)
 
 
 def test_optimistic_rows_score_each_fit_on_the_one_shared_sample(monkeypatch):
@@ -346,18 +398,20 @@ def test_optimistic_rows_score_each_fit_on_the_one_shared_sample(monkeypatch):
         return w, stats
 
     monkeypatch.setattr(lab, "rrm_train", record)
-    cfg = optimistic_cfg(trials_per_n=2, population_m=3000)
-    report = run_optimistic_experiment(cfg)
-    seed, sample = _shared_sample(cfg)
-    _check_sample_record(report, cfg, seed)
-    seeds = _trial_seeds(cfg)
-    assert [row[:3] for row in report.rows] == [(n, trial, a) for n, trial, a, _ in seeds]
-    for n, _, task_seed, emp, pop, gap in report.rows:
-        train, _, _ = low_noise_task(replace(cfg.task, n_plus=n, n_minus=n, seed=task_seed))
-        w, rrm_cfg = fits[train.positive_features.tobytes()]
-        assert emp == empirical_risk(w, train, LossConfig(0.0), budget=rrm_cfg.budget).value
-        assert pop == sample_risk(w, sample, LossConfig(0.0)).value
-        assert gap == pop - emp
+    for m in (3000, 70_000):  # one chunk, two chunks
+        cfg = optimistic_cfg(trials_per_n=2, population_m=m)
+        report = run_optimistic_experiment(cfg)
+        seed, sample = _shared_sample(cfg)
+        _check_sample_record(report, cfg, seed)
+        seeds = _trial_seeds(cfg)
+        assert [row[:3] for row in report.rows] == [(n, trial, a) for n, trial, a, _ in seeds]
+        for n, _, task_seed, emp, pop, gap in report.rows:
+            task = replace(cfg.task, n_plus=n, n_minus=n, seed=task_seed)
+            train, _, _ = low_noise_task(task)
+            w, rrm_cfg = fits[train.positive_features.tobytes()]
+            assert emp == empirical_risk(w, train, LossConfig(0.0), budget=rrm_cfg.budget).value
+            assert pop == sample_risk(w, sample, LossConfig(0.0)).value
+            assert gap == pop - emp
 
 
 # --- trials on a thread pool ---
@@ -391,22 +445,23 @@ def test_runners_give_the_same_report_on_any_worker_count(monkeypatch, name):
     assert reports[8] == reports[1]
 
 
-def _watch_draw_and_fits(monkeypatch, name, on_draw, on_fit):
-    """Call on_draw() before a run's population draw, and on_fit(i) before
-    the i-th fit to start, counted from 0. The sweep's SgdTrainer reaches
+def _watch_draws_and_fits(monkeypatch, name, on_draw, on_fit):
+    """Call on_draw(c, rows) before the c-th chunk draw of a run's population
+    sample to start, and on_fit(i, n) before the i-th fit to start, counted
+    from 0, n its training set's pool size. The sweep's SgdTrainer reaches
     sgd_train through the stability module."""
     draw = lab.draw_evaluation_sample
     owner, attr = (lab, "rrm_train") if name == "optimistic" else (stability, "sgd_train")
     fit = getattr(owner, attr)
-    started = itertools.count()
+    draws, fits = itertools.count(), itertools.count()
 
-    def drawing(*args):
-        on_draw()
-        return draw(*args)
+    def drawing(sampler, rows, out):
+        on_draw(next(draws), rows)
+        return draw(sampler, rows, out)
 
-    def fitting(*args):
-        on_fit(next(started))
-        return fit(*args)
+    def fitting(train, fit_cfg):
+        on_fit(next(fits), train.n_plus)
+        return fit(train, fit_cfg)
 
     monkeypatch.setattr(lab, "draw_evaluation_sample", drawing)
     monkeypatch.setattr(owner, attr, fitting)
@@ -416,35 +471,44 @@ def _watch_draw_and_fits(monkeypatch, name, on_draw, on_fit):
 def test_the_population_draw_runs_beside_the_first_fit(monkeypatch, name):
     run, cfg = _runner_case(name)
     want = repr(run(cfg))
-    # the draw and the first fit each wait for the other, so a draw made
-    # before any fit starts breaks the barrier at its timeout
+    # the first chunk draw and the first fit, which is a largest one, each
+    # wait for the other, so chunk draws made only after that fit break the
+    # barrier at its timeout
     meet = threading.Barrier(2, timeout=30)
-    _watch_draw_and_fits(monkeypatch, name, meet.wait, lambda i: i == 0 and meet.wait())
+    _watch_draws_and_fits(
+        monkeypatch, name, lambda c, rows: c == 0 and meet.wait(),
+        lambda i, n: i == 0 and meet.wait(),
+    )
     monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
     assert repr(run(cfg)) == want
 
 
 @pytest.mark.parametrize("name", ["sgd", "optimistic"])
-def test_on_one_cpu_the_population_draw_runs_before_any_fit(monkeypatch, name):
+def test_on_one_cpu_the_fits_run_largest_first_and_then_the_chunk_draws(monkeypatch, name):
     run, cfg = _runner_case(name)
     events = []
-    _watch_draw_and_fits(
-        monkeypatch, name, lambda: events.append("draw"), lambda i: events.append("fit")
+    _watch_draws_and_fits(
+        monkeypatch, name, lambda c, rows: events.append(("draw", rows)),
+        lambda i, n: events.append(("fit", n)),
     )
     monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
     run(cfg)
-    assert events == ["draw"] + ["fit"] * 9
+    fits = [("fit", n) for n in sorted(cfg.n_grid, reverse=True) for _ in range(3)]
+    assert events == fits + [("draw", risk.SAMPLE_CHUNK), ("draw", 70_000 - risk.SAMPLE_CHUNK)]
 
 
 @pytest.mark.parametrize("name", ["sgd", "optimistic"])
-def test_runners_time_their_phases_outside_the_report_repr(name):
+def test_runners_time_their_phases_outside_the_report_repr(monkeypatch, name):
     run, cfg = _runner_case(name)
-    report = run(cfg)
-    times = report.phase_seconds
-    assert set(times) == {"population_draw", "draw_and_fits", "scoring"}
-    assert all(t >= 0.0 for t in times.values())
-    assert times["population_draw"] <= times["draw_and_fits"]
-    assert "phase_seconds" not in repr(report)
+    for cpus in (1, 2):
+        monkeypatch.setattr(parallel, "available_cpus", lambda cpus=cpus: cpus)
+        report = run(cfg)
+        times = report.phase_seconds
+        assert set(times) == {"population_draw_busy_sum", "draw_and_fits", "scoring"}
+        assert all(t >= 0.0 for t in times.values())
+        # each chunk draw is busy inside phase 1, on one of at most cpus threads
+        assert times["population_draw_busy_sum"] <= cpus * times["draw_and_fits"]
+        assert "phase_seconds" not in repr(report)
 
 
 FAILING_SWEEP = SweepConfig(
@@ -471,13 +535,15 @@ def _failing_fits(monkeypatch, failing, pause):
     return fitted
 
 
-def test_the_first_failing_trial_in_trial_order_raises(monkeypatch):
+def test_the_first_failing_trial_in_job_order_raises(monkeypatch):
     seeds = [row.algo_seed for row in run_rate_sweep(FAILING_SWEEP).rows]
-    # trial 1 fails late and trial 5 at once: on two workers trial 5 fails first
-    _failing_fits(monkeypatch, {seeds[1]: 0.2, seeds[5]: 0.0}, pause=0.0)
+    # the fits are jobs largest n first, so trial 5 (n = 6) comes before
+    # trial 1 (n = 4); trial 5 fails late and trial 1 at once: on two workers
+    # trial 1 fails first
+    _failing_fits(monkeypatch, {seeds[5]: 0.2, seeds[1]: 0.0}, pause=0.0)
     for cpus in (1, 2):
         monkeypatch.setattr(parallel, "available_cpus", lambda cpus=cpus: cpus)
-        with pytest.raises(FloatingPointError, match=f"^fit {seeds[1]} diverged$"):
+        with pytest.raises(FloatingPointError, match=f"^fit {seeds[5]} diverged$"):
             run_rate_sweep(FAILING_SWEEP)
 
 

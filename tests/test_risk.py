@@ -1,15 +1,17 @@
 import math
+import time
 
 import mpmath
 import numpy as np
 import pytest
 
 from tripletlab import loss as loss_module
-from tripletlab import optim, risk
+from tripletlab import optim, parallel, risk
 from tripletlab.core import DimensionMismatch, TripletDataset
 from tripletlab.loss import (
     LossConfig,
     MetricParams,
+    difference_losses,
     logistic_triplet_loss,
     margin_terms,
     pair_scores,
@@ -175,7 +177,11 @@ def test_population_risk_needs_two_draws():
 
 def _population_risk_oracle(w, sampler, m, cfg):
     """population_risk before streaming: draw every triplet whole, then score
-    them in row blocks of loss.BLOCK doubles."""
+    them in row blocks of loss.BLOCK doubles. On one chunk of the sample
+    (m <= SAMPLE_CHUNK + 1) the estimate is numpy's one-pass mean and
+    std(ddof=1) / sqrt(m); on more, the chunks' sums and squared deviations
+    about their own means (numpy's operations on each chunk's losses) are
+    combined about the mean, each summed exactly rounded."""
     Xa, Xp, Xn = sampler.draw(m)
     vals = np.empty(m)
     step = max(1, loss_module.BLOCK // Xa.shape[1])
@@ -187,8 +193,20 @@ def _population_risk_oracle(w, sampler, m, cfg):
         vals[rows] = margin_terms(margins)[0]
     if np.ptp(vals) == 0.0:
         return RiskEstimate(float(vals[0]), 0.0, m, RiskMode.MONTE_CARLO_POPULATION)
-    std_error = float(vals.std(ddof=1)) / math.sqrt(m)
-    return RiskEstimate(float(vals.mean()), std_error, m, RiskMode.MONTE_CARLO_POPULATION)
+    if m <= risk.SAMPLE_CHUNK + 1:
+        std_error = float(vals.std(ddof=1)) / math.sqrt(m)
+        return RiskEstimate(float(vals.mean()), std_error, m, RiskMode.MONTE_CARLO_POPULATION)
+    cuts = list(range(risk.SAMPLE_CHUNK, m, risk.SAMPLE_CHUNK))
+    if m - cuts[-1] == 1:
+        cuts.pop()
+    chunks = np.split(vals, cuts)
+    mean = math.fsum(float(chunk.sum()) for chunk in chunks) / m
+    squares = math.fsum(
+        float(np.square(chunk - chunk.mean()).sum()) + len(chunk) * (chunk.mean() - mean) ** 2
+        for chunk in chunks
+    )
+    std_error = math.sqrt(squares / (m - 1)) / math.sqrt(m)
+    return RiskEstimate(mean, std_error, m, RiskMode.MONTE_CARLO_POPULATION)
 
 
 @pytest.mark.parametrize("block", [None, 70])  # the default block, then blocks of 70 // d rows
@@ -241,6 +259,33 @@ def test_scoring_a_drawn_sample_is_population_risk_bit_for_bit(monkeypatch, d, b
             assert got.value.hex() == want.value.hex(), case
             assert got.std_error.hex() == want.std_error.hex(), case
             assert (got.n_terms, got.mode) == (want.n_terms, want.mode), case
+
+
+@pytest.mark.parametrize("zeta", [0.0, 0.3])
+def test_chunked_scoring_agrees_with_numpy_one_pass(monkeypatch, zeta):
+    m = 3 * risk.SAMPLE_CHUNK + 5  # four chunks, the last of 5 rows
+    task = TaskConfig(d=3, n_plus=4, n_minus=4, B=0.6, noise_scale=0.3, seed=9)
+    sample = draw_evaluation_sample(gen_task(task)[1], m)
+    w = random_metric(np.random.default_rng(9), 3, scale=2.0)
+    # the chunks are combined in chunk order, whichever threads scored them
+    scored = []
+    for cpus in (1, 2, 8):
+        monkeypatch.setattr(parallel, "available_cpus", lambda cpus=cpus: cpus)
+        scored.append(sample_risk(w, sample, LossConfig(zeta)))
+    assert scored[1] == scored[0] and scored[2] == scored[0]
+    for rows in (m, risk.SAMPLE_CHUNK):  # four chunks, then the first alone
+        part = sample[:, :rows]
+        vals = difference_losses(w.w, (rows, 3), lambda block: part[:, block], zeta)
+        mean, std_error = float(vals.mean()), float(vals.std(ddof=1)) / math.sqrt(rows)
+        got = sample_risk(w, part, LossConfig(zeta))
+        if rows == m:
+            assert got.value == pytest.approx(mean, rel=1e-12, abs=0.0)
+            assert got.std_error == pytest.approx(std_error, rel=1e-12, abs=0.0)
+        else:
+            assert (got.value.hex(), got.std_error.hex()) == (mean.hex(), std_error.hex())
+    # a constant integrand over several chunks keeps no sampling error
+    got = sample_risk(MetricParams.zeros(3), sample, LossConfig(zeta))
+    assert (got.value, got.std_error) == (float(phi(-zeta)), 0.0)
 
 
 def test_an_evaluation_sample_is_read_only_and_scores_without_changing():
@@ -470,14 +515,14 @@ def _series_spy(monkeypatch):
 def test_exact_risk_takes_the_series_only_below_the_threshold(monkeypatch, zeta):
     calls = _series_spy(monkeypatch)
     # just under the threshold, with enough triplets per pair score for the
-    # series' 2K (n+ + n-) products per anchor to undercut the sweep
-    w, X, Y, _, _ = _scaled_problem(1, 3, 80, 70, zeta, ALMOST_ONE)
+    # series' products and per-order cost to undercut the sweep
+    w, X, Y, _, _ = _scaled_problem(1, 3, 100, 90, zeta, ALMOST_ONE)
     got = risk.exact_mean_loss(w, X, Y, zeta)
     assert calls == [16]
     swept = risk.swept_mean_loss(w, X, Y, zeta)
     assert abs(got - swept) <= 1e-15 * swept
     # just over it: the sweep, bit for bit the parent's
-    w, X, Y, _, _ = _scaled_problem(1, 3, 80, 70, zeta, risk.MAX_SERIES_MARGIN * (1 + 1e-9))
+    w, X, Y, _, _ = _scaled_problem(1, 3, 100, 90, zeta, risk.MAX_SERIES_MARGIN * (1 + 1e-9))
     assert risk.exact_mean_loss(w, X, Y, zeta).hex() == _parent_exact_mean_loss(w, X, Y, zeta).hex()
     # small margins but too few triplets per pair score: the sweep
     w, X, Y, _, _ = _scaled_problem(2, 3, 8, 3, zeta, 0.1)
@@ -487,6 +532,39 @@ def test_exact_risk_takes_the_series_only_below_the_threshold(monkeypatch, zeta)
     assert risk.exact_mean_loss(np.eye(3), X, Y, zeta) == float(phi(3.0 - zeta))
     assert risk.exact_mean_loss(np.zeros((3, 3)), X, Y, zeta) == float(phi(-zeta))
     assert calls == [16]
+
+
+def _best_seconds(f, repeats=7):
+    times = []
+    for _ in range(repeats):
+        began = time.perf_counter()
+        f()
+        times.append(time.perf_counter() - began)
+    return min(times)
+
+
+@pytest.mark.parametrize("K", [2, 4])
+def test_the_series_rule_crosses_over_within_a_factor_1_5_of_the_measured_crossover(K):
+    # n = n+ = n-: the first n at which series_is_cheaper holds, against the
+    # first n from which series_mean_loss to order K (best of 7) beats the
+    # sweep at two grid sizes running; both forms take one thread here
+    grid = range(8, 129, 4)
+    rule = next(n for n in grid if risk.series_is_cheaper(n, n, K))
+    rng = np.random.default_rng(K)
+    w = 0.1 * np.eye(3)
+    faster = []
+    for n in grid:
+        X, Y = 0.1 * rng.standard_normal((n, 3)), 0.1 * rng.standard_normal((n, 3))
+        S_pp, S_pn = pair_scores(w, X, X), pair_scores(w, X, Y)
+        series = _best_seconds(lambda: risk.series_mean_loss(S_pp, S_pn, 0.0, K))
+        sweep = _best_seconds(
+            lambda: triplet_sweep([(S_pp, S_pn)], 0.0, lambda start, terms: float(terms[0].sum()))
+        )
+        faster.append(series < sweep)
+        if faster[-2:] == [True, True]:
+            break
+    measured = grid[len(faster) - 2]
+    assert rule / 1.5 <= measured <= rule * 1.5, (rule, measured)
 
 
 def test_rrm_halvings_never_take_the_series(monkeypatch):
