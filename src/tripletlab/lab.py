@@ -6,9 +6,9 @@ SeedSequence spawning, in a fixed loop order, so a rerun with the same config
 reproduces every CSV byte for byte. The sweep runners then run their trials
 through parallel.run_jobs, on the calling thread and the process's shared
 thread pool, and collect them in trial order; the exact sweeps inside a
-trial take pool threads only when trials leave some idle. So the bytes do
-not depend on the thread count either. Summary JSON manifests carry wall
-time and are the one intentionally non-reproducible output.
+trial run on that trial's thread. So the bytes do not depend on the thread
+count either. Summary JSON manifests carry wall time and are the one
+intentionally non-reproducible output.
 
 The sweep runners (run_rate_sweep, run_optimistic_experiment) share one
 trial pipeline, _run_trials(cfg, fit), and differ only in their fit(cfg, n,
@@ -16,10 +16,11 @@ task_seed, algo_seed) -> (w, empirical risk) and in what they keep per cell
 of the rows it returns. The pipeline draws one population sample per run
 from the task law, at a seed of its own derived from the root seed, in
 chunks of risk.SAMPLE_CHUNK rows, each from a stream of its own, beside the
-fits; then it scores every fitted w on it, chunk by chunk on every CPU. The
-trials' population risks share common random numbers, so the sample's own
-error is common to a cell's trials and does not average out over them. The
-excess-risk split still draws fresh population triplets per trial.
+fits; then it scores every fitted w on it in one run, a job per (fit,
+chunk) pair on every CPU. The trials' population risks share common random
+numbers, so the sample's own error is common to a cell's trials and does
+not average out over them. The excess-risk split still draws fresh
+population triplets per trial.
 """
 from __future__ import annotations
 
@@ -44,7 +45,7 @@ from .risk import (
     empirical_risk,
     population_risk,
     sample_chunks,
-    sample_risk,
+    sample_risks,
 )
 from .stability import (
     ConstantTrainer,
@@ -235,12 +236,13 @@ def _run_trials(cfg: SweepConfig, fit):
     order within an n), and after them the chunk draws of the run's one
     population sample (_population_sample), so the draws fill the CPUs
     around the fits, and on one CPU run after them; if fits fail, the first
-    failing one in that job order raises. Phase 2 scores every w
-    on the sample (sample_risk, whose chunks are jobs of their own). A
-    sample larger than physical memory is refused before any job starts.
-    workers is the scoring's worker count (one per CPU, at most one per
-    trial); phase_seconds holds the busy seconds of the chunk draws, summed
-    over the chunks, and the wall times of phase 1 and of phase 2.
+    failing one in that job order raises. Phase 2 scores every w on the
+    sample in one parallel.run_jobs call, a job per (fit, chunk) pair
+    (risk.sample_risks). A sample larger than physical memory is refused
+    before any job starts. workers is the scoring's worker count (one per
+    CPU, at most one per (fit, chunk) pair); phase_seconds holds the busy
+    seconds of the chunk draws, summed over the chunks, and the wall times
+    of phase 1 and of phase 2.
     """
     check_sample_size(cfg.population_m, cfg.task.d)
     root = np.random.SeedSequence(int(cfg.seed))
@@ -263,8 +265,7 @@ def _run_trials(cfg: SweepConfig, fit):
         fits[trial] = result
     draw_seconds = sum(seconds for _, seconds in results[len(seeds):])
     sample = read_only_view(sample)
-    loss_cfg = LossConfig(cfg.zeta)
-    pops, workers = parallel.run_jobs(sample_risk, [(w, sample, loss_cfg) for w, _ in fits])
+    pops, workers = sample_risks([w for w, _ in fits], sample, LossConfig(cfg.zeta))
     phase_seconds = {
         "population_draw_busy_sum": draw_seconds,
         "draw_and_fits": fitted - started,

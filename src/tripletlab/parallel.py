@@ -6,16 +6,12 @@ together with up to available_cpus() - 1 helper threads of one lazily built
 pool of that many threads. The caller and every helper that starts in time
 take the jobs in order from the run's own counter; once every job has been
 taken, the caller cancels the helpers that have not started and waits only
-for the jobs already taken. A run nested in a job (a sweep inside a trial)
-therefore never waits for a pool thread that is busy elsewhere: with every
-pool thread taken it runs its jobs on its own thread, so the threads doing
-work never outnumber the CPUs, and it spreads out again as pool threads come
-free; that is why the pool belongs to the process and not to a call. While
-a caller waits for jobs that other threads took, it takes the jobs of the
-runs nested in those jobs, at any depth, so a nested run whose pool helpers
-cannot start still spreads over the waiting caller's CPU. The results come
-back in job order, so they do not depend on which thread ran a job or on
-how many threads there were. If jobs fail, the first failing one in job
+for the jobs already taken. A run started inside a job of a run that uses
+the pool (a sweep inside a trial) runs its jobs in order on that job's
+thread and never touches the pool, so a pool thread never waits for the
+pool and the threads doing work never outnumber the CPUs. The results
+come back in job order, so they do not depend on which thread ran a job or
+on how many threads there were. If jobs fail, the first failing one in job
 order raises, as in a serial run, and the jobs not yet taken are skipped.
 """
 from __future__ import annotations
@@ -26,10 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 _lock = threading.Lock()
 _pool = (0, None)  # (helper threads, executor), rebuilt when the CPU count changes
-# guards every run's counters and nested runs; notified when a job finishes
-# and when a nested run starts
-_changed = threading.Condition()
-_current = threading.local()  # .run: the run whose job this thread is running
+_in_job = threading.local()  # .active: this thread runs a job of a run that uses the pool
 
 
 def available_cpus() -> int:
@@ -56,107 +49,52 @@ def _submit_helpers(box: list, count: int, size: int):
         return [_pool[1].submit(_help, box) for _ in range(count)]
 
 
-class _Run:
-    """One run_jobs call with more than one worker: its jobs, results and
-    failures, and the runs started by its jobs that are still going. Every
-    field but the results is read and written under _changed."""
-
-    def __init__(self, fn, jobs):
-        self.fn = fn
-        self.jobs = jobs
-        self.results = [None] * len(jobs)
-        self.failures = {}
-        self.next = 0  # the next job to take
-        self.running = 0  # jobs taken and not yet finished
-        self.stopped = False
-        self.nested = []
-
-    def has_jobs(self) -> bool:
-        return not self.stopped and self.next < len(self.jobs)
-
-    def work(self) -> None:
-        """Take and run jobs until none is left to take."""
-        outer = getattr(_current, "run", None)
-        _current.run = self
-        try:
-            while True:
-                with _changed:
-                    if not self.has_jobs():
-                        return
-                    index = self.next
-                    self.next += 1
-                    self.running += 1
-                try:
-                    self.results[index] = self.fn(*self.jobs[index])
-                except Exception as exc:  # raised on the calling thread by run_jobs
-                    with _changed:
-                        self.failures[index] = exc
-                        self.stopped = True
-                finally:
-                    with _changed:
-                        self.running -= 1
-                        _changed.notify_all()
-        finally:
-            _current.run = outer
-
-    def _nested_with_jobs(self):
-        """A run nested at any depth in this run's jobs with a job left to take, or None."""
-        for run in self.nested:
-            found = run if run.has_jobs() else run._nested_with_jobs()
-            if found is not None:
-                return found
-        return None
-
-    def wait(self) -> None:
-        """Return once every job taken has finished, running meanwhile the
-        jobs of the runs nested in them."""
-        while True:
-            with _changed:
-                while True:
-                    if not self.has_jobs() and self.running == 0:
-                        return
-                    nested = self._nested_with_jobs()
-                    if nested is not None:
-                        break
-                    _changed.wait()
-            nested.work()
-
-
 def run_jobs(fn, jobs):
     """([fn(*job) for job in jobs], worker count), the jobs shared between the
     calling thread and the pool (see the module docstring); the worker count
-    is the number of threads that may run them, one per available CPU and at
-    most one per job."""
+    is the number of threads that may run them: one per available CPU and at
+    most one per job, or one in a run started inside a job of such a run."""
     jobs = list(jobs)
     cpus = available_cpus()
-    workers = min(cpus, len(jobs))
+    workers = min(1 if getattr(_in_job, "active", False) else cpus, len(jobs))
     if workers <= 1:
         return [fn(*job) for job in jobs], workers
-    run = _Run(fn, jobs)
-    parent = getattr(_current, "run", None)
-    if parent is not None:
-        with _changed:
-            parent.nested.append(run)
-            _changed.notify_all()
+    results, failures = [None] * len(jobs), {}
+    taking = threading.Lock()
+    taken = 0  # jobs taken so far; len(jobs) once the run stops
+
+    def work():
+        nonlocal taken
+        _in_job.active = True
+        try:
+            while True:
+                with taking:
+                    if taken == len(jobs):
+                        return
+                    index, taken = taken, taken + 1
+                try:
+                    results[index] = fn(*jobs[index])
+                except Exception as exc:  # raised on the calling thread by run_jobs
+                    with taking:
+                        failures[index] = exc
+                        taken = len(jobs)
+        finally:
+            _in_job.active = False
+
     # a cancelled helper stays in the pool's queue until a pool thread is
     # free; emptying the box then keeps it from holding the jobs and all
     # they reference (a sweep's block arrays) that long
-    box = [run.work]
+    box = [work]
     helpers = _submit_helpers(box, workers - 1, cpus - 1)
     try:
-        run.work()
+        work()
         for helper in helpers:
-            helper.cancel()
-        run.wait()
-        for helper in helpers:
-            if not helper.cancelled():
-                helper.result()  # out of run.work by now: no job was left to take
+            if not helper.cancel():
+                helper.result()  # out of work() once its job finishes: none is left to take
     finally:
-        with _changed:
-            run.stopped = True  # an interrupted caller stops its helpers too
-            if parent is not None:
-                parent.nested.remove(run)
+        with taking:
+            taken = len(jobs)  # an interrupted caller stops its helpers too
         box.clear()
-    if run.failures:
-        raise run.failures[min(run.failures)]
-    return run.results, workers
+    if failures:
+        raise failures[min(failures)]
+    return results, workers

@@ -10,9 +10,10 @@ pair scores (series_mean_loss); the two agree to 1e-15 relative. Above the
 budget it falls back to a uniform i.i.d. subsample, which is unbiased for
 the exact value. Population risk is plain Monte Carlo over fresh triplets
 from a sampler, in two halves: draw_evaluation_sample draws the triplets
-once, as read-only differences, and sample_risk scores a metric on them, so
-one sample can score every metric of a run (population_risk is the two in
-turn). A sample is scored in chunks of SAMPLE_CHUNK rows on every CPU
+once, as read-only differences, and sample_risks scores a list of metrics
+on them, so one sample can score every metric of a run (sample_risk scores
+one; population_risk draws and scores in turn). A sample is scored in
+chunks of SAMPLE_CHUNK rows, one job per (metric, chunk) pair on every CPU
 (sample_chunks); the sweep runners draw their shared sample in the same
 chunks (lab._population_sample).
 """
@@ -73,7 +74,7 @@ class RiskEstimate:
     mode: RiskMode
 
     def __post_init__(self):
-        if self.std_error < 0:
+        if not self.std_error >= 0:  # NaN too
             raise ValidationError(f"std_error must be >= 0, got {self.std_error}")
         if self.mode is RiskMode.EXACT_U_STATISTIC and self.std_error != 0.0:
             raise ValidationError("exact mode carries no sampling error")
@@ -244,9 +245,9 @@ def empirical_risk(
     """Mean triplet loss over the training set.
 
     Exact (std_error 0) when the triplet count fits the budget, otherwise the
-    mean over `budget` uniform i.i.d. triplets. The subsample stream defaults
-    to a fixed seed so repeated calls with the same inputs agree; pass `rng`
-    for independent redraws.
+    mean over `budget` uniform i.i.d. triplets, at least 2 for a standard
+    error. The subsample stream defaults to a fixed seed so repeated calls
+    with the same inputs agree; pass `rng` for independent redraws.
     """
     if w.d != dataset.d:
         raise DimensionMismatch(f"metric is {w.d}-dimensional, dataset is {dataset.d}")
@@ -260,6 +261,10 @@ def empirical_risk(
     if n_total <= budget:
         value = exact_mean_loss(w.w, X, Y, cfg.zeta)
         return RiskEstimate(value, 0.0, n_total, RiskMode.EXACT_U_STATISTIC)
+    if budget < 2:
+        raise ValidationError(
+            f"a sampled empirical risk needs budget >= 2 triplets for its std_error, got {budget}"
+        )
     gen = np.random.default_rng(0 if rng is None else rng)
     i, j, k = sample_triplet_indices(gen, dataset.n_plus, dataset.n_minus, budget)
     vals = triplet_losses_rowwise(w.w, X[i], X[j], Y[k], cfg.zeta)
@@ -336,27 +341,37 @@ def _chunk_moments(w_arr: np.ndarray, chunk: np.ndarray, zeta: float):
     return total, float(vals.sum()), rows, low, high
 
 
-def sample_risk(w: MetricParams, sample: np.ndarray, cfg: LossConfig) -> RiskEstimate:
-    """Monte Carlo mean loss of w over an evaluation sample
-    (draw_evaluation_sample), with its standard error.
+def sample_risks(ws, sample: np.ndarray, cfg: LossConfig):
+    """([sample_risk(w, sample, cfg) for w in ws], worker count), from one
+    parallel.run_jobs call with a job per (metric, chunk) pair.
 
-    The chunks of the sample (sample_chunks) are scored as parallel.run_jobs
-    jobs (_chunk_moments), and their moments are combined in chunk order: the
-    mean is the exactly rounded sum of the chunk sums over m, and the sum of
-    squared deviations about it is that of each chunk plus count (chunk mean
-    - mean)^2, summed exactly rounded. So the estimate does not depend on the
-    thread count; on one chunk it is numpy's one-pass mean and
-    std(ddof=1) / sqrt(m) bit for bit, and on more within 1e-12 relative of
-    them. A constant integrand (min == max) gives that one loss with
-    std_error 0. The sample is only read, so one sample can score any number
-    of metrics, from any number of threads at once.
+    Each job scores one chunk of the sample (sample_chunks) under one metric
+    (_chunk_moments), and each metric's chunk moments are combined in chunk
+    order: the mean is the exactly rounded sum of the chunk sums over m, and
+    the sum of squared deviations about it is that of each chunk plus count
+    (chunk mean - mean)^2, summed exactly rounded. So an estimate depends
+    neither on the thread count nor on the other metrics; on one chunk it is
+    numpy's one-pass mean and std(ddof=1) / sqrt(m) bit for bit, and on more
+    within 1e-12 relative of them. A constant integrand (min == max) gives
+    that one loss with std_error 0. The sample is only read, so one sample
+    can score any number of metrics, from any number of threads at once.
     """
     _, m, d = sample.shape
-    if w.d != d:
-        raise DimensionMismatch(f"metric is {w.d}-dimensional, sample is {d}")
-    parts, _ = parallel.run_jobs(
-        _chunk_moments, [(w.w, sample[:, rows], cfg.zeta) for rows in sample_chunks(m)]
+    for w in ws:
+        if w.d != d:
+            raise DimensionMismatch(f"metric is {w.d}-dimensional, sample is {d}")
+    chunks = [sample[:, rows] for rows in sample_chunks(m)]
+    parts, workers = parallel.run_jobs(
+        _chunk_moments, [(w.w, chunk, cfg.zeta) for w in ws for chunk in chunks]
     )
+    count = len(chunks)
+    estimates = [_combined_estimate(parts[i : i + count], m) for i in range(0, len(parts), count)]
+    return estimates, workers
+
+
+def _combined_estimate(parts: list, m: int) -> RiskEstimate:
+    """The RiskEstimate of one metric from its chunks' _chunk_moments, in
+    chunk order (see sample_risks)."""
     low = min(part[3] for part in parts)
     if low == max(part[4] for part in parts):
         # constant integrand: the mean is the common value, with no noise
@@ -365,6 +380,13 @@ def sample_risk(w: MetricParams, sample: np.ndarray, cfg: LossConfig) -> RiskEst
     squares = math.fsum(ssd + n * (total / n - mean) ** 2 for total, ssd, n, _, _ in parts)
     std_error = math.sqrt(squares / (m - 1)) / math.sqrt(m)
     return RiskEstimate(mean, std_error, m, RiskMode.MONTE_CARLO_POPULATION)
+
+
+def sample_risk(w: MetricParams, sample: np.ndarray, cfg: LossConfig) -> RiskEstimate:
+    """Monte Carlo mean loss of w over an evaluation sample
+    (draw_evaluation_sample), with its standard error: sample_risks on the
+    one metric w."""
+    return sample_risks([w], sample, cfg)[0][0]
 
 
 def population_risk(

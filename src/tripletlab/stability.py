@@ -35,7 +35,7 @@ from .loss import (
     triplet_losses_rowwise,
 )
 from .optim import RrmConfig, SgdConfig, TrainTrace, rrm_train, sgd_train
-from .risk import InvalidCounts, InvalidDelta
+from .risk import InvalidCounts, InvalidDelta, sample_triplet_indices
 from .synth import TripletSampler
 
 
@@ -272,13 +272,7 @@ def estimate_on_average_stability(
                 for k in range(n_minus)
             ]
         else:
-            ii = aux.integers(0, n_plus, size=triplet_subsample)
-            jj = aux.integers(0, n_plus, size=triplet_subsample)
-            bad = ii == jj
-            while np.any(bad):
-                jj[bad] = aux.integers(0, n_plus, size=int(bad.sum()))
-                bad = ii == jj
-            kk = aux.integers(0, n_minus, size=triplet_subsample)
+            ii, jj, kk = sample_triplet_indices(aux, n_plus, n_minus, triplet_subsample)
             triples = list(zip(ii.tolist(), jj.tolist(), kk.tolist()))
         count_per_trial = len(triples)
         for i, j, k in triples:

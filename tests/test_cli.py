@@ -24,7 +24,7 @@ from tripletlab.cli import (
     read_trace_csv,
 )
 from tripletlab.core import Pool, SlotRef, ValidationError, read_dataset_csv
-from tripletlab.risk import sample_risk
+from tripletlab.risk import sample_risks
 from tripletlab.stability import sgd_stability_bound
 
 TINY_TASK = ["--d", "2", "--n-plus", "4", "--n-minus", "3"]
@@ -343,7 +343,8 @@ def test_sweep_and_optimistic_manifests_record_the_worker_count(tmp_path, monkey
         assert main([command, "--seed", "3", "--outdir", str(out)] + grid) == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == command
-        assert manifest["workers"] == min(cpus, 3 * 2)  # one per CPU, at most one per trial
+        # one per CPU, at most one per (fit, chunk) pair: 6 fits, one chunk
+        assert manifest["workers"] == min(cpus, 3 * 2)
 
 
 def test_sweep_and_optimistic_manifests_record_the_shared_population_sample(tmp_path):
@@ -385,9 +386,11 @@ def test_optimistic_manifest_records_the_slope_fit(tmp_path, monkeypatch):
     assert [fit[name] for name in ("slope", "intercept", "slope_stderr", "r_squared")] == list(want)
     assert all(math.isfinite(v) for v in want)
     # a population risk of 0 makes every gap negative: no fit, recorded as null
-    monkeypatch.setattr(
-        lab, "sample_risk", lambda w, sample, cfg: replace(sample_risk(w, sample, cfg), value=0.0)
-    )
+    def zero_risks(ws, sample, cfg):
+        pops, workers = sample_risks(ws, sample, cfg)
+        return [replace(pop, value=0.0) for pop in pops], workers
+
+    monkeypatch.setattr(lab, "sample_risks", zero_risks)
     out = tmp_path / "none"
     assert main(["optimistic", "--seed", "3", "--outdir", str(out)] + grid) == EXIT_OK
     fit = json.loads((out / "manifest.json").read_text())["slope_fit"]

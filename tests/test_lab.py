@@ -32,7 +32,7 @@ from tripletlab.lab import (
     write_sweep_summary_csv,
 )
 from tripletlab.loss import LossConfig, regularity_constants
-from tripletlab.risk import draw_evaluation_sample, empirical_risk, sample_risk
+from tripletlab.risk import draw_evaluation_sample, empirical_risk, sample_risk, sample_risks
 from tripletlab.synth import TaskConfig, gen_task, low_noise_task, task_sampler
 
 TASK = TaskConfig(d=2, n_plus=4, n_minus=4, seed=0)
@@ -250,10 +250,11 @@ def test_optimistic_slope_is_nan_when_fewer_than_3_cells_have_a_positive_gap(
     monkeypatch, tmp_path, capsys
 ):
     # a population risk of 0 scores below every empirical risk: every gap is negative
-    def zero_risk(w, sample, loss_cfg):
-        return replace(sample_risk(w, sample, loss_cfg), value=0.0)
+    def zero_risks(ws, sample, loss_cfg):
+        pops, workers = sample_risks(ws, sample, loss_cfg)
+        return [replace(pop, value=0.0) for pop in pops], workers
 
-    monkeypatch.setattr(lab, "sample_risk", zero_risk)
+    monkeypatch.setattr(lab, "sample_risks", zero_risks)
     rep = run_optimistic_experiment(optimistic_cfg())
     assert all(c.mean_gap < 0.0 for c in rep.cells)
     assert all(math.isnan(v) for v in (rep.slope, rep.intercept, rep.slope_stderr, rep.r_squared))
@@ -330,11 +331,11 @@ def _scored_sample(monkeypatch, run, cfg):
     """The sample every fit of run(cfg) was scored on, checked to be one."""
     samples = []
 
-    def record(w, sample, loss_cfg):
+    def record(ws, sample, loss_cfg):
         samples.append(sample)
-        return sample_risk(w, sample, loss_cfg)
+        return sample_risks(ws, sample, loss_cfg)
 
-    monkeypatch.setattr(lab, "sample_risk", record)
+    monkeypatch.setattr(lab, "sample_risks", record)
     run(cfg)
     assert all(sample is samples[0] for sample in samples)
     return samples[0]

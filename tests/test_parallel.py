@@ -1,7 +1,7 @@
 """The shared thread pool (parallel.run_jobs) and the exact triplet sweep split
 on it (loss.triplet_sweep): the same bits for any worker count, on the
-factored path and on the margin form, the serial failure order, and sweeps
-nested in pool jobs."""
+factored path and on the margin form, the serial failure order, and runs
+nested in pool jobs, which stay on their job's thread."""
 import sys
 import threading
 import time
@@ -117,7 +117,7 @@ def test_solver_and_stability_report_are_identical_on_any_worker_count(
 
 
 def test_sweeps_nested_in_pool_jobs_match_a_serial_run(monkeypatch, fine_grained):
-    # every pool thread busy with a job: the jobs' sweeps run on their own threads
+    # each job's sweeps run on that job's thread
     X, Y, *_ = _data(1.0)
     metrics = [MetricParams(np.eye(D) * s) for s in (0.1, 0.5, 1.0, 2.0, 3.0)]
     jobs = [(m.w, X, Y, 0.2) for m in metrics]
@@ -207,41 +207,22 @@ def test_a_run_keeps_nothing_alive_behind_a_helper_still_queued(monkeypatch):
     assert not busy.is_alive()
 
 
-def test_a_waiting_caller_runs_jobs_of_a_run_nested_in_a_job_it_did_not_take(monkeypatch):
-    # two CPUs and two outer jobs: the job the pool's one thread takes starts
-    # a nested run of two jobs that can only finish together, and the pool
-    # thread is busy; so the nested run finishes only if the caller, done
-    # with its own outer job and waiting, runs one of them
-    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
-    caller, pool = [], []
-    pool_thread_took_one = threading.Event()
-    together = threading.Barrier(2, timeout=30)
-    inner_threads = []
+def test_every_job_of_a_run_started_inside_a_job_runs_on_that_jobs_thread(monkeypatch):
+    # eight CPUs and two outer jobs leave pool threads idle, yet no job of a
+    # nested run goes to them: each runs on the thread of the job that started it
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 8)
+    threads = []
 
-    def inner(index):
-        inner_threads.append(threading.get_ident())
-        together.wait()
-        return index
+    def inner(outer):
+        time.sleep(0.001)  # long enough for an idle pool thread to take a job
+        threads.append((outer, threading.get_ident()))
+        return outer
 
-    def outer(index):
-        if threading.get_ident() == caller[0]:
-            pool_thread_took_one.wait(30)
-            return "caller"
-        pool.append(threading.get_ident())
-        pool_thread_took_one.set()
-        return parallel.run_jobs(inner, [(0,), (1,)])[0]
+    def outer(outer):
+        results, workers = parallel.run_jobs(inner, [(outer,)] * 20)
+        return threading.get_ident(), results, workers
 
-    box = []
-
-    def run():
-        caller.append(threading.get_ident())
-        box.append(parallel.run_jobs(outer, [(0,), (1,)]))
-
-    runner = threading.Thread(target=run)
-    runner.start()
-    runner.join(timeout=60)
-    assert not runner.is_alive()
-    assert box, "the nested run did not finish"
-    results, workers = box[0]
-    assert workers == 2 and sorted(results, key=str) == [[0, 1], "caller"]
-    assert sorted(inner_threads) == sorted(caller + pool)
+    runs, workers = parallel.run_jobs(outer, [(0,), (1,)])
+    assert workers == 2
+    assert [(results, workers) for _, results, workers in runs] == [([0] * 20, 1), ([1] * 20, 1)]
+    assert sorted(threads) == sorted((o, runs[o][0]) for o in (0, 1) for _ in range(20))

@@ -34,6 +34,7 @@ from tripletlab.risk import (
     generalization_gap,
     population_risk,
     sample_risk,
+    sample_risks,
     sample_triplet_indices,
 )
 from tripletlab.synth import TaskConfig, gen_task
@@ -138,6 +139,20 @@ def test_risk_estimate_invariants():
         RiskEstimate(0.5, 0.1, 10, RiskMode.EXACT_U_STATISTIC)
     with pytest.raises(ValueError):
         RiskEstimate(0.5, 0.0, 0, RiskMode.EXACT_U_STATISTIC)
+
+
+def test_a_risk_estimate_refuses_a_nan_std_error():
+    with pytest.raises(ValueError, match="std_error must be >= 0, got nan"):
+        RiskEstimate(0.5, float("nan"), 10, RiskMode.SAMPLED_TRIPLETS)
+
+
+def test_a_sampled_empirical_risk_refuses_a_budget_below_2():
+    train, _ = gen_task(TaskConfig(d=2, n_plus=4, n_minus=3, seed=1))
+    w = MetricParams(np.eye(2))
+    with pytest.raises(ValueError, match="needs budget >= 2 triplets .*, got 1$"):
+        empirical_risk(w, train, LossConfig(0.0), budget=1)
+    est = empirical_risk(w, train, LossConfig(0.0), budget=2)
+    assert est.mode is RiskMode.SAMPLED_TRIPLETS and est.std_error >= 0.0
 
 
 def test_empirical_risk_dimension_mismatch():
@@ -286,6 +301,25 @@ def test_chunked_scoring_agrees_with_numpy_one_pass(monkeypatch, zeta):
     # a constant integrand over several chunks keeps no sampling error
     got = sample_risk(MetricParams.zeros(3), sample, LossConfig(zeta))
     assert (got.value, got.std_error) == (float(phi(-zeta)), 0.0)
+
+
+@pytest.mark.parametrize("m", [3000, 2 * risk.SAMPLE_CHUNK + 5], ids=["one_chunk", "three_chunks"])
+def test_scoring_k_metrics_in_one_call_is_k_sample_risk_calls_bit_for_bit(monkeypatch, m):
+    task = TaskConfig(d=3, n_plus=4, n_minus=4, B=0.6, noise_scale=0.3, seed=12)
+    sample = draw_evaluation_sample(gen_task(task)[1], m)
+    rng = np.random.default_rng(12)
+    ws = [random_metric(rng, 3, scale=s) for s in (0.5, 1.0, 2.0)] + [MetricParams.zeros(3)]
+    cfg = LossConfig(0.3)
+    for cpus in (1, 2, 8):
+        monkeypatch.setattr(parallel, "available_cpus", lambda cpus=cpus: cpus)
+        pops, workers = sample_risks(ws, sample, cfg)
+        jobs = len(ws) * (1 if m == 3000 else 3)
+        assert workers == min(cpus, jobs)
+        for pop, w in zip(pops, ws, strict=True):
+            want = sample_risk(w, sample, cfg)
+            assert pop.value.hex() == want.value.hex()
+            assert pop.std_error.hex() == want.std_error.hex()
+            assert pop == want
 
 
 def test_an_evaluation_sample_is_read_only_and_scores_without_changing():
