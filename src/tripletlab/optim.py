@@ -19,10 +19,15 @@ convex, so the gradient-norm stopping rule certifies
 on u, the same p coordinates of w scaled to be isometric (off-diagonal
 entries times sqrt(2), so ||u|| = ||w||_F). The p x p solve is tiny; the cost
 per iteration is one sweep over the triplet tensor, which yields the loss,
-gradient and Hessian at once. The sweep's anchor blocks run on all CPUs
-(loss.triplet_sweep), and their gradients and Hessian terms are added in
-block order, so every iterate is bit-identical for any thread count. A solve
-that cannot reach tol raises a SolverFailure that carries its best iterate.
+gradient and Hessian at once from the svec pair features that the solve
+builds once, (n+^2 + n+ n-)(p + 1) doubles at most (a solve whose features
+would not fit in physical memory is refused before they are built). At
+w = 0, where a cold solve starts, every margin is zeta and the three come in
+closed form from moments of the features, with no sweep (_risk_parts). The
+sweep's anchor blocks run on all CPUs (loss.triplet_sweep), and their
+gradients and Hessian terms are added in block order, so every iterate is
+bit-identical for any thread count, of the pool and of BLAS. A solve that
+cannot reach tol raises a SolverFailure that carries its best iterate.
 """
 from __future__ import annotations
 
@@ -34,7 +39,7 @@ from operator import mul
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from . import loss
+from . import loss, risk
 from .core import (
     Pool,
     SlotOutOfBounds,
@@ -51,6 +56,7 @@ from .loss import (
     MetricParams,
     logistic_triplet_grad,
     LossConfig,
+    margin_terms,
     pair_scores,
     regularity_constants,
     triplet_sweep,
@@ -59,6 +65,9 @@ from .risk import DEFAULT_TRIPLET_BUDGET, exact_mean_loss, swept_mean_loss
 
 WORDS = 4096  # 32-bit words per bulk draw of the SGD index stream
 SUB_BLOCK = 256  # SGD steps whose features are converted to Python floats at once
+# pair features built at once (_pair_features, 64 KB): the build's temporaries
+# stay small beside the features, which peak memory would otherwise see
+FEATURE_CHUNK = 1 << 13
 # predicted decreases of F_S up to this many ulps of F_S are too small for the
 # Armijo test to resolve (rrm_train)
 ROUNDING_ULPS = 4
@@ -69,6 +78,10 @@ class StepSizeTooLarge(ValidationError):
 
 
 class BudgetExceeded(ValidationError):
+    pass
+
+
+class SolveTooLarge(ValidationError):
     pass
 
 
@@ -386,50 +399,105 @@ def _svec_basis(d: int):
     return rows, cols, np.where(rows == cols, 1.0, math.sqrt(2.0))
 
 
-def _risk_parts(w_arr, X, Y, zeta):
-    """One sweep over the triplet tensor: the mean loss R_S(w), and its
-    gradient and Hessian in the p = d(d+1)/2 svec coordinates u of w.
+def _pair_features(X, Y):
+    """(P, Q1), the svec pair features of a solve's dataset: P has the
+    n+ n+ rows p_ij, the svec of dd^T for d = X[i] - X[j] (row i n+ + j;
+    p_ii = 0), and Q1 the n+ n- rows [q_ik | 1], q_ik that for d = X[i] - Y[k]
+    (row i n- + k). They depend on the dataset only, so a solve builds them
+    once (rrm_train) and every sweep reads them (_risk_parts). They are
+    built a few anchors at a time, about FEATURE_CHUNK features at once (at
+    least one anchor's)."""
+    rows, cols, scale = _svec_basis(X.shape[1])
+    p = len(scale)
+    # column-major, the layout numpy gives diff[..., rows]: BLAS can round a
+    # product differently when its operands are laid out otherwise
+    P = np.empty((p, len(X), len(X)))
+    Q1 = np.ones((p + 1, len(X), len(Y)))
+    step = max(1, FEATURE_CHUNK // ((len(X) + len(Y)) * p))
+    for start in range(0, len(X), step):
+        anchors = X[start : start + step, None, :]
+        for out, others in ((P, X), (Q1, Y)):
+            diff = anchors - others
+            f = diff[..., rows]
+            f *= diff[..., cols]
+            f *= scale
+            out[:p, start : start + step] = np.moveaxis(f, 2, 0)
+    return P.reshape(p, -1).T, Q1.reshape(p + 1, -1).T
+
+
+def check_solve_size(n_plus: int, n_minus: int, d: int) -> None:
+    """Raise SolveTooLarge if a solve's pair features (_pair_features), at
+    most (n+^2 + n+ n-)(p + 1) doubles with p = d(d+1)/2, are larger than
+    physical memory."""
+    need = (n_plus * n_plus + n_plus * n_minus) * (d * (d + 1) // 2 + 1) * 8
+    have = risk.physical_memory()
+    if need > have:
+        raise SolveTooLarge(
+            f"an RRM solve at n+ = {n_plus}, n- = {n_minus}, d = {d} needs {need} bytes "
+            f"of pair features ((n+^2 + n+ n-)(p + 1)*8), more than the {have} bytes "
+            "of physical memory"
+        )
+
+
+def _risk_parts(w_arr, X, Y, zeta, features=None):
+    """The mean loss R_S(w), and its gradient and Hessian in the
+    p = d(d+1)/2 svec coordinates u of w, from one sweep over the triplet
+    tensor, or at w = 0 in closed form.
 
     The loss of triplet (i, j, k) is phi(-m_ijk), with m-derivatives
     sigmoid(m_ijk) and phi''(m_ijk) (triplet_sweep), and the margin is linear
-    in u: m_ijk = <u, p_ij - q_ik> + zeta, with p_ij the svec of dd^T for
-    d = X[i] - X[j], and q_ik that for d = X[i] - Y[k]. Each anchor block forms
-    its rows p_ij and q_ik once, as P and Q. Its gradient is
-    P^T (sum_k sigmoid) - Q^T (sum_j sigmoid), and its Hessian
-    sum phi''(m_ijk) (p_ij - q_ik)(p_ij - q_ik)^T comes as three p x p terms,
-    the cross term sum phi''(m_ijk) p_ij q_ik^T one batched product. The
-    blocks' loss sums, gradients and Hessian terms are added in block order,
-    so the result does not depend on how many threads ran the blocks.
+    in u: m_ijk = <u, p_ij - q_ik> + zeta, with p_ij and q_ik the rows of the
+    pair features (P, Q1) = features (_pair_features, built here if not
+    given). Each anchor block slices its rows of P and of Q = Q1[:, :p]. Its
+    gradient is P^T (sum_k sigmoid) - Q^T (sum_j sigmoid), and its Hessian
+    sum phi''(m_ijk) (p_ij - q_ik)(p_ij - q_ik)^T comes as three p x p terms.
+    The block's sums over k and j are matrix products: of the sigmoids with a
+    ones vector, of the phi'' with ones on the left and with [Q | 1] on the
+    right, which gives sum_k phi''(m_ijk) [q_ik | 1], the cross term's rows
+    beside sum_k phi''. The blocks' loss sums, gradients and Hessian terms
+    are added in block order, so the result does not depend on how many
+    threads ran the blocks.
+
+    At w = 0 every margin is zeta, so the sums need no sweep: the loss is
+    phi(-zeta), the gradient sigmoid(zeta) times the mean of p_ij - q_ik, and
+    the Hessian phi''(zeta) times the mean of (p_ij - q_ik)(p_ij - q_ik)^T,
+    which is n- P^T P + (n+ - 1) Q^T Q - C - C^T over the N triplets with
+    C = sum_i (sum_j p_ij)(sum_k q_ik)^T: O(n^2 p^2) work in all.
     """
     n_plus, n_minus = X.shape[0], Y.shape[0]
     N = n_plus * (n_plus - 1) * n_minus
-    rows, cols, scale = _svec_basis(X.shape[1])
-
-    def features(anchors, others):
-        diff = anchors[:, None, :] - others[None, :, :]
-        f = diff[..., rows]
-        f *= diff[..., cols]
-        f *= scale
-        return f.reshape(-1, len(scale))
+    P, Q1 = features or _pair_features(X, Y)
+    p = P.shape[1]
+    Q = Q1[:, :p]
+    if not w_arr.any():
+        value, sig, curv = (float(t[0]) for t in margin_terms(np.array([zeta]), True))
+        sum_p = P.reshape(n_plus, n_plus, p).sum(axis=1)
+        sum_q = Q.reshape(n_plus, n_minus, p).sum(axis=1)
+        C = sum_p.T @ sum_q
+        grad = sig * (n_minus * sum_p.sum(axis=0) - (n_plus - 1) * sum_q.sum(axis=0))
+        hess = n_minus * (P.T @ P) + (n_plus - 1) * (Q.T @ Q) - (C + C.T)
+        return value, grad / N, curv * hess / N
+    ones_plus, ones_minus = np.ones(n_plus), np.ones(n_minus)
 
     def block(start, terms):
         losses, g1, g2 = terms
-        anchors = X[start : start + len(losses)]
-        P = features(anchors, X)
-        Q = features(anchors, Y)
-        cross = P.T @ np.matmul(g2, Q.reshape(len(g2), n_minus, -1)).reshape(P.shape)
+        plus = slice(start * n_plus, (start + len(losses)) * n_plus)
+        minus = slice(start * n_minus, (start + len(losses)) * n_minus)
+        P_b, Q_b = P[plus], Q[minus]
+        by_k = np.matmul(g2, Q1[minus].reshape(len(losses), n_minus, p + 1))
+        cross = P_b.T @ by_k[..., :p].reshape(-1, p)
         return (
             float(losses.sum()),
-            P.T @ g1.sum(axis=2).reshape(-1) - Q.T @ g1.sum(axis=1).reshape(-1),
-            (P.T * g2.sum(axis=2).reshape(-1)) @ P,
-            (Q.T * g2.sum(axis=1).reshape(-1)) @ Q,
+            P_b.T @ (g1 @ ones_minus).reshape(-1) - Q_b.T @ (ones_plus @ g1).reshape(-1),
+            (P_b.T * by_k[..., p].reshape(-1)) @ P_b,
+            (Q_b.T * (ones_plus @ g2).reshape(-1)) @ Q_b,
             cross + cross.T,
         )
 
     scores = [(pair_scores(w_arr, X, X), pair_scores(w_arr, X, Y))]
     parts = triplet_sweep(scores, zeta, block, derivatives=True)
-    grad = np.zeros(len(scale))
-    hess = np.zeros((len(scale),) * 2)
+    grad = np.zeros(p)
+    hess = np.zeros((p, p))
     for _, g, pp, qq, cross in parts:  # in block order, as a serial sweep adds them
         grad += g
         hess += pp
@@ -457,8 +525,10 @@ def rrm_train(dataset: TripletDataset, cfg: RrmConfig, w0: MetricParams | None =
     it changes the path, not the certificate. Damped Newton runs on
     u = svec(w) (_svec_basis), where ||u|| = ||w||_F and the ridge term is
     lam ||u||^2, so the stopping rule and the certificate read as in w; w0
-    and the result are converted at the edges. Raises MaxItersExceeded if
-    the cap is hit first, LineSearchExhausted if no step along a Newton
+    and the result are converted at the edges. Raises BudgetExceeded above
+    the exact-risk budget and SolveTooLarge when the pair features would not
+    fit in physical memory (check_solve_size), before any sweep; then
+    MaxItersExceeded if the cap is hit first, LineSearchExhausted if no step along a Newton
     direction meets the Armijo condition, and SolverFailure if the Newton
     system yields no descent direction; all three carry the best iterate.
     Near the optimum a Newton step can lower F_S by less than F_S's rounding,
@@ -473,6 +543,8 @@ def rrm_train(dataset: TripletDataset, cfg: RrmConfig, w0: MetricParams | None =
     Y = dataset.negative_features
     d = dataset.d
     rows, cols, scale = _svec_basis(d)
+    check_solve_size(dataset.n_plus, dataset.n_minus, d)
+    features = _pair_features(X, Y)
 
     def metric(u):
         w = np.empty((d, d))
@@ -486,7 +558,7 @@ def rrm_train(dataset: TripletDataset, cfg: RrmConfig, w0: MetricParams | None =
     u = np.zeros(len(scale)) if w0 is None else w0.w[rows, cols] * scale
     ridge = 2.0 * cfg.lam * np.eye(len(scale))
     best = None
-    risk_val, grad_r, hess_r = _risk_parts(metric(u), X, Y, cfg.zeta)
+    risk_val, grad_r, hess_r = _risk_parts(metric(u), X, Y, cfg.zeta, features)
     for it in range(cfg.max_iters + 1):
         grad = grad_r + 2.0 * cfg.lam * u
         gnorm = float(np.linalg.norm(grad))
@@ -515,7 +587,7 @@ def rrm_train(dataset: TripletDataset, cfg: RrmConfig, w0: MetricParams | None =
         # the docstring) reads the full step's gradient from the same sweep
         t = 1.0
         u_try = u + s
-        parts = _risk_parts(metric(u_try), X, Y, cfg.zeta)
+        parts = _risk_parts(metric(u_try), X, Y, cfg.zeta, features)
         f_try = parts[0] + cfg.lam * float(u_try @ u_try)
         accepted = f_try <= f_val + 0.25 * slope or (
             -slope <= ROUNDING_ULPS * math.ulp(f_val)
@@ -534,7 +606,7 @@ def rrm_train(dataset: TripletDataset, cfg: RrmConfig, w0: MetricParams | None =
                 f"at iteration {it} (||grad|| = {gnorm:g})",
             )
         u = u_try
-        risk_val, grad_r, hess_r = parts or _risk_parts(metric(u), X, Y, cfg.zeta)
+        risk_val, grad_r, hess_r = parts or _risk_parts(metric(u), X, Y, cfg.zeta, features)
     raise failure(
         MaxItersExceeded,
         f"newton stopped at ||grad|| = {gnorm:g} > tol = {cfg.tol:g} "

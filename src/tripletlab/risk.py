@@ -101,6 +101,9 @@ SERIES_TAIL = 1e-17
 # calls, what the sweep spends on about 8,000 triplets where the two forms
 # cross (n = 24 to 70); the forms' other fixed costs per call are about equal
 SERIES_ORDER_COST = 8_000
+# the cost of one product of the series form's power sums, in triplets of the
+# sweep: timed at 0.55-0.8 of a triplet at n = 80 to 128 (2 cores)
+SERIES_PRODUCT_COST = 0.7
 
 
 def series_order(h: float) -> int:
@@ -175,9 +178,9 @@ def series_mean_loss(S_pp: np.ndarray, S_pn: np.ndarray, zeta: float, K: int) ->
 
 def series_is_cheaper(n_plus: int, n_minus: int, K: int) -> bool:
     """Whether series_mean_loss to order K costs less than the sweep: its
-    2K products per pair score and K SERIES_ORDER_COST, against one log1p per
-    triplet."""
-    products = 2 * K * n_plus * (n_plus + n_minus)
+    2K products per pair score, SERIES_PRODUCT_COST each, and K
+    SERIES_ORDER_COST, against one log1p per triplet."""
+    products = 2 * K * n_plus * (n_plus + n_minus) * SERIES_PRODUCT_COST
     return products + K * SERIES_ORDER_COST < n_plus * (n_plus - 1) * n_minus
 
 
@@ -209,10 +212,10 @@ def exact_mean_loss(w_arr: np.ndarray, X: np.ndarray, Y: np.ndarray, zeta: float
     math.fsum, so the result is reproducible and permutation-stable to well
     below 1e-12 relative. When every |margin| is at most MAX_SERIES_MARGIN
     and the series costs less (series_is_cheaper: its 2K n+ (n+ + n-)
-    products and K SERIES_ORDER_COST against the sweep's n+ (n+ - 1) n-
-    terms), the mean comes from series_mean_loss instead, in O(n^2) work;
-    both forms agree to 1e-15 relative. A constant integrand
-    (lo == hi) gives that one loss, phi(-hi), in either form.
+    products at SERIES_PRODUCT_COST and K SERIES_ORDER_COST against the
+    sweep's n+ (n+ - 1) n- terms), the mean comes from series_mean_loss
+    instead, in O(n^2) work; both forms agree to 1e-15 relative. A constant
+    integrand (lo == hi) gives that one loss, phi(-hi), in either form.
     """
     return _mean_loss(w_arr, X, Y, zeta, series=True)
 

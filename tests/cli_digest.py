@@ -50,6 +50,12 @@ COMMANDS = [
     # a population sample of two chunks (risk.SAMPLE_CHUNK rows each at most)
     ("optimistic_chunks", ["optimistic", "--seed", "25", "--d", "3", "--n-grid", "8 12 16",
                            "--trials-per-n", "2", "--population-m", "70000"] + LOW_NOISE),
+    # RRM at n = 64, whose Newton sweeps have 4 anchor blocks and split across CPUs
+    ("rrm_64", ["rrm", "--seed", "26", "--lam", "0.1", "--d", "3", "--n-plus", "64",
+                "--n-minus", "64"]),
+    ("stability_rrm_64", ["stability", "--seed", "27", "--d", "3", "--n-plus", "64",
+                          "--n-minus", "64", "--trials", "2", "--trainer", "rrm", "--lam", "0.2",
+                          "--protocol", "uniform", "--probe-size", "200"]),
 ]
 
 

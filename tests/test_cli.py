@@ -13,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError
 
-from tripletlab import lab, optim, parallel
+from tripletlab import lab, optim, parallel, risk
 from tripletlab.cli import (
     EXIT_CONFIG,
     EXIT_DOMINATION,
@@ -408,6 +408,17 @@ def test_a_population_sample_larger_than_memory_exits_2(tmp_path, capsys, comman
     err = capsys.readouterr().err
     assert f"m = {m} triplets at d = 3 needs {2 * m * 3 * 8} bytes" in err
     assert "bytes of physical memory" in err
+
+
+def test_an_rrm_solve_whose_features_exceed_memory_exits_2(tmp_path, capsys, monkeypatch):
+    need = (4 * 4 + 4 * 3) * 4 * 8  # (n+^2 + n+ n-)(p + 1) doubles, p = 3 at d = 2
+    monkeypatch.setattr(risk, "physical_memory", lambda: need - 1)
+    rc = main(["rrm", "--seed", "3", "--outdir", str(tmp_path), "--lam", "0.1"] + TINY_TASK)
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"n+ = 4, n- = 3, d = 2 needs {need} bytes" in err
+    assert f"more than the {need - 1} bytes of physical memory" in err
+    assert not (tmp_path / "model.csv").exists()
 
 
 def test_check_small_probe_budget_passes(tmp_path, capsys):

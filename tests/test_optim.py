@@ -12,6 +12,7 @@ from scipy.stats import chi2, chisquare
 
 from tripletlab import loss as loss_module
 from tripletlab import optim
+from tripletlab import risk as risk_module
 from tripletlab.core import Pool, SlotRef, TripletDataset
 from tripletlab.loss import (
     LossConfig,
@@ -27,6 +28,7 @@ from tripletlab.optim import (
     RrmConfig,
     SgdConfig,
     SolverFailure,
+    SolveTooLarge,
     StepSizeTooLarge,
     TrainTrace,
     expansiveness_check,
@@ -543,6 +545,68 @@ def test_risk_parts_match_the_triplet_by_triplet_sums_in_svec_coordinates(d):
             summed_triplet_grad(ahead, train, zeta) - summed_triplet_grad(behind, train, zeta)
         ) / (2 * h)
         np.testing.assert_allclose(hess[:, q], column, rtol=1e-6, atol=1e-9)
+
+
+@pytest.mark.parametrize("zeta", [0.0, 0.3])
+@pytest.mark.parametrize("n_minus", [1, 5])
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_risk_parts_at_zero_take_the_closed_form_of_the_margin_form_sweep(
+    monkeypatch, d, n_minus, zeta
+):
+    train, _ = gen_task(TaskConfig(d=d, n_plus=6, n_minus=n_minus, seed=30 + d))
+    X, Y = train.positives, train.negatives
+    sweeps = []
+    monkeypatch.setattr(optim, "triplet_sweep", lambda *args, **kw: sweeps.append(args))
+    cold = optim._risk_parts(np.zeros((d, d)), X, Y, zeta)
+    assert sweeps == []
+    monkeypatch.undo()
+    # the sweep in margin form at a metric so small that every margin rounds
+    # to zeta (or, at zeta = 0, gives exactly the terms of margin 0)
+    monkeypatch.setattr(loss_module, "MAX_FACTORED_MARGIN", -math.inf)
+    swept = optim._risk_parts(1e-300 * np.eye(d), X, Y, zeta)
+    # per entry, relative to the same sum over |p_ij| + |q_ik| entrywise: the
+    # gradient and Hessian entries cancel, and every summation order rounds
+    # at the scale of their terms (the moments and the sweep are both within
+    # 4e-16 of the exact sums on that scale)
+    P, Q1 = optim._pair_features(X, Y)
+    p = P.shape[1]
+    P3, Q3 = np.abs(P).reshape(6, 6, p), np.abs(Q1[:, :p]).reshape(6, n_minus, p)
+    A = np.array([P3[i, j] + Q3[i, k] for i in range(6) for j in range(6) if j != i
+                  for k in range(n_minus)])
+    _, sig, curv = (float(t[0]) for t in loss_module.margin_terms(np.array([zeta]), True))
+    assert abs(cold[0] - swept[0]) <= 1e-15 * swept[0]
+    assert np.all(np.abs(cold[1] - swept[1]) <= 1e-15 * sig * A.mean(axis=0))
+    assert np.all(np.abs(cold[2] - swept[2]) <= 1e-15 * curv * (A.T @ A) / len(A))
+
+
+def test_a_cold_solve_builds_its_features_once_and_sweeps_once_per_iteration(monkeypatch):
+    train, _ = gen_task(TaskConfig(d=3, n_plus=10, n_minus=9, seed=4))
+    calls = {"_pair_features": 0, "triplet_sweep": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(optim, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(optim, name, counted)
+    _, iterations = rrm_train(train, RrmConfig(lam=0.05))
+    # w = 0 takes the closed form; every later iterate is one sweep
+    assert calls == {"_pair_features": 1, "triplet_sweep": iterations}
+
+
+def test_a_solve_whose_features_exceed_physical_memory_is_refused(monkeypatch):
+    train, _ = gen_task(TaskConfig(d=3, n_plus=10, n_minus=9, seed=4))
+    need = (10 * 10 + 10 * 9) * 7 * 8  # (n+^2 + n+ n-)(p + 1) doubles, p = 6 at d = 3
+    built = []
+    monkeypatch.setattr(optim, "_pair_features", lambda *args: built.append(args))
+    monkeypatch.setattr(risk_module, "physical_memory", lambda: need - 1)
+    with pytest.raises(SolveTooLarge, match=(
+        f"n\\+ = 10, n- = 9, d = 3 needs {need} bytes .* more than the {need - 1} bytes"
+    )):
+        rrm_train(train, RrmConfig(lam=0.05))
+    assert built == []
+    monkeypatch.undo()
+    monkeypatch.setattr(risk_module, "physical_memory", lambda: need)
+    rrm_train(train, RrmConfig(lam=0.05))  # exactly at the limit: allowed
 
 
 def test_rrm_newton_solves_a_p_by_p_system(monkeypatch):

@@ -1,7 +1,9 @@
 """The shared thread pool (parallel.run_jobs) and the exact triplet sweep split
-on it (loss.triplet_sweep): the same bits for any worker count, on the
-factored path and on the margin form, the serial failure order, and runs
-nested in pool jobs, which stay on their job's thread."""
+on it (loss.triplet_sweep): the same bits for any worker count and any BLAS
+thread count, on the factored path and on the margin form, the serial failure
+order, and runs nested in pool jobs, which stay on their job's thread."""
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -10,6 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
+import tripletlab
 from tripletlab import loss as loss_module
 from tripletlab import parallel
 from tripletlab.core import TripletDataset
@@ -114,6 +117,35 @@ def test_solver_and_stability_report_are_identical_on_any_worker_count(
     reports = _on_each_worker_count(monkeypatch, report)
     assert reports[2] == reports[1]
     assert reports[8] == reports[1]
+
+
+# a cold and a warm solve at n+ = n- = 64, whose sweeps have 4 anchor blocks
+BLAS_SOLVES = """
+from tripletlab.optim import RrmConfig, rrm_train
+from tripletlab.synth import TaskConfig, gen_task
+train, _ = gen_task(TaskConfig(d=3, n_plus=64, n_minus=64, seed=8))
+w, iterations = rrm_train(train, RrmConfig(lam=0.05))
+warm, warm_iterations = rrm_train(train, RrmConfig(lam=0.5), w0=w)
+print(w.w.tobytes().hex(), iterations, warm.w.tobytes().hex(), warm_iterations)
+"""
+
+
+def test_solves_are_bit_identical_on_any_blas_thread_count():
+    # BLAS reads its thread count at load time, so each count gets its own
+    # interpreter: one thread, then the library's default
+    assert len(loss_module.anchor_blocks(64, 64)) == 4
+    unset = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in unset}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(tripletlab.__file__))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", BLAS_SOLVES], env=run_env, capture_output=True, text=True,
+            check=True, timeout=120,
+        ).stdout
+        for run_env in (dict(env, OPENBLAS_NUM_THREADS="1"), env)
+    ]
+    assert len(outputs[0].split()) == 4
+    assert outputs[1] == outputs[0]
 
 
 def test_sweeps_nested_in_pool_jobs_match_a_serial_run(monkeypatch, fine_grained):
