@@ -6,12 +6,13 @@ satisfy c <= 2/alpha (alpha = 64 B^4 for the dataset's feature bound), which
 also makes every update map 1-expansive. A margin is <w, D_t> + zeta with
 the symmetric D_t = dp dp^T - dn dn^T, so the steps run in Python floats on
 the p = d(d+1)/2 svec coordinates of w: a length-p dot product with the
-features svec(D_t) (off-diagonal entries weighted 2) and an axpy. The step
-indices are drawn in bulk: numpy's Generator.integers maps each word of the
-generator's 32-bit stream to a bounded value by a multiply-shift with
-rejection, so decoding bulk draws of raw words in the loop's order gives
-exactly the per-step draws, and paired runs on one seed still share their
-index sequence.
+features svec(D_t) (off-diagonal entries weighted 2) and an axpy, in a step
+kernel compiled once per d that holds the coordinates in local variables
+(_step_kernel). The step indices are drawn in bulk: numpy's
+Generator.integers maps each word of the generator's 32-bit stream to a
+bounded value by a multiply-shift with rejection, so decoding bulk draws of
+raw words in the loop's order gives exactly the per-step draws, and paired
+runs on one seed still share their index sequence.
 
 The regularized objective F_S(w) = R_S(w) + lam ||w||_F^2 is 2*lam-strongly
 convex, so the gradient-norm stopping rule certifies
@@ -32,9 +33,9 @@ cannot reach tol raises a SolverFailure that carries its best iterate.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -274,14 +275,54 @@ def _draw_indices(rng, n_plus: int, n_minus: int, T: int, block: int):
         yield ii, jj, kk
 
 
-def _expit(m: float) -> float:
-    """scipy.special.expit(m) = 1 / (1 + exp(-m)) for a Python float, bit for
-    bit: 0.0 where exp(-m) overflows (m below about -709.78), where
-    math.exp raises instead of returning inf."""
-    try:
-        return 1.0 / (1.0 + math.exp(-m))
-    except OverflowError:
-        return 0.0
+# margin terms per statement of a step kernel: CPython compiles a chain of
+# additions by recursion, so one chain of p = d(d+1)/2 terms fails at large d
+MARGIN_TERMS = 32
+
+
+@functools.lru_cache(maxsize=8)  # a process trains at a few d
+def _step_kernel(d: int):
+    """The SGD steps at dimension d as one Python function,
+    kernel(theta, flat, eta, zeta) -> theta, compiled from source (as
+    dataclasses builds its methods).
+
+    theta is the list of the p = d(d+1)/2 svec coordinates, the upper
+    triangle of w row by row, and flat the features of consecutive steps, p
+    floats a step. The kernel holds theta in p local floats t0 ... t{p-1}
+    and, for each step's f0 ... f{p-1}, sums the margin left to right as one
+    explicit chain, zeta + t0*f0 + (t1 + t1)*f1 + ..., in statements of at
+    most MARGIN_TERMS terms. An off-diagonal coordinate enters as (t + t)*f:
+    the doubling is exact, so this rounds the same real product as t*(2f).
+    Then s = eta * expit(m), expit(m) = 1 / (1 + exp(-m)) as scipy's expit
+    gives it bit for bit (0.0 where exp(-m) overflows, which math.exp
+    raises), and every tq -= s*fq. Returns the new coordinates as a list.
+    """
+    diagonal = [a == b for a in range(d) for b in range(a, d)]
+    t = [f"t{q}" for q in range(len(diagonal))]
+    f = [f"f{q}" for q in range(len(diagonal))]
+    terms = [
+        f"{tq} * {fq}" if diag else f"({tq} + {tq}) * {fq}"
+        for tq, fq, diag in zip(t, f, diagonal)
+    ]
+    chain = [
+        "m = " + " + ".join(["m" if start else "zeta"] + terms[start : start + MARGIN_TERMS])
+        for start in range(0, len(terms), MARGIN_TERMS)
+    ]
+    lines = [
+        "def kernel(theta, flat, eta, zeta):",
+        f"    {', '.join(t)}, = theta",
+        f"    for {', '.join(f)}, in zip(*[iter(flat)] * {len(t)}):",
+        *(f"        {line}" for line in chain),
+        "        try:",
+        "            s = eta * (1.0 / (1.0 + exp(-m)))",
+        "        except OverflowError:",
+        "            s = 0.0",
+        *(f"        {tq} -= s * {fq}" for tq, fq in zip(t, f)),
+        f"    return [{', '.join(t)}]",
+    ]
+    namespace = {"exp": math.exp}
+    exec("\n".join(lines), namespace)
+    return namespace["kernel"]
 
 
 def sgd_train(dataset: TripletDataset, cfg: SgdConfig):
@@ -291,15 +332,18 @@ def sgd_train(dataset: TripletDataset, cfg: SgdConfig):
     until i != j) and k uniformly over negative slots, then applies one
     gradient step at the current iterate. Deterministic given cfg.seed.
 
-    The iterate is theta, the upper triangle of w row by row, as a list of
-    Python floats. A step with features f = svec(dp dp^T - dn dn^T) and
-    weighted features g (off-diagonal entries doubled) sums the margin
-    m = zeta + theta[0] g[0] + theta[1] g[1] + ... left to right and sets
-    theta[q] -= eta * expit(m) * f[q] (expit(m) = d/dm phi(-m)). The steps
-    run in blocks of loss.BLOCK // d^2: a block's indices are decoded from
-    bulk 32-bit draws of the generator (_draw_indices), which gives exactly
-    the values of per-step rng.integers calls, and its features are formed
-    at once, then converted to Python floats SUB_BLOCK steps at a time.
+    The iterate is theta, the upper triangle of w row by row, in Python
+    floats. A step with features f = svec(dp dp^T - dn dn^T) sums the margin
+    m = zeta + theta[0] g[0] + theta[1] g[1] + ... left to right, where g is
+    f with its off-diagonal entries doubled, and sets
+    theta[q] -= eta * expit(m) * f[q] (expit(m) = d/dm phi(-m)); the sum is
+    an explicit chain of additions, never sum(), which sums floats with
+    compensation from Python 3.12 on. The steps run in blocks of
+    loss.BLOCK // d^2: a block's indices are decoded from bulk 32-bit draws
+    of the generator (_draw_indices), which gives exactly the values of
+    per-step rng.integers calls, and its features are formed at once, then
+    handed to the step kernel of this d (_step_kernel) as one flat list of
+    Python floats per SUB_BLOCK steps.
     """
     B = feature_bound(dataset)
     eta_max = regularity_constants(B).eta_max
@@ -312,7 +356,7 @@ def sgd_train(dataset: TripletDataset, cfg: SgdConfig):
     n_plus, n_minus = dataset.n_plus, dataset.n_minus
     rng = np.random.default_rng(np.random.SeedSequence(int(cfg.seed)))
     rows, cols = np.triu_indices(dataset.d)
-    weights = np.where(rows == cols, 1.0, 2.0)
+    kernel = _step_kernel(dataset.d)
     theta = [0.0] * len(rows)
     eta = cfg.c / math.sqrt(cfg.T) if cfg.T else 0.0
     ii = np.empty(cfg.T, np.int64)
@@ -328,12 +372,8 @@ def sgd_train(dataset: TripletDataset, cfg: SgdConfig):
         dns = anchors - Y[k]
         feats = dps[:, rows] * dps[:, cols]
         feats -= dns[:, rows] * dns[:, cols]
-        weighted = feats * weights
         for lo in range(0, len(feats), SUB_BLOCK):
-            hi = lo + SUB_BLOCK
-            for f, g in zip(feats[lo:hi].tolist(), weighted[lo:hi].tolist()):
-                s = eta * _expit(sum(map(mul, theta, g), cfg.zeta))
-                theta = [t - s * x for t, x in zip(theta, f)]
+            theta = kernel(theta, feats[lo : lo + SUB_BLOCK].ravel().tolist(), eta, cfg.zeta)
     w = np.empty((dataset.d, dataset.d))
     w[rows, cols] = theta
     w[cols, rows] = theta

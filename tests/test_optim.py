@@ -1,6 +1,8 @@
 import csv
 import math
 import time
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 import pytest
@@ -190,6 +192,47 @@ def per_step_svec_sgd(dataset, cfg):
     return (w, *(np.array(v, np.int64) for v in (ii, jj, kk)), np.full(cfg.T, eta))
 
 
+def parent_sgd_train(dataset, cfg):
+    """sgd_train before its step kernel, kept as the oracle: the same bulk
+    index draws and block features, then per step the weighted features g
+    (off-diagonal entries doubled), the margin zeta + theta[0] g[0] + ...,
+    the expit with its overflow branch and a list-comprehension axpy.
+    Returns (w, i, j, k, eta). The margin was sum(map(mul, theta, g), zeta),
+    which adds left to right on Python 3.10 and 3.11 only; reduce adds so on
+    every version."""
+    X = dataset.positive_features
+    Y = dataset.negative_features
+    rng = np.random.default_rng(np.random.SeedSequence(int(cfg.seed)))
+    rows, cols = np.triu_indices(dataset.d)
+    weights = np.where(rows == cols, 1.0, 2.0)
+    theta = [0.0] * len(rows)
+    eta = cfg.c / math.sqrt(cfg.T) if cfg.T else 0.0
+    ii, jj, kk = [], [], []
+    block = max(1, loss_module.BLOCK // dataset.d**2)
+    for i, j, k in optim._draw_indices(rng, dataset.n_plus, dataset.n_minus, cfg.T, block):
+        ii += i
+        jj += j
+        kk += k
+        anchors = X[i]
+        dps = anchors - X[j]
+        dns = anchors - Y[k]
+        feats = dps[:, rows] * dps[:, cols]
+        feats -= dns[:, rows] * dns[:, cols]
+        weighted = feats * weights
+        for f, g in zip(feats.tolist(), weighted.tolist()):
+            m = reduce(add, map(mul, theta, g), cfg.zeta)
+            try:
+                factor = 1.0 / (1.0 + math.exp(-m))
+            except OverflowError:
+                factor = 0.0
+            s = eta * factor
+            theta = [t - s * x for t, x in zip(theta, f)]
+    w = np.empty((dataset.d, dataset.d))
+    w[rows, cols] = theta
+    w[cols, rows] = theta
+    return (w, *(np.array(v, np.int64) for v in (ii, jj, kk)), np.full(cfg.T, eta))
+
+
 def assert_same_run(got, expected):
     """w and trace arrays equal bit for bit, dtypes included."""
     w, trace = got
@@ -226,15 +269,48 @@ def test_sgd_matches_the_unblocked_svec_loop_bit_for_bit(d, n_plus, n_minus):
             assert_same_run(sgd_train(train, cfg), per_step_svec_sgd(train, cfg))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 10])
+@pytest.mark.parametrize("n_plus, n_minus", [(50, 40), (7, 1), (2, 3)])
+@pytest.mark.parametrize("zeta", [0.0, 0.3])
+def test_sgd_matches_the_parent_step_loop_bit_for_bit(d, n_plus, n_minus, zeta):
+    # 3000 steps span at least three bulk index draws, and at d = 10 five blocks of
+    # loss.BLOCK // d^2 = 655 steps
+    train, _ = gen_task(TaskConfig(d=d, n_plus=n_plus, n_minus=n_minus, seed=d + n_plus))
+    cfg = SgdConfig(T=3000, c=1 / 32, seed=d + n_minus, zeta=zeta)
+    assert_same_run(sgd_train(train, cfg), parent_sgd_train(train, cfg))
+
+
+def test_the_step_kernel_compiles_and_matches_the_parent_at_d_64():
+    # p = 2080 coordinates, whose margin takes 65 statements of MARGIN_TERMS terms
+    train, _ = gen_task(TaskConfig(d=64, n_plus=6, n_minus=5, seed=64))
+    cfg = SgdConfig(T=20, c=1 / 32, seed=3, zeta=0.5)
+    got = sgd_train(train, cfg)
+    assert np.count_nonzero(got[0].w) > 2000
+    assert_same_run(got, parent_sgd_train(train, cfg))
+
+
+def test_the_margin_is_summed_left_to_right_without_compensation():
+    # sum() compensates from Python 3.12 on: sum([1e16, 1.0, -1e16], 0.0) is
+    # 1.0 there and 0.0 left to right. At d = 2 the margin's terms are
+    # zeta = 1e16, t0 f0 = 1.0 and (t1 + t1) f1 = -1e16, then t2 f2 = -0.0,
+    # and the last coordinate (t = 0, f = -1, eta = 1) ends at s = expit(m)
+    kernel = optim._step_kernel(2)
+    assert kernel([1.0, -5e15, 0.0], [1.0, 1.0, -1.0], 1.0, 1e16)[2] == expit(0.0)
+
+
 def test_expit_matches_scipy_bit_for_bit():
-    # math.exp raises OverflowError below m = -709.78, where expit gives 0.0
+    # math.exp raises OverflowError below m = -709.78, where expit gives 0.0.
+    # One step at d = 1 from t = 0 with f = -1, eta = 1 and zeta = m has the
+    # margin m + 0 * (-1) = m and ends at s = expit(m)
+    kernel = optim._step_kernel(1)
     ms = [-1e308, -745.0, -709.8, -709.7, -36.0, 0.0, 36.0, 710.0]
     rng = np.random.default_rng(3)
     for scale in (1.0, 30.0, 300.0):
         ms += (scale * rng.standard_normal(2000)).tolist()
-    for m in ms:
-        assert optim._expit(m).hex() == float(expit(m)).hex(), m
-    assert optim._expit(-709.8) == 0.0 and optim._expit(-709.7) > 0.0
+    steps = [kernel([0.0], [-1.0], 1.0, m)[0] for m in ms]
+    for m, s in zip(ms, steps):
+        assert s.hex() == float(expit(m)).hex(), m
+    assert steps[2] == 0.0 and steps[3] > 0.0  # m = -709.8 and -709.7
 
 
 @pytest.mark.parametrize(
