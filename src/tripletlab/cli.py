@@ -4,8 +4,8 @@ Subcommands: gen, sgd, rrm, stability, sweep, excess, optimistic, check,
 bounds. Experiment commands require --seed and write fixed-name CSVs plus a
 manifest.json into --outdir; values come from an optional INI config file
 (sections [task], [loss], [sgd], [rrm], [sweep], [stability]) with every flag
-overriding the file. A file key the subcommand does not read is a config
-error, not a silent no-op.
+overriding the file. A file key or a flag the subcommand does not read is a
+config error (exit 2), not a silent no-op.
 
 Exit codes: 0 success, 2 config or validation error (or an RRM solve that
 did not converge), 3 a measured quantity exceeded its closed-form bound (or
@@ -88,26 +88,38 @@ EXIT_DOMINATION = 3
 EXIT_REGIME = 4
 
 
-class _FileConfig:
-    """INI file access with typed lookups; flags always win over the file.
+# args that no config lookup reads: the common flags and check's probe counts
+_UNCHECKED_ARGS = {"command", "func", "config", "outdir", "seed", "data", "probes", "grad_probes"}
 
-    Every (section, key) looked up is recorded, so that reject_unread can
-    refuse a file key that no lookup of the subcommand read (a misspelt key,
-    or one the subcommand has no use for). [DEFAULT] is an ordinary section.
+
+class _FileConfig:
+    """Typed lookups of a subcommand's settings: a given flag, else the INI
+    file's value, else the default.
+
+    The flag of [section] key is the one whose dest equals key up to case
+    ([sgd] t is --T, [task] b is --B, [task] n_plus is --n-plus). Every key
+    looked up is recorded, so that reject_unread can refuse a file key or a
+    given flag that no lookup of the subcommand read (a misspelt key, or a
+    setting the subcommand has no use for). [DEFAULT] is an ordinary section.
     """
 
-    def __init__(self, path: str | None):
+    def __init__(self, args):
         self.parser = configparser.ConfigParser(default_section="")
         self.read = set()
-        if path is not None:
-            found = self.parser.read(path)
-            if not found:
-                raise ValidationError(f"config file not found: {path}")
+        self.args = args
+        self.flags = {
+            dest.lower(): dest
+            for dest, value in vars(args).items()
+            if value is not None and dest not in _UNCHECKED_ARGS
+        }
+        path = getattr(args, "config", None)
+        if path is not None and not self.parser.read(path):
+            raise ValidationError(f"config file not found: {path}")
 
-    def get(self, section, key, cast=str, default=None, override=None):
+    def get(self, section, key, cast=str, default=None):
         self.read.add((section, key))
-        if override is not None:
-            return override
+        if key in self.flags:
+            return getattr(self.args, self.flags[key])
         if self.parser.has_option(section, key):
             raw = self.parser.get(section, key)
             try:
@@ -117,8 +129,9 @@ class _FileConfig:
         return default
 
     def reject_unread(self, command: str) -> None:
-        """Raise ValidationError naming every file key no lookup has read;
-        called once the subcommand has built its config."""
+        """Raise ValidationError naming every file key, else every given
+        flag, that no lookup has read; called once the subcommand has built
+        its config, before it writes anything."""
         unread = [
             f"[{section}] {key}"
             for section in self.parser.sections()
@@ -129,6 +142,11 @@ class _FileConfig:
             raise ValidationError(
                 f"config file keys that `{command}` does not read: " + ", ".join(unread)
             )
+        read_keys = {key for _, key in self.read}
+        ignored = ["--" + dest.replace("_", "-") for key, dest in self.flags.items()
+                   if key not in read_keys]
+        if ignored:
+            raise ValidationError(f"flags that `{command}` does not read: " + ", ".join(ignored))
 
 
 def _parse_grid(raw) -> tuple:
@@ -146,22 +164,22 @@ def _parse_grid(raw) -> tuple:
         raise ValidationError(f"n_grid {raw!r} is not a list of integers") from exc
 
 
-def _task_config(cfg: _FileConfig, args, seed: int) -> TaskConfig:
+def _task_config(cfg: _FileConfig, seed: int, pools=True) -> TaskConfig:
+    """The [task] of a subcommand. A sweep's task is a shape template whose
+    pool sizes every cell overrides (pools=False): it reads none and keeps 4."""
     return TaskConfig(
-        d=cfg.get("task", "d", parse_int, 3, getattr(args, "d", None)),
-        n_plus=cfg.get("task", "n_plus", parse_int, 32, getattr(args, "n_plus", None)),
-        n_minus=cfg.get("task", "n_minus", parse_int, 32, getattr(args, "n_minus", None)),
-        B=cfg.get("task", "b", float, 1.0, getattr(args, "B", None)),
-        separation=cfg.get("task", "separation", float, 1.0, getattr(args, "separation", None)),
-        noise_scale=cfg.get(
-            "task", "noise_scale", float, 0.25, getattr(args, "noise_scale", None)
-        ),
+        d=cfg.get("task", "d", parse_int, 3),
+        n_plus=cfg.get("task", "n_plus", parse_int, 32) if pools else 4,
+        n_minus=cfg.get("task", "n_minus", parse_int, 32) if pools else 4,
+        B=cfg.get("task", "b", float, 1.0),
+        separation=cfg.get("task", "separation", float, 1.0),
+        noise_scale=cfg.get("task", "noise_scale", float, 0.25),
         seed=seed,
     )
 
 
-def _loss_config(cfg: _FileConfig, args) -> LossConfig:
-    return LossConfig(zeta=cfg.get("loss", "zeta", float, 0.0, getattr(args, "zeta", None)))
+def _loss_config(cfg: _FileConfig) -> LossConfig:
+    return LossConfig(zeta=cfg.get("loss", "zeta", float, 0.0))
 
 
 def _outdir(args) -> Path:
@@ -175,21 +193,20 @@ def _split_seed(seed: int, count: int):
     return [int(c.generate_state(1, np.uint64)[0]) for c in children]
 
 
-def _load_or_generate_dataset(cfg, args, seed):
-    if getattr(args, "data", None):
-        dataset = read_dataset_csv(args.data)
-        return dataset, None
-    task_seed, algo_seed = _split_seed(seed, 2)
-    task = _task_config(cfg, args, task_seed)
-    train, _ = gen_task(task)
-    return train, algo_seed
+def _load_or_generate_dataset(cfg, args):
+    """(training set, algorithm seed): the --data CSV, or a fresh task drawn
+    from the first of --seed's two children; the second seeds the algorithm."""
+    task_seed, algo_seed = _split_seed(args.seed, 2)
+    if args.data:
+        return read_dataset_csv(args.data), algo_seed
+    return gen_task(_task_config(cfg, task_seed))[0], algo_seed
 
 
 def _cmd_gen(cfg, args) -> int:
     started = time.time()
-    out = _outdir(args)
-    task = _task_config(cfg, args, args.seed)
+    task = _task_config(cfg, args.seed)
     cfg.reject_unread("gen")
+    out = _outdir(args)
     train, _ = gen_task(task)
     write_dataset_csv(train, out / "dataset.csv")
     write_manifest(out / "manifest.json", "gen", task, started)
@@ -208,19 +225,17 @@ def _write_metrics_csv(path, estimate, extra=()):
 
 def _cmd_sgd(cfg, args) -> int:
     started = time.time()
-    out = _outdir(args)
-    dataset, algo_seed = _load_or_generate_dataset(cfg, args, args.seed)
-    if algo_seed is None:
-        algo_seed = _split_seed(args.seed, 2)[1]
-    loss_cfg = _loss_config(cfg, args)
-    T = cfg.get("sgd", "t", parse_int, None, args.T)
+    dataset, algo_seed = _load_or_generate_dataset(cfg, args)
+    loss_cfg = _loss_config(cfg)
+    T = cfg.get("sgd", "t", parse_int)
     if T is None:
         raise ValidationError("sgd needs T (flag --T or [sgd] t in the config file)")
-    c = cfg.get("sgd", "c", float, None, args.c)
+    c = cfg.get("sgd", "c", float)
     if c is None:
         c = regularity_constants(feature_bound(dataset)).eta_max
     sgd_cfg = SgdConfig(T=T, c=c, seed=algo_seed, zeta=loss_cfg.zeta)
     cfg.reject_unread("sgd")
+    out = _outdir(args)
     w, trace = sgd_train(dataset, sgd_cfg)
     write_metric_csv(w, out / "model.csv")
     write_trace_csv(trace, out / "trace.csv")
@@ -233,22 +248,22 @@ def _cmd_sgd(cfg, args) -> int:
 
 def _cmd_rrm(cfg, args) -> int:
     started = time.time()
-    out = _outdir(args)
-    dataset, _ = _load_or_generate_dataset(cfg, args, args.seed)
-    loss_cfg = _loss_config(cfg, args)
-    lam = cfg.get("rrm", "lam", float, None, args.lam)
+    dataset, _ = _load_or_generate_dataset(cfg, args)
+    loss_cfg = _loss_config(cfg)
+    lam = cfg.get("rrm", "lam", float)
     if lam is None:
         raise ValidationError("rrm needs lam (flag --lam or [rrm] lam in the config file)")
     rrm_cfg = RrmConfig(
         lam=lam,
-        tol=cfg.get("rrm", "tol", float, 1e-8, args.tol),
-        max_iters=cfg.get("rrm", "max_iters", parse_int, 10_000, args.max_iters),
+        tol=cfg.get("rrm", "tol", float, 1e-8),
+        max_iters=cfg.get("rrm", "max_iters", parse_int, 10_000),
         zeta=loss_cfg.zeta,
         budget=cfg.get(
-            "rrm", "budget", parse_int, max(DEFAULT_TRIPLET_BUDGET, dataset.n_triplets), args.budget
+            "rrm", "budget", parse_int, max(DEFAULT_TRIPLET_BUDGET, dataset.n_triplets)
         ),
     )
     cfg.reject_unread("rrm")
+    out = _outdir(args)
     w, iterations = rrm_train(dataset, rrm_cfg)
     write_metric_csv(w, out / "model.csv")
     est = empirical_risk(w, dataset, loss_cfg, budget=rrm_cfg.budget)
@@ -263,23 +278,21 @@ def _cmd_rrm(cfg, args) -> int:
 
 def _cmd_stability(cfg, args) -> int:
     started = time.time()
-    out = _outdir(args)
     task_seed, algo_seed = _split_seed(args.seed, 2)
-    task = _task_config(cfg, args, task_seed)
-    loss_cfg = _loss_config(cfg, args)
-    _, sampler = gen_task(task)
-    trainer_name = cfg.get("stability", "trainer", str, "rrm", args.trainer)
+    task = _task_config(cfg, task_seed)
+    loss_cfg = _loss_config(cfg)
+    trainer_name = cfg.get("stability", "trainer", str, "rrm")
     if trainer_name == "rrm":
-        lam = cfg.get("rrm", "lam", float, None, args.lam)
+        lam = cfg.get("rrm", "lam", float)
         if lam is None:
             raise ValidationError("stability with the rrm trainer needs --lam")
         budget = max(DEFAULT_TRIPLET_BUDGET, task.n_plus * (task.n_plus - 1) * task.n_minus)
         trainer = RrmTrainer(RrmConfig(lam=lam, zeta=loss_cfg.zeta, budget=budget))
     elif trainer_name == "sgd":
-        T = cfg.get("sgd", "t", parse_int, None, args.T)
+        T = cfg.get("sgd", "t", parse_int)
         if T is None:
             raise ValidationError("stability with the sgd trainer needs --T")
-        c = cfg.get("sgd", "c", float, None, args.c)
+        c = cfg.get("sgd", "c", float)
         if c is None:
             c = regularity_constants(task.B).eta_max
         trainer = SgdTrainer(SgdConfig(T=T, c=c, seed=algo_seed, zeta=loss_cfg.zeta))
@@ -287,17 +300,19 @@ def _cmd_stability(cfg, args) -> int:
         trainer = ConstantTrainer(MetricParams.zeros(task.d))
     else:
         raise ValidationError(f"unknown trainer {trainer_name!r}")
-    protocol = cfg.get("stability", "protocol", str, "uniform", args.protocol)
-    trials = cfg.get("stability", "trials", parse_int, 20, args.trials)
+    protocol = cfg.get("stability", "protocol", str, "uniform")
+    trials = cfg.get("stability", "trials", parse_int, 20)
     if protocol == "uniform":
         estimate = estimate_uniform_stability
-        size = cfg.get("stability", "probe_size", parse_int, 2000, args.probe_size)
+        size = cfg.get("stability", "probe_size", parse_int, 2000)
     elif protocol == "on-average":
         estimate = estimate_on_average_stability
-        size = cfg.get("stability", "triplet_subsample", parse_int, 20, args.triplet_subsample)
+        size = cfg.get("stability", "triplet_subsample", parse_int, 20)
     else:
         raise ValidationError(f"unknown protocol {protocol!r} (uniform or on-average)")
     cfg.reject_unread("stability")
+    out = _outdir(args)
+    _, sampler = gen_task(task)
     report = estimate(
         trainer, sampler, task.n_plus, task.n_minus, trials, size, loss_cfg, seed=args.seed
     )
@@ -315,23 +330,25 @@ def _cmd_stability(cfg, args) -> int:
 
 
 def _sweep_config(cfg, args, command: str) -> SweepConfig:
-    """The SweepConfig of sweep, excess or optimistic. sigma0 and c are read
-    only by sweep and excess: optimistic puts sigma on the regime floor and
-    trains no SGD."""
+    """The SweepConfig of sweep, excess or optimistic, reading only what the
+    run uses: c is SGD's step factor, sigma0 sets the sigma of RRM and of
+    excess's RRM proxy, and optimistic trains RRM with sigma on the regime
+    floor."""
     if command == "optimistic":
         algorithm, rule = "rrm", {"sigma_rule": "optimistic"}
     else:
-        algorithm, rule = "sgd", {
-            "sigma0": cfg.get("sweep", "sigma0", float, 1.0, args.sigma0),
-            "c": cfg.get("sweep", "c", float, None, args.c),
-        }
+        algorithm, rule = cfg.get("sweep", "algorithm", str, "sgd"), {}
+        if algorithm == "sgd":
+            rule["c"] = cfg.get("sweep", "c", float)
+        if algorithm == "rrm" or command == "excess":
+            rule["sigma0"] = cfg.get("sweep", "sigma0", float, 1.0)
     sweep_cfg = SweepConfig(
-        algorithm=cfg.get("sweep", "algorithm", str, algorithm, args.algorithm),
-        n_grid=_parse_grid(cfg.get("sweep", "n_grid", str, "32 64 128", args.n_grid)),
-        trials_per_n=cfg.get("sweep", "trials_per_n", parse_int, 20, args.trials_per_n),
-        task=_task_config(cfg, args, 0),
-        zeta=_loss_config(cfg, args).zeta,
-        population_m=cfg.get("sweep", "population_m", parse_int, 100_000, args.population_m),
+        algorithm=algorithm,
+        n_grid=_parse_grid(cfg.get("sweep", "n_grid", str, "32 64 128")),
+        trials_per_n=cfg.get("sweep", "trials_per_n", parse_int, 20),
+        task=_task_config(cfg, 0, pools=False),
+        zeta=_loss_config(cfg).zeta,
+        population_m=cfg.get("sweep", "population_m", parse_int, 100_000),
         seed=args.seed,
         **rule,
     )
@@ -341,8 +358,8 @@ def _sweep_config(cfg, args, command: str) -> SweepConfig:
 
 def _cmd_sweep(cfg, args) -> int:
     started = time.time()
-    out = _outdir(args)
     sweep_cfg = _sweep_config(cfg, args, "sweep")
+    out = _outdir(args)
     report = run_rate_sweep(sweep_cfg)
     write_sweep_rows_csv(report, out / "sweep_rows.csv")
     write_sweep_summary_csv(report, out / "sweep_summary.csv")
@@ -360,8 +377,8 @@ def _cmd_sweep(cfg, args) -> int:
 
 def _cmd_excess(cfg, args) -> int:
     started = time.time()
-    out = _outdir(args)
     sweep_cfg = _sweep_config(cfg, args, "excess")
+    out = _outdir(args)
     report = run_excess_risk_experiment(sweep_cfg)
     write_excess_csv(report, out / "excess.csv")
     write_manifest(out / "manifest.json", "excess", sweep_cfg, started)
@@ -371,8 +388,8 @@ def _cmd_excess(cfg, args) -> int:
 
 def _cmd_optimistic(cfg, args) -> int:
     started = time.time()
-    out = _outdir(args)
     sweep_cfg = _sweep_config(cfg, args, "optimistic")
+    out = _outdir(args)
     report = run_optimistic_experiment(sweep_cfg)
     write_optimistic_cells_csv(report, out / "optimistic_cells.csv")
     write_optimistic_rows_csv(report, out / "optimistic_rows.csv")
@@ -529,62 +546,45 @@ def _cmd_check(cfg, args) -> int:
     return EXIT_DOMINATION if any(viol for _, _, viol, _ in results) else EXIT_OK
 
 
-def _require(args, names):
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
-    if missing:
-        raise ValidationError(
-            f"bound '{args.which}' needs flags: " + ", ".join("--" + n for n in missing)
-        )
+def _optimistic_gap(alpha, sigma, n_plus, n_minus, emp_risk, epsilon):
+    if epsilon is None:
+        epsilon = optimistic_epsilon(n_plus, n_minus, sigma)
+    return optimistic_gap_bound(epsilon, alpha, sigma, n_plus, n_minus, emp_risk)
+
+
+def _sgd_stability(trace_csv, n_plus, n_minus, slot, L):
+    trace = read_trace_csv(trace_csv, n_plus, n_minus)
+    try:
+        kind, index = slot.split(":")
+        pool = {"pos": Pool.POSITIVE, "neg": Pool.NEGATIVE}[kind]
+        index = parse_int(index)
+    except (ValueError, KeyError) as exc:
+        raise ValidationError(f"slot must look like pos:3 or neg:0, got {slot!r}") from exc
+    return sgd_stability_bound(trace, SlotRef(pool, index), L)
+
+
+# each bound of `bounds`: its function and the flags it takes, in argument
+# order; every flag is required but --epsilon
+_BOUNDS = {
+    "bernstein": (bernstein_ustat_bound, "b tau delta n-plus n-minus"),
+    "rrm-stability": (rrm_stability_bound, "n-plus n-minus L sigma"),
+    "loss-expectation": (loss_expectation_bound, "n-plus n-minus L sigma"),
+    "high-prob-gap": (high_probability_gap_bound, "n-plus n-minus gamma M delta"),
+    "chernoff-hits": (chernoff_hit_bound, "T n-plus n-minus delta"),
+    "optimistic-epsilon": (optimistic_epsilon, "n-plus n-minus sigma"),
+    "optimistic-gap": (_optimistic_gap, "alpha sigma n-plus n-minus emp-risk epsilon"),
+    "sgd-stability": (_sgd_stability, "trace n-plus n-minus slot L"),
+}
 
 
 def _cmd_bounds(cfg, args) -> int:
-    which = args.which
-    if which == "bernstein":
-        _require(args, ["b", "tau", "delta", "n-plus", "n-minus"])
-        value = bernstein_ustat_bound(args.b, args.tau, args.delta, args.n_plus, args.n_minus)
-    elif which == "rrm-stability":
-        _require(args, ["n-plus", "n-minus", "L", "sigma"])
-        value = rrm_stability_bound(args.n_plus, args.n_minus, args.L, args.sigma)
-    elif which == "loss-expectation":
-        _require(args, ["n-plus", "n-minus", "L", "sigma"])
-        value = loss_expectation_bound(args.n_plus, args.n_minus, args.L, args.sigma)
-    elif which == "high-prob-gap":
-        _require(args, ["n-plus", "n-minus", "gamma", "M", "delta"])
-        value = high_probability_gap_bound(
-            args.n_plus, args.n_minus, args.gamma, args.M, args.delta
-        )
-    elif which == "chernoff-hits":
-        _require(args, ["T", "n-plus", "n-minus", "delta"])
-        value = chernoff_hit_bound(args.T, args.n_plus, args.n_minus, args.delta)
-    elif which == "optimistic-epsilon":
-        _require(args, ["n-plus", "n-minus", "sigma"])
-        value = optimistic_epsilon(args.n_plus, args.n_minus, args.sigma)
-    elif which == "optimistic-gap":
-        _require(args, ["alpha", "sigma", "n-plus", "n-minus", "emp-risk"])
-        eps = args.epsilon
-        if eps is None:
-            eps = optimistic_epsilon(args.n_plus, args.n_minus, args.sigma)
-        value = optimistic_gap_bound(
-            eps, args.alpha, args.sigma, args.n_plus, args.n_minus, args.emp_risk
-        )
-    elif which == "sgd-stability":
-        _require(args, ["trace", "n-plus", "n-minus", "slot", "L"])
-        trace = read_trace_csv(args.trace, args.n_plus, args.n_minus)
-        pool, index = _parse_slot(args.slot)
-        value = sgd_stability_bound(trace, SlotRef(pool, index), args.L)
-    else:
-        raise ValidationError(f"unknown bound {which!r}")
-    print(repr(float(value)))
+    bound, flags = _BOUNDS[args.which]
+    values = {flag: getattr(args, flag.replace("-", "_")) for flag in flags.split()}
+    missing = ["--" + f for f, v in values.items() if v is None and f != "epsilon"]
+    if missing:
+        raise ValidationError(f"bound '{args.which}' needs flags: " + ", ".join(missing))
+    print(repr(float(bound(*values.values()))))
     return EXIT_OK
-
-
-def _parse_slot(raw: str):
-    try:
-        kind, index = raw.split(":")
-        pool = {"pos": Pool.POSITIVE, "neg": Pool.NEGATIVE}[kind]
-        return pool, parse_int(index)
-    except (ValueError, KeyError) as exc:
-        raise ValidationError(f"slot must look like pos:3 or neg:0, got {raw!r}") from exc
 
 
 def _add_task_flags(p):
@@ -660,11 +660,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_txt)
         _add_common(p)
         _add_task_flags(p)
-        p.add_argument("--algorithm", choices=["sgd", "rrm", "constant"])
         p.add_argument("--n-grid", dest="n_grid", help="e.g. '32 64 128'")
         p.add_argument("--trials-per-n", dest="trials_per_n", type=parse_int)
         p.add_argument("--population-m", dest="population_m", type=parse_int)
-        if name != "optimistic":  # sigma sits on the regime floor there
+        if name != "optimistic":  # RRM, with sigma on the regime floor there
+            p.add_argument("--algorithm", choices=["sgd", "rrm", "constant"])
             p.add_argument("--sigma0", type=float, help="sigma = sigma0 / sqrt(n) for rrm")
             p.add_argument("--c", type=float, help="SGD step factor (eta = c/sqrt(n))")
         p.set_defaults(func=fn)
@@ -676,43 +676,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("bounds", help="evaluate a closed-form bound")
-    p.add_argument(
-        "which",
-        choices=[
-            "bernstein",
-            "rrm-stability",
-            "loss-expectation",
-            "high-prob-gap",
-            "chernoff-hits",
-            "optimistic-epsilon",
-            "optimistic-gap",
-            "sgd-stability",
-        ],
-    )
-    p.add_argument("--b", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--n-plus", dest="n_plus", type=parse_int)
-    p.add_argument("--n-minus", dest="n_minus", type=parse_int)
-    p.add_argument("--L", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--M", type=float)
-    p.add_argument("--T", type=parse_int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--emp-risk", dest="emp_risk", type=float)
-    p.add_argument("--trace", help="trace CSV for the sgd stability bound")
-    p.add_argument("--slot", help="differing slot, e.g. pos:3")
+    p.add_argument("which", choices=_BOUNDS)
+    # --trace names a trace CSV and --slot a differing slot, such as pos:3
+    kinds = {"n-plus": parse_int, "n-minus": parse_int, "T": parse_int, "trace": str, "slot": str}
+    for flag in dict.fromkeys(" ".join(flags for _, flags in _BOUNDS.values()).split()):
+        p.add_argument("--" + flag, type=kinds.get(flag, float))
     p.set_defaults(func=_cmd_bounds)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _FileConfig(getattr(args, "config", None))
+        cfg = _FileConfig(args)
         return args.func(cfg, args)
     except RegimeViolation as exc:
         print(f"regime violation: {exc}", file=sys.stderr)

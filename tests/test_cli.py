@@ -23,9 +23,10 @@ from tripletlab.cli import (
     main,
     read_trace_csv,
 )
-from tripletlab.core import Pool, SlotRef, ValidationError, read_dataset_csv
+from tripletlab.core import Pool, SlotRef, ValidationError, read_dataset_csv, write_dataset_csv
 from tripletlab.risk import sample_risks
 from tripletlab.stability import sgd_stability_bound
+from tripletlab.synth import TaskConfig, gen_task
 
 TINY_TASK = ["--d", "2", "--n-plus", "4", "--n-minus", "3"]
 
@@ -236,8 +237,9 @@ SMALL_GRID = ["--n-grid", "4 6 8", "--trials-per-n", "1", "--population-m", "200
         (["rrm", "--lam", "0.5"] + TINY_TASK, "[rrm]\nmethod = gd\n", "[rrm] method"),
         (["sweep"] + SMALL_GRID, "[sweep]\nsigma_rule = optimistic\n", "[sweep] sigma_rule"),
         (["optimistic"] + SMALL_GRID, "[sweep]\nsigma0 = 50\n", "[sweep] sigma0"),
+        (["optimistic"] + SMALL_GRID, "[sweep]\nalgorithm = rrm\n", "[sweep] algorithm"),
     ],
-    ids=["removed-key", "unknown-key", "key-of-another-command"],
+    ids=["removed-key", "unknown-key", "key-of-another-command", "key-with-one-value"],
 )
 def test_config_key_that_no_lookup_reads_exits_2(tmp_path, capsys, argv, ini, key):
     config = tmp_path / "cfg.ini"
@@ -250,13 +252,50 @@ def test_config_key_that_no_lookup_reads_exits_2(tmp_path, capsys, argv, ini, ke
     assert not list(out.glob("*.csv"))
 
 
-@pytest.mark.parametrize("flag", ["--sigma0", "--c"])
-def test_optimistic_refuses_sigma0_and_c(tmp_path, capsys, flag):
-    # sigma sits on the regime floor and no SGD runs: the flags would be ignored
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--sigma0", "2"), ("--c", "2"), ("--algorithm", "rrm")],
+    ids=["--sigma0", "--c", "--algorithm"],
+)
+def test_optimistic_refuses_sigma0_and_c(tmp_path, capsys, flag, value):
+    # RRM runs with sigma on the regime floor: the flags would be ignored
     with pytest.raises(SystemExit) as exc:
-        main(["optimistic", "--seed", "1", "--outdir", str(tmp_path), flag, "2"] + SMALL_GRID)
+        main(["optimistic", "--seed", "1", "--outdir", str(tmp_path), flag, value] + SMALL_GRID)
     assert exc.value.code == EXIT_CONFIG
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["gen", "--zeta", "1"] + TINY_TASK, "--zeta"),
+        (["sgd", "--data", "dataset.csv", "--T", "5", "--d", "4"], "--d"),
+        (["stability", "--trainer", "sgd", "--T", "5", "--lam", "0.1"] + TINY_TASK, "--lam"),
+        (["sweep", "--n-plus", "9"] + SMALL_GRID, "--n-plus"),
+        (["sweep", "--algorithm", "rrm", "--c", "2"] + SMALL_GRID, "--c"),
+        (["sweep", "--algorithm", "sgd", "--sigma0", "2"] + SMALL_GRID, "--sigma0"),
+        (["excess", "--algorithm", "constant", "--c", "2"] + SMALL_GRID, "--c"),
+    ],
+    ids=["gen-zeta", "sgd-data-d", "stability-sgd-lam", "sweep-n-plus", "sweep-rrm-c",
+         "sweep-sgd-sigma0", "excess-constant-c"],
+)
+def test_a_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    write_dataset_csv(gen_task(TaskConfig(d=2, n_plus=4, n_minus=3))[0], "dataset.csv")
+    out = tmp_path / "out"
+    rc = main(argv[:1] + ["--seed", "1", "--outdir", str(out)] + argv[1:])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.endswith(f"does not read: {flag}\n")
+    assert not out.exists()
+
+
+def test_excess_reads_sigma0_for_its_rrm_proxy_and_c_for_sgd(tmp_path):
+    argv = ["excess", "--seed", "1", "--outdir", str(tmp_path), "--algorithm", "sgd",
+            "--sigma0", "2", "--c", "0.01", "--n-grid", "4 5 6", "--trials-per-n", "1",
+            "--population-m", "200", "--d", "2"]
+    assert main(argv) == EXIT_OK
+    config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert (config["sigma0"], config["c"]) == (2.0, 0.01)
 
 
 def test_stability_constant_trainer_reports_zero_gamma(tmp_path):
@@ -445,6 +484,9 @@ BOUND_CASES = [
       "--M", "1", "--delta", "0.1353352832366127"], 11.299685366837506),
     (["chernoff-hits", "--T", "1000", "--n-plus", "100", "--n-minus", "50",
       "--delta", "0.05"], 38.96016542191758),
+    # sqrt(3 * 100^2 * 99 * 100^2 / (4608 * 100^2 + 256 * 100^2))
+    (["optimistic-epsilon", "--n-plus", "100", "--n-minus", "100", "--sigma", "1"],
+     24.710494787267596),
     (["optimistic-gap", "--epsilon", "10", "--alpha", "1", "--sigma", "1",
       "--n-plus", "100", "--n-minus", "100", "--emp-risk", "1"],
      0.11801481481481482),
@@ -477,9 +519,24 @@ def test_bounds_regime_violation_exits_4(capsys):
     assert "regime violation" in capsys.readouterr().err
 
 
-def test_bounds_missing_flags_exit_2(capsys):
-    assert main(["bounds", "bernstein"]) == EXIT_CONFIG
-    assert "--b" in capsys.readouterr().err
+# the flags each bound names when run with none, in its argument order
+MISSING_BOUND_FLAGS = {
+    "bernstein": "--b, --tau, --delta, --n-plus, --n-minus",
+    "rrm-stability": "--n-plus, --n-minus, --L, --sigma",
+    "loss-expectation": "--n-plus, --n-minus, --L, --sigma",
+    "high-prob-gap": "--n-plus, --n-minus, --gamma, --M, --delta",
+    "chernoff-hits": "--T, --n-plus, --n-minus, --delta",
+    "optimistic-epsilon": "--n-plus, --n-minus, --sigma",
+    "optimistic-gap": "--alpha, --sigma, --n-plus, --n-minus, --emp-risk",
+    "sgd-stability": "--trace, --n-plus, --n-minus, --slot, --L",
+}
+
+
+@pytest.mark.parametrize("which", MISSING_BOUND_FLAGS)
+def test_bounds_missing_flags_exit_2(capsys, which):
+    assert main(["bounds", which]) == EXIT_CONFIG
+    missing = MISSING_BOUND_FLAGS[which]
+    assert capsys.readouterr().err == f"error: bound '{which}' needs flags: {missing}\n"
 
 
 def test_bounds_sgd_stability_matches_library(tmp_path, capsys):

@@ -9,26 +9,13 @@ alone; only a change of the format itself breaks it.
 """
 import numpy as np
 
-from tripletlab import (
-    MetricParams,
-    Pool,
-    RiskEstimate,
-    RiskMode,
-    SlotRef,
-    StabilityReport,
-    SweepReport,
-    TrainTrace,
-    TripletDataset,
-    write_dataset_csv,
-    write_metric_csv,
-    write_stability_csv,
-    write_trace_csv,
-)
+from tripletlab.core import Pool, SlotRef, TripletDataset, write_dataset_csv
 from tripletlab.lab import (
     ExcessReport,
     ExcessRow,
     OptimisticCell,
     OptimisticReport,
+    SweepReport,
     SweepRow,
     write_excess_csv,
     write_optimistic_cells_csv,
@@ -36,6 +23,10 @@ from tripletlab.lab import (
     write_sweep_rows_csv,
     write_sweep_summary_csv,
 )
+from tripletlab.loss import MetricParams, write_metric_csv
+from tripletlab.optim import TrainTrace, write_trace_csv
+from tripletlab.risk import RiskEstimate, RiskMode
+from tripletlab.stability import StabilityReport, write_stability_csv
 
 BIG_SEED = 2**63 + 5  # does not fit an int64
 
