@@ -18,6 +18,7 @@ import configparser
 import functools
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -31,18 +32,18 @@ from .core import (
     read_dataset_csv,
     write_csv,
     write_dataset_csv,
+    write_records,
 )
 from .lab import (
+    ExcessRow,
+    OptimisticCell,
+    SweepCell,
     SweepConfig,
+    SweepRow,
     run_excess_risk_experiment,
     run_optimistic_experiment,
     run_rate_sweep,
-    write_excess_csv,
     write_manifest,
-    write_optimistic_cells_csv,
-    write_optimistic_rows_csv,
-    write_sweep_rows_csv,
-    write_sweep_summary_csv,
 )
 from .loss import (
     LossConfig,
@@ -63,12 +64,13 @@ from .optim import (
     sgd_train,
     write_trace_csv,
 )
-from .risk import DEFAULT_TRIPLET_BUDGET, bernstein_ustat_bound, empirical_risk
+from .risk import bernstein_ustat_bound, empirical_risk, exact_budget
 from .stability import (
     ConstantTrainer,
     RegimeViolation,
     RrmTrainer,
     SgdTrainer,
+    StabilityReport,
     chernoff_hit_bound,
     estimate_on_average_stability,
     estimate_uniform_stability,
@@ -78,7 +80,6 @@ from .stability import (
     optimistic_gap_bound,
     rrm_stability_bound,
     sgd_stability_bound,
-    write_stability_csv,
 )
 from .synth import TaskConfig, gen_task
 
@@ -258,9 +259,7 @@ def _cmd_rrm(cfg, args) -> int:
         tol=cfg.get("rrm", "tol", float, 1e-8),
         max_iters=cfg.get("rrm", "max_iters", parse_int, 10_000),
         zeta=loss_cfg.zeta,
-        budget=cfg.get(
-            "rrm", "budget", parse_int, max(DEFAULT_TRIPLET_BUDGET, dataset.n_triplets)
-        ),
+        budget=cfg.get("rrm", "budget", parse_int, exact_budget(dataset.n_plus, dataset.n_minus)),
     )
     cfg.reject_unread("rrm")
     out = _outdir(args)
@@ -286,7 +285,7 @@ def _cmd_stability(cfg, args) -> int:
         lam = cfg.get("rrm", "lam", float)
         if lam is None:
             raise ValidationError("stability with the rrm trainer needs --lam")
-        budget = max(DEFAULT_TRIPLET_BUDGET, task.n_plus * (task.n_plus - 1) * task.n_minus)
+        budget = exact_budget(task.n_plus, task.n_minus)
         trainer = RrmTrainer(RrmConfig(lam=lam, zeta=loss_cfg.zeta, budget=budget))
     elif trainer_name == "sgd":
         T = cfg.get("sgd", "t", parse_int)
@@ -316,7 +315,7 @@ def _cmd_stability(cfg, args) -> int:
     report = estimate(
         trainer, sampler, task.n_plus, task.n_minus, trials, size, loss_cfg, seed=args.seed
     )
-    write_stability_csv([report], out / "stability.csv")
+    write_records(out / "stability.csv", StabilityReport, [report])
     write_manifest(out / "manifest.json", "stability", task, started)
     bound_txt = "n/a" if report.gamma_bound is None else f"{report.gamma_bound:.6g}"
     print(
@@ -356,21 +355,29 @@ def _sweep_config(cfg, args, command: str) -> SweepConfig:
     return sweep_cfg
 
 
+def _write_sweep_manifest(out, command, sweep_cfg, started, report) -> None:
+    """The manifest of sweep or optimistic: the run's record, and the slope
+    fit of its cells, each value null where there is none (NaN)."""
+    write_manifest(
+        out / "manifest.json", command, sweep_cfg, started,
+        workers=report.workers, population_sample=report.population_sample,
+        phase_seconds=report.phase_seconds,
+        slope_fit={k: v if np.isfinite(v) else None for k, v in asdict(report.fit).items()},
+    )
+
+
 def _cmd_sweep(cfg, args) -> int:
     started = time.time()
     sweep_cfg = _sweep_config(cfg, args, "sweep")
     out = _outdir(args)
     report = run_rate_sweep(sweep_cfg)
-    write_sweep_rows_csv(report, out / "sweep_rows.csv")
-    write_sweep_summary_csv(report, out / "sweep_summary.csv")
-    write_manifest(
-        out / "manifest.json", "sweep", sweep_cfg, started,
-        workers=report.workers, population_sample=report.population_sample,
-        phase_seconds=report.phase_seconds,
-    )
+    algorithm = {"algorithm": report.algorithm}
+    write_records(out / "sweep_rows.csv", SweepRow, report.rows, lead=algorithm)
+    write_records(out / "sweep_summary.csv", SweepCell, report.cells, trail=asdict(report.fit))
+    _write_sweep_manifest(out, "sweep", sweep_cfg, started, report)
     print(
-        f"wrote {out / 'sweep_rows.csv'}; slope={report.slope:.4f} "
-        f"(stderr {report.slope_stderr:.4f}, r^2 {report.r_squared:.4f})"
+        f"wrote {out / 'sweep_rows.csv'}; slope={report.fit.slope:.4f} "
+        f"(stderr {report.fit.slope_stderr:.4f}, r^2 {report.fit.r_squared:.4f})"
     )
     return EXIT_OK
 
@@ -380,7 +387,7 @@ def _cmd_excess(cfg, args) -> int:
     sweep_cfg = _sweep_config(cfg, args, "excess")
     out = _outdir(args)
     report = run_excess_risk_experiment(sweep_cfg)
-    write_excess_csv(report, out / "excess.csv")
+    write_records(out / "excess.csv", ExcessRow, report.rows, lead={"algorithm": report.algorithm})
     write_manifest(out / "manifest.json", "excess", sweep_cfg, started)
     print(f"wrote {out / 'excess.csv'} ({len(report.rows)} rows)")
     return EXIT_OK
@@ -391,21 +398,14 @@ def _cmd_optimistic(cfg, args) -> int:
     sweep_cfg = _sweep_config(cfg, args, "optimistic")
     out = _outdir(args)
     report = run_optimistic_experiment(sweep_cfg)
-    write_optimistic_cells_csv(report, out / "optimistic_cells.csv")
-    write_optimistic_rows_csv(report, out / "optimistic_rows.csv")
-    # the log-log fit of the cells' mean gaps; null where there is none (NaN)
-    fit = {
-        name: getattr(report, name)
-        for name in ("slope", "slope_stderr", "intercept", "r_squared")
-    }
-    write_manifest(
-        out / "manifest.json", "optimistic", sweep_cfg, started,
-        workers=report.workers, population_sample=report.population_sample,
-        phase_seconds=report.phase_seconds,
-        slope_fit={name: v if np.isfinite(v) else None for name, v in fit.items()},
+    write_records(
+        out / "optimistic_cells.csv", OptimisticCell, report.cells, trail=asdict(report.fit)
     )
+    algorithm = {"algorithm": sweep_cfg.algorithm}
+    write_records(out / "optimistic_rows.csv", SweepRow, report.trial_rows, lead=algorithm)
+    _write_sweep_manifest(out, "optimistic", sweep_cfg, started, report)
     print(
-        f"wrote {out / 'optimistic_cells.csv'}; slope={report.slope:.4f}, "
+        f"wrote {out / 'optimistic_cells.csv'}; slope={report.fit.slope:.4f}, "
         f"dominated in {sum(c.dominated for c in report.cells)}/{len(report.cells)} cells"
     )
     if not report.all_dominated:
@@ -516,10 +516,13 @@ def _suite_expansiveness(rng, probes):
 def _cmd_check(cfg, args) -> int:
     cfg.reject_unread("check")
     started = time.time()
-    out = _outdir(args)
-    rng = np.random.default_rng(np.random.SeedSequence(int(args.seed)))
     grad_probes = args.grad_probes
     probes = args.probes
+    for flag, count in (("--probes", probes), ("--grad-probes", grad_probes)):
+        if count < 0:
+            raise ValidationError(f"{flag} must be >= 0, got {count}")
+    out = _outdir(args)
+    rng = np.random.default_rng(np.random.SeedSequence(int(args.seed)))
     grad_viol, grad_worst = _suite_gradient(rng, grad_probes)
     lip_viol, smooth_viol, convex_viol = _suite_regularity(rng, probes)
     expan_viol = _suite_expansiveness(rng, probes)
@@ -578,11 +581,13 @@ _BOUNDS = {
 
 
 def _cmd_bounds(cfg, args) -> int:
-    bound, flags = _BOUNDS[args.which]
-    values = {flag: getattr(args, flag.replace("-", "_")) for flag in flags.split()}
+    which = cfg.get("bounds", "which")  # a lookup, like the flags, so reject_unread passes it
+    bound, flags = _BOUNDS[which]
+    values = {flag: cfg.get("bounds", flag.replace("-", "_").lower()) for flag in flags.split()}
     missing = ["--" + f for f, v in values.items() if v is None and f != "epsilon"]
     if missing:
-        raise ValidationError(f"bound '{args.which}' needs flags: " + ", ".join(missing))
+        raise ValidationError(f"bound '{which}' needs flags: " + ", ".join(missing))
+    cfg.reject_unread(f"bounds {which}")
     print(repr(float(bound(*values.values()))))
     return EXIT_OK
 

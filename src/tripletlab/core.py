@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -206,6 +208,8 @@ def _cell(value):
         return repr(float(value))
     if isinstance(value, (bool, np.bool_)):
         return int(value)
+    if isinstance(value, Enum):
+        return value.value
     return value
 
 
@@ -213,12 +217,46 @@ def write_csv(path, header, rows) -> None:
     """Write `rows` under `header` (None writes no header row) in the one cell
     format of every CSV the package writes: a float, numpy's included, as
     repr(float(v)), so it reads back bit for bit; a bool, numpy's included,
-    as 0 or 1; None as an empty cell; anything else as csv writes it."""
+    as 0 or 1; an Enum as its value; None as an empty cell; anything else as
+    csv writes it."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         if header is not None:
             writer.writerow(header)
         writer.writerows([_cell(v) for v in row] for row in rows)
+
+
+def _columns(record_type) -> list:
+    """(name, attribute path) of each column of a dataclass record type: its
+    fields in order, but those whose metadata sets column=False, a nested
+    dataclass field as its own columns named <field>_<subfield>; then the
+    properties the type lists in derived_columns."""
+    hints = typing.get_type_hints(record_type)
+    columns = []
+    for f in fields(record_type):
+        hint = hints[f.name]
+        if not f.metadata.get("column", True):
+            continue
+        if is_dataclass(hint):
+            columns += [(f"{f.name}_{name}", f"{f.name}.{path}") for name, path in _columns(hint)]
+        else:
+            columns.append((f.name, f.name))
+    return columns + [(name, name) for name in getattr(record_type, "derived_columns", ())]
+
+
+def write_records(path, record_type, records, lead=None, trail=None) -> None:
+    """Write one row per record, each an instance of the dataclass
+    record_type, through write_csv: the keys of the mapping `lead`, then the
+    columns of record_type (_columns), then the keys of `trail`; lead and
+    trail hold values that every row shares, such as a sweep's algorithm."""
+    lead, trail = dict(lead or {}), dict(trail or {})
+    names, paths = zip(*_columns(record_type))
+    getters = [attrgetter(path) for path in paths]
+    write_csv(
+        path,
+        [*lead, *names, *trail],
+        ([*lead.values(), *(get(r) for get in getters), *trail.values()] for r in records),
+    )
 
 
 def write_dataset_csv(dataset: TripletDataset, path) -> None:

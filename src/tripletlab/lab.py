@@ -1,5 +1,6 @@
 """Experiment runners: learning-curve sweeps, the excess-risk decomposition,
-and the optimistic (low-noise) regime, with CSV/JSON persistence.
+and the optimistic (low-noise) regime, whose reports hold their tables as
+dataclass records (core.write_records writes them), and JSON run manifests.
 
 Every runner derives all cell-level seeds from one root seed through numpy
 SeedSequence spawning, in a fixed loop order, so a rerun with the same config
@@ -26,23 +27,23 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.stats import linregress
 
 from . import parallel
-from .core import ValidationError, read_only_view, write_csv
+from .core import ValidationError, read_only_view
 from .loss import LossConfig, MetricParams, regularity_constants, triplet_losses_rowwise
 from .optim import RrmConfig, SgdConfig, rrm_train
 from .risk import (
-    DEFAULT_TRIPLET_BUDGET,
     SAMPLE_CHUNK,
     RiskEstimate,
     bernstein_ustat_bound,
     check_sample_size,
     draw_evaluation_sample,
     empirical_risk,
+    exact_budget,
     population_risk,
     sample_chunks,
     sample_risks,
@@ -80,6 +81,17 @@ def fit_loglog_slope(points):
         raise NonpositiveValue("log-log fit needs strictly positive n and values")
     res = linregress(np.log(ns), np.log(vals))
     return float(res.slope), float(res.intercept), float(res.stderr), float(res.rvalue**2)
+
+
+@dataclass(frozen=True)
+class SlopeFit:
+    """The log-log fit of a sweep's per-cell means against n; NaN throughout
+    where there is none."""
+
+    slope: float
+    slope_stderr: float
+    intercept: float
+    r_squared: float
 
 
 @dataclass(frozen=True)
@@ -136,16 +148,31 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One trial of a sweep run."""
+
     n: int
     trial: int
     task_seed: int
     algo_seed: int
     emp: RiskEstimate
     pop: RiskEstimate
+    derived_columns = ("gap", "abs_gap")
 
     @property
     def gap(self) -> float:
         return self.pop.value - self.emp.value
+
+    @property
+    def abs_gap(self) -> float:
+        return abs(self.gap)
+
+
+@dataclass(frozen=True)
+class SweepCell:
+    """One n of the rate sweep: the mean |gap| over its trials."""
+
+    n: int
+    mean_abs_gap: float
 
 
 @dataclass(frozen=True)
@@ -154,13 +181,14 @@ class SweepReport:
     rows: tuple
     n_grid: tuple
     mean_abs_gap: tuple
-    slope: float
-    intercept: float
-    slope_stderr: float
-    r_squared: float
+    fit: SlopeFit
     workers: int = field(default=1, repr=False, compare=False)
     population_sample: dict | None = field(default=None, compare=False)
     phase_seconds: dict | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def cells(self) -> tuple:
+        return tuple(map(SweepCell, self.n_grid, self.mean_abs_gap))
 
 
 def _cell_seeds(root: np.random.SeedSequence):
@@ -172,19 +200,19 @@ def _cell_seeds(root: np.random.SeedSequence):
 
 
 def _exact_budget(n: int) -> int:
-    """The triplet budget that keeps the risks and solves of an n-by-n task
-    exact: all n (n - 1) n triplets, and never less than the default."""
-    return max(DEFAULT_TRIPLET_BUDGET, n * (n - 1) * n)
+    """The exact_budget of an n-by-n task."""
+    return exact_budget(n, n)
 
 
-def _positive_slope(ns, values):
-    """fit_loglog_slope over the cells whose value is positive, or four NaNs
-    when fewer than 3 are: a zero mean (the zero trainer's) or a negative one
+def _positive_slope(ns, values) -> SlopeFit:
+    """fit_loglog_slope over the cells whose value is positive, or NaNs when
+    fewer than 3 are: a zero mean (the zero trainer's) or a negative one
     (Monte Carlo noise on a near-zero gap) cannot enter a log-log fit."""
     points = [(n, v) for n, v in zip(ns, values) if v > 0]
     if len(points) < 3:
-        return (float("nan"),) * 4
-    return fit_loglog_slope(points)
+        return SlopeFit(*(float("nan"),) * 4)
+    slope, intercept, stderr, r_squared = fit_loglog_slope(points)
+    return SlopeFit(slope, stderr, intercept, r_squared)
 
 
 def _population_sample(cfg: SweepConfig, trials: int):
@@ -314,57 +342,13 @@ def run_rate_sweep(cfg: SweepConfig) -> SweepReport:
     mean_abs = tuple(
         float(np.mean([abs(row.gap) for row in rows if row.n == n])) for n in cfg.n_grid
     )
-    slope, intercept, stderr, r2 = _positive_slope(cfg.n_grid, mean_abs)
     return SweepReport(
         algorithm=cfg.algorithm,
         rows=rows,
         n_grid=cfg.n_grid,
         mean_abs_gap=mean_abs,
-        slope=slope,
-        intercept=intercept,
-        slope_stderr=stderr,
-        r_squared=r2,
+        fit=_positive_slope(cfg.n_grid, mean_abs),
         **run,
-    )
-
-
-def write_sweep_rows_csv(report: SweepReport, path) -> None:
-    header = [
-        "algorithm",
-        "n",
-        "trial",
-        "task_seed",
-        "algo_seed",
-        "emp_mode",
-        "emp_value",
-        "emp_std_error",
-        "emp_n_terms",
-        "pop_mode",
-        "pop_value",
-        "pop_std_error",
-        "pop_n_terms",
-        "gap",
-        "abs_gap",
-    ]
-    write_csv(
-        path,
-        header,
-        (
-            [report.algorithm, r.n, r.trial, r.task_seed, r.algo_seed]
-            + [r.emp.mode.value, r.emp.value, r.emp.std_error, r.emp.n_terms]
-            + [r.pop.mode.value, r.pop.value, r.pop.std_error, r.pop.n_terms]
-            + [r.gap, abs(r.gap)]
-            for r in report.rows
-        ),
-    )
-
-
-def write_sweep_summary_csv(report: SweepReport, path) -> None:
-    fit = [report.slope, report.slope_stderr, report.intercept, report.r_squared]
-    write_csv(
-        path,
-        ["n", "mean_abs_gap", "slope", "slope_stderr", "intercept", "r_squared"],
-        ([n, g] + fit for n, g in zip(report.n_grid, report.mean_abs_gap)),
     )
 
 
@@ -461,21 +445,13 @@ def run_excess_risk_experiment(cfg: SweepConfig) -> ExcessReport:
     return ExcessReport(algorithm=cfg.algorithm, rows=tuple(rows))
 
 
-def write_excess_csv(report: ExcessReport, path) -> None:
-    columns = [f.name for f in fields(ExcessRow)]
-    write_csv(
-        path,
-        ["algorithm"] + columns,
-        ([report.algorithm] + [getattr(r, c) for c in columns] for r in report.rows),
-    )
-
-
 @dataclass(frozen=True)
 class OptimisticCell:
     n: int
     sigma: float
     lam: float
     epsilon: float
+    alpha: float
     mean_gap: float
     mean_emp: float
     bound: float
@@ -486,16 +462,19 @@ class OptimisticCell:
 @dataclass(frozen=True)
 class OptimisticReport:
     cells: tuple
-    rows: tuple  # (n, trial, task_seed, emp, pop, gap)
-    pop_std_errors: tuple  # the standard error of each row's pop
+    trial_rows: tuple  # a SweepRow per trial
     alpha: float
-    slope: float
-    intercept: float
-    slope_stderr: float
-    r_squared: float
+    fit: SlopeFit
     workers: int = field(default=1, repr=False, compare=False)
     population_sample: dict | None = field(default=None, compare=False)
     phase_seconds: dict | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def rows(self) -> tuple:
+        """(n, trial, task_seed, emp value, pop value, gap) of each trial."""
+        return tuple(
+            (r.n, r.trial, r.task_seed, r.emp.value, r.pop.value, r.gap) for r in self.trial_rows
+        )
 
     @property
     def all_dominated(self) -> bool:
@@ -554,6 +533,7 @@ def run_optimistic_experiment(cfg: SweepConfig) -> OptimisticReport:
                 sigma=float(sigma),
                 lam=float(sigma / 2.0),
                 epsilon=float(epsilon),
+                alpha=alpha,
                 mean_gap=mean_gap,
                 mean_emp=mean_emp,
                 bound=float(bound),
@@ -561,56 +541,12 @@ def run_optimistic_experiment(cfg: SweepConfig) -> OptimisticReport:
                 trials=cfg.trials_per_n,
             )
         )
-    slope, intercept, stderr, r2 = _positive_slope(cfg.n_grid, [c.mean_gap for c in cells])
     return OptimisticReport(
         cells=tuple(cells),
-        rows=tuple(
-            (row.n, row.trial, row.task_seed, row.emp.value, row.pop.value, row.gap)
-            for row in trials
-        ),
-        pop_std_errors=tuple(row.pop.std_error for row in trials),
+        trial_rows=trials,
         alpha=alpha,
-        slope=slope,
-        intercept=intercept,
-        slope_stderr=stderr,
-        r_squared=r2,
+        fit=_positive_slope(cfg.n_grid, [c.mean_gap for c in cells]),
         **run,
-    )
-
-
-def write_optimistic_cells_csv(report: OptimisticReport, path) -> None:
-    header = [
-        "n",
-        "sigma",
-        "lam",
-        "epsilon",
-        "alpha",
-        "mean_gap",
-        "mean_emp",
-        "bound",
-        "dominated",
-        "trials",
-    ]
-    write_csv(
-        path,
-        header,
-        (
-            [c.n, c.sigma, c.lam, c.epsilon, report.alpha]
-            + [c.mean_gap, c.mean_emp, c.bound, c.dominated, c.trials]
-            for c in report.cells
-        ),
-    )
-
-
-def write_optimistic_rows_csv(report: OptimisticReport, path) -> None:
-    header = ["n", "trial", "task_seed", "emp_value", "pop_value", "pop_std_error", "gap"]
-    write_csv(
-        path,
-        header,
-        (
-            [*row[:5], std_error, row[5]]
-            for row, std_error in zip(report.rows, report.pop_std_errors, strict=True)
-        ),
     )
 
 

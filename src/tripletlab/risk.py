@@ -68,10 +68,10 @@ class RiskMode(Enum):
 
 @dataclass(frozen=True)
 class RiskEstimate:
+    mode: RiskMode
     value: float
     std_error: float
     n_terms: int
-    mode: RiskMode
 
     def __post_init__(self):
         if not self.std_error >= 0:  # NaN too
@@ -226,6 +226,13 @@ def swept_mean_loss(w_arr: np.ndarray, X: np.ndarray, Y: np.ndarray, zeta: float
     return _mean_loss(w_arr, X, Y, zeta, series=False)
 
 
+def exact_budget(n_plus: int, n_minus: int) -> int:
+    """The triplet budget that keeps the risks and solves of a training set
+    with these pool sizes exact: all n+ (n+ - 1) n- triplets, and never less
+    than the default."""
+    return max(DEFAULT_TRIPLET_BUDGET, n_plus * (n_plus - 1) * n_minus)
+
+
 def sample_triplet_indices(rng: np.random.Generator, n_plus: int, n_minus: int, m: int):
     """m i.i.d. uniform draws from {(i, j, k): i != j}; j is redrawn on collision."""
     i = rng.integers(0, n_plus, size=m)
@@ -263,7 +270,7 @@ def empirical_risk(
     n_total = dataset.n_triplets
     if n_total <= budget:
         value = exact_mean_loss(w.w, X, Y, cfg.zeta)
-        return RiskEstimate(value, 0.0, n_total, RiskMode.EXACT_U_STATISTIC)
+        return RiskEstimate(RiskMode.EXACT_U_STATISTIC, value, 0.0, n_total)
     if budget < 2:
         raise ValidationError(
             f"a sampled empirical risk needs budget >= 2 triplets for its std_error, got {budget}"
@@ -272,7 +279,7 @@ def empirical_risk(
     i, j, k = sample_triplet_indices(gen, dataset.n_plus, dataset.n_minus, budget)
     vals = triplet_losses_rowwise(w.w, X[i], X[j], Y[k], cfg.zeta)
     std_error = float(vals.std(ddof=1)) / math.sqrt(budget)
-    return RiskEstimate(float(vals.mean()), std_error, budget, RiskMode.SAMPLED_TRIPLETS)
+    return RiskEstimate(RiskMode.SAMPLED_TRIPLETS, float(vals.mean()), std_error, budget)
 
 
 def physical_memory() -> int:
@@ -280,15 +287,16 @@ def physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def check_sample_size(m: int, d: int) -> None:
-    """Raise SampleTooLarge if an evaluation sample of m triplets at dimension
-    d, 2 m d doubles (draw_evaluation_sample), is larger than physical memory."""
-    need = 2 * m * d * 8
+def check_sample_size(m: int, d: int, arrays: int = 2, kind: str = "population sample") -> None:
+    """Raise SampleTooLarge if a sample of m triplets at dimension d held in
+    `arrays` m-by-d arrays of doubles is larger than physical memory: 2 for
+    an evaluation sample (draw_evaluation_sample), 3 for a probe set."""
+    need = arrays * m * d * 8
     have = physical_memory()
     if need > have:
         raise SampleTooLarge(
-            f"a population sample of m = {m} triplets at d = {d} needs {need} bytes "
-            f"(2*m*d*8), more than the {have} bytes of physical memory"
+            f"a {kind} of m = {m} triplets at d = {d} needs {need} bytes "
+            f"({arrays}*m*d*8), more than the {have} bytes of physical memory"
         )
 
 
@@ -378,11 +386,11 @@ def _combined_estimate(parts: list, m: int) -> RiskEstimate:
     low = min(part[3] for part in parts)
     if low == max(part[4] for part in parts):
         # constant integrand: the mean is the common value, with no noise
-        return RiskEstimate(low, 0.0, m, RiskMode.MONTE_CARLO_POPULATION)
+        return RiskEstimate(RiskMode.MONTE_CARLO_POPULATION, low, 0.0, m)
     mean = math.fsum(part[0] for part in parts) / m
     squares = math.fsum(ssd + n * (total / n - mean) ** 2 for total, ssd, n, _, _ in parts)
     std_error = math.sqrt(squares / (m - 1)) / math.sqrt(m)
-    return RiskEstimate(mean, std_error, m, RiskMode.MONTE_CARLO_POPULATION)
+    return RiskEstimate(RiskMode.MONTE_CARLO_POPULATION, mean, std_error, m)
 
 
 def sample_risk(w: MetricParams, sample: np.ndarray, cfg: LossConfig) -> RiskEstimate:

@@ -21,11 +21,11 @@ regardless of the start, so the probe is unaffected beyond tol/(2 lam).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Pool, SlotRef, TripletDataset, ValidationError, replace_samples, write_csv
+from .core import Pool, SlotRef, TripletDataset, ValidationError, replace_samples
 from .loss import (
     LossConfig,
     MetricParams,
@@ -35,7 +35,7 @@ from .loss import (
     triplet_losses_rowwise,
 )
 from .optim import RrmConfig, SgdConfig, TrainTrace, rrm_train, sgd_train
-from .risk import InvalidCounts, InvalidDelta, sample_triplet_indices
+from .risk import InvalidCounts, InvalidDelta, check_sample_size, sample_triplet_indices
 from .synth import TripletSampler
 
 
@@ -111,6 +111,10 @@ class RrmTrainer:
 
 @dataclass(frozen=True)
 class StabilityReport:
+    """One run of a stability protocol. As a CSV record (core.write_records)
+    it leaves out the per-trial tuples; signed_mean and std_error are empty
+    for the uniform protocol, which takes no signed estimate."""
+
     protocol: str
     trainer_kind: str
     n_plus: int
@@ -124,8 +128,8 @@ class StabilityReport:
     seed: int | None = None
     signed_mean: float | None = None
     std_error: float | None = None
-    per_trial_gamma: tuple = ()
-    per_trial_bound: tuple | None = None
+    per_trial_gamma: tuple = field(default=(), metadata={"column": False})
+    per_trial_bound: tuple | None = field(default=None, metadata={"column": False})
 
     def __post_init__(self):
         if self.gamma_hat < 0:
@@ -193,9 +197,12 @@ def estimate_uniform_stability(
     one uniformly chosen slot with a fresh sample, trains on both sets, and
     takes the probe max. The per-trial closed-form bound (when the trainer has
     one) is recorded alongside, so domination can be checked trial by trial.
+    A probe set larger than physical memory, three probe_size-by-d arrays of
+    doubles, is refused before the first fit (risk.check_sample_size).
     """
     if trials < 1 or probe_size < 1:
         raise ValidationError("trials and probe_size must both be >= 1")
+    check_sample_size(probe_size, sampler.d, arrays=3, kind="probe set")
     L = 8.0 * sampler.B**2
     per_gamma = []
     per_bound = []
@@ -437,10 +444,3 @@ def optimistic_gap_bound(
     )
     return coefficient * empirical_risk_mean
 
-
-def write_stability_csv(reports, path) -> None:
-    """One row per report, a column for each field but the per-trial tuples;
-    signed_mean and std_error are empty for the uniform protocol, which takes
-    no signed estimate."""
-    columns = [f.name for f in fields(StabilityReport) if not f.name.startswith("per_trial")]
-    write_csv(path, columns, ([getattr(rep, c) for c in columns] for rep in reports))

@@ -312,12 +312,13 @@ def test_criterion_10_sgd_rate_exponent():
     started = time.time()
     report = run_rate_sweep(SGD_SWEEP)
     took, in_time = elapsed_ok(started, 1200.0)
-    in_band = -0.9 <= report.slope <= -0.25
+    fit = report.fit
+    in_band = -0.9 <= fit.slope <= -0.25
     ok = in_band and in_time
     report_line(10, "sgd rate exponent", ok,
-                f"slope {report.slope:.4f} (stderr {report.slope_stderr:.4f}, "
-                f"r^2 {report.r_squared:.3f}), band [-0.9, -0.25], {took:.1f}s")
-    assert in_band, f"slope {report.slope:.4f} outside [-0.9, -0.25]"
+                f"slope {fit.slope:.4f} (stderr {fit.slope_stderr:.4f}, "
+                f"r^2 {fit.r_squared:.3f}), band [-0.9, -0.25], {took:.1f}s")
+    assert in_band, f"slope {fit.slope:.4f} outside [-0.9, -0.25]"
     assert in_time, f"took {took:.1f}s, budget 1200s"
 
 
@@ -356,8 +357,8 @@ def test_criterion_11_optimistic_regime():
     report_line(11, "optimistic regime", ok,
                 f"dominated {n_dom}/{len(report.cells)} cells, bound slope "
                 f"{bound_slope:.4f} (stderr {bound_stderr:.4f}) vs -0.7, "
-                f"bounds [{bounds}], gap slope {report.slope:.4f} "
-                f"(stderr {report.slope_stderr:.4f}), gaps [{gaps}], {took:.1f}s")
+                f"bounds [{bounds}], gap slope {report.fit.slope:.4f} "
+                f"(stderr {report.fit.slope_stderr:.4f}), gaps [{gaps}], {took:.1f}s")
     assert dominated, "a cell's mean gap exceeded its bound"
     assert in_time, f"took {took:.1f}s, budget 1200s"
     assert slope_ok, (

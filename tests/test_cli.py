@@ -5,7 +5,7 @@ Everything goes through main(argv) with tmp_path outdirs; no subprocesses.
 import csv
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -421,9 +421,9 @@ def test_optimistic_manifest_records_the_slope_fit(tmp_path, monkeypatch):
     with open(out / "optimistic_cells.csv", newline="") as fh:
         cells = list(csv.DictReader(fh))
     ns = [int(c["n"]) for c in cells]
-    want = lab._positive_slope(ns, [float(c["mean_gap"]) for c in cells])
-    assert [fit[name] for name in ("slope", "intercept", "slope_stderr", "r_squared")] == list(want)
-    assert all(math.isfinite(v) for v in want)
+    want = asdict(lab._positive_slope(ns, [float(c["mean_gap"]) for c in cells]))
+    assert fit == want
+    assert all(math.isfinite(v) for v in want.values())
     # a population risk of 0 makes every gap negative: no fit, recorded as null
     def zero_risks(ws, sample, cfg):
         pops, workers = sample_risks(ws, sample, cfg)
@@ -434,6 +434,22 @@ def test_optimistic_manifest_records_the_slope_fit(tmp_path, monkeypatch):
     assert main(["optimistic", "--seed", "3", "--outdir", str(out)] + grid) == EXIT_OK
     fit = json.loads((out / "manifest.json").read_text())["slope_fit"]
     assert fit == dict.fromkeys(["slope", "slope_stderr", "intercept", "r_squared"])
+
+
+def test_sweep_and_optimistic_tables_share_their_row_and_fit_columns(tmp_path):
+    grid = ["--n-grid", "4 6 8", "--trials-per-n", "2", "--population-m", "2000", "--d", "2"]
+    for command in ("sweep", "optimistic"):
+        out = tmp_path / command
+        assert main([command, "--seed", "3", "--outdir", str(out)] + grid) == EXIT_OK
+    rows = read_rows(tmp_path / "optimistic" / "optimistic_rows.csv")
+    assert rows[0] == read_rows(tmp_path / "sweep" / "sweep_rows.csv")[0]
+    assert {row[0] for row in rows[1:]} == {"rrm"}
+    fit = ["slope", "slope_stderr", "intercept", "r_squared"]
+    for table in ("sweep/sweep_summary.csv", "optimistic/optimistic_cells.csv"):
+        assert read_rows(tmp_path / table)[0][-4:] == fit
+    for command in ("sweep", "optimistic"):
+        manifest = json.loads((tmp_path / command / "manifest.json").read_text())
+        assert list(manifest["slope_fit"]) == sorted(fit)  # written with sorted keys
 
 
 @pytest.mark.parametrize("command", ["sweep", "optimistic", "excess"])
@@ -458,6 +474,26 @@ def test_an_rrm_solve_whose_features_exceed_memory_exits_2(tmp_path, capsys, mon
     assert f"n+ = 4, n- = 3, d = 2 needs {need} bytes" in err
     assert f"more than the {need - 1} bytes of physical memory" in err
     assert not (tmp_path / "model.csv").exists()
+
+
+def test_a_probe_set_larger_than_memory_exits_2(tmp_path, capsys):
+    m = 100_000_000_000  # 3 m d 8 bytes = 7.2 TB at d = 3: refused, never allocated
+    rc = main(
+        ["stability", "--seed", "3", "--outdir", str(tmp_path), "--trainer", "constant",
+         "--trials", "1", "--probe-size", str(m), "--d", "3"]
+    )
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"a probe set of m = {m} triplets at d = 3 needs {3 * m * 3 * 8} bytes" in err
+    assert not (tmp_path / "stability.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--probes", "--grad-probes"])
+def test_check_refuses_a_negative_probe_count(tmp_path, capsys, flag):
+    out = tmp_path / "out"
+    assert main(["check", "--seed", "0", "--outdir", str(out), flag, "-5"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {flag} must be >= 0, got -5\n"
+    assert not out.exists()
 
 
 def test_check_small_probe_budget_passes(tmp_path, capsys):
@@ -537,6 +573,20 @@ def test_bounds_missing_flags_exit_2(capsys, which):
     assert main(["bounds", which]) == EXIT_CONFIG
     missing = MISSING_BOUND_FLAGS[which]
     assert capsys.readouterr().err == f"error: bound '{which}' needs flags: {missing}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (BOUND_CASES[4][0] + ["--sigma", "3", "--epsilon", "2"], "--sigma, --epsilon"),
+        (BOUND_CASES[1][0] + ["--T", "10"], "--T"),
+    ],
+    ids=["chernoff-hits", "rrm-stability"],
+)
+def test_bounds_refuses_a_flag_the_bound_does_not_take(capsys, argv, flags):
+    assert main(["bounds"] + argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: flags that `bounds {argv[0]}` does not read: {flags}\n"
 
 
 def test_bounds_sgd_stability_matches_library(tmp_path, capsys):

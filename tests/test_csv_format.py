@@ -1,4 +1,4 @@
-"""Every public CSV writer, byte for byte, on reports built by hand.
+"""Every CSV table the package writes, byte for byte, on reports built by hand.
 
 The cell format is part of the output contract: a float is written as
 repr(float(v)), so it reads back bit for bit (numpy scalars included, whose
@@ -7,26 +7,25 @@ seed is written as its full decimal integer. The reports below are fixed
 values, not computed ones, so numeric changes elsewhere leave this file
 alone; only a change of the format itself breaks it.
 """
+from dataclasses import asdict, dataclass, field
+
 import numpy as np
 
-from tripletlab.core import Pool, SlotRef, TripletDataset, write_dataset_csv
+from tripletlab.core import Pool, SlotRef, TripletDataset, write_dataset_csv, write_records
 from tripletlab.lab import (
     ExcessReport,
     ExcessRow,
     OptimisticCell,
     OptimisticReport,
+    SlopeFit,
+    SweepCell,
     SweepReport,
     SweepRow,
-    write_excess_csv,
-    write_optimistic_cells_csv,
-    write_optimistic_rows_csv,
-    write_sweep_rows_csv,
-    write_sweep_summary_csv,
 )
 from tripletlab.loss import MetricParams, write_metric_csv
 from tripletlab.optim import TrainTrace, write_trace_csv
 from tripletlab.risk import RiskEstimate, RiskMode
-from tripletlab.stability import StabilityReport, write_stability_csv
+from tripletlab.stability import StabilityReport
 
 BIG_SEED = 2**63 + 5  # does not fit an int64
 
@@ -130,7 +129,7 @@ def test_stability_csv_format(tmp_path):
         ),
     ]
     path = tmp_path / "stability.csv"
-    write_stability_csv(reports, path)
+    write_records(path, StabilityReport, reports)
     assert path.read_bytes() == csv_bytes(
         "protocol,trainer_kind,n_plus,n_minus,sigma_or_T,gamma_hat,gamma_bound,M_hat,"
         "trials,probe_size,seed,signed_mean,std_error",
@@ -150,16 +149,16 @@ def sweep_report():
             trial=0,
             task_seed=BIG_SEED,
             algo_seed=np.uint64(2**64 - 1),
-            emp=RiskEstimate(0.5, 0.0, 48, exact),
-            pop=RiskEstimate(np.float64(0.25), 5e-324, 1000, sampled),
+            emp=RiskEstimate(exact, 0.5, 0.0, 48),
+            pop=RiskEstimate(sampled, np.float64(0.25), 5e-324, 1000),
         ),
         SweepRow(
             n=6,
             trial=np.int64(1),
             task_seed=0,
             algo_seed=7,
-            emp=RiskEstimate(np.float64(0.1), 0.0, np.int64(180), exact),
-            pop=RiskEstimate(0.1, 1 / 3, 1000, sampled),
+            emp=RiskEstimate(exact, np.float64(0.1), 0.0, np.int64(180)),
+            pop=RiskEstimate(sampled, 0.1, 1 / 3, 1000),
         ),
     )
     return SweepReport(
@@ -167,16 +166,16 @@ def sweep_report():
         rows=rows,
         n_grid=(4, np.int64(6), 8),
         mean_abs_gap=(0.25, np.float64(0.0), 1 / 3),
-        slope=np.float64(-0.5),
-        intercept=1 / 3,
-        slope_stderr=5e-324,
-        r_squared=float("nan"),
+        fit=SlopeFit(
+            slope=np.float64(-0.5), slope_stderr=5e-324, intercept=1 / 3, r_squared=float("nan")
+        ),
     )
 
 
 def test_sweep_rows_csv_format(tmp_path):
     path = tmp_path / "sweep_rows.csv"
-    write_sweep_rows_csv(sweep_report(), path)
+    report = sweep_report()
+    write_records(path, SweepRow, report.rows, lead={"algorithm": report.algorithm})
     assert path.read_bytes() == csv_bytes(
         "algorithm,n,trial,task_seed,algo_seed,emp_mode,emp_value,emp_std_error,emp_n_terms,"
         "pop_mode,pop_value,pop_std_error,pop_n_terms,gap,abs_gap",
@@ -189,7 +188,8 @@ def test_sweep_rows_csv_format(tmp_path):
 
 def test_sweep_summary_csv_format(tmp_path):
     path = tmp_path / "sweep_summary.csv"
-    write_sweep_summary_csv(sweep_report(), path)
+    report = sweep_report()
+    write_records(path, SweepCell, report.cells, trail=asdict(report.fit))
     assert path.read_bytes() == csv_bytes(
         "n,mean_abs_gap,slope,slope_stderr,intercept,r_squared",
         "4,0.25,-0.5,5e-324,0.3333333333333333,nan",
@@ -215,7 +215,8 @@ def test_excess_csv_format(tmp_path):
         pop_proxy=1e300,
     )
     path = tmp_path / "excess.csv"
-    write_excess_csv(ExcessReport(algorithm="rrm", rows=(row,)), path)
+    report = ExcessReport(algorithm="rrm", rows=(row,))
+    write_records(path, ExcessRow, report.rows, lead={"algorithm": report.algorithm})
     assert path.read_bytes() == csv_bytes(
         "algorithm,n,trial,task_seed,algo_seed,estimation,optimization,deviation,total,"
         "bernstein_bound,emp_model,pop_model,emp_proxy,pop_proxy",
@@ -231,6 +232,7 @@ def optimistic_report():
             sigma=np.float64(0.5),
             lam=0.25,
             epsilon=1 / 3,
+            alpha=np.float64(64.0),
             mean_gap=-0.0,
             mean_emp=5e-324,
             bound=0.1,
@@ -242,6 +244,7 @@ def optimistic_report():
             sigma=0.25,
             lam=0.125,
             epsilon=np.float64(0.1),
+            alpha=64.0,
             mean_gap=0.5,
             mean_emp=0.0,
             bound=0.25,
@@ -249,37 +252,99 @@ def optimistic_report():
             trials=np.int64(3),
         ),
     )
-    rows = (
-        (8, 0, BIG_SEED, 0.1, np.float64(0.25), -0.0),
-        (np.int64(16), 2, np.uint64(11), 1 / 3, 5e-324, np.float64(-0.5)),
+    exact = RiskMode.EXACT_U_STATISTIC
+    sampled = RiskMode.MONTE_CARLO_POPULATION
+    trial_rows = (
+        SweepRow(
+            n=8,
+            trial=0,
+            task_seed=BIG_SEED,
+            algo_seed=3,
+            emp=RiskEstimate(exact, 0.1, 0.0, 448),
+            pop=RiskEstimate(sampled, np.float64(0.35), np.float64(0.01), 2000),
+        ),
+        SweepRow(
+            n=np.int64(16),
+            trial=2,
+            task_seed=np.uint64(11),
+            algo_seed=0,
+            emp=RiskEstimate(exact, 1 / 3, 0.0, 3840),
+            pop=RiskEstimate(sampled, 5e-324, 0.0, 2000),
+        ),
     )
     return OptimisticReport(
         cells=cells,
-        rows=rows,
-        pop_std_errors=(np.float64(0.01), 0.0),
+        trial_rows=trial_rows,
         alpha=np.float64(64.0),
-        slope=-1.0,
-        intercept=0.0,
-        slope_stderr=0.1,
-        r_squared=1.0,
+        fit=SlopeFit(slope=-1.0, slope_stderr=0.1, intercept=0.0, r_squared=1.0),
     )
 
 
 def test_optimistic_cells_csv_format(tmp_path):
     path = tmp_path / "optimistic_cells.csv"
-    write_optimistic_cells_csv(optimistic_report(), path)
+    report = optimistic_report()
+    write_records(path, OptimisticCell, report.cells, trail=asdict(report.fit))
     assert path.read_bytes() == csv_bytes(
-        "n,sigma,lam,epsilon,alpha,mean_gap,mean_emp,bound,dominated,trials",
-        "8,0.5,0.25,0.3333333333333333,64.0,-0.0,5e-324,0.1,1,3",
-        "16,0.25,0.125,0.1,64.0,0.5,0.0,0.25,0,3",
+        "n,sigma,lam,epsilon,alpha,mean_gap,mean_emp,bound,dominated,trials,"
+        "slope,slope_stderr,intercept,r_squared",
+        "8,0.5,0.25,0.3333333333333333,64.0,-0.0,5e-324,0.1,1,3,-1.0,0.1,0.0,1.0",
+        "16,0.25,0.125,0.1,64.0,0.5,0.0,0.25,0,3,-1.0,0.1,0.0,1.0",
     )
 
 
 def test_optimistic_rows_csv_format(tmp_path):
     path = tmp_path / "optimistic_rows.csv"
-    write_optimistic_rows_csv(optimistic_report(), path)
+    report = optimistic_report()
+    write_records(path, SweepRow, report.trial_rows, lead={"algorithm": "rrm"})
     assert path.read_bytes() == csv_bytes(
-        "n,trial,task_seed,emp_value,pop_value,pop_std_error,gap",
-        "8,0,9223372036854775813,0.1,0.25,0.01,-0.0",
-        "16,2,11,0.3333333333333333,5e-324,0.0,-0.5",
+        "algorithm,n,trial,task_seed,algo_seed,emp_mode,emp_value,emp_std_error,emp_n_terms,"
+        "pop_mode,pop_value,pop_std_error,pop_n_terms,gap,abs_gap",
+        "rrm,8,0,9223372036854775813,3,exact_u_statistic,0.1,0.0,448,"
+        "monte_carlo_population,0.35,0.01,2000,0.24999999999999997,0.24999999999999997",
+        "rrm,16,2,11,0,exact_u_statistic,0.3333333333333333,0.0,3840,"
+        "monte_carlo_population,5e-324,0.0,2000,-0.3333333333333333,0.3333333333333333",
     )
+    assert report.rows == (
+        (8, 0, BIG_SEED, 0.1, 0.35, 0.24999999999999997),
+        (16, 2, 11, 1 / 3, 5e-324, -1 / 3),
+    )
+
+
+@dataclass(frozen=True)
+class Inner:
+    mode: RiskMode
+    value: float
+
+
+@dataclass(frozen=True)
+class Record:
+    n: int
+    inner: Inner
+    trace: tuple = field(default=(), metadata={"column": False})
+    flag: bool = False
+    derived_columns = ("twice",)
+
+    @property
+    def twice(self) -> float:
+        return 2 * self.inner.value
+
+
+def test_record_writer_format(tmp_path):
+    # a nested record's fields as <field>_<subfield>, an Enum as its value, a
+    # field left out by its metadata, a listed property after the fields, and
+    # shared columns before and after a record's own
+    records = [
+        Record(np.int64(3), Inner(RiskMode.EXACT_U_STATISTIC, 1 / 3), (1, 2), np.bool_(True)),
+        Record(4, Inner(RiskMode.SAMPLED_TRIPLETS, np.float64(-0.0))),
+    ]
+    path = tmp_path / "records.csv"
+    write_records(path, Record, records, lead={"tag": "x", "seed": BIG_SEED},
+                  trail={"fit": 5e-324, "none": None})
+    assert path.read_bytes() == csv_bytes(
+        "tag,seed,n,inner_mode,inner_value,flag,twice,fit,none",
+        "x,9223372036854775813,3,exact_u_statistic,0.3333333333333333,1,0.6666666666666666,"
+        "5e-324,",
+        "x,9223372036854775813,4,sampled_triplets,-0.0,0,-0.0,5e-324,",
+    )
+    write_records(path, Record, [])
+    assert path.read_bytes() == csv_bytes("n,inner_mode,inner_value,flag,twice")

@@ -5,31 +5,30 @@ import math
 import sys
 import threading
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from tripletlab import cli, lab, parallel, risk, stability
-from tripletlab.core import ValidationError
+from tripletlab.core import ValidationError, write_records
 from tripletlab.lab import (
     ExcessReport,
+    ExcessRow,
     NonpositiveValue,
+    OptimisticCell,
     OptimisticReport,
+    SweepCell,
     SweepConfig,
     SweepReport,
+    SweepRow,
     TooFewPoints,
     fit_loglog_slope,
     package_version,
     run_excess_risk_experiment,
     run_optimistic_experiment,
     run_rate_sweep,
-    write_excess_csv,
     write_manifest,
-    write_optimistic_cells_csv,
-    write_optimistic_rows_csv,
-    write_sweep_rows_csv,
-    write_sweep_summary_csv,
 )
 from tripletlab.loss import LossConfig, regularity_constants
 from tripletlab.risk import draw_evaluation_sample, empirical_risk, sample_risk, sample_risks
@@ -112,7 +111,7 @@ def test_constant_sweep_has_zero_gaps():
         assert row.pop.value == pytest.approx(math.log(2.0), rel=1e-15)
     assert max(rep.mean_abs_gap) <= 1e-14
     if all(g == 0.0 for g in rep.mean_abs_gap):
-        assert math.isnan(rep.slope)
+        assert math.isnan(rep.fit.slope)
 
 
 def test_sgd_sweep_smoke():
@@ -257,15 +256,17 @@ def test_optimistic_slope_is_nan_when_fewer_than_3_cells_have_a_positive_gap(
     monkeypatch.setattr(lab, "sample_risks", zero_risks)
     rep = run_optimistic_experiment(optimistic_cfg())
     assert all(c.mean_gap < 0.0 for c in rep.cells)
-    assert all(math.isnan(v) for v in (rep.slope, rep.intercept, rep.slope_stderr, rep.r_squared))
+    fit = rep.fit
+    assert all(math.isnan(v) for v in (fit.slope, fit.intercept, fit.slope_stderr, fit.r_squared))
     # a negative mean gap still counts for domination
     assert rep.all_dominated
-    write_optimistic_cells_csv(rep, tmp_path / "cells.csv")
+    write_records(tmp_path / "cells.csv", OptimisticCell, rep.cells, trail=asdict(fit))
     with open(tmp_path / "cells.csv", newline="") as fh:
         cells = list(csv.DictReader(fh))
     assert [row["dominated"] for row in cells] == ["1"] * len(rep.cells)
     assert [float(row["mean_gap"]) for row in cells] == [c.mean_gap for c in rep.cells]
-    # the cells CSV has no slope column; the command prints the NaN slope
+    assert [row["slope"] for row in cells] == ["nan"] * len(rep.cells)
+    # the command prints the NaN slope
     argv = ["optimistic", "--seed", "17", "--outdir", str(tmp_path / "cli"), "--d", "2",
             "--n-grid", "4 6 8", "--trials-per-n", "2", "--population-m", "2000"]
     assert cli.main(argv) == cli.EXIT_OK
@@ -569,8 +570,8 @@ def test_write_sweep_csvs(tmp_path):
     rep = run_rate_sweep(cfg)
     rows_path = tmp_path / "rows.csv"
     summary_path = tmp_path / "summary.csv"
-    write_sweep_rows_csv(rep, rows_path)
-    write_sweep_summary_csv(rep, summary_path)
+    write_records(rows_path, SweepRow, rep.rows, lead={"algorithm": rep.algorithm})
+    write_records(summary_path, SweepCell, rep.cells, trail=asdict(rep.fit))
     with open(rows_path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0][:6] == ["algorithm", "n", "trial", "task_seed", "algo_seed", "emp_mode"]
@@ -590,7 +591,7 @@ def test_write_excess_csv(tmp_path):
     )
     rep = run_excess_risk_experiment(cfg)
     path = tmp_path / "excess.csv"
-    write_excess_csv(rep, path)
+    write_records(path, ExcessRow, rep.rows, lead={"algorithm": rep.algorithm})
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0][0] == "algorithm"
@@ -604,24 +605,24 @@ def test_write_optimistic_csvs(tmp_path):
     rep = run_optimistic_experiment(optimistic_cfg())
     cells_path = tmp_path / "cells.csv"
     rows_path = tmp_path / "rows.csv"
-    write_optimistic_cells_csv(rep, cells_path)
-    write_optimistic_rows_csv(rep, rows_path)
+    write_records(cells_path, OptimisticCell, rep.cells, trail=asdict(rep.fit))
+    write_records(rows_path, SweepRow, rep.trial_rows, lead={"algorithm": "rrm"})
     with open(cells_path, newline="") as fh:
         cells = list(csv.reader(fh))
     assert cells[0] == [
         "n", "sigma", "lam", "epsilon", "alpha",
         "mean_gap", "mean_emp", "bound", "dominated", "trials",
+        "slope", "slope_stderr", "intercept", "r_squared",
     ]
     assert len(cells) == 1 + len(rep.cells)
     assert float(cells[1][5]) == rep.cells[0].mean_gap
     assert cells[1][8] in ("0", "1")
     with open(rows_path, newline="") as fh:
-        rrows = list(csv.reader(fh))
-    assert rrows[0] == [
-        "n", "trial", "task_seed", "emp_value", "pop_value", "pop_std_error", "gap",
-    ]
-    assert len(rrows) == 1 + len(rep.rows)
-    assert float(rrows[1][5]) == rep.pop_std_errors[0] > 0.0
+        rrows = list(csv.DictReader(fh))
+    assert list(rrows[0])[:6] == ["algorithm", "n", "trial", "task_seed", "algo_seed", "emp_mode"]
+    assert len(rrows) == len(rep.rows)
+    assert float(rrows[0]["pop_std_error"]) == rep.trial_rows[0].pop.std_error > 0.0
+    assert [float(row["gap"]) for row in rrows] == [row[5] for row in rep.rows]
 
 
 def test_write_manifest(tmp_path):

@@ -134,16 +134,16 @@ def test_sample_triplet_indices_never_collides():
 
 def test_risk_estimate_invariants():
     with pytest.raises(ValueError):
-        RiskEstimate(0.5, -1.0, 10, RiskMode.SAMPLED_TRIPLETS)
+        RiskEstimate(RiskMode.SAMPLED_TRIPLETS, 0.5, -1.0, 10)
     with pytest.raises(ValueError):
-        RiskEstimate(0.5, 0.1, 10, RiskMode.EXACT_U_STATISTIC)
+        RiskEstimate(RiskMode.EXACT_U_STATISTIC, 0.5, 0.1, 10)
     with pytest.raises(ValueError):
-        RiskEstimate(0.5, 0.0, 0, RiskMode.EXACT_U_STATISTIC)
+        RiskEstimate(RiskMode.EXACT_U_STATISTIC, 0.5, 0.0, 0)
 
 
 def test_a_risk_estimate_refuses_a_nan_std_error():
     with pytest.raises(ValueError, match="std_error must be >= 0, got nan"):
-        RiskEstimate(0.5, float("nan"), 10, RiskMode.SAMPLED_TRIPLETS)
+        RiskEstimate(RiskMode.SAMPLED_TRIPLETS, 0.5, float("nan"), 10)
 
 
 def test_a_sampled_empirical_risk_refuses_a_budget_below_2():
@@ -207,10 +207,10 @@ def _population_risk_oracle(w, sampler, m, cfg):
         margins += cfg.zeta
         vals[rows] = margin_terms(margins)[0]
     if np.ptp(vals) == 0.0:
-        return RiskEstimate(float(vals[0]), 0.0, m, RiskMode.MONTE_CARLO_POPULATION)
+        return RiskEstimate(RiskMode.MONTE_CARLO_POPULATION, float(vals[0]), 0.0, m)
     if m <= risk.SAMPLE_CHUNK + 1:
         std_error = float(vals.std(ddof=1)) / math.sqrt(m)
-        return RiskEstimate(float(vals.mean()), std_error, m, RiskMode.MONTE_CARLO_POPULATION)
+        return RiskEstimate(RiskMode.MONTE_CARLO_POPULATION, float(vals.mean()), std_error, m)
     cuts = list(range(risk.SAMPLE_CHUNK, m, risk.SAMPLE_CHUNK))
     if m - cuts[-1] == 1:
         cuts.pop()
@@ -221,7 +221,7 @@ def _population_risk_oracle(w, sampler, m, cfg):
         for chunk in chunks
     )
     std_error = math.sqrt(squares / (m - 1)) / math.sqrt(m)
-    return RiskEstimate(mean, std_error, m, RiskMode.MONTE_CARLO_POPULATION)
+    return RiskEstimate(RiskMode.MONTE_CARLO_POPULATION, mean, std_error, m)
 
 
 @pytest.mark.parametrize("block", [None, 70])  # the default block, then blocks of 70 // d rows

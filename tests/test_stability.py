@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from tripletlab.core import Pool, SlotRef, ValidationError
+from tripletlab import risk
+from tripletlab.core import Pool, SlotRef, ValidationError, write_records
 from tripletlab.loss import LossConfig, MetricParams, logistic_triplet_loss
 from tripletlab.optim import RrmConfig, SgdConfig, TrainTrace
-from tripletlab.risk import InvalidCounts, InvalidDelta
+from tripletlab.risk import InvalidCounts, InvalidDelta, SampleTooLarge
 from tripletlab.stability import (
     ConstantTrainer,
     InvalidInputs,
@@ -25,7 +26,6 @@ from tripletlab.stability import (
     probe_max_loss_diff,
     rrm_stability_bound,
     sgd_stability_bound,
-    write_stability_csv,
 )
 from tripletlab.synth import TaskConfig, gen_task
 
@@ -185,6 +185,29 @@ def test_uniform_validation():
         estimate_uniform_stability(trainer, sampler, 5, 4, trials=2, probe_size=0, cfg=CFG)
 
 
+def test_a_probe_set_larger_than_physical_memory_is_refused_before_any_fit(monkeypatch):
+    _, sampler = small_task()
+    need = 3 * 20 * 3 * 8  # three probe_size-by-d arrays of doubles at d = 3
+    fits = []
+
+    class Recording(ConstantTrainer):
+        def fit(self, dataset, warm=None):
+            fits.append(dataset)
+            return super().fit(dataset, warm)
+
+    trainer = Recording(MetricParams.zeros(3))
+    monkeypatch.setattr(risk, "physical_memory", lambda: need - 1)
+    with pytest.raises(SampleTooLarge, match=(
+        f"a probe set of m = 20 triplets at d = 3 needs {need} bytes "
+        f"\\(3\\*m\\*d\\*8\\), more than the {need - 1} bytes"
+    )):
+        estimate_uniform_stability(trainer, sampler, 5, 4, trials=2, probe_size=20, cfg=CFG)
+    assert fits == []
+    monkeypatch.setattr(risk, "physical_memory", lambda: need)  # exactly at the limit
+    estimate_uniform_stability(trainer, sampler, 5, 4, trials=2, probe_size=20, cfg=CFG)
+    assert len(fits) == 4
+
+
 def test_uniform_deterministic_given_sampler_seed():
     trainer = RrmTrainer(RrmConfig(lam=1.0))
     reps = []
@@ -272,7 +295,7 @@ def test_write_stability_csv(tmp_path):
     const = ConstantTrainer(MetricParams.zeros(3))
     rep2 = estimate_uniform_stability(const, sampler, 5, 4, trials=1, probe_size=5, cfg=CFG)
     path = tmp_path / "stab.csv"
-    write_stability_csv([rep, rep2], path)
+    write_records(path, StabilityReport, [rep, rep2])
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == [
@@ -307,7 +330,7 @@ def test_write_stability_csv_keeps_the_signed_estimate(tmp_path):
     )
     assert rep.signed_mean != 0.0 and rep.std_error > 0.0
     path = tmp_path / "stab.csv"
-    write_stability_csv([rep], path)
+    write_records(path, StabilityReport, [rep])
     with open(path, newline="") as fh:
         record = dict(zip(*list(csv.reader(fh))))
     assert float(record["signed_mean"]) == rep.signed_mean
