@@ -35,7 +35,7 @@ from .core import (
     write_records,
 )
 from .lab import (
-    ExcessRow,
+    ExcessCell,
     OptimisticCell,
     SweepCell,
     SweepConfig,
@@ -64,7 +64,7 @@ from .optim import (
     sgd_train,
     write_trace_csv,
 )
-from .risk import bernstein_ustat_bound, empirical_risk, exact_budget
+from .risk import RiskEstimate, bernstein_ustat_bound, empirical_risk, exact_budget
 from .stability import (
     ConstantTrainer,
     RegimeViolation,
@@ -215,15 +215,6 @@ def _cmd_gen(cfg, args) -> int:
     return EXIT_OK
 
 
-def _write_metrics_csv(path, estimate, extra=()):
-    write_csv(
-        path,
-        ["mode", "value", "std_error", "n_terms"],
-        [[estimate.mode.value, estimate.value, estimate.std_error, estimate.n_terms]]
-        + [[key, value, "", ""] for key, value in extra],
-    )
-
-
 def _cmd_sgd(cfg, args) -> int:
     started = time.time()
     dataset, algo_seed = _load_or_generate_dataset(cfg, args)
@@ -241,7 +232,7 @@ def _cmd_sgd(cfg, args) -> int:
     write_metric_csv(w, out / "model.csv")
     write_trace_csv(trace, out / "trace.csv")
     est = empirical_risk(w, dataset, loss_cfg)
-    _write_metrics_csv(out / "metrics.csv", est)
+    write_records(out / "metrics.csv", RiskEstimate, [est])
     write_manifest(out / "manifest.json", "sgd", sgd_cfg, started)
     print(f"wrote {out / 'model.csv'}; train risk {est.value:.6f} ({est.mode.value})")
     return EXIT_OK
@@ -266,7 +257,7 @@ def _cmd_rrm(cfg, args) -> int:
     w, iterations = rrm_train(dataset, rrm_cfg)
     write_metric_csv(w, out / "model.csv")
     est = empirical_risk(w, dataset, loss_cfg, budget=rrm_cfg.budget)
-    _write_metrics_csv(out / "metrics.csv", est, extra=[("iterations", iterations)])
+    write_records(out / "metrics.csv", RiskEstimate, [est], trail={"iterations": iterations})
     write_manifest(out / "manifest.json", "rrm", rrm_cfg, started)
     print(
         f"wrote {out / 'model.csv'}; {iterations} iterations, "
@@ -330,16 +321,15 @@ def _cmd_stability(cfg, args) -> int:
 
 def _sweep_config(cfg, args, command: str) -> SweepConfig:
     """The SweepConfig of sweep, excess or optimistic, reading only what the
-    run uses: c is SGD's step factor, sigma0 sets the sigma of RRM and of
-    excess's RRM proxy, and optimistic trains RRM with sigma on the regime
-    floor."""
+    run uses: c is SGD's step factor, sigma0 sets the sigma of RRM, and
+    optimistic trains RRM with sigma on the regime floor."""
     if command == "optimistic":
         algorithm, rule = "rrm", {"sigma_rule": "optimistic"}
     else:
         algorithm, rule = cfg.get("sweep", "algorithm", str, "sgd"), {}
         if algorithm == "sgd":
             rule["c"] = cfg.get("sweep", "c", float)
-        if algorithm == "rrm" or command == "excess":
+        if algorithm == "rrm":
             rule["sigma0"] = cfg.get("sweep", "sigma0", float, 1.0)
     sweep_cfg = SweepConfig(
         algorithm=algorithm,
@@ -355,14 +345,16 @@ def _sweep_config(cfg, args, command: str) -> SweepConfig:
     return sweep_cfg
 
 
-def _write_sweep_manifest(out, command, sweep_cfg, started, report) -> None:
-    """The manifest of sweep or optimistic: the run's record, and the slope
-    fit of its cells, each value null where there is none (NaN)."""
+def _write_sweep_manifest(out, command, sweep_cfg, started, report, **record) -> None:
+    """The manifest of sweep, excess or optimistic: the run's record, the
+    slope fit of its cells, each value null where there is none (NaN), and
+    any further record entries."""
     write_manifest(
         out / "manifest.json", command, sweep_cfg, started,
         workers=report.workers, population_sample=report.population_sample,
         phase_seconds=report.phase_seconds,
         slope_fit={k: v if np.isfinite(v) else None for k, v in asdict(report.fit).items()},
+        **record,
     )
 
 
@@ -387,9 +379,22 @@ def _cmd_excess(cfg, args) -> int:
     sweep_cfg = _sweep_config(cfg, args, "excess")
     out = _outdir(args)
     report = run_excess_risk_experiment(sweep_cfg)
-    write_records(out / "excess.csv", ExcessRow, report.rows, lead={"algorithm": report.algorithm})
-    write_manifest(out / "manifest.json", "excess", sweep_cfg, started)
-    print(f"wrote {out / 'excess.csv'} ({len(report.rows)} rows)")
+    reference = {"reference_risk": report.reference.value}
+    write_records(out / "excess_rows.csv", SweepRow, report.rows,
+                  lead={"algorithm": report.algorithm}, trail=reference)
+    write_records(out / "excess_cells.csv", ExcessCell, report.cells,
+                  trail={**reference, **asdict(report.fit)})
+    _write_sweep_manifest(
+        out, "excess", sweep_cfg, started, report,
+        reference_minimizer={
+            "risk": report.reference.value, "risk_std_error": report.reference.std_error,
+            "iterations": report.iterations, "w": report.w_star.w.tolist(),
+        },
+    )
+    print(
+        f"wrote {out / 'excess_cells.csv'}; reference risk {report.reference.value:.6f}, "
+        f"slope={report.fit.slope:.4f} (stderr {report.fit.slope_stderr:.4f})"
+    )
     return EXIT_OK
 
 
@@ -659,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, fn, help_txt in (
         ("sweep", _cmd_sweep, "generalization-gap learning curve with slope fit"),
-        ("excess", _cmd_excess, "excess-risk decomposition against a 10x-data proxy"),
+        ("excess", _cmd_excess, "excess risk over the population sample's minimizer"),
         ("optimistic", _cmd_optimistic, "low-noise regime runs with bound domination"),
     ):
         p = sub.add_parser(name, help=help_txt)

@@ -1,27 +1,28 @@
-"""Experiment runners: learning-curve sweeps, the excess-risk decomposition,
-and the optimistic (low-noise) regime, whose reports hold their tables as
-dataclass records (core.write_records writes them), and JSON run manifests.
+"""Experiment runners: learning-curve sweeps, the excess risk over a
+reference minimizer, and the optimistic (low-noise) regime, whose reports
+hold their tables as dataclass records (core.write_records writes them),
+and JSON run manifests.
 
 Every runner derives all cell-level seeds from one root seed through numpy
 SeedSequence spawning, in a fixed loop order, so a rerun with the same config
-reproduces every CSV byte for byte. The sweep runners then run their trials
+reproduces every CSV byte for byte. The runners then run their trials
 through parallel.run_jobs, on the calling thread and the process's shared
 thread pool, and collect them in trial order; the exact sweeps inside a
 trial run on that trial's thread. So the bytes do not depend on the thread
 count either. Summary JSON manifests carry wall time and are the one
 intentionally non-reproducible output.
 
-The sweep runners (run_rate_sweep, run_optimistic_experiment) share one
-trial pipeline, _run_trials(cfg, fit), and differ only in their fit(cfg, n,
-task_seed, algo_seed) -> (w, empirical risk) and in what they keep per cell
-of the rows it returns. The pipeline draws one population sample per run
-from the task law, at a seed of its own derived from the root seed, in
-chunks of risk.SAMPLE_CHUNK rows, each from a stream of its own, beside the
-fits; then it scores every fitted w on it in one run, a job per (fit,
-chunk) pair on every CPU. The trials' population risks share common random
-numbers, so the sample's own error is common to a cell's trials and does
-not average out over them. The excess-risk split still draws fresh
-population triplets per trial.
+The runners (run_rate_sweep, run_excess_risk_experiment,
+run_optimistic_experiment) share one trial pipeline, _run_trials(cfg, fit),
+and differ only in their fit(cfg, n, task_seed, algo_seed) -> (w, empirical
+risk) and in what they keep per cell of the rows it returns; the excess
+experiment also fits one reference minimizer on the population sample. The
+pipeline draws one population sample per run from the task law, at a seed
+of its own derived from the root seed, in chunks of risk.SAMPLE_CHUNK rows,
+each from a stream of its own, beside the fits; then it scores every
+fitted w on it in one run, a job per (fit, chunk) pair on every CPU. The
+trials' population risks share common random numbers, so the sample's own
+error is common to a cell's trials and does not average out over them.
 """
 from __future__ import annotations
 
@@ -34,18 +35,17 @@ from scipy.stats import linregress
 
 from . import parallel
 from .core import ValidationError, read_only_view
-from .loss import LossConfig, MetricParams, regularity_constants, triplet_losses_rowwise
-from .optim import RrmConfig, SgdConfig, rrm_train
+from .loss import LossConfig, MetricParams, regularity_constants
+from .optim import RrmConfig, SgdConfig, rrm_train, sample_minimizer
 from .risk import (
     SAMPLE_CHUNK,
     RiskEstimate,
-    bernstein_ustat_bound,
     check_sample_size,
     draw_evaluation_sample,
     empirical_risk,
     exact_budget,
-    population_risk,
     sample_chunks,
+    sample_risk,
     sample_risks,
 )
 from .stability import (
@@ -101,7 +101,7 @@ class SweepConfig:
     algorithm: "sgd" (T = n steps, eta = c/sqrt(T)), "rrm" (lam = sigma/2 with
     sigma from sigma_rule), or "constant" (w = 0 null model, for tests).
     sigma_rule: "inv_sqrt_n" (sigma = sigma0 / sqrt(n)), which the rate sweep
-    and the excess-risk split require of rrm, or "optimistic", which
+    and the excess experiment require of rrm, or "optimistic", which
     run_optimistic_experiment requires: sigma at the regime floor
     (8 alpha / n)(1 + 1e-9), whatever sigma0 is.
     task is a shape template; its pool sizes and seed are overridden per cell.
@@ -255,8 +255,8 @@ def _population_sample(cfg: SweepConfig, trials: int):
 
 def _run_trials(cfg: SweepConfig, fit):
     """The trial pipeline of a sweep run: every trial as a SweepRow, in trial
-    order, and the run's record, keyed by the report fields it fills
-    (workers, population_sample, phase_seconds).
+    order, the run's record, keyed by the report fields it fills (workers,
+    population_sample, phase_seconds), and the population sample, read-only.
 
     The seeds of every (n, trial) are derived first, in trial order. Then
     phase 1 is one parallel.run_jobs call: fit(cfg, n, task_seed, algo_seed)
@@ -300,7 +300,13 @@ def _run_trials(cfg: SweepConfig, fit):
         "scoring": time.perf_counter() - fitted,
     }
     rows = tuple(SweepRow(*seed, emp, pop) for seed, (_, emp), pop in zip(seeds, fits, pops))
-    return rows, {"workers": workers, "population_sample": record, "phase_seconds": phase_seconds}
+    run = {"workers": workers, "population_sample": record, "phase_seconds": phase_seconds}
+    return rows, run, sample
+
+
+def _cell_means(cfg: SweepConfig, rows, value) -> tuple:
+    """The mean of value(row) over the rows of each n of cfg.n_grid."""
+    return tuple(float(np.mean([value(row) for row in rows if row.n == n])) for n in cfg.n_grid)
 
 
 def _check_rate_rule(cfg: SweepConfig) -> None:
@@ -313,21 +319,19 @@ def _check_rate_rule(cfg: SweepConfig) -> None:
         )
 
 
-def _trainer(cfg: SweepConfig, n: int, algo_seed: int):
-    """The trainer of an n-by-n cell of the rate sweep or the excess split."""
+def _sweep_fit(cfg: SweepConfig, n: int, task_seed: int, algo_seed: int):
+    """(w, empirical risk) of one rate-sweep trial, by the trainer of an
+    n-by-n cell."""
     if cfg.algorithm == "sgd":
         c = regularity_constants(cfg.task.B).eta_max if cfg.c is None else cfg.c
-        return SgdTrainer(SgdConfig(T=n, c=c, seed=algo_seed, zeta=cfg.zeta))
-    if cfg.algorithm == "rrm":
+        trainer = SgdTrainer(SgdConfig(T=n, c=c, seed=algo_seed, zeta=cfg.zeta))
+    elif cfg.algorithm == "rrm":
         sigma = cfg.sigma0 / np.sqrt(n)
-        return RrmTrainer(RrmConfig(lam=sigma / 2.0, zeta=cfg.zeta, budget=_exact_budget(n)))
-    return ConstantTrainer(MetricParams.zeros(cfg.task.d))
-
-
-def _sweep_fit(cfg: SweepConfig, n: int, task_seed: int, algo_seed: int):
-    """(w, empirical risk) of one rate-sweep trial."""
+        trainer = RrmTrainer(RrmConfig(lam=sigma / 2.0, zeta=cfg.zeta, budget=_exact_budget(n)))
+    else:
+        trainer = ConstantTrainer(MetricParams.zeros(cfg.task.d))
     train, _ = gen_task(replace(cfg.task, n_plus=n, n_minus=n, seed=task_seed))
-    w, _ = _trainer(cfg, n, algo_seed).fit(train)
+    w, _ = trainer.fit(train)
     return w, empirical_risk(w, train, LossConfig(cfg.zeta), budget=_exact_budget(n))
 
 
@@ -338,10 +342,8 @@ def run_rate_sweep(cfg: SweepConfig) -> SweepReport:
     _sweep_fit.
     """
     _check_rate_rule(cfg)
-    rows, run = _run_trials(cfg, _sweep_fit)
-    mean_abs = tuple(
-        float(np.mean([abs(row.gap) for row in rows if row.n == n])) for n in cfg.n_grid
-    )
+    rows, run, _ = _run_trials(cfg, _sweep_fit)
+    mean_abs = _cell_means(cfg, rows, lambda row: abs(row.gap))
     return SweepReport(
         algorithm=cfg.algorithm,
         rows=rows,
@@ -353,96 +355,73 @@ def run_rate_sweep(cfg: SweepConfig) -> SweepReport:
 
 
 @dataclass(frozen=True)
-class ExcessRow:
-    """Three-way split of R(w_model) - R(w_proxy) for one cell.
-
-    estimation = R(w_model) - R_S(w_model); optimization = R_S(w_model) -
-    R_S(w_proxy); deviation = R_S(w_proxy) - R(w_proxy); the three telescope
-    to the total by construction. w_proxy stands in for the population-risk
-    minimizer: the ridge solution on a fresh dataset 10x the size (a labeled
-    proxy, not the unobservable true minimizer). bernstein_bound is the
-    deviation-term concentration bound at delta = 0.1 with b and tau
-    estimated from the population sample.
-    """
+class ExcessCell:
+    """One n of the excess experiment: the mean excess risk of its trials."""
 
     n: int
-    trial: int
-    task_seed: int
-    algo_seed: int
-    estimation: float
-    optimization: float
-    deviation: float
-    total: float
-    bernstein_bound: float
-    emp_model: float
-    pop_model: float
-    emp_proxy: float
-    pop_proxy: float
+    mean_excess: float
 
 
 @dataclass(frozen=True)
 class ExcessReport:
+    """The rate sweep's trials (rows, a SweepRow each) and w_star, the
+    minimizer of the mean loss R^ over their shared population sample:
+    reference is R^(w*), scored on the sample as the trials are, and
+    iterations the Newton iterations of its fit."""
+
     algorithm: str
     rows: tuple
+    reference: RiskEstimate
+    w_star: MetricParams = field(compare=False)
+    iterations: int
+    n_grid: tuple
+    mean_excess: tuple
+    fit: SlopeFit
+    workers: int = field(default=1, repr=False, compare=False)
+    population_sample: dict | None = field(default=None, compare=False)
+    phase_seconds: dict | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def excess(self) -> tuple:
+        """R^(w_S) - R^(w*) of each trial, in row order."""
+        return tuple(row.pop.value - self.reference.value for row in self.rows)
+
+    @property
+    def cells(self) -> tuple:
+        return tuple(map(ExcessCell, self.n_grid, self.mean_excess))
 
 
 def run_excess_risk_experiment(cfg: SweepConfig) -> ExcessReport:
-    """Estimation / optimization / deviation split against a 10x-data proxy.
+    """Excess risk vs n, with a log-log slope fit on the mean excess.
 
-    The proxy solve is a ridge minimizer at the sigma rule evaluated at 10 n,
-    so its exact-risk budget grows with n: keep the grid modest (the proxy
-    training set has 10 n samples per pool). Unlike the sweep runners, each
-    trial draws its own population triplets from its task's sampler; this
-    runner is to be replaced by one reference minimizer per task law, scored
-    on one shared sample, and is left as it is until then.
+    The trials are the rate sweep's (_run_trials fitted by _sweep_fit, so the
+    rows equal run_rate_sweep's). On their one shared population sample the
+    reference w* minimizes R^, the sample's mean loss (optim.sample_minimizer,
+    RRM's Newton loop at lam = 0), and R^(w*) is scored on the same sample as
+    the trials are; a trial's excess is its population risk minus R^(w*).
+    Fitting and scoring w* on one sample biases R^(w*) low by about p/(2m)
+    (p = d(d+1)/2; at d = 3, 3e-5 at m = 10^5 and 1.5e-3 at m = 2000). The
+    estimation term R(w_S) - R_S(w_S) is the sweep's gap, which the rows
+    carry. A sample without a minimizer raises optim.SolverFailure.
     """
     _check_rate_rule(cfg)
-    loss_cfg = LossConfig(cfg.zeta)
-    root = np.random.SeedSequence(int(cfg.seed))
-    rows = []
-    for n in cfg.n_grid:
-        for trial in range(cfg.trials_per_n):
-            task_seed, algo_seed = _cell_seeds(root)
-            train, sampler = gen_task(replace(cfg.task, n_plus=n, n_minus=n, seed=task_seed))
-            w_model, _ = _trainer(cfg, n, algo_seed).fit(train)
-            big = 10 * n
-            proxy_set = sampler.fork().draw_dataset(big, big)
-            sigma_big = cfg.sigma0 / np.sqrt(big)
-            w_proxy, _ = rrm_train(
-                proxy_set,
-                RrmConfig(lam=sigma_big / 2.0, zeta=cfg.zeta, budget=_exact_budget(big)),
-            )
-            pop_model = population_risk(w_model, sampler, cfg.population_m, loss_cfg)
-            pop_proxy = population_risk(w_proxy, sampler, cfg.population_m, loss_cfg)
-            budget = _exact_budget(n)
-            emp_model = empirical_risk(w_model, train, loss_cfg, budget=budget)
-            emp_proxy = empirical_risk(w_proxy, train, loss_cfg, budget=budget)
-            estimation = pop_model.value - emp_model.value
-            optimization = emp_model.value - emp_proxy.value
-            deviation = emp_proxy.value - pop_proxy.value
-            xa, xp, xn = sampler.draw(cfg.population_m)
-            probe_losses = triplet_losses_rowwise(w_proxy.w, xa, xp, xn, cfg.zeta)
-            b_hat = float(probe_losses.max())
-            tau_hat = float(probe_losses.var(ddof=1))
-            bound = bernstein_ustat_bound(b_hat, tau_hat, 0.1, n, n)
-            rows.append(
-                ExcessRow(
-                    n=n,
-                    trial=trial,
-                    task_seed=task_seed,
-                    algo_seed=algo_seed,
-                    estimation=estimation,
-                    optimization=optimization,
-                    deviation=deviation,
-                    total=pop_model.value - pop_proxy.value,
-                    bernstein_bound=bound,
-                    emp_model=emp_model.value,
-                    pop_model=pop_model.value,
-                    emp_proxy=emp_proxy.value,
-                    pop_proxy=pop_proxy.value,
-                )
-            )
-    return ExcessReport(algorithm=cfg.algorithm, rows=tuple(rows))
+    rows, run, sample = _run_trials(cfg, _sweep_fit)
+    started = time.perf_counter()
+    w_star, iterations = sample_minimizer(sample, cfg.zeta)
+    reference = sample_risk(w_star, sample, LossConfig(cfg.zeta))
+    run["phase_seconds"]["reference_fit"] = time.perf_counter() - started
+    mean_excess = _cell_means(cfg, rows, lambda row: row.pop.value - reference.value)
+    return ExcessReport(
+        algorithm=cfg.algorithm,
+        rows=rows,
+        reference=reference,
+        w_star=w_star,
+        iterations=iterations,
+        n_grid=cfg.n_grid,
+        mean_excess=mean_excess,
+        fit=_positive_slope(cfg.n_grid, mean_excess),
+        **run,
+    )
 
 
 @dataclass(frozen=True)
@@ -518,12 +497,11 @@ def run_optimistic_experiment(cfg: SweepConfig) -> OptimisticReport:
             "the optimistic experiment requires algorithm='rrm' and sigma_rule='optimistic'"
         )
     alpha = regularity_constants(cfg.task.B).alpha
-    trials, run = _run_trials(cfg, _optimistic_fit)
+    trials, run, _ = _run_trials(cfg, _optimistic_fit)
+    mean_gaps = _cell_means(cfg, trials, lambda row: row.gap)
+    mean_emps = _cell_means(cfg, trials, lambda row: row.emp.value)
     cells = []
-    for n in cfg.n_grid:
-        cell_trials = [row for row in trials if row.n == n]
-        mean_gap = float(np.mean([row.gap for row in cell_trials]))
-        mean_emp = float(np.mean([row.emp.value for row in cell_trials]))
+    for n, mean_gap, mean_emp in zip(cfg.n_grid, mean_gaps, mean_emps):
         sigma = _optimistic_sigma(cfg, n)
         epsilon = optimistic_epsilon(n, n, sigma)
         bound = optimistic_gap_bound(epsilon, alpha, sigma, n, n, mean_emp)
@@ -545,7 +523,7 @@ def run_optimistic_experiment(cfg: SweepConfig) -> OptimisticReport:
         cells=tuple(cells),
         trial_rows=trials,
         alpha=alpha,
-        fit=_positive_slope(cfg.n_grid, [c.mean_gap for c in cells]),
+        fit=_positive_slope(cfg.n_grid, mean_gaps),
         **run,
     )
 

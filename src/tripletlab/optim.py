@@ -29,6 +29,8 @@ sweep's anchor blocks run on all CPUs (loss.triplet_sweep), and their
 gradients and Hessian terms are added in block order, so every iterate is
 bit-identical for any thread count, of the pool and of BLAS. A solve that
 cannot reach tol raises a SolverFailure that carries its best iterate.
+sample_minimizer runs the same Newton loop (_newton) at lam = 0 on the mean
+loss over an evaluation sample, a reference minimizer for the excess risk.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from . import loss, risk
+from . import loss, parallel, risk
 from .core import (
     Pool,
     SlotOutOfBounds,
@@ -470,13 +472,8 @@ def check_solve_size(n_plus: int, n_minus: int, d: int) -> None:
     most (n+^2 + n+ n-)(p + 1) doubles with p = d(d+1)/2, are larger than
     physical memory."""
     need = (n_plus * n_plus + n_plus * n_minus) * (d * (d + 1) // 2 + 1) * 8
-    have = risk.physical_memory()
-    if need > have:
-        raise SolveTooLarge(
-            f"an RRM solve at n+ = {n_plus}, n- = {n_minus}, d = {d} needs {need} bytes "
-            f"of pair features ((n+^2 + n+ n-)(p + 1)*8), more than the {have} bytes "
-            "of physical memory"
-        )
+    what = f"an RRM solve at n+ = {n_plus}, n- = {n_minus}, d = {d}"
+    risk.check_memory(need, what, "pair features, (n+^2 + n+ n-)(p + 1)*8", SolveTooLarge)
 
 
 def _risk_parts(w_arr, X, Y, zeta, features=None):
@@ -557,58 +554,50 @@ def regularized_objective(w: MetricParams, dataset: TripletDataset, cfg: RrmConf
     return risk + cfg.lam * float(np.sum(w.w * w.w))
 
 
-def rrm_train(dataset: TripletDataset, cfg: RrmConfig, w0: MetricParams | None = None):
-    """Minimize F_S to ||grad F_S||_F <= tol; returns (w, iterations).
+def _svec_metric(u, basis):
+    """The symmetric matrix whose svec coordinates (basis = _svec_basis(d))
+    are u."""
+    rows, cols, scale = basis
+    w = np.empty((rows[-1] + 1,) * 2)
+    w[rows, cols] = w[cols, rows] = u / scale
+    return w
 
-    By 2*lam-strong convexity the result is within tol/(2 lam) of the unique
-    minimizer in Frobenius norm. w0 is an optional warm start (default zero);
-    it changes the path, not the certificate. Damped Newton runs on
-    u = svec(w) (_svec_basis), where ||u|| = ||w||_F and the ridge term is
-    lam ||u||^2, so the stopping rule and the certificate read as in w; w0
-    and the result are converted at the edges. Raises BudgetExceeded above
-    the exact-risk budget and SolveTooLarge when the pair features would not
-    fit in physical memory (check_solve_size), before any sweep; then
-    MaxItersExceeded if the cap is hit first, LineSearchExhausted if no step along a Newton
-    direction meets the Armijo condition, and SolverFailure if the Newton
-    system yields no descent direction; all three carry the best iterate.
-    Near the optimum a Newton step can lower F_S by less than F_S's rounding,
-    which the Armijo test cannot see: a step whose predicted decrease is at
-    most ROUNDING_ULPS ulps of F_S is taken whole when it lowers ||grad F_S||.
+
+def _newton(parts, mean_loss, u, lam, tol, max_iters, basis):
+    """Minimize F(u) = R(u) + lam ||u||^2 over svec coordinates u
+    (basis = _svec_basis(d)) by damped Newton from u, to ||grad F|| <= tol;
+    returns (the metric of u, iterations). parts(u) gives R(u), its gradient
+    and its Hessian from one sweep, and mean_loss(u) R(u) alone, summed as
+    parts sums it.
+
+    Each iteration solves the Newton system by Cholesky and takes the first
+    step t = 1, 1/2, ..., 2**-59 of it that meets the Armijo condition,
+    F(u + t s) <= F(u) + t slope / 4. Near the optimum a step can lower F by
+    less than F's rounding, which the Armijo test cannot see: a full step
+    whose predicted decrease is at most ROUNDING_ULPS ulps of F is taken when
+    it lowers ||grad F||. Raises MaxItersExceeded if the cap is hit first,
+    LineSearchExhausted if no step meets the test, and SolverFailure if the
+    Newton system yields no descent direction; all three carry the best
+    iterate.
     """
-    if dataset.n_triplets > cfg.budget:
-        raise BudgetExceeded(
-            f"{dataset.n_triplets} triplets exceed the exact-risk budget {cfg.budget}"
-        )
-    X = dataset.positive_features
-    Y = dataset.negative_features
-    d = dataset.d
-    rows, cols, scale = _svec_basis(d)
-    check_solve_size(dataset.n_plus, dataset.n_minus, d)
-    features = _pair_features(X, Y)
-
-    def metric(u):
-        w = np.empty((d, d))
-        w[rows, cols] = w[cols, rows] = u / scale
-        return w
+    ridge = 2.0 * lam * np.eye(len(u))
+    best = None
 
     def failure(cls, message):
         gnorm, u_best, it_best = best
-        return cls(message, MetricParams(metric(u_best)), it_best, gnorm)
+        return cls(message, MetricParams(_svec_metric(u_best, basis)), it_best, gnorm)
 
-    u = np.zeros(len(scale)) if w0 is None else w0.w[rows, cols] * scale
-    ridge = 2.0 * cfg.lam * np.eye(len(scale))
-    best = None
-    risk_val, grad_r, hess_r = _risk_parts(metric(u), X, Y, cfg.zeta, features)
-    for it in range(cfg.max_iters + 1):
-        grad = grad_r + 2.0 * cfg.lam * u
+    risk_val, grad_r, hess_r = parts(u)
+    for it in range(max_iters + 1):
+        grad = grad_r + 2.0 * lam * u
         gnorm = float(np.linalg.norm(grad))
         if best is None or gnorm < best[0]:
             best = (gnorm, u, it)
-        if gnorm <= cfg.tol:
-            return MetricParams(metric(u)), it
-        if it == cfg.max_iters:
+        if gnorm <= tol:
+            return MetricParams(_svec_metric(u, basis)), it
+        if it == max_iters:
             break
-        f_val = risk_val + cfg.lam * float(u @ u)
+        f_val = risk_val + lam * float(u @ u)
         try:
             s = cho_solve(cho_factor(hess_r + ridge), -grad)
         except LinAlgError:  # no factorization, no direction: the check below raises
@@ -617,27 +606,24 @@ def rrm_train(dataset: TripletDataset, cfg: RrmConfig, w0: MetricParams | None =
         if not slope < 0.0:
             raise failure(
                 SolverFailure,
-                f"the Newton system gives no descent direction at lam = {cfg.lam:g}, "
+                f"the Newton system gives no descent direction at lam = {lam:g}, "
                 f"iteration {it} (||grad|| = {gnorm:g})",
             )
-        # Armijo backtracking over t = 1, 1/2, ..., 2**-59: the full step is
-        # scored with the Hessian sweep, reused as the next iteration's, the
-        # halvings loss-only, summed over every triplet as f_val is
-        # (swept_mean_loss, never the series form); the rounding rule (see
-        # the docstring) reads the full step's gradient from the same sweep
+        # the full step is scored with a sweep of parts, reused as the next
+        # iteration's, the halvings by mean_loss; the rounding rule reads the
+        # full step's gradient from the same sweep
         t = 1.0
         u_try = u + s
-        parts = _risk_parts(metric(u_try), X, Y, cfg.zeta, features)
-        f_try = parts[0] + cfg.lam * float(u_try @ u_try)
+        step = parts(u_try)
+        f_try = step[0] + lam * float(u_try @ u_try)
         accepted = f_try <= f_val + 0.25 * slope or (
             -slope <= ROUNDING_ULPS * math.ulp(f_val)
-            and float(np.linalg.norm(parts[1] + 2.0 * cfg.lam * u_try)) < gnorm
+            and float(np.linalg.norm(step[1] + 2.0 * lam * u_try)) < gnorm
         )
         while not accepted and t > 2.0**-59:
             t *= 0.5
-            u_try, parts = u + t * s, None
-            risk_try = swept_mean_loss(metric(u_try), X, Y, cfg.zeta)
-            f_try = risk_try + cfg.lam * float(u_try @ u_try)
+            u_try, step = u + t * s, None
+            f_try = mean_loss(u_try) + lam * float(u_try @ u_try)
             accepted = f_try <= f_val + 0.25 * t * slope
         if not accepted:
             raise failure(
@@ -646,11 +632,93 @@ def rrm_train(dataset: TripletDataset, cfg: RrmConfig, w0: MetricParams | None =
                 f"at iteration {it} (||grad|| = {gnorm:g})",
             )
         u = u_try
-        risk_val, grad_r, hess_r = parts or _risk_parts(metric(u), X, Y, cfg.zeta, features)
+        risk_val, grad_r, hess_r = step or parts(u)
     raise failure(
         MaxItersExceeded,
-        f"newton stopped at ||grad|| = {gnorm:g} > tol = {cfg.tol:g} "
-        f"after {cfg.max_iters} iterations",
+        f"newton stopped at ||grad|| = {gnorm:g} > tol = {tol:g} after {max_iters} iterations",
+    )
+
+
+def rrm_train(dataset: TripletDataset, cfg: RrmConfig, w0: MetricParams | None = None):
+    """Minimize F_S to ||grad F_S||_F <= tol; returns (w, iterations).
+
+    By 2*lam-strong convexity the result is within tol/(2 lam) of the unique
+    minimizer in Frobenius norm. w0 is an optional warm start (default zero);
+    it changes the path, not the certificate. The Newton loop (_newton) runs
+    on u = svec(w), where ||u|| = ||w||_F, so its stopping rule and the
+    certificate read as in w; its sweeps are _risk_parts, and its halvings
+    are scored by swept_mean_loss, which sums every triplet as they do (never
+    the series form). Raises BudgetExceeded above the exact-risk budget and
+    SolveTooLarge when the pair features would not fit in physical memory
+    (check_solve_size), before any sweep; then _newton's SolverFailure family.
+    """
+    if dataset.n_triplets > cfg.budget:
+        raise BudgetExceeded(
+            f"{dataset.n_triplets} triplets exceed the exact-risk budget {cfg.budget}"
+        )
+    X = dataset.positive_features
+    Y = dataset.negative_features
+    basis = rows, cols, scale = _svec_basis(dataset.d)
+    check_solve_size(dataset.n_plus, dataset.n_minus, dataset.d)
+    features = _pair_features(X, Y)
+    u = np.zeros(len(scale)) if w0 is None else w0.w[rows, cols] * scale
+    return _newton(
+        lambda u: _risk_parts(_svec_metric(u, basis), X, Y, cfg.zeta, features),
+        lambda u: swept_mean_loss(_svec_metric(u, basis), X, Y, cfg.zeta),
+        u, cfg.lam, cfg.tol, cfg.max_iters, basis,
+    )
+
+
+def _sample_terms(u, chunk, zeta):
+    """(loss sum, F^T sigmoid(m), F^T diag(phi''(m)) F) of one chunk of an
+    evaluation sample, a (2, rows, d) array of anchor - positive dp and
+    anchor - negative dn (risk.draw_evaluation_sample), at svec coordinates
+    u: F holds the features svec(dp dp^T - dn dn^T) (_svec_basis) and
+    m = F u + zeta the margins (margin_terms), built in row blocks of about
+    loss.BLOCK doubles (loss.row_blocks) whose terms are added in order."""
+    rows, cols, scale = _svec_basis(chunk.shape[2])
+    total, grad, hess = 0.0, 0.0, 0.0
+    for block in loss.row_blocks(chunk.shape[1], max(2, loss.BLOCK // len(scale))):
+        dp, dn = chunk[:, block]
+        F = dp[:, rows] * dp[:, cols]
+        F -= dn[:, rows] * dn[:, cols]
+        F *= scale
+        losses, sig, curv = margin_terms(F @ u + zeta, True)
+        total += float(losses.sum())
+        grad = grad + F.T @ sig
+        hess = hess + (F.T * curv) @ F
+    return total, grad, hess
+
+
+def sample_minimizer(sample: np.ndarray, zeta: float):
+    """(w*, iterations): the minimizer of the mean loss over an evaluation
+    sample (risk.draw_evaluation_sample), a logistic regression on the
+    p = d(d+1)/2 svec features of its triplets, fitted from w = 0 by
+    rrm_train's Newton loop (_newton) at lam = 0, with RrmConfig's default
+    tol and iteration cap.
+
+    Each sweep is one parallel.run_jobs call with a job per chunk of the
+    sample (risk.sample_chunks, _sample_terms), so no m x p array is held,
+    and the chunks' terms are added in chunk order (the loss sums exactly
+    rounded): w* is bit-identical for any thread count. Features that do
+    not span the p coordinates (fewer than p triplets, say) leave no unique
+    minimizer and a singular Hessian, hence no Newton direction, and raise
+    the SolverFailure family as rrm_train does. A separable sample, whose
+    infimum 0 is not attained, stops once ||grad|| falls below tol, at a
+    large ||w*|| and a mean loss near 0.
+    """
+    _, m, d = sample.shape
+    chunks = [sample[:, rows] for rows in risk.sample_chunks(m)]
+
+    def parts(u):
+        terms, _ = parallel.run_jobs(_sample_terms, [(u, chunk, zeta) for chunk in chunks])
+        totals, grads, hessians = zip(*terms)
+        return math.fsum(totals) / m, sum(grads) / m, sum(hessians) / m
+
+    basis = _svec_basis(d)
+    u = np.zeros(len(basis[2]))
+    return _newton(
+        parts, lambda u: parts(u)[0], u, 0.0, RrmConfig.tol, RrmConfig.max_iters, basis
     )
 
 

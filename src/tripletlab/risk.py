@@ -287,17 +287,22 @@ def physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def check_memory(need: int, what: str, count: str, error=SampleTooLarge) -> None:
+    """Raise error if need bytes, those of what as count reckons them, are
+    more than physical memory."""
+    have = physical_memory()
+    if need > have:
+        raise error(
+            f"{what} needs {need} bytes ({count}), more than the {have} bytes of physical memory"
+        )
+
+
 def check_sample_size(m: int, d: int, arrays: int = 2, kind: str = "population sample") -> None:
     """Raise SampleTooLarge if a sample of m triplets at dimension d held in
     `arrays` m-by-d arrays of doubles is larger than physical memory: 2 for
     an evaluation sample (draw_evaluation_sample), 3 for a probe set."""
     need = arrays * m * d * 8
-    have = physical_memory()
-    if need > have:
-        raise SampleTooLarge(
-            f"a {kind} of m = {m} triplets at d = {d} needs {need} bytes "
-            f"({arrays}*m*d*8), more than the {have} bytes of physical memory"
-        )
+    check_memory(need, f"a {kind} of m = {m} triplets at d = {d}", f"{arrays}*m*d*8")
 
 
 def sample_chunks(m: int) -> list:

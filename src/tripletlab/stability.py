@@ -35,7 +35,9 @@ from .loss import (
     triplet_losses_rowwise,
 )
 from .optim import RrmConfig, SgdConfig, TrainTrace, rrm_train, sgd_train
-from .risk import InvalidCounts, InvalidDelta, check_sample_size, sample_triplet_indices
+from .risk import (
+    InvalidCounts, InvalidDelta, check_memory, check_sample_size, sample_triplet_indices
+)
 from .synth import TripletSampler
 
 
@@ -246,7 +248,6 @@ def estimate_on_average_stability(
     triplet_subsample: int,
     cfg: LossConfig,
     seed: int | None = None,
-    exhaustive: bool = False,
 ) -> StabilityReport:
     """Triple-replacement protocol; gamma_hat = |grand signed mean|.
 
@@ -255,34 +256,24 @@ def estimate_on_average_stability(
     evaluated at the original samples z_i+, z_j+, z_k-. The underlying
     definition is signed, so the signed mean and its pooled standard error are
     reported too (within-trial draws share a training set, so the pooled
-    stderr slightly understates trial-to-trial correlation).
-    exhaustive=True averages over every valid (i, j, k) instead of sampling;
-    only sensible at toy sizes.
+    stderr slightly understates trial-to-trial correlation). A subsample
+    whose three index arrays (int64) exceed physical memory is refused
+    before the first fit (risk.check_memory).
     """
-    if trials < 1 or (not exhaustive and triplet_subsample < 1):
+    if trials < 1 or triplet_subsample < 1:
         raise ValidationError("trials and triplet_subsample must both be >= 1")
+    what = f"a triplet subsample of m = {triplet_subsample} triplets"
+    check_memory(3 * triplet_subsample * 8, what, "3 int64 index arrays, 3*m*8")
     diffs = []
     m_hat = 0.0
-    count_per_trial = None
     for _ in range(trials):
         trial = sampler.fork()
         aux = trial.spawn_generator()
         train_set = trial.draw_dataset(n_plus, n_minus)
         w_base, _ = trainer.fit(train_set)
         X, Y = train_set.positives, train_set.negatives
-        if exhaustive:
-            triples = [
-                (i, j, k)
-                for i in range(n_plus)
-                for j in range(n_plus)
-                if j != i
-                for k in range(n_minus)
-            ]
-        else:
-            ii, jj, kk = sample_triplet_indices(aux, n_plus, n_minus, triplet_subsample)
-            triples = list(zip(ii.tolist(), jj.tolist(), kk.tolist()))
-        count_per_trial = len(triples)
-        for i, j, k in triples:
+        ii, jj, kk = sample_triplet_indices(aux, n_plus, n_minus, triplet_subsample)
+        for i, j, k in zip(ii.tolist(), jj.tolist(), kk.tolist()):
             replaced = replace_samples(
                 train_set,
                 [
@@ -309,7 +300,7 @@ def estimate_on_average_stability(
         gamma_bound=None,
         M_hat=m_hat,
         trials=trials,
-        probe_size=count_per_trial,
+        probe_size=triplet_subsample,
         seed=seed,
         signed_mean=signed_mean,
         std_error=std_error,

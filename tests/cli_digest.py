@@ -42,6 +42,8 @@ COMMANDS = [
     ("sweep_rrm", ["sweep", "--seed", "21", "--algorithm", "rrm"] + SWEEP),
     ("excess", ["excess", "--seed", "22", "--algorithm", "rrm", "--n-grid", "4 5 6",
                 "--trials-per-n", "1", "--population-m", "2000", "--d", "2"]),
+    # the SGD path through the excess runner
+    ("excess_sgd", ["excess", "--seed", "29", "--algorithm", "sgd"] + SWEEP),
     ("optimistic", ["optimistic", "--seed", "23", "--d", "3", "--n-grid", "8 12 16",
                     "--trials-per-n", "2", "--population-m", "2000"] + LOW_NOISE),
     ("check", ["check", "--seed", "24", "--probes", "300", "--grad-probes", "50"]),

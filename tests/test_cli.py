@@ -5,6 +5,7 @@ Everything goes through main(argv) with tmp_path outdirs; no subprocesses.
 import csv
 import json
 import math
+import time
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -77,10 +78,12 @@ def test_rrm_outputs_and_iterations_row(tmp_path):
         ["rrm", "--seed", "3", "--outdir", str(tmp_path), "--lam", "0.5"] + TINY_TASK
     )
     assert rc == EXIT_OK
+    # one row, RiskEstimate's columns and the solve's iterations after them
     rows = read_rows(tmp_path / "metrics.csv")
+    assert rows[0] == ["mode", "value", "std_error", "n_terms", "iterations"]
+    assert len(rows) == 2
     assert rows[1][0] == "exact_u_statistic"
-    assert rows[2][0] == "iterations"
-    assert int(rows[2][1]) >= 1
+    assert int(rows[1][4]) >= 1
 
 
 def test_rrm_without_lam_is_a_config_error(tmp_path):
@@ -289,13 +292,19 @@ def test_a_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
-def test_excess_reads_sigma0_for_its_rrm_proxy_and_c_for_sgd(tmp_path):
-    argv = ["excess", "--seed", "1", "--outdir", str(tmp_path), "--algorithm", "sgd",
-            "--sigma0", "2", "--c", "0.01", "--n-grid", "4 5 6", "--trials-per-n", "1",
-            "--population-m", "200", "--d", "2"]
-    assert main(argv) == EXIT_OK
-    config = json.loads((tmp_path / "manifest.json").read_text())["config"]
-    assert (config["sigma0"], config["c"]) == (2.0, 0.01)
+def test_excess_reads_sigma0_for_rrm_only_and_c_for_sgd(tmp_path, capsys):
+    # as sweep does: sigma0 sets the sigma of RRM only
+    grid = ["--n-grid", "4 5 6", "--trials-per-n", "1", "--population-m", "200", "--d", "2"]
+    argv = ["excess", "--seed", "1", "--outdir", str(tmp_path / "sgd"), "--algorithm", "sgd"]
+    assert main(argv + ["--sigma0", "2", "--c", "0.01"] + grid) == EXIT_CONFIG
+    assert capsys.readouterr().err.endswith("does not read: --sigma0\n")
+    assert main(argv + ["--c", "0.01"] + grid) == EXIT_OK
+    config = json.loads((tmp_path / "sgd" / "manifest.json").read_text())["config"]
+    assert (config["sigma0"], config["c"]) == (1.0, 0.01)
+    argv = ["excess", "--seed", "1", "--outdir", str(tmp_path / "rrm"), "--algorithm", "rrm"]
+    assert main(argv + ["--sigma0", "2"] + grid) == EXIT_OK
+    config = json.loads((tmp_path / "rrm" / "manifest.json").read_text())["config"]
+    assert (config["sigma0"], config["c"]) == (2.0, None)
 
 
 def test_stability_constant_trainer_reports_zero_gamma(tmp_path):
@@ -355,8 +364,39 @@ def test_excess_writes_one_row_per_trial(tmp_path):
          "--population-m", "2000", "--d", "2"]
     )
     assert rc == EXIT_OK
-    rows = read_rows(tmp_path / "excess.csv")
+    rows = read_rows(tmp_path / "excess_rows.csv")
     assert len(rows) == 1 + 3 * 2
+    assert rows[0][-3:] == ["gap", "abs_gap", "reference_risk"]
+    cells = read_rows(tmp_path / "excess_cells.csv")
+    assert cells[0] == ["n", "mean_excess", "reference_risk", "slope", "slope_stderr",
+                        "intercept", "r_squared"]
+    assert [int(cell[0]) for cell in cells[1:]] == [4, 6, 8]
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    reference = manifest["reference_minimizer"]
+    assert reference["risk"] == float(cells[1][2]) == float(rows[1][-1])
+    assert reference["iterations"] >= 1 and np.shape(reference["w"]) == (2, 2)
+    assert manifest["population_sample"]["m"] == 2000
+    assert set(manifest["phase_seconds"]) >= {"draw_and_fits", "scoring", "reference_fit"}
+    assert list(manifest["slope_fit"]) == ["intercept", "r_squared", "slope", "slope_stderr"]
+
+
+def test_the_readme_excess_line_runs_in_seconds(tmp_path):
+    # the README tour's line: 60 small fits and one reference fit on 10^5 triplets
+    started = time.perf_counter()
+    rc = main(["excess", "--seed", "6", "--outdir", str(tmp_path), "--algorithm", "rrm",
+               "--n-grid", "16 32 64"])
+    assert rc == EXIT_OK
+    assert time.perf_counter() - started < 30.0
+    assert len(read_rows(tmp_path / "excess_rows.csv")) == 1 + 3 * 20
+
+
+def test_excess_on_a_sample_without_a_minimizer_exits_2(tmp_path, capsys):
+    # 2 population triplets cannot pin down p = 3 coordinates at d = 2
+    rc = main(["excess", "--seed", "2", "--outdir", str(tmp_path), "--algorithm", "rrm",
+               "--n-grid", "4 6 8", "--trials-per-n", "1", "--population-m", "2", "--d", "2"])
+    assert rc == EXIT_CONFIG
+    assert "did not converge" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_optimistic_writes_cells_and_rows(tmp_path):
@@ -485,6 +525,19 @@ def test_a_probe_set_larger_than_memory_exits_2(tmp_path, capsys):
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"a probe set of m = {m} triplets at d = 3 needs {3 * m * 3 * 8} bytes" in err
+    assert not (tmp_path / "stability.csv").exists()
+
+
+def test_an_on_average_subsample_larger_than_memory_exits_2(tmp_path, capsys):
+    m = 100_000_000_000  # three int64 index arrays, 3 m 8 bytes = 2.4 TB: never allocated
+    rc = main(
+        ["stability", "--seed", "1", "--outdir", str(tmp_path), "--trainer", "constant",
+         "--protocol", "on-average", "--trials", "1", "--triplet-subsample", str(m),
+         "--d", "2", "--n-plus", "4", "--n-minus", "3"]
+    )
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"a triplet subsample of m = {m} triplets needs {3 * m * 8} bytes" in err
     assert not (tmp_path / "stability.csv").exists()
 
 

@@ -13,8 +13,8 @@ import numpy as np
 
 from tripletlab.core import Pool, SlotRef, TripletDataset, write_dataset_csv, write_records
 from tripletlab.lab import (
+    ExcessCell,
     ExcessReport,
-    ExcessRow,
     OptimisticCell,
     OptimisticReport,
     SlopeFit,
@@ -199,30 +199,37 @@ def test_sweep_summary_csv_format(tmp_path):
 
 
 def test_excess_csv_format(tmp_path):
-    row = ExcessRow(
-        n=np.int64(4),
-        trial=0,
-        task_seed=BIG_SEED,
-        algo_seed=np.uint64(3),
-        estimation=0.1,
-        optimization=-0.0,
-        deviation=np.float64(1 / 3),
-        total=5e-324,
-        bernstein_bound=2.0,
-        emp_model=np.float64(0.25),
-        pop_model=-1.5,
-        emp_proxy=0.0,
-        pop_proxy=1e300,
+    sweep = sweep_report()
+    report = ExcessReport(
+        algorithm="rrm",
+        rows=sweep.rows,
+        reference=RiskEstimate(RiskMode.MONTE_CARLO_POPULATION, np.float64(0.125), 0.01, 1000),
+        w_star=MetricParams.zeros(2),
+        iterations=8,
+        n_grid=sweep.n_grid,
+        mean_excess=(0.125, np.float64(-0.0), 1 / 3),
+        fit=sweep.fit,
     )
-    path = tmp_path / "excess.csv"
-    report = ExcessReport(algorithm="rrm", rows=(row,))
-    write_records(path, ExcessRow, report.rows, lead={"algorithm": report.algorithm})
-    assert path.read_bytes() == csv_bytes(
-        "algorithm,n,trial,task_seed,algo_seed,estimation,optimization,deviation,total,"
-        "bernstein_bound,emp_model,pop_model,emp_proxy,pop_proxy",
-        "rrm,4,0,9223372036854775813,3,0.1,-0.0,0.3333333333333333,5e-324,2.0,0.25,-1.5,"
-        "0.0,1e+300",
+    reference = {"reference_risk": report.reference.value}
+    rows_path, cells_path = tmp_path / "excess_rows.csv", tmp_path / "excess_cells.csv"
+    write_records(rows_path, SweepRow, report.rows, lead={"algorithm": report.algorithm},
+                  trail=reference)
+    write_records(cells_path, ExcessCell, report.cells, trail={**reference, **asdict(report.fit)})
+    assert rows_path.read_bytes() == csv_bytes(
+        "algorithm,n,trial,task_seed,algo_seed,emp_mode,emp_value,emp_std_error,emp_n_terms,"
+        "pop_mode,pop_value,pop_std_error,pop_n_terms,gap,abs_gap,reference_risk",
+        "rrm,4,0,9223372036854775813,18446744073709551615,exact_u_statistic,0.5,0.0,48,"
+        "monte_carlo_population,0.25,5e-324,1000,-0.25,0.25,0.125",
+        "rrm,6,1,0,7,exact_u_statistic,0.1,0.0,180,"
+        "monte_carlo_population,0.1,0.3333333333333333,1000,0.0,0.0,0.125",
     )
+    assert cells_path.read_bytes() == csv_bytes(
+        "n,mean_excess,reference_risk,slope,slope_stderr,intercept,r_squared",
+        "4,0.125,0.125,-0.5,5e-324,0.3333333333333333,nan",
+        "6,-0.0,0.125,-0.5,5e-324,0.3333333333333333,nan",
+        "8,0.3333333333333333,0.125,-0.5,5e-324,0.3333333333333333,nan",
+    )
+    assert report.excess == (0.25 - 0.125, 0.1 - 0.125)
 
 
 def optimistic_report():

@@ -13,8 +13,8 @@ import pytest
 from tripletlab import cli, lab, parallel, risk, stability
 from tripletlab.core import ValidationError, write_records
 from tripletlab.lab import (
+    ExcessCell,
     ExcessReport,
-    ExcessRow,
     NonpositiveValue,
     OptimisticCell,
     OptimisticReport,
@@ -31,6 +31,7 @@ from tripletlab.lab import (
     write_manifest,
 )
 from tripletlab.loss import LossConfig, regularity_constants
+from tripletlab.optim import SolverFailure
 from tripletlab.risk import draw_evaluation_sample, empirical_risk, sample_risk, sample_risks
 from tripletlab.synth import TaskConfig, gen_task, low_noise_task, task_sampler
 
@@ -160,26 +161,63 @@ def test_rate_sweep_rejects_optimistic_rule(monkeypatch):
     assert calls == []
 
 
-# --- excess-risk decomposition ---
+# --- excess risk over the reference minimizer ---
+
+
+def excess_cfg(**overrides):
+    base = dict(
+        algorithm="rrm", n_grid=(4, 5, 6), trials_per_n=2, task=TASK, population_m=500, seed=11
+    )
+    return SweepConfig(**{**base, **overrides})
+
+
+@pytest.mark.parametrize("algorithm", ["rrm", "sgd"])
+def test_excess_rows_are_the_rate_sweeps(algorithm):
+    cfg = excess_cfg(algorithm=algorithm)
+    rep = run_excess_risk_experiment(cfg)
+    assert isinstance(rep, ExcessReport)
+    assert rep.rows == run_rate_sweep(cfg).rows
 
 
 def test_excess_rows_telescope():
-    cfg = SweepConfig(
-        algorithm="rrm", n_grid=(4, 5, 6), trials_per_n=1, task=TASK,
-        population_m=500, seed=11,
-    )
-    rep = run_excess_risk_experiment(cfg)
-    assert isinstance(rep, ExcessReport)
-    assert len(rep.rows) == 3
-    for r in rep.rows:
-        assert r.estimation + r.optimization + r.deviation == pytest.approx(
-            r.total, rel=1e-12, abs=1e-12
+    # excess = estimation (the sweep's gap) + the rest, R_S(w_S) - R^(w*)
+    rep = run_excess_risk_experiment(excess_cfg())
+    assert len(rep.excess) == len(rep.rows) == 6
+    for row, excess in zip(rep.rows, rep.excess):
+        assert excess == row.pop.value - rep.reference.value
+        assert excess == pytest.approx(
+            row.gap + (row.emp.value - rep.reference.value), rel=1e-12, abs=1e-15
         )
-        assert r.total == r.pop_model - r.pop_proxy
-        assert r.estimation == r.pop_model - r.emp_model
-        assert r.bernstein_bound > 0.0
-        for v in (r.emp_model, r.pop_model, r.emp_proxy, r.pop_proxy):
-            assert math.isfinite(v)
+    for cell in rep.cells:
+        cell_excess = [e for row, e in zip(rep.rows, rep.excess) if row.n == cell.n]
+        assert cell.mean_excess == float(np.mean(cell_excess))
+
+
+def test_every_excess_is_nonnegative_and_the_reference_scored_as_the_trials():
+    # w* minimizes the mean loss over the very sample every trial is scored on
+    for algorithm in ("rrm", "sgd", "constant"):
+        rep = run_excess_risk_experiment(excess_cfg(algorithm=algorithm, population_m=2000))
+        assert min(rep.excess) >= -1e-12
+        assert rep.reference.mode is risk.RiskMode.MONTE_CARLO_POPULATION
+        assert rep.reference.n_terms == 2000
+        assert 0.0 < rep.reference.value < min(row.pop.value for row in rep.rows)
+
+
+def test_excess_reference_fits_the_runs_one_population_sample(monkeypatch):
+    fitted = []
+    original = lab.sample_minimizer
+    monkeypatch.setattr(
+        lab, "sample_minimizer", lambda *args: fitted.append(args) or original(*args)
+    )
+    cfg = excess_cfg(zeta=0.3)
+    rep = run_excess_risk_experiment(cfg)
+    ((sample, zeta),) = fitted
+    assert zeta == 0.3 and not sample.flags.writeable
+    sampler = task_sampler(replace(cfg.task, seed=rep.population_sample["seed"]))
+    fresh = draw_evaluation_sample(sampler, cfg.population_m)
+    assert np.array_equal(sample, fresh)
+    assert rep.reference == sample_risk(rep.w_star, sample, LossConfig(0.3))
+    assert rep.phase_seconds["reference_fit"] >= 0.0
 
 
 def test_excess_empirical_risks_are_exact_past_the_default_budget(monkeypatch):
@@ -193,12 +231,14 @@ def test_excess_empirical_risks_are_exact_past_the_default_budget(monkeypatch):
         return estimate
 
     monkeypatch.setattr(lab, "empirical_risk", recording)
-    cfg = SweepConfig(
-        algorithm="rrm", n_grid=(4, 5, 6), trials_per_n=1, task=TASK,
-        population_m=500, seed=11,
-    )
-    run_excess_risk_experiment(cfg)
-    assert modes == [risk.RiskMode.EXACT_U_STATISTIC] * 6
+    run_excess_risk_experiment(excess_cfg(trials_per_n=1))
+    assert modes == [risk.RiskMode.EXACT_U_STATISTIC] * 3
+
+
+def test_excess_without_a_reference_minimizer_raises_solver_failure():
+    # 2 triplets cannot pin down p = 3 coordinates at d = 2
+    with pytest.raises(SolverFailure, match="lam = 0"):
+        run_excess_risk_experiment(excess_cfg(population_m=2))
 
 
 # --- optimistic regime ---
@@ -590,15 +630,14 @@ def test_write_excess_csv(tmp_path):
         population_m=300, seed=13,
     )
     rep = run_excess_risk_experiment(cfg)
-    path = tmp_path / "excess.csv"
-    write_records(path, ExcessRow, rep.rows, lead={"algorithm": rep.algorithm})
+    path = tmp_path / "excess_cells.csv"
+    write_records(path, ExcessCell, rep.cells, trail={"reference_risk": rep.reference.value})
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0][0] == "algorithm"
-    assert "bernstein_bound" in rows[0]
-    assert len(rows) == 1 + len(rep.rows)
-    got = float(rows[1][rows[0].index("deviation")])
-    assert got == rep.rows[0].deviation
+    assert rows[0] == ["n", "mean_excess", "reference_risk"]
+    assert len(rows) == 1 + len(rep.n_grid)
+    assert float(rows[1][1]) == rep.mean_excess[0] == rep.excess[0]
+    assert float(rows[1][2]) == rep.reference.value
 
 
 def test_write_optimistic_csvs(tmp_path):

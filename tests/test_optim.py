@@ -41,7 +41,7 @@ from tripletlab.optim import (
     write_trace_csv,
 )
 from tripletlab.risk import empirical_risk, exact_mean_loss, swept_mean_loss
-from tripletlab.synth import TaskConfig, gen_task, low_noise_task
+from tripletlab.synth import TaskConfig, gen_task, low_noise_task, task_sampler
 
 
 def two_point_dataset():
@@ -947,6 +947,60 @@ def test_rrm_objective_beats_random_points():
         raw = 0.5 * rng.standard_normal((2, 2))
         w = MetricParams((raw + raw.T) / 2)
         assert regularized_objective(w, train, rrm) >= best - 1e-10
+
+
+# --- the minimizer of an evaluation sample's mean loss ---
+
+
+def _sample(task, m):
+    return risk_module.draw_evaluation_sample(task_sampler(task), m)
+
+
+def _sample_gradient(w, sample, zeta):
+    """The gradient in w of the sample's mean loss, mean sigmoid(m) D over
+    its triplets, D = dp dp^T - dn dn^T, straight from the definition."""
+    dp, dn = sample
+    margins = np.einsum("ia,ab,ib->i", dp, w, dp) - np.einsum("ia,ab,ib->i", dn, w, dn) + zeta
+    D = np.einsum("ia,ib->iab", dp, dp) - np.einsum("ia,ib->iab", dn, dn)
+    return np.einsum("i,iab->ab", expit(margins), D) / len(margins)
+
+
+@pytest.mark.parametrize("zeta", [0.0, 0.3])
+def test_sample_minimizer_meets_tol_on_the_gradient_of_the_mean_loss(zeta):
+    sample = _sample(TaskConfig(d=3, n_plus=4, n_minus=4, seed=5), 20_000)
+    w, iterations = optim.sample_minimizer(sample, zeta)
+    assert 1 <= iterations < 20
+    assert float(np.linalg.norm(_sample_gradient(w.w, sample, zeta))) <= RrmConfig.tol + 1e-12
+    # and it minimizes: nearby metrics score no lower on the same sample
+    best = risk_module.sample_risk(w, sample, LossConfig(zeta)).value
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        raw = 1e-3 * rng.standard_normal((3, 3))
+        nearby = MetricParams(w.w + (raw + raw.T) / 2)
+        assert risk_module.sample_risk(nearby, sample, LossConfig(zeta)).value >= best - 1e-15
+
+
+def test_rrm_and_the_sample_minimizer_run_one_newton_loop(monkeypatch):
+    loops = []
+    newton = optim._newton
+    monkeypatch.setattr(
+        optim, "_newton", lambda *args: loops.append(args[3]) or newton(*args)
+    )
+    train, sampler = gen_task(TaskConfig(d=2, n_plus=6, n_minus=5, seed=3))
+    rrm_train(train, RrmConfig(lam=0.25))
+    optim.sample_minimizer(risk_module.draw_evaluation_sample(sampler, 500), 0.0)
+    assert loops == [0.25, 0.0]
+
+
+def test_a_sample_without_a_minimizer_raises_with_the_best_iterate():
+    # 2 triplets at d = 3: a singular Hessian over p = 6 coordinates
+    sample = _sample(TaskConfig(d=3, n_plus=4, n_minus=4, seed=5), 2)
+    with pytest.raises(SolverFailure) as err:
+        optim.sample_minimizer(sample, 0.0)
+    assert type(err.value) is SolverFailure
+    assert err.value.iterations == 0
+    assert np.array_equal(err.value.w.w, np.zeros((3, 3)))
+    assert "lam = 0" in str(err.value)
 
 
 # --- expansiveness ---

@@ -17,8 +17,9 @@ from tripletlab import loss as loss_module
 from tripletlab import parallel
 from tripletlab.core import TripletDataset
 from tripletlab.loss import LossConfig, MetricParams, pair_scores, triplet_sweep
-from tripletlab.optim import RrmConfig, _risk_parts, rrm_train
-from tripletlab.risk import exact_mean_loss
+from tripletlab import risk as risk_module
+from tripletlab.optim import RrmConfig, _risk_parts, rrm_train, sample_minimizer
+from tripletlab.risk import draw_evaluation_sample, exact_mean_loss
 from tripletlab.stability import RrmTrainer, estimate_uniform_stability, probe_max_loss_diff
 from tripletlab.synth import TaskConfig, gen_task
 
@@ -117,6 +118,21 @@ def test_solver_and_stability_report_are_identical_on_any_worker_count(
     reports = _on_each_worker_count(monkeypatch, report)
     assert reports[2] == reports[1]
     assert reports[8] == reports[1]
+
+
+def test_sample_minimizer_is_identical_on_any_worker_count(monkeypatch, fine_grained):
+    # 13 chunks of 23 rows (and 3 row blocks each at BLOCK = 70, p = 6)
+    monkeypatch.setattr(risk_module, "SAMPLE_CHUNK", 23)
+    _, sampler = gen_task(TaskConfig(d=D, n_plus=4, n_minus=4, seed=9))
+    sample = draw_evaluation_sample(sampler, 13 * 23)
+    assert len(risk_module.sample_chunks(13 * 23)) == 13
+
+    def fit():
+        w, iterations = sample_minimizer(sample, 0.2)
+        return _bits(w.w), iterations
+
+    fits = _on_each_worker_count(monkeypatch, fit)
+    assert fits[2] == fits[1] and fits[8] == fits[1]
 
 
 # a cold and a warm solve at n+ = n- = 64, whose sweeps have 4 anchor blocks

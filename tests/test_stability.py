@@ -223,14 +223,14 @@ def test_uniform_deterministic_given_sampler_seed():
 # --- on-average protocol ---
 
 
-def test_on_average_exhaustive_covers_every_triple():
+def test_on_average_reports_the_signed_mean_of_its_subsample():
     _, sampler = small_task(n_plus=3, n_minus=2, seed=5)
     trainer = RrmTrainer(RrmConfig(lam=1.0))
     rep = estimate_on_average_stability(
-        trainer, sampler, 3, 2, trials=2, triplet_subsample=0, cfg=CFG, exhaustive=True
+        trainer, sampler, 3, 2, trials=2, triplet_subsample=12, cfg=CFG
     )
     assert rep.protocol == "on_average"
-    assert rep.probe_size == 3 * 2 * 2  # ordered positive pairs times negatives
+    assert rep.probe_size == 12  # the subsample, drawn anew in every trial
     assert rep.gamma_hat == abs(rep.signed_mean)
     assert rep.gamma_bound is None
     assert rep.std_error >= 0.0
@@ -256,12 +256,36 @@ def test_on_average_validation():
         estimate_on_average_stability(trainer, sampler, 5, 4, trials=1, triplet_subsample=0, cfg=CFG)
 
 
+def test_an_on_average_subsample_larger_than_memory_is_refused_before_any_fit(monkeypatch):
+    _, sampler = small_task()
+    need = 3 * 20 * 8  # three int64 index arrays of triplet_subsample entries
+    fits = []
+
+    class Recording(ConstantTrainer):
+        def fit(self, dataset, warm=None):
+            fits.append(dataset)
+            return super().fit(dataset, warm)
+
+    trainer = Recording(MetricParams.zeros(3))
+    monkeypatch.setattr(risk, "physical_memory", lambda: need - 1)
+    with pytest.raises(SampleTooLarge, match=(
+        f"a triplet subsample of m = 20 triplets needs {need} bytes "
+        f"\\(3 int64 index arrays, 3\\*m\\*8\\), more than the {need - 1} bytes"
+    )):
+        estimate_on_average_stability(trainer, sampler, 5, 4, trials=2, triplet_subsample=20,
+                                      cfg=CFG)
+    assert fits == []
+    monkeypatch.setattr(risk, "physical_memory", lambda: need)  # exactly at the limit
+    estimate_on_average_stability(trainer, sampler, 5, 4, trials=2, triplet_subsample=20, cfg=CFG)
+    assert len(fits) == 2 * 21
+
+
 def test_on_average_within_uniform_envelope():
     # the signed on-average change can never exceed the sup-protocol bound scale
     _, sampler = small_task(n_plus=4, n_minus=3, seed=13)
     trainer = RrmTrainer(RrmConfig(lam=0.2))
     rep = estimate_on_average_stability(
-        trainer, sampler, 4, 3, trials=3, triplet_subsample=0, cfg=CFG, exhaustive=True
+        trainer, sampler, 4, 3, trials=3, triplet_subsample=36, cfg=CFG
     )
     L = 8.0 * sampler.B**2
     assert abs(rep.signed_mean) <= 3.0 * rrm_stability_bound(4, 3, L, trainer.cfg.sigma)
@@ -325,8 +349,7 @@ def test_write_stability_csv(tmp_path):
 def test_write_stability_csv_keeps_the_signed_estimate(tmp_path):
     _, sampler = small_task(n_plus=3, n_minus=2, seed=5)
     rep = estimate_on_average_stability(
-        RrmTrainer(RrmConfig(lam=1.0)), sampler, 3, 2, trials=2, triplet_subsample=0,
-        cfg=CFG, exhaustive=True,
+        RrmTrainer(RrmConfig(lam=1.0)), sampler, 3, 2, trials=2, triplet_subsample=12, cfg=CFG
     )
     assert rep.signed_mean != 0.0 and rep.std_error > 0.0
     path = tmp_path / "stab.csv"
