@@ -227,8 +227,8 @@ def _cmd_sgd(cfg, args) -> int:
         c = regularity_constants(feature_bound(dataset)).eta_max
     sgd_cfg = SgdConfig(T=T, c=c, seed=algo_seed, zeta=loss_cfg.zeta)
     cfg.reject_unread("sgd")
-    out = _outdir(args)
     w, trace = sgd_train(dataset, sgd_cfg)
+    out = _outdir(args)
     write_metric_csv(w, out / "model.csv")
     write_trace_csv(trace, out / "trace.csv")
     est = empirical_risk(w, dataset, loss_cfg)

@@ -12,7 +12,10 @@ kernel compiled once per d that holds the coordinates in local variables
 Generator.integers maps each word of the generator's 32-bit stream to a
 bounded value by a multiply-shift with rejection, so decoding bulk draws of
 raw words in the loop's order gives exactly the per-step draws, and paired
-runs on one seed still share their index sequence.
+runs on one seed still share their index sequence. The decoding runs in
+numpy: most steps take three consecutive accepted words, so a run of them is
+read at one stride, and Python visits only the words where a pair is redrawn
+or a word rejected (_decode_steps).
 
 The regularized objective F_S(w) = R_S(w) + lam ||w||_F^2 is 2*lam-strongly
 convex, so the gradient-norm stopping rule certifies
@@ -85,6 +88,10 @@ class BudgetExceeded(ValidationError):
 
 
 class SolveTooLarge(ValidationError):
+    pass
+
+
+class TraceTooLarge(ValidationError):
     pass
 
 
@@ -210,71 +217,157 @@ class TrainTrace:
         return int(self.hit_mask(slot).sum())
 
 
-def _lemire(words: np.ndarray, n: int) -> list:
+def _lemire(words: np.ndarray, n) -> np.ndarray:
     """The value rng.integers(0, n) takes from each of rng's 32-bit words, for
-    1 <= n < 2**32, or -1 where numpy rejects the word.
+    1 <= n < 2**32, or -1 where numpy rejects the word, as int64; n may be an
+    array of bounds that broadcasts against words.
 
     numpy draws such a bound by Lemire's multiply-shift: the value is
     (word * n) >> 32, and a word whose low product half is below
     (2**32 - n) % n is rejected and replaced by the next one.
     """
-    m = words.astype(np.uint64) * np.uint64(n)
-    values = (m >> np.uint64(32)).astype(np.int64)
-    values[(m & np.uint64(0xFFFFFFFF)) < (2**32 - n) % n] = -1
-    return values.tolist()
+    n = np.asarray(n, np.uint64)
+    m = words * n
+    values = (m >> np.uint64(32)).view(np.int64)
+    values[m.astype(np.uint32) < (2**32 - n) % n] = -1
+    return values
+
+
+def _parse_step(pos, neg, q: int, stride: int):
+    """(i, j, k, q): the step read by numpy's rules from word q on of the
+    decoded words pos and neg, and the word after it. A rejected word (-1)
+    is replaced by the next one, and an equal pair is redrawn; at stride 2
+    (a bound n- of 1) k takes no word and is 0. Raises IndexError when the
+    words run out mid-step."""
+    while True:
+        i = pos[q]
+        q += 1
+        while i < 0:
+            i = pos[q]
+            q += 1
+        j = pos[q]
+        q += 1
+        while j < 0:
+            j = pos[q]
+            q += 1
+        if i != j:
+            break
+    k = 0
+    if stride == 3:
+        k = neg[q]
+        q += 1
+        while k < 0:
+            k = neg[q]
+            q += 1
+    return i, j, k, q
+
+
+def _decode_steps(words, bounds, stride: int, todo: int):
+    """((i, j, k), q): the index arrays of the first steps, at most todo,
+    that the 32-bit words hold, and the word where the first step they do
+    not hold starts.
+
+    A step that starts at word q is plain when pos[q], pos[q + 1] and
+    neg[q + stride - 1], the words decoded under bounds = (n+, n-), are
+    accepted and pos[q] != pos[q + 1]; the next step then starts at
+    q + stride. So between the marks, the words where no plain step starts,
+    the steps run at one stride, and a run of them is a strided slice of
+    the words. Python walks the marks on the path only: at a redrawn pair
+    (pos[q] == pos[q + 1], both accepted) the next step starts at q + 2, a
+    rejected word sends the step through the per-step parse (_parse_step),
+    and the last stride - 1 words start no step. The runs' slices are then
+    read with one index array for i, j and k each.
+    """
+    values = _lemire(words, bounds)
+    pos, neg = values
+    last = max(0, len(words) - stride + 1)  # steps start below last
+    ends = pos[:last] == pos[1 : last + 1]
+    parse = set()
+    if values.min() < 0:
+        rejected = (pos[:last] < 0) | (pos[1 : last + 1] < 0) | (neg[stride - 1 :][:last] < 0)
+        ends |= rejected
+        parse = set(np.flatnonzero(rejected).tolist())
+    # every residue mod stride meets a mark at or below len(words)
+    marks = ends.nonzero()[0].tolist()
+    marks += range(last, len(words) + 1)
+    offsets, runs, parsed = [], [], []  # step t of a run starts at offset + stride * t
+    q = m = done = 0  # the next step starts at word q; marks[m] is the next mark to meet
+    while True:
+        b = marks[m]
+        m += 1
+        if b < q or (b - q) % stride:  # off the path
+            continue
+        n = (b - q) // stride  # plain steps from q up to the mark
+        if n:
+            n = min(n, todo - done)
+            offsets.append(q - stride * done)
+            runs.append(n)
+            done += n
+            if done == todo:
+                q += stride * n
+                break
+        q = b
+        if b >= last:  # out of words
+            break
+        if b not in parse:  # a redrawn pair
+            q += 2
+            continue
+        try:
+            i, j, k, end = _parse_step(pos, neg, b, stride)
+        except IndexError:
+            break
+        offsets.append(b - stride * done)
+        runs.append(1)
+        parsed.append((done, i, j, k))
+        done += 1
+        q = end
+        if done == todo:
+            break
+    first = np.array(offsets, np.int64).repeat(runs)
+    first += np.arange(0, stride * done, stride)
+    i, j, k = pos[first], pos[first + 1], neg[first + (stride - 1)]
+    for t, *step in parsed:
+        i[t], j[t], k[t] = step
+    return (i, j, k), q
 
 
 def _draw_indices(rng, n_plus: int, n_minus: int, T: int, block: int):
-    """Yield the index lists (i, j, k) of T SGD steps, block steps at a time.
+    """Yield the int64 index arrays (i, j, k) of T SGD steps, block steps at
+    a time, the last block shorter.
 
     The same values, from the same generator words, as the per-step calls
     rng.integers(0, n_plus, size=2) (repeated while i == j) and
     rng.integers(0, n_minus): the words come in bulk draws from rng's
     buffered 32-bit stream, as integers(0, 2**32, dtype=uint32) returns them,
-    and are decoded under both bounds at once (_lemire). A bound of 1 takes
-    no word. A bulk draw takes three words for each step still to come (i, j
-    and k), at most WORDS; a redrawn pair or a rejected word uses more, and
-    the next draw continues the same stream. The last bulk draw may overrun
-    the steps; rng is the trainer's own, so nothing else sees its position.
+    and are decoded under both bounds at once (_decode_steps). A bound of 1
+    takes no word, so a step takes stride = 3 words, or 2 when n- = 1. A
+    bulk draw takes three words for each step still to come (i, j and k), at
+    most WORDS, once the words before it hold no further step; a redrawn
+    pair or a rejected word uses more, and the next draw continues the same
+    stream from the word where the unfinished step starts. The last bulk
+    draw may overrun the steps; rng is the trainer's own, so nothing else
+    sees its position.
     """
-    pos, neg, p = [], [], 0  # decoded words not yet used start at p
+    stride = 3 if n_minus > 1 else 2
+    bounds = np.array([[n_plus], [n_minus]], np.uint64)
+    words = np.empty(0, np.uint32)
+    todo = T  # steps not yet decoded
+    pending = (np.empty(0, np.int64),) * 3  # decoded steps not yet yielded
     for start in range(0, T, block):
         count = min(block, T - start)
-        ii, jj, kk = [], [], []
-        while len(kk) < count:
-            try:  # one step, read from word q on and committed at its end
-                q = p
-                while True:
-                    i = pos[q]
-                    q += 1
-                    while i < 0:
-                        i = pos[q]
-                        q += 1
-                    j = pos[q]
-                    q += 1
-                    while j < 0:
-                        j = pos[q]
-                        q += 1
-                    if i != j:
-                        break
-                k = 0
-                if n_minus > 1:
-                    k = neg[q]
-                    q += 1
-                    while k < 0:
-                        k = neg[q]
-                        q += 1
-                ii.append(i)
-                jj.append(j)
-                kk.append(k)
-                p = q
-            except IndexError:  # out of words mid-step: draw more, redo the step
-                size = min(WORDS, 3 * (T - start - len(kk)))
-                words = rng.integers(0, 2**32, size=size, dtype=np.uint32)
-                pos = pos[p:] + _lemire(words, n_plus)
-                neg = neg[p:] + _lemire(words, n_minus)
-                p = 0
-        yield ii, jj, kk
+        have = len(pending[0])
+        pieces = [pending] if have else []
+        while have < count:
+            size = min(WORDS, 3 * todo)
+            words = np.concatenate((words, rng.integers(0, 2**32, size=size, dtype=np.uint32)))
+            steps, q = _decode_steps(words, bounds, stride, todo)
+            words = words[q:]
+            pieces.append(steps)
+            have += len(steps[0])
+            todo -= len(steps[0])
+        steps = pieces[0] if len(pieces) == 1 else [np.concatenate(a) for a in zip(*pieces)]
+        yield tuple(a[:count] for a in steps)
+        pending = tuple(a[count:] for a in steps)
 
 
 # margin terms per statement of a step kernel: CPython compiles a chain of
@@ -327,6 +420,14 @@ def _step_kernel(d: int):
     return namespace["kernel"]
 
 
+def check_trace_size(T: int) -> None:
+    """Raise TraceTooLarge if an SGD trace of T steps is larger than physical
+    memory at its peak: sgd_train's four T-length arrays (i, j, k and eta)
+    and TrainTrace's copies of them, 8 T doubles or int64s."""
+    what = f"an SGD trace of T = {T} steps"
+    risk.check_memory(8 * T * 8, what, "i, j, k, eta and the trace's copies, 8*T*8", TraceTooLarge)
+
+
 def sgd_train(dataset: TripletDataset, cfg: SgdConfig):
     """Run single-triplet SGD from w = 0; returns (w_T, trace).
 
@@ -345,8 +446,10 @@ def sgd_train(dataset: TripletDataset, cfg: SgdConfig):
     of the generator (_draw_indices), which gives exactly the values of
     per-step rng.integers calls, and its features are formed at once, then
     handed to the step kernel of this d (_step_kernel) as one flat list of
-    Python floats per SUB_BLOCK steps.
+    Python floats per SUB_BLOCK steps. A trace that would not fit in physical
+    memory is refused (TraceTooLarge, check_trace_size) before the first draw.
     """
+    check_trace_size(cfg.T)
     B = feature_bound(dataset)
     eta_max = regularity_constants(B).eta_max
     if cfg.c > eta_max * (1.0 + 1e-12):

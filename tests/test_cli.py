@@ -541,6 +541,19 @@ def test_an_on_average_subsample_larger_than_memory_exits_2(tmp_path, capsys):
     assert not (tmp_path / "stability.csv").exists()
 
 
+@pytest.mark.parametrize("command", [["sgd"], ["stability", "--trainer", "sgd"]])
+def test_an_sgd_trace_larger_than_memory_exits_2(tmp_path, capsys, command):
+    T = 100_000_000_000  # eight T-length arrays, 64 T bytes = 6.4 TB: never allocated
+    out = tmp_path / "out"
+    rc = main(command + ["--seed", "1", "--T", str(T), "--outdir", str(out)])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: an SGD trace of T = {T} steps needs {64 * T} bytes")
+    assert "bytes of physical memory" in err and "Traceback" not in err
+    if command == ["sgd"]:
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--probes", "--grad-probes"])
 def test_check_refuses_a_negative_probe_count(tmp_path, capsys, flag):
     out = tmp_path / "out"

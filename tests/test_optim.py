@@ -6,6 +6,8 @@ from operator import add, mul
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.optimize import minimize
@@ -32,6 +34,7 @@ from tripletlab.optim import (
     SolverFailure,
     SolveTooLarge,
     StepSizeTooLarge,
+    TraceTooLarge,
     TrainTrace,
     expansiveness_check,
     read_trace_csv,
@@ -192,9 +195,63 @@ def per_step_svec_sgd(dataset, cfg):
     return (w, *(np.array(v, np.int64) for v in (ii, jj, kk)), np.full(cfg.T, eta))
 
 
+def parent_lemire(words, n):
+    """optim._lemire before the index decoder ran in numpy: the same values,
+    as a list."""
+    m = words.astype(np.uint64) * np.uint64(n)
+    values = (m >> np.uint64(32)).astype(np.int64)
+    values[(m & np.uint64(0xFFFFFFFF)) < (2**32 - n) % n] = -1
+    return values.tolist()
+
+
+def parent_draw_indices(rng, n_plus, n_minus, T, block):
+    """optim._draw_indices before it decoded in numpy, kept verbatim as the
+    oracle: every step parsed in Python from lists of decoded words, the
+    same bulk draws, index lists (i, j, k) per block."""
+    pos, neg, p = [], [], 0  # decoded words not yet used start at p
+    for start in range(0, T, block):
+        count = min(block, T - start)
+        ii, jj, kk = [], [], []
+        while len(kk) < count:
+            try:  # one step, read from word q on and committed at its end
+                q = p
+                while True:
+                    i = pos[q]
+                    q += 1
+                    while i < 0:
+                        i = pos[q]
+                        q += 1
+                    j = pos[q]
+                    q += 1
+                    while j < 0:
+                        j = pos[q]
+                        q += 1
+                    if i != j:
+                        break
+                k = 0
+                if n_minus > 1:
+                    k = neg[q]
+                    q += 1
+                    while k < 0:
+                        k = neg[q]
+                        q += 1
+                ii.append(i)
+                jj.append(j)
+                kk.append(k)
+                p = q
+            except IndexError:  # out of words mid-step: draw more, redo the step
+                size = min(optim.WORDS, 3 * (T - start - len(kk)))
+                words = rng.integers(0, 2**32, size=size, dtype=np.uint32)
+                pos = pos[p:] + parent_lemire(words, n_plus)
+                neg = neg[p:] + parent_lemire(words, n_minus)
+                p = 0
+        yield ii, jj, kk
+
+
 def parent_sgd_train(dataset, cfg):
     """sgd_train before its step kernel, kept as the oracle: the same bulk
-    index draws and block features, then per step the weighted features g
+    index draws (parent_draw_indices, whose lists `ii += i` extends) and
+    block features, then per step the weighted features g
     (off-diagonal entries doubled), the margin zeta + theta[0] g[0] + ...,
     the expit with its overflow branch and a list-comprehension axpy.
     Returns (w, i, j, k, eta). The margin was sum(map(mul, theta, g), zeta),
@@ -209,7 +266,7 @@ def parent_sgd_train(dataset, cfg):
     eta = cfg.c / math.sqrt(cfg.T) if cfg.T else 0.0
     ii, jj, kk = [], [], []
     block = max(1, loss_module.BLOCK // dataset.d**2)
-    for i, j, k in optim._draw_indices(rng, dataset.n_plus, dataset.n_minus, cfg.T, block):
+    for i, j, k in parent_draw_indices(rng, dataset.n_plus, dataset.n_minus, cfg.T, block):
         ii += i
         jj += j
         kk += k
@@ -331,6 +388,50 @@ def test_index_decoder_matches_per_call_draws(n_plus, n_minus):
         expected.append((int(i), int(j), int(rng.integers(0, n_minus))))
     blocks = optim._draw_indices(np.random.default_rng(12), n_plus, n_minus, T, 700)
     assert [step for i, j, k in blocks for step in zip(i, j, k)] == expected
+
+
+def per_call_indices(rng, n_plus, n_minus, T):
+    """The (i, j, k) arrays of T steps drawn one rng.integers call at a time."""
+    ii, jj, kk = [], [], []
+    for _ in range(T):
+        i, j = rng.integers(0, n_plus, size=2)
+        while i == j:
+            i, j = rng.integers(0, n_plus, size=2)
+        ii.append(i)
+        jj.append(j)
+        kk.append(rng.integers(0, n_minus))
+    return tuple(np.array(v, np.int64) for v in (ii, jj, kk))
+
+
+REJECTING = 2**31 + 1  # numpy rejects about half of the 32-bit words at this bound
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(
+    n_plus=st.integers(2, 64) | st.just(REJECTING),
+    n_minus=st.integers(1, 64) | st.just(REJECTING),
+    T=st.integers(0, 3 * optim.WORDS + 5),
+    block=st.integers(1, 700),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_plus=2, n_minus=1, T=3 * optim.WORDS + 5, block=1, seed=0)
+@example(n_plus=2, n_minus=REJECTING, T=optim.WORDS + 1, block=700, seed=1)
+@example(n_plus=REJECTING, n_minus=REJECTING, T=2 * optim.WORDS, block=333, seed=2)
+def test_the_numpy_decoder_matches_per_call_draws_and_the_parent_decoder(
+    n_plus, n_minus, T, block, seed
+):
+    # steps that straddle bulk draws, blocks that end mid-draw, bounds that
+    # reject half of the words and n_plus = 2, which redraws half of the pairs
+    blocks = list(optim._draw_indices(np.random.default_rng(seed), n_plus, n_minus, T, block))
+    assert [len(k) for _, _, k in blocks] == [min(block, T - s) for s in range(0, T, block)]
+    for arrays in blocks:
+        assert all(isinstance(a, np.ndarray) and a.dtype == np.int64 for a in arrays)
+    got = [np.concatenate(v) for v in zip(*blocks)] if blocks else [np.empty(0, np.int64)] * 3
+    expected = per_call_indices(np.random.default_rng(seed), n_plus, n_minus, T)
+    parent = parent_draw_indices(np.random.default_rng(seed), n_plus, n_minus, T, block)
+    for a, b in zip(got, expected):
+        assert a.tobytes() == b.tobytes()
+    assert [tuple(map(list, arrays)) for arrays in blocks] == list(parent)
 
 
 class CountingRng:
@@ -667,6 +768,24 @@ def test_a_cold_solve_builds_its_features_once_and_sweeps_once_per_iteration(mon
     _, iterations = rrm_train(train, RrmConfig(lam=0.05))
     # w = 0 takes the closed form; every later iterate is one sweep
     assert calls == {"_pair_features": 1, "triplet_sweep": iterations}
+
+
+def test_a_trace_larger_than_physical_memory_is_refused_before_the_first_draw(monkeypatch):
+    train, _ = gen_task(TaskConfig(d=2, n_plus=5, n_minus=4, seed=6))
+    cfg = SgdConfig(T=1000, c=1 / 32, seed=2)
+    need = 8 * 1000 * 8  # i, j, k, eta and TrainTrace's copies of them
+    drawn = []
+    monkeypatch.setattr(optim, "_draw_indices", lambda *args: drawn.append(args))
+    monkeypatch.setattr(risk_module, "physical_memory", lambda: need - 1)
+    with pytest.raises(TraceTooLarge, match=(
+        f"an SGD trace of T = 1000 steps needs {need} bytes .* more than the {need - 1} bytes"
+    )):
+        sgd_train(train, cfg)
+    assert drawn == []
+    monkeypatch.undo()
+    monkeypatch.setattr(risk_module, "physical_memory", lambda: need)
+    _, trace = sgd_train(train, cfg)  # exactly at the limit: allowed
+    assert trace.T == 1000
 
 
 def test_a_solve_whose_features_exceed_physical_memory_is_refused(monkeypatch):
