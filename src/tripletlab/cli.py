@@ -253,8 +253,8 @@ def _cmd_rrm(cfg, args) -> int:
         budget=cfg.get("rrm", "budget", parse_int, exact_budget(dataset.n_plus, dataset.n_minus)),
     )
     cfg.reject_unread("rrm")
-    out = _outdir(args)
     w, iterations = rrm_train(dataset, rrm_cfg)
+    out = _outdir(args)
     write_metric_csv(w, out / "model.csv")
     est = empirical_risk(w, dataset, loss_cfg, budget=rrm_cfg.budget)
     write_records(out / "metrics.csv", RiskEstimate, [est], trail={"iterations": iterations})
@@ -301,11 +301,11 @@ def _cmd_stability(cfg, args) -> int:
     else:
         raise ValidationError(f"unknown protocol {protocol!r} (uniform or on-average)")
     cfg.reject_unread("stability")
-    out = _outdir(args)
     _, sampler = gen_task(task)
     report = estimate(
         trainer, sampler, task.n_plus, task.n_minus, trials, size, loss_cfg, seed=args.seed
     )
+    out = _outdir(args)
     write_records(out / "stability.csv", StabilityReport, [report])
     write_manifest(out / "manifest.json", "stability", task, started)
     bound_txt = "n/a" if report.gamma_bound is None else f"{report.gamma_bound:.6g}"
@@ -361,8 +361,8 @@ def _write_sweep_manifest(out, command, sweep_cfg, started, report, **record) ->
 def _cmd_sweep(cfg, args) -> int:
     started = time.time()
     sweep_cfg = _sweep_config(cfg, args, "sweep")
-    out = _outdir(args)
     report = run_rate_sweep(sweep_cfg)
+    out = _outdir(args)
     algorithm = {"algorithm": report.algorithm}
     write_records(out / "sweep_rows.csv", SweepRow, report.rows, lead=algorithm)
     write_records(out / "sweep_summary.csv", SweepCell, report.cells, trail=asdict(report.fit))
@@ -377,8 +377,8 @@ def _cmd_sweep(cfg, args) -> int:
 def _cmd_excess(cfg, args) -> int:
     started = time.time()
     sweep_cfg = _sweep_config(cfg, args, "excess")
-    out = _outdir(args)
     report = run_excess_risk_experiment(sweep_cfg)
+    out = _outdir(args)
     reference = {"reference_risk": report.reference.value}
     write_records(out / "excess_rows.csv", SweepRow, report.rows,
                   lead={"algorithm": report.algorithm}, trail=reference)
@@ -401,8 +401,8 @@ def _cmd_excess(cfg, args) -> int:
 def _cmd_optimistic(cfg, args) -> int:
     started = time.time()
     sweep_cfg = _sweep_config(cfg, args, "optimistic")
-    out = _outdir(args)
     report = run_optimistic_experiment(sweep_cfg)
+    out = _outdir(args)
     write_records(
         out / "optimistic_cells.csv", OptimisticCell, report.cells, trail=asdict(report.fit)
     )

@@ -13,20 +13,24 @@ count either. Summary JSON manifests carry wall time and are the one
 intentionally non-reproducible output.
 
 The runners (run_rate_sweep, run_excess_risk_experiment,
-run_optimistic_experiment) share one trial pipeline, _run_trials(cfg, fit),
-and differ only in their fit(cfg, n, task_seed, algo_seed) -> (w, empirical
+run_optimistic_experiment) share one trial pipeline, _run_trials, and
+differ only in their fit(cfg, n, task_seed, algo_seed) -> (w, empirical
 risk) and in what they keep per cell of the rows it returns; the excess
 experiment also fits one reference minimizer on the population sample. The
-pipeline draws one population sample per run from the task law, at a seed
-of its own derived from the root seed, in chunks of risk.SAMPLE_CHUNK rows,
-each from a stream of its own, beside the fits; then it scores every
-fitted w on it in one run, a job per (fit, chunk) pair on every CPU. The
-trials' population risks share common random numbers, so the sample's own
-error is common to a cell's trials and does not average out over them.
+pipeline scores every fitted w on one population sample per run from the
+task law, at a seed of its own derived from the root seed, in chunks of
+risk.SAMPLE_CHUNK rows, each from a stream of its own. The sweeps stream
+it: each chunk is drawn beside the fits into a reused buffer and, once
+the fits are done, scored by every fit while it is in cache, so no m-row
+sample is held. The excess experiment holds the whole sample, for
+its reference minimizer, and scores views of it. The trials' population
+risks share common random numbers, so the sample's own error is common to
+a cell's trials and does not average out over them.
 """
 from __future__ import annotations
 
 import json
+import threading
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -41,12 +45,12 @@ from .risk import (
     SAMPLE_CHUNK,
     RiskEstimate,
     check_sample_size,
+    chunk_moments,
+    combined_estimate,
     draw_evaluation_sample,
     empirical_risk,
     exact_budget,
     sample_chunks,
-    sample_risk,
-    sample_risks,
 )
 from .stability import (
     ConstantTrainer,
@@ -215,12 +219,13 @@ def _positive_slope(ns, values) -> SlopeFit:
     return SlopeFit(slope, stderr, intercept, r_squared)
 
 
-def _population_sample(cfg: SweepConfig, trials: int):
-    """(sample, draws, record) of a sweep run's one population sample:
-    population_m triplets of cfg.task's law, to be drawn into sample, an
-    unfilled (2, m, d) array, by the jobs in draws, one
-    (draw_evaluation_sample, sampler, rows, out) per chunk of
-    sample_chunks(m), in chunk order; and its manifest record.
+def _population_sample(cfg: SweepConfig):
+    """(samplers, record) of a sweep run's one population sample:
+    population_m triplets of cfg.task's law, chunk c of sample_chunks(m)
+    drawn by samplers[c] with draw_evaluation_sample; and its manifest
+    record. A sample larger than physical memory is refused
+    (check_sample_size) before anything is drawn or fitted, whether the run
+    holds it (_held_sample) or streams it (_run_trials).
 
     Chunk 0 is drawn by task_sampler at a seed s of the sample's own, and
     chunk c >= 1 by that sampler's c-th fork(), so the sample does not depend
@@ -230,15 +235,11 @@ def _population_sample(cfg: SweepConfig, trials: int):
     SeedSequence's spawned children, so none of them changes, and the
     sample's streams are apart from theirs.
     """
+    check_sample_size(cfg.population_m, cfg.task.d)
     seed = int(np.random.SeedSequence(int(cfg.seed)).generate_state(1, np.uint64)[0])
     sampler = task_sampler(replace(cfg.task, seed=seed))
     chunks = sample_chunks(cfg.population_m)
     samplers = [sampler] + [sampler.fork() for _ in chunks[1:]]
-    sample = np.empty((2, cfg.population_m, cfg.task.d))
-    draws = [
-        (draw_evaluation_sample, chunk_sampler, rows.stop - rows.start, sample[:, rows])
-        for chunk_sampler, rows in zip(samplers, chunks)
-    ]
     record = {
         "m": cfg.population_m,
         "seed": seed,
@@ -248,60 +249,174 @@ def _population_sample(cfg: SweepConfig, trials: int):
         "chunk_rows": SAMPLE_CHUNK,
         "chunks": len(chunks),
         "shared_by_all_trials": True,
-        "trials": trials,
+        "trials": len(cfg.n_grid) * cfg.trials_per_n,
     }
-    return sample, draws, record
+    return samplers, record
 
 
-def _run_trials(cfg: SweepConfig, fit):
+def _held_sample(cfg: SweepConfig):
+    """(sample, busy seconds): the run's population sample
+    (_population_sample) drawn whole into one read-only (2, m, d) array, a
+    parallel.run_jobs job per chunk, and the chunk draws' busy seconds,
+    summed over the chunks."""
+    samplers, _ = _population_sample(cfg)
+    sample = np.empty((2, cfg.population_m, cfg.task.d))
+
+    def draw(sampler, rows):
+        began = time.perf_counter()
+        draw_evaluation_sample(sampler, rows.stop - rows.start, out=sample[:, rows])
+        return time.perf_counter() - began
+
+    busy, _ = parallel.run_jobs(draw, zip(samplers, sample_chunks(cfg.population_m)))
+    return read_only_view(sample), sum(busy)
+
+
+def _run_trials(cfg: SweepConfig, fit, sample=None, extra=()):
     """The trial pipeline of a sweep run: every trial as a SweepRow, in trial
-    order, the run's record, keyed by the report fields it fills (workers,
-    population_sample, phase_seconds), and the population sample, read-only.
+    order; the run's record, keyed by the report fields it fills (workers,
+    population_sample, phase_seconds); and the population risk estimates of
+    the metrics in extra, scored with the trials.
 
-    The seeds of every (n, trial) are derived first, in trial order. Then
-    phase 1 is one parallel.run_jobs call: fit(cfg, n, task_seed, algo_seed)
-    -> (w, empirical risk) for each trial, the largest n first (in trial
-    order within an n), and after them the chunk draws of the run's one
-    population sample (_population_sample), so the draws fill the CPUs
-    around the fits, and on one CPU run after them; if fits fail, the first
-    failing one in that job order raises. Phase 2 scores every w on the
-    sample in one parallel.run_jobs call, a job per (fit, chunk) pair
-    (risk.sample_risks). A sample larger than physical memory is refused
-    before any job starts. workers is the scoring's worker count (one per
-    CPU, at most one per (fit, chunk) pair); phase_seconds holds the busy
-    seconds of the chunk draws, summed over the chunks, and the wall times
-    of phase 1 and of phase 2.
+    The run's population sample is _population_sample's. A held sample is
+    passed as sample, drawn whole (_held_sample), and its chunks are views
+    of it; without one the sample is streamed, chunk c drawn by the c-th
+    sampler. The record's held says which.
+
+    The seeds of every (n, trial) are derived first, in trial order. Then one
+    parallel.run_jobs call runs fit(cfg, n, task_seed, algo_seed) -> (w,
+    empirical risk) for each trial, the largest n first (in trial order
+    within an n), and after them the chunk jobs of sample_chunks(m). A draw
+    job draws its chunk (draw_evaluation_sample) into a free buffer, or takes
+    its view of a held sample. Each chunk is then scored by one job a CPU
+    (at most one per metric), each taking a contiguous range of the
+    metrics, the fitted ws in trial order and then extra; a scoring job
+    waits for its chunk's draw and for every fit to finish, and scores its
+    metrics on the read-only chunk (risk.chunk_moments) while it is in
+    cache. The last one to finish frees the chunk's buffer for a later
+    draw. The draws of the first cpus chunks come first, and the draw of
+    chunk c + cpus comes after chunk c's scoring jobs, so the draws fill
+    the CPUs beside the fits (on one CPU they run after them), every CPU
+    scores every chunk, and a streamed run holds at most two chunks a CPU,
+    those being scored and those drawn ahead, never the m-row sample.
+    run_jobs hands the jobs out in order, so a thread takes a scoring job
+    only once every fit and its chunk's draw have been taken by a thread
+    that runs them, and the waits end. A fit counts as finished when it
+    raises too, and a draw as done; the scoring jobs then score nothing, and
+    the first failing job in job order raises. Each metric's chunks are
+    combined in chunk order (risk.combined_estimate), so every estimate is
+    risk.sample_risks's on the whole sample, bit for bit, on any thread
+    count.
+
+    workers is the run's worker count (one per CPU, at most one per job);
+    phase_seconds holds the wall time until the last fit finished (fits)
+    and the busy seconds of the draw jobs (population_draw_busy_sum) and of
+    the scoring jobs (scoring_busy_sum) and the scoring jobs' wait for the
+    fits and their chunk's draw (fit_wait_sum), each summed over the jobs.
     """
-    check_sample_size(cfg.population_m, cfg.task.d)
+    samplers, record = _population_sample(cfg)
+    record["held"] = sample is not None
     root = np.random.SeedSequence(int(cfg.seed))
     seeds = [
         (n, trial, *_cell_seeds(root)) for n in cfg.n_grid for trial in range(cfg.trials_per_n)
     ]
-    sample, draws, record = _population_sample(cfg, len(seeds))
     order = sorted(range(len(seeds)), key=lambda trial: -seeds[trial][0])
-    fit_jobs = [(fit, cfg, n, task_seed, algo_seed) for n, _, task_seed, algo_seed in seeds]
-
-    def timed(job, *args):
-        began = time.perf_counter()
-        return job(*args), time.perf_counter() - began
-
+    chunks = sample_chunks(cfg.population_m)
+    largest = max(rows.stop - rows.start for rows in chunks)
+    metrics = len(seeds) + len(extra)
+    cpus = parallel.available_cpus()
+    parts = min(cpus, metrics)
+    ranges = [(metrics * part // parts, metrics * (part + 1) // parts) for part in range(parts)]
+    fits = [None] * len(seeds)  # a trial's (w, empirical risk) once its fit returns
+    unfinished = len(seeds)
+    lock = threading.Lock()
+    fitted = threading.Event()
+    drawn = [threading.Event() for _ in chunks]
+    views = [None] * len(chunks)  # chunk c, read-only, from its draw until it is scored
+    buffers = [None] * len(chunks)  # the buffer streamed chunk c is drawn into
+    free = []  # buffers of scored chunks, for the next draws
+    unscored = [parts] * len(chunks)  # chunk c's scoring jobs not yet done
     started = time.perf_counter()
-    results, _ = parallel.run_jobs(timed, [fit_jobs[trial] for trial in order] + draws)
-    fitted = time.perf_counter()
-    fits = [None] * len(seeds)
-    for trial, (result, _) in zip(order, results):
-        fits[trial] = result
-    draw_seconds = sum(seconds for _, seconds in results[len(seeds):])
-    sample = read_only_view(sample)
-    pops, workers = sample_risks([w for w, _ in fits], sample, LossConfig(cfg.zeta))
+    fits_ended = started
+
+    def fit_job(trial):
+        nonlocal unfinished, fits_ended
+        n, _, task_seed, algo_seed = seeds[trial]
+        try:
+            fits[trial] = fit(cfg, n, task_seed, algo_seed)
+        finally:
+            with lock:
+                unfinished -= 1
+                if not unfinished:
+                    fits_ended = time.perf_counter()
+                    fitted.set()
+
+    def draw_job(c):
+        began = time.perf_counter()
+        rows = chunks[c]
+        try:
+            if sample is not None:
+                views[c] = sample[:, rows]
+                return 0.0
+            with lock:
+                buffers[c] = free.pop() if free else None
+            if buffers[c] is None:
+                buffers[c] = np.empty((2, largest, cfg.task.d))
+            count = rows.stop - rows.start
+            chunk = draw_evaluation_sample(samplers[c], count, out=buffers[c][:, :count])
+            chunk.flags.writeable = False  # a view: the buffer stays writeable for a later draw
+            views[c] = chunk
+            return time.perf_counter() - began
+        finally:
+            drawn[c].set()
+
+    def score_job(c, first, last):
+        began = time.perf_counter()
+        try:
+            drawn[c].wait()
+            fitted.wait()
+            waited = time.perf_counter()
+            chunk = views[c]
+            if chunk is None or None in fits:  # a draw or a fit raised, and run_jobs raises it
+                return None
+            ws = ([w for w, _ in fits] + list(extra))[first:last]
+            moments = [chunk_moments(w.w, chunk, cfg.zeta) for w in ws]
+            return moments, waited - began, time.perf_counter() - waited
+        finally:
+            with lock:
+                unscored[c] -= 1
+                if not unscored[c]:
+                    views[c] = None
+                    if buffers[c] is not None:
+                        free.append(buffers[c])
+
+    draws = [(draw_job, c) for c in range(len(chunks))]
+    scoring = []
+    for c in range(len(chunks)):
+        scoring += [(score_job, c, *metric_range) for metric_range in ranges]
+        scoring += draws[c + cpus : c + cpus + 1]
+    jobs = [(fit_job, trial) for trial in order] + draws[:cpus] + scoring
+    results, workers = parallel.run_jobs(lambda job, *args: job(*args), jobs)
+    moments = [[] for _ in chunks]  # each metric's chunk_moments on chunk c, in metric order
+    drawing, scored = 0.0, []
+    for (job, c, *_), result in zip(jobs[len(seeds):], results[len(seeds):]):
+        if job is draw_job:
+            drawing += result
+        else:
+            moments[c] += result[0]
+            scored.append(result)
+    estimates = [
+        combined_estimate([chunk[i] for chunk in moments], cfg.population_m)
+        for i in range(metrics)
+    ]
     phase_seconds = {
-        "population_draw_busy_sum": draw_seconds,
-        "draw_and_fits": fitted - started,
-        "scoring": time.perf_counter() - fitted,
+        "fits": fits_ended - started,
+        "population_draw_busy_sum": drawing,
+        "fit_wait_sum": sum(result[1] for result in scored),
+        "scoring_busy_sum": sum(result[2] for result in scored),
     }
-    rows = tuple(SweepRow(*seed, emp, pop) for seed, (_, emp), pop in zip(seeds, fits, pops))
+    rows = tuple(SweepRow(*seed, emp, pop) for seed, (_, emp), pop in zip(seeds, fits, estimates))
     run = {"workers": workers, "population_sample": record, "phase_seconds": phase_seconds}
-    return rows, run, sample
+    return rows, run, estimates[len(seeds):]
 
 
 def _cell_means(cfg: SweepConfig, rows, value) -> tuple:
@@ -395,21 +510,27 @@ def run_excess_risk_experiment(cfg: SweepConfig) -> ExcessReport:
     """Excess risk vs n, with a log-log slope fit on the mean excess.
 
     The trials are the rate sweep's (_run_trials fitted by _sweep_fit, so the
-    rows equal run_rate_sweep's). On their one shared population sample the
-    reference w* minimizes R^, the sample's mean loss (optim.sample_minimizer,
-    RRM's Newton loop at lam = 0), and R^(w*) is scored on the same sample as
-    the trials are; a trial's excess is its population risk minus R^(w*).
+    rows equal run_rate_sweep's). Their one shared population sample is held
+    whole (_held_sample): before any trial is fitted, the reference w* is
+    fitted on it, the minimizer of R^, the sample's mean loss
+    (optim.sample_minimizer, RRM's Newton loop at lam = 0), so a sample
+    without one wastes no fit. R^(w*) is scored in the trials' own chunk
+    pass, as one more metric; a trial's excess is its population risk minus
+    R^(w*).
     Fitting and scoring w* on one sample biases R^(w*) low by about p/(2m)
     (p = d(d+1)/2; at d = 3, 3e-5 at m = 10^5 and 1.5e-3 at m = 2000). The
     estimation term R(w_S) - R_S(w_S) is the sweep's gap, which the rows
     carry. A sample without a minimizer raises optim.SolverFailure.
     """
     _check_rate_rule(cfg)
-    rows, run, sample = _run_trials(cfg, _sweep_fit)
+    sample, draw_seconds = _held_sample(cfg)
     started = time.perf_counter()
     w_star, iterations = sample_minimizer(sample, cfg.zeta)
-    reference = sample_risk(w_star, sample, LossConfig(cfg.zeta))
-    run["phase_seconds"]["reference_fit"] = time.perf_counter() - started
+    reference_fit = time.perf_counter() - started
+    rows, run, (reference,) = _run_trials(cfg, _sweep_fit, sample, extra=(w_star,))
+    run["phase_seconds"].update(
+        population_draw_busy_sum=draw_seconds, reference_fit=reference_fit
+    )
     mean_excess = _cell_means(cfg, rows, lambda row: row.pop.value - reference.value)
     return ExcessReport(
         algorithm=cfg.algorithm,

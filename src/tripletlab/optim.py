@@ -179,10 +179,26 @@ class TrainTrace:
     n_minus: int
 
     def __post_init__(self):
-        i = np.array(self.i, dtype=np.int64)
-        j = np.array(self.j, dtype=np.int64)
-        k = np.array(self.k, dtype=np.int64)
-        eta = np.array(self.eta, dtype=np.float64)
+        self._hold(
+            np.array(self.i, dtype=np.int64),
+            np.array(self.j, dtype=np.int64),
+            np.array(self.k, dtype=np.int64),
+            np.array(self.eta, dtype=np.float64),
+        )
+
+    @classmethod
+    def _of_own_arrays(cls, i, j, k, eta, n_plus: int, n_minus: int) -> "TrainTrace":
+        """The trace of int64 arrays i, j, k and float64 eta that nothing
+        else references, held as they are: sgd_train's own, which the
+        constructor would copy."""
+        trace = object.__new__(cls)
+        object.__setattr__(trace, "n_plus", n_plus)
+        object.__setattr__(trace, "n_minus", n_minus)
+        trace._hold(i, j, k, eta)
+        return trace
+
+    def _hold(self, i, j, k, eta) -> None:
+        """Check the trace arrays and keep read-only views of them."""
         if not (len(i) == len(j) == len(k) == len(eta)):
             raise ValidationError("trace arrays must have equal length")
         if np.any(i == j):
@@ -422,10 +438,10 @@ def _step_kernel(d: int):
 
 def check_trace_size(T: int) -> None:
     """Raise TraceTooLarge if an SGD trace of T steps is larger than physical
-    memory at its peak: sgd_train's four T-length arrays (i, j, k and eta)
-    and TrainTrace's copies of them, 8 T doubles or int64s."""
+    memory at its peak: sgd_train's four T-length arrays (i, j, k and eta),
+    which the trace holds without a copy, 4 T doubles or int64s."""
     what = f"an SGD trace of T = {T} steps"
-    risk.check_memory(8 * T * 8, what, "i, j, k, eta and the trace's copies, 8*T*8", TraceTooLarge)
+    risk.check_memory(4 * T * 8, what, "i, j, k and eta, 4*T*8", TraceTooLarge)
 
 
 def sgd_train(dataset: TripletDataset, cfg: SgdConfig):
@@ -482,9 +498,7 @@ def sgd_train(dataset: TripletDataset, cfg: SgdConfig):
     w = np.empty((dataset.d, dataset.d))
     w[rows, cols] = theta
     w[cols, rows] = theta
-    trace = TrainTrace(
-        i=ii, j=jj, k=kk, eta=np.full(cfg.T, eta), n_plus=n_plus, n_minus=n_minus
-    )
+    trace = TrainTrace._of_own_arrays(ii, jj, kk, np.full(cfg.T, eta), n_plus, n_minus)
     return MetricParams(w), trace
 
 

@@ -13,6 +13,11 @@ pool and the threads doing work never outnumber the CPUs. The results
 come back in job order, so they do not depend on which thread ran a job or
 on how many threads there were. If jobs fail, the first failing one in job
 order raises, as in a serial run, and the jobs not yet taken are skipped.
+
+A job may wait for other jobs of its run only if they come before it in job
+order: when a thread takes a job, every earlier job has been taken by a
+thread that runs it (on one thread, has finished), so the wait ends. A job
+that waits for a later one can wait forever.
 """
 from __future__ import annotations
 

@@ -14,8 +14,11 @@ once, as read-only differences, and sample_risks scores a list of metrics
 on them, so one sample can score every metric of a run (sample_risk scores
 one; population_risk draws and scores in turn). A sample is scored in
 chunks of SAMPLE_CHUNK rows, one job per (metric, chunk) pair on every CPU
-(sample_chunks); the sweep runners draw their shared sample in the same
-chunks (lab._population_sample).
+(sample_chunks): chunk_moments scores one metric on one chunk, and
+combined_estimate combines a metric's chunks in chunk order. The sweep
+runners stream their shared sample in the same chunks, each drawn and then
+scored by every metric of the run with these two functions, so no m-row
+sample is held (lab._run_trials).
 """
 from __future__ import annotations
 
@@ -343,7 +346,7 @@ def draw_evaluation_sample(sampler: TripletSampler, m: int, out=None) -> np.ndar
     return out
 
 
-def _chunk_moments(w_arr: np.ndarray, chunk: np.ndarray, zeta: float):
+def chunk_moments(w_arr: np.ndarray, chunk: np.ndarray, zeta: float):
     """(sum, sum of squared deviations about the chunk's mean, count, min,
     max) of the losses of w_arr on chunk, a (2, rows, d) part of an
     evaluation sample, scored by loss.difference_losses. The deviations are
@@ -362,7 +365,7 @@ def sample_risks(ws, sample: np.ndarray, cfg: LossConfig):
     parallel.run_jobs call with a job per (metric, chunk) pair.
 
     Each job scores one chunk of the sample (sample_chunks) under one metric
-    (_chunk_moments), and each metric's chunk moments are combined in chunk
+    (chunk_moments), and each metric's chunk moments are combined in chunk
     order: the mean is the exactly rounded sum of the chunk sums over m, and
     the sum of squared deviations about it is that of each chunk plus count
     (chunk mean - mean)^2, summed exactly rounded. So an estimate depends
@@ -378,16 +381,16 @@ def sample_risks(ws, sample: np.ndarray, cfg: LossConfig):
             raise DimensionMismatch(f"metric is {w.d}-dimensional, sample is {d}")
     chunks = [sample[:, rows] for rows in sample_chunks(m)]
     parts, workers = parallel.run_jobs(
-        _chunk_moments, [(w.w, chunk, cfg.zeta) for w in ws for chunk in chunks]
+        chunk_moments, [(w.w, chunk, cfg.zeta) for w in ws for chunk in chunks]
     )
     count = len(chunks)
-    estimates = [_combined_estimate(parts[i : i + count], m) for i in range(0, len(parts), count)]
+    estimates = [combined_estimate(parts[i : i + count], m) for i in range(0, len(parts), count)]
     return estimates, workers
 
 
-def _combined_estimate(parts: list, m: int) -> RiskEstimate:
-    """The RiskEstimate of one metric from its chunks' _chunk_moments, in
-    chunk order (see sample_risks)."""
+def combined_estimate(parts: list, m: int) -> RiskEstimate:
+    """The RiskEstimate of one metric on an m-row sample from its chunks'
+    chunk_moments, in chunk order (see sample_risks)."""
     low = min(part[3] for part in parts)
     if low == max(part[4] for part in parts):
         # constant integrand: the mean is the common value, with no noise

@@ -6,7 +6,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -25,7 +25,7 @@ from tripletlab.cli import (
     read_trace_csv,
 )
 from tripletlab.core import Pool, SlotRef, ValidationError, read_dataset_csv, write_dataset_csv
-from tripletlab.risk import sample_risks
+from tripletlab.risk import chunk_moments
 from tripletlab.stability import sgd_stability_bound
 from tripletlab.synth import TaskConfig, gen_task
 
@@ -376,7 +376,10 @@ def test_excess_writes_one_row_per_trial(tmp_path):
     assert reference["risk"] == float(cells[1][2]) == float(rows[1][-1])
     assert reference["iterations"] >= 1 and np.shape(reference["w"]) == (2, 2)
     assert manifest["population_sample"]["m"] == 2000
-    assert set(manifest["phase_seconds"]) >= {"draw_and_fits", "scoring", "reference_fit"}
+    assert set(manifest["phase_seconds"]) == {
+        "fits", "population_draw_busy_sum", "fit_wait_sum", "scoring_busy_sum", "reference_fit"
+    }
+    assert manifest["population_sample"]["held"] is True
     assert list(manifest["slope_fit"]) == ["intercept", "r_squared", "slope", "slope_stderr"]
 
 
@@ -422,8 +425,9 @@ def test_sweep_and_optimistic_manifests_record_the_worker_count(tmp_path, monkey
         assert main([command, "--seed", "3", "--outdir", str(out)] + grid) == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == command
-        # one per CPU, at most one per (fit, chunk) pair: 6 fits, one chunk
-        assert manifest["workers"] == min(cpus, 3 * 2)
+        # one per CPU, at most one per job: 6 fits, then the one chunk
+        # scored by a job a CPU, at most one per fit
+        assert manifest["workers"] == min(cpus, 3 * 2 + min(cpus, 3 * 2))
 
 
 def test_sweep_and_optimistic_manifests_record_the_shared_population_sample(tmp_path):
@@ -439,6 +443,7 @@ def test_sweep_and_optimistic_manifests_record_the_shared_population_sample(tmp_
         assert "c-th fork()" in sample["seed_derivation"]
         assert sample["chunk_rows"] == 2**16
         assert sample["chunks"] == 1
+        assert sample["held"] is False
         assert sample["shared_by_all_trials"] is True
         assert sample["trials"] == 3 * 2
 
@@ -449,7 +454,9 @@ def test_sweep_and_optimistic_manifests_record_the_phase_timings(tmp_path):
         out = tmp_path / command
         assert main([command, "--seed", "3", "--outdir", str(out)] + grid) == EXIT_OK
         times = json.loads((out / "manifest.json").read_text())["phase_seconds"]
-        assert set(times) == {"population_draw_busy_sum", "draw_and_fits", "scoring"}
+        assert set(times) == {
+            "fits", "population_draw_busy_sum", "fit_wait_sum", "scoring_busy_sum"
+        }
         assert all(t >= 0.0 for t in times.values())
 
 
@@ -465,11 +472,10 @@ def test_optimistic_manifest_records_the_slope_fit(tmp_path, monkeypatch):
     assert fit == want
     assert all(math.isfinite(v) for v in want.values())
     # a population risk of 0 makes every gap negative: no fit, recorded as null
-    def zero_risks(ws, sample, cfg):
-        pops, workers = sample_risks(ws, sample, cfg)
-        return [replace(pop, value=0.0) for pop in pops], workers
+    def zero_sums(w_arr, chunk, zeta):
+        return (0.0, *chunk_moments(w_arr, chunk, zeta)[1:])
 
-    monkeypatch.setattr(lab, "sample_risks", zero_risks)
+    monkeypatch.setattr(lab, "chunk_moments", zero_sums)
     out = tmp_path / "none"
     assert main(["optimistic", "--seed", "3", "--outdir", str(out)] + grid) == EXIT_OK
     fit = json.loads((out / "manifest.json").read_text())["slope_fit"]
@@ -495,37 +501,41 @@ def test_sweep_and_optimistic_tables_share_their_row_and_fit_columns(tmp_path):
 @pytest.mark.parametrize("command", ["sweep", "optimistic", "excess"])
 def test_a_population_sample_larger_than_memory_exits_2(tmp_path, capsys, command):
     m = 10_000_000_000_000  # 2 m d 8 bytes = 480 TB at d = 3: refused, never allocated
+    out = tmp_path / "out"
     rc = main(
-        [command, "--seed", "3", "--outdir", str(tmp_path), "--n-grid", "4 6 8",
+        [command, "--seed", "3", "--outdir", str(out), "--n-grid", "4 6 8",
          "--trials-per-n", "1", "--population-m", str(m), "--d", "3"]
     )
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"m = {m} triplets at d = 3 needs {2 * m * 3 * 8} bytes" in err
     assert "bytes of physical memory" in err
+    assert not out.exists()
 
 
 def test_an_rrm_solve_whose_features_exceed_memory_exits_2(tmp_path, capsys, monkeypatch):
     need = (4 * 4 + 4 * 3) * 4 * 8  # (n+^2 + n+ n-)(p + 1) doubles, p = 3 at d = 2
     monkeypatch.setattr(risk, "physical_memory", lambda: need - 1)
-    rc = main(["rrm", "--seed", "3", "--outdir", str(tmp_path), "--lam", "0.1"] + TINY_TASK)
+    out = tmp_path / "out"
+    rc = main(["rrm", "--seed", "3", "--outdir", str(out), "--lam", "0.1"] + TINY_TASK)
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"n+ = 4, n- = 3, d = 2 needs {need} bytes" in err
     assert f"more than the {need - 1} bytes of physical memory" in err
-    assert not (tmp_path / "model.csv").exists()
+    assert not out.exists()
 
 
 def test_a_probe_set_larger_than_memory_exits_2(tmp_path, capsys):
     m = 100_000_000_000  # 3 m d 8 bytes = 7.2 TB at d = 3: refused, never allocated
+    out = tmp_path / "out"
     rc = main(
-        ["stability", "--seed", "3", "--outdir", str(tmp_path), "--trainer", "constant",
+        ["stability", "--seed", "3", "--outdir", str(out), "--trainer", "constant",
          "--trials", "1", "--probe-size", str(m), "--d", "3"]
     )
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"a probe set of m = {m} triplets at d = 3 needs {3 * m * 3 * 8} bytes" in err
-    assert not (tmp_path / "stability.csv").exists()
+    assert not out.exists()
 
 
 def test_an_on_average_subsample_larger_than_memory_exits_2(tmp_path, capsys):
@@ -543,12 +553,12 @@ def test_an_on_average_subsample_larger_than_memory_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [["sgd"], ["stability", "--trainer", "sgd"]])
 def test_an_sgd_trace_larger_than_memory_exits_2(tmp_path, capsys, command):
-    T = 100_000_000_000  # eight T-length arrays, 64 T bytes = 6.4 TB: never allocated
+    T = 100_000_000_000  # four T-length arrays, 32 T bytes = 3.2 TB: never allocated
     out = tmp_path / "out"
     rc = main(command + ["--seed", "1", "--T", str(T), "--outdir", str(out)])
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith(f"error: an SGD trace of T = {T} steps needs {64 * T} bytes")
+    assert err.startswith(f"error: an SGD trace of T = {T} steps needs {32 * T} bytes")
     assert "bytes of physical memory" in err and "Traceback" not in err
     if command == ["sgd"]:
         assert not out.exists()

@@ -5,7 +5,9 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,7 +34,13 @@ from tripletlab.lab import (
 )
 from tripletlab.loss import LossConfig, regularity_constants
 from tripletlab.optim import SolverFailure
-from tripletlab.risk import draw_evaluation_sample, empirical_risk, sample_risk, sample_risks
+from tripletlab.risk import (
+    chunk_moments,
+    draw_evaluation_sample,
+    empirical_risk,
+    sample_risk,
+    sample_risks,
+)
 from tripletlab.synth import TaskConfig, gen_task, low_noise_task, task_sampler
 
 TASK = TaskConfig(d=2, n_plus=4, n_minus=4, seed=0)
@@ -218,6 +226,7 @@ def test_excess_reference_fits_the_runs_one_population_sample(monkeypatch):
     assert np.array_equal(sample, fresh)
     assert rep.reference == sample_risk(rep.w_star, sample, LossConfig(0.3))
     assert rep.phase_seconds["reference_fit"] >= 0.0
+    assert rep.population_sample["held"] is True
 
 
 def test_excess_empirical_risks_are_exact_past_the_default_budget(monkeypatch):
@@ -239,6 +248,18 @@ def test_excess_without_a_reference_minimizer_raises_solver_failure():
     # 2 triplets cannot pin down p = 3 coordinates at d = 2
     with pytest.raises(SolverFailure, match="lam = 0"):
         run_excess_risk_experiment(excess_cfg(population_m=2))
+
+
+def test_excess_fits_its_reference_before_any_trial(monkeypatch):
+    fitted = []
+    sweep_fit = lab._sweep_fit
+    monkeypatch.setattr(lab, "_sweep_fit", lambda *args: fitted.append(args) or sweep_fit(*args))
+    # m = 2 < p = 3 at d = 2: the reference fit fails, and no trial was fitted
+    with pytest.raises(SolverFailure, match="lam = 0"):
+        run_excess_risk_experiment(excess_cfg(population_m=2))
+    assert fitted == []
+    run_excess_risk_experiment(excess_cfg())
+    assert len(fitted) == 3 * 2
 
 
 # --- optimistic regime ---
@@ -289,11 +310,7 @@ def test_optimistic_slope_is_nan_when_fewer_than_3_cells_have_a_positive_gap(
     monkeypatch, tmp_path, capsys
 ):
     # a population risk of 0 scores below every empirical risk: every gap is negative
-    def zero_risks(ws, sample, loss_cfg):
-        pops, workers = sample_risks(ws, sample, loss_cfg)
-        return [replace(pop, value=0.0) for pop in pops], workers
-
-    monkeypatch.setattr(lab, "sample_risks", zero_risks)
+    monkeypatch.setattr(lab, "chunk_moments", _zero_sums)
     rep = run_optimistic_experiment(optimistic_cfg())
     assert all(c.mean_gap < 0.0 for c in rep.cells)
     fit = rep.fit
@@ -318,6 +335,11 @@ def test_optimistic_experiment_requires_rrm_and_rule():
         run_optimistic_experiment(optimistic_cfg(algorithm="sgd", sigma_rule="optimistic"))
     with pytest.raises(ValidationError):
         run_optimistic_experiment(optimistic_cfg(sigma_rule="inv_sqrt_n"))
+
+
+def _zero_sums(w_arr, chunk, zeta):
+    """chunk_moments with a loss sum of 0: a population risk of 0."""
+    return (0.0, *chunk_moments(w_arr, chunk, zeta)[1:])
 
 
 # --- one population sample per run ---
@@ -366,20 +388,30 @@ def _check_sample_record(report, cfg, seed):
     assert report.population_sample["chunks"] == len(_chunk_sizes(cfg.population_m))
     assert report.population_sample["shared_by_all_trials"] is True
     assert report.population_sample["trials"] == len(cfg.n_grid) * cfg.trials_per_n
+    assert report.population_sample["held"] is False
 
 
 def _scored_sample(monkeypatch, run, cfg):
-    """The sample every fit of run(cfg) was scored on, checked to be one."""
-    samples = []
+    """(sample, chunks): the sample the fits of run(cfg) were scored on,
+    checked to be one, and the chunks the chunk scorer saw, each scored by
+    every fit. The sample is the chunks' copies, made as they were scored (a
+    streamed chunk's buffer is reused), joined. On one CPU each chunk is
+    scored by one job, and the chunk jobs run in chunk order."""
+    chunks = []  # (chunk, copy, metrics scored on it)
 
-    def record(ws, sample, loss_cfg):
-        samples.append(sample)
-        return sample_risks(ws, sample, loss_cfg)
+    def record(w_arr, chunk, zeta):
+        if not chunks or chunks[-1][0] is not chunk:
+            chunks.append([chunk, chunk.copy(), 0])
+        chunks[-1][2] += 1
+        return chunk_moments(w_arr, chunk, zeta)
 
-    monkeypatch.setattr(lab, "sample_risks", record)
+    monkeypatch.setattr(lab, "chunk_moments", record)
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
     run(cfg)
-    assert all(sample is samples[0] for sample in samples)
-    return samples[0]
+    assert [scored for _, _, scored in chunks] == [len(cfg.n_grid) * cfg.trials_per_n] * len(
+        _chunk_sizes(cfg.population_m)
+    )
+    return np.concatenate([copy for _, copy, _ in chunks], axis=1), [c for c, _, _ in chunks]
 
 
 @pytest.mark.parametrize(
@@ -388,8 +420,8 @@ def _scored_sample(monkeypatch, run, cfg):
 def test_the_shared_sample_is_drawn_in_chunks_and_one_chunk_is_a_plain_draw(monkeypatch, m):
     cfg = SweepConfig(algorithm="constant", n_grid=(4, 5, 6), trials_per_n=1, task=TASK,
                       population_m=m, seed=33)
-    sample = _scored_sample(monkeypatch, run_rate_sweep, cfg)
-    assert not sample.flags.writeable
+    sample, chunks = _scored_sample(monkeypatch, run_rate_sweep, cfg)
+    assert not any(chunk.flags.writeable for chunk in chunks)
     seed, rebuilt = _shared_sample(cfg)
     assert np.array_equal(sample, rebuilt)
     if m <= risk.SAMPLE_CHUNK + 1:  # one chunk: draw_evaluation_sample's own sample
@@ -479,7 +511,7 @@ def test_runners_give_the_same_report_on_any_worker_count(monkeypatch, name):
         for cpus in (1, 2, 8):  # 8: more threads than cores
             monkeypatch.setattr(parallel, "available_cpus", lambda cpus=cpus: cpus)
             report = run(cfg)
-            assert report.workers == min(cpus, 9)
+            assert report.workers == min(cpus, 9 + 2)  # 9 fits, then 2 chunks' jobs
             reports[cpus] = repr(report)
     finally:
         sys.setswitchinterval(interval)
@@ -544,12 +576,18 @@ def test_runners_time_their_phases_outside_the_report_repr(monkeypatch, name):
     run, cfg = _runner_case(name)
     for cpus in (1, 2):
         monkeypatch.setattr(parallel, "available_cpus", lambda cpus=cpus: cpus)
+        began = time.perf_counter()
         report = run(cfg)
+        elapsed = time.perf_counter() - began
         times = report.phase_seconds
-        assert set(times) == {"population_draw_busy_sum", "draw_and_fits", "scoring"}
+        busy = {"population_draw_busy_sum", "fit_wait_sum", "scoring_busy_sum"}
+        assert set(times) == {"fits"} | busy
         assert all(t >= 0.0 for t in times.values())
-        # each chunk draw is busy inside phase 1, on one of at most cpus threads
-        assert times["population_draw_busy_sum"] <= cpus * times["draw_and_fits"]
+        assert times["fits"] <= elapsed
+        # the chunk jobs run inside the run, on at most cpus threads at once
+        assert sum(times[key] for key in busy) <= cpus * elapsed
+        if cpus == 1:  # the chunk jobs run after the last fit: none waits
+            assert times["fit_wait_sum"] < 0.1
         assert "phase_seconds" not in repr(report)
 
 
@@ -597,6 +635,121 @@ def test_a_failing_trial_cancels_the_trials_not_yet_started(monkeypatch):
         run_rate_sweep(FAILING_SWEEP)
     assert seeds[0] in fitted
     assert len(fitted) < len(seeds)
+
+
+# --- the streamed population sample ---
+
+
+@pytest.mark.parametrize("name", ["sgd", "optimistic"])
+def test_streamed_rows_equal_the_held_sample_scored_by_sample_risks(monkeypatch, name):
+    run, cfg = _runner_case(name)
+    cfg = replace(cfg, population_m=3 * risk.SAMPLE_CHUNK + 5)  # four chunks
+    fits = {}
+    owner = "_optimistic_fit" if name == "optimistic" else "_sweep_fit"
+    fit = getattr(lab, owner)
+
+    def record(cfg, n, task_seed, algo_seed):
+        fits[(n, task_seed, algo_seed)] = fit(cfg, n, task_seed, algo_seed)
+        return fits[(n, task_seed, algo_seed)]
+
+    def scoring(w_arr, chunk, zeta):
+        assert not chunk.flags.writeable
+        return chunk_moments(w_arr, chunk, zeta)
+
+    monkeypatch.setattr(lab, owner, record)
+    monkeypatch.setattr(lab, "chunk_moments", scoring)
+    _, sample = _shared_sample(cfg)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, to shake out a reused buffer
+    try:
+        for cpus in (1, 2, 3, 8):  # 2 and 3: later chunks are drawn into freed buffers
+            monkeypatch.setattr(parallel, "available_cpus", lambda cpus=cpus: cpus)
+            report = run(cfg)
+            rows = report.trial_rows if name == "optimistic" else report.rows
+            ws = [fits[(row.n, row.task_seed, row.algo_seed)][0] for row in rows]
+            pops, _ = sample_risks(ws, sample, LossConfig(cfg.zeta))
+            assert [row.pop for row in rows] == pops
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_one_chunk_sample_is_scored_on_every_cpu(monkeypatch):
+    run, cfg = _runner_case("sgd")
+    cfg = replace(cfg, population_m=3000)  # one chunk
+    want = repr(run(cfg))
+    # on two CPUs the chunk's metrics are split over two jobs, which score
+    # at once: each thread's first score waits for the other's, so a chunk
+    # scored by one job breaks the barrier at its timeout
+    meet = threading.Barrier(2, timeout=30)
+    met = set()
+
+    def scoring(w_arr, chunk, zeta):
+        assert not chunk.flags.writeable
+        if threading.get_ident() not in met:
+            met.add(threading.get_ident())
+            meet.wait()
+        return chunk_moments(w_arr, chunk, zeta)
+
+    monkeypatch.setattr(lab, "chunk_moments", scoring)
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    assert repr(run(cfg)) == want
+    assert len(met) == 2
+
+
+def test_a_fit_failing_while_a_chunk_job_waits_raises_its_own_error(monkeypatch):
+    seeds = [row.algo_seed for row in run_rate_sweep(FAILING_SWEEP).rows]
+    last = seeds[3]  # trial 3 (n = 4) is the last fit in job order
+    waiting = threading.Event()
+
+    class WatchedEvent(threading.Event):
+        """An event that tells when a thread starts to wait on it unset."""
+
+        def wait(self, timeout=None):
+            if not self.is_set():
+                waiting.set()
+            return super().wait(timeout)
+
+    sgd_train = stability.sgd_train
+
+    def fit(train, sgd_cfg):
+        if sgd_cfg.seed == last:  # fail once the other thread waits in a chunk job
+            assert waiting.wait(timeout=30)
+            raise FloatingPointError(f"fit {last} diverged")
+        return sgd_train(train, sgd_cfg)
+
+    monkeypatch.setattr(lab, "threading", SimpleNamespace(Lock=threading.Lock, Event=WatchedEvent))
+    monkeypatch.setattr(stability, "sgd_train", fit)
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    raised = []
+
+    def sweep():
+        try:
+            run_rate_sweep(FAILING_SWEEP)
+        except Exception as exc:
+            raised.append(exc)
+
+    runner = threading.Thread(target=sweep, daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "a chunk job still waits for the failed fit"
+    assert waiting.is_set()
+    assert [type(exc) for exc in raised] == [FloatingPointError]
+    assert str(raised[0]) == f"fit {last} diverged"
+
+
+def test_a_streamed_run_holds_no_population_sample(monkeypatch):
+    m = 4 * risk.SAMPLE_CHUNK
+    cfg = SweepConfig(algorithm="constant", n_grid=(4, 5, 6), trials_per_n=1, task=TASK,
+                      population_m=m, seed=5)
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
+    tracemalloc.start()
+    try:
+        run_rate_sweep(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = 2 * m * TASK.d * 8
+    assert peak < held / 2
 
 
 # --- persistence ---

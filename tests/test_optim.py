@@ -514,6 +514,23 @@ def test_trace_arrays_stay_read_only_copies():
     assert trace.i.tolist() == [0, 1]
 
 
+def test_sgd_train_hands_its_index_arrays_to_the_trace_without_a_copy(monkeypatch):
+    train, _ = gen_task(TaskConfig(d=2, n_plus=5, n_minus=4, seed=6))
+    made = []
+    empty = np.empty
+
+    def recording(*args, **kwargs):
+        made.append(empty(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(np, "empty", recording)
+    _, trace = sgd_train(train, SgdConfig(T=1000, c=1 / 32, seed=2))
+    monkeypatch.undo()
+    for stored in (trace.i, trace.j, trace.k):
+        assert any(np.shares_memory(stored, own) for own in made if own.shape == (1000,))
+        assert not stored.flags.writeable
+
+
 def test_trace_hit_masks_and_counts():
     trace = TrainTrace(
         i=np.array([0, 1, 2]),
@@ -773,7 +790,7 @@ def test_a_cold_solve_builds_its_features_once_and_sweeps_once_per_iteration(mon
 def test_a_trace_larger_than_physical_memory_is_refused_before_the_first_draw(monkeypatch):
     train, _ = gen_task(TaskConfig(d=2, n_plus=5, n_minus=4, seed=6))
     cfg = SgdConfig(T=1000, c=1 / 32, seed=2)
-    need = 8 * 1000 * 8  # i, j, k, eta and TrainTrace's copies of them
+    need = 4 * 1000 * 8  # i, j, k and eta, which the trace holds without a copy
     drawn = []
     monkeypatch.setattr(optim, "_draw_indices", lambda *args: drawn.append(args))
     monkeypatch.setattr(risk_module, "physical_memory", lambda: need - 1)
