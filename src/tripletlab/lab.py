@@ -35,7 +35,6 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-from scipy.stats import linregress
 
 from . import parallel
 from .core import ValidationError, read_only_view
@@ -74,7 +73,10 @@ def fit_loglog_slope(points):
     """OLS fit of log(value) on log(n); returns (slope, intercept, stderr, r_squared).
 
     Exact power laws come back with their exponent (up to float rounding) and
-    r_squared = 1.
+    r_squared = 1. The fit runs the numpy operations of scipy.stats.linregress
+    in its order, so every field equals linregress's bit for bit; a constant
+    series, whose r is undefined, gives slope 0 and NaN stderr and r_squared,
+    as there.
     """
     pts = list(points)
     if len(pts) < 3:
@@ -83,8 +85,18 @@ def fit_loglog_slope(points):
     vals = np.array([p[1] for p in pts], dtype=np.float64)
     if np.any(ns <= 0) or np.any(vals <= 0):
         raise NonpositiveValue("log-log fit needs strictly positive n and values")
-    res = linregress(np.log(ns), np.log(vals))
-    return float(res.slope), float(res.intercept), float(res.stderr), float(res.rvalue**2)
+    x, y = np.log(ns), np.log(vals)
+    if np.amax(x) == np.amin(x):
+        raise TooFewPoints(f"need at least 2 distinct n for a slope fit, got n = {ns.tolist()}")
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.nan if ssxym == 0 else 0.0
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    slope = ssxym / ssxm
+    intercept = np.mean(y) - slope * np.mean(x)
+    stderr = np.sqrt((1 - r**2) * ssym / ssxm / (len(x) - 2))
+    return float(slope), float(intercept), float(stderr), float(r**2)
 
 
 @dataclass(frozen=True)

@@ -31,11 +31,11 @@ results are bit-identical for any thread count.
 from __future__ import annotations
 
 import csv
+import math
 import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import parallel
 from .core import DimensionMismatch, ValidationError, open_input_csv, read_only_view, write_csv
@@ -132,16 +132,32 @@ def phi(u):
     return np.log1p(np.exp(-np.abs(u))) + np.maximum(-u, 0.0)
 
 
+def _expit1(x: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
+
+
+def _expit(u: np.ndarray):
+    """1/(1 + exp(-u)) per element, as scipy.special.expit gives it bit for
+    bit: libm's exp (math.exp; np.exp differs from it in the last bit on
+    some inputs) and 0.0 where exp(-u) overflows. A 0-d u gives a numpy
+    scalar, as a ufunc does."""
+    values = [_expit1(x) for x in u.ravel().tolist()]
+    return np.array(values, dtype=np.float64).reshape(u.shape)[()]
+
+
 def phi_prime(u):
     """d/du log(1 + exp(-u)) = -1/(1 + exp(u))."""
     u = np.asarray(u, dtype=np.float64)
-    return -expit(-u)
+    return -_expit(-u)
 
 
 def phi_double_prime(u):
     """Second derivative: sigmoid(u) * sigmoid(-u), always in (0, 1/4]."""
     u = np.asarray(u, dtype=np.float64)
-    return expit(u) * expit(-u)
+    return _expit(u) * _expit(-u)
 
 
 # --- single-triplet operations (public API) ---

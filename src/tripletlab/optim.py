@@ -34,6 +34,12 @@ bit-identical for any thread count, of the pool and of BLAS. A solve that
 cannot reach tol raises a SolverFailure that carries its best iterate.
 sample_minimizer runs the same Newton loop (_newton) at lam = 0 on the mean
 loss over an evaluation sample, a reference minimizer for the excess risk.
+The Newton system is solved by scipy.linalg's cho_factor and cho_solve,
+imported when _newton is called, so that a process that never runs a
+Newton solve (SGD, the stability probes of a constant or SGD trainer)
+never loads scipy, which costs more to import than all of tripletlab.
+numpy's Cholesky and triangular solves would not do instead: they round
+differently from scipy's LAPACK calls, and every RRM iterate would move.
 """
 from __future__ import annotations
 
@@ -43,7 +49,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from . import loss, parallel, risk
 from .core import (
@@ -697,6 +702,8 @@ def _newton(parts, mean_loss, u, lam, tol, max_iters, basis):
     Newton system yields no descent direction; all three carry the best
     iterate.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     ridge = 2.0 * lam * np.eye(len(u))
     best = None
 
@@ -717,7 +724,7 @@ def _newton(parts, mean_loss, u, lam, tol, max_iters, basis):
         f_val = risk_val + lam * float(u @ u)
         try:
             s = cho_solve(cho_factor(hess_r + ridge), -grad)
-        except LinAlgError:  # no factorization, no direction: the check below raises
+        except np.linalg.LinAlgError:  # no factorization, no direction: the check below raises
             s = np.zeros_like(u)
         slope = float(grad @ s)
         if not slope < 0.0:

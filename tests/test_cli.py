@@ -14,7 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError
 
-from tripletlab import lab, optim, parallel, risk
+from tripletlab import lab, parallel, risk
 from tripletlab.cli import (
     EXIT_CONFIG,
     EXIT_DOMINATION,
@@ -110,7 +110,7 @@ def test_rrm_failed_newton_factorization_maps_to_config_error(tmp_path, capsys, 
         raise LinAlgError("not positive definite")
 
     with monkeypatch.context() as patch:
-        patch.setattr(optim, "cho_factor", failing)
+        patch.setattr("scipy.linalg.cho_factor", failing)
         rc = main(argv + ["--outdir", str(tmp_path / "a")])
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err

@@ -15,8 +15,16 @@ stability_bound and sigma_or_T, and its kind is report data only. The
 fourth lists each private (underscore) top-level function, class or
 constant under src/ that no module under src/ reads, as a name, an
 attribute or a from-import: dead code left behind by a refactor.
+
+The last test runs the CLI in a fresh interpreter and reads sys.modules:
+importing the package, or running SGD, loads no scipy module, and an RRM
+run loads scipy.linalg alone, for its Newton solve.
 """
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -190,3 +198,31 @@ def test_every_private_top_level_name_under_src_is_read():
     sources = {str(path.relative_to(ROOT)): path.read_text() for path in paths}
     assert len(paths) > 5
     assert unread_private_names(sources) == []
+
+
+SCIPY_MODULES = """
+import json, sys
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+import tripletlab.cli
+loaded = {"import": scipy_modules()}
+task = ["--seed", "12", "--d", "3", "--n-plus", "8", "--n-minus", "7"]
+for command, flags in (("sgd", ["--T", "300"]), ("rrm", ["--lam", "0.1"])):
+    code = tripletlab.cli.main([command, *task, *flags, "--outdir", sys.argv[1] + "/" + command])
+    loaded[command] = scipy_modules() if code == 0 else code
+print(json.dumps(loaded))
+"""
+
+
+def test_only_the_newton_solve_loads_scipy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", SCIPY_MODULES, str(tmp_path)], env=env, capture_output=True,
+        text=True, check=True, timeout=120,
+    )
+    loaded = json.loads(run.stdout.splitlines()[-1])
+    assert loaded["import"] == [] and loaded["sgd"] == []
+    assert "scipy.linalg" in loaded["rrm"]
+    assert not any(name.startswith(("scipy.stats", "scipy.special")) for name in loaded["rrm"])

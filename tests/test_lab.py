@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.stats import linregress
 
 from tripletlab import cli, lab, parallel, risk, stability
 from tripletlab.core import ValidationError, write_records
@@ -68,6 +69,41 @@ def test_fit_loglog_validation():
         fit_loglog_slope([(8, 1.0), (16, 0.5), (32, 0.0)])
     with pytest.raises(NonpositiveValue):
         fit_loglog_slope([(8, 1.0), (-16, 0.5), (32, 0.25)])
+    # three points at one n fit no line
+    with pytest.raises(TooFewPoints, match=r"2 distinct n .*\[8\.0, 8\.0, 8\.0\]"):
+        fit_loglog_slope([(8, 1.0), (8, 0.5), (8, 0.25)])
+    assert issubclass(TooFewPoints, ValidationError)
+
+
+def linregress_fields(points):
+    """(slope, intercept, stderr, rvalue^2) of scipy.stats.linregress on the
+    logs, the fit fit_loglog_slope reproduces."""
+    res = linregress(np.log([p[0] for p in points]), np.log([p[1] for p in points]))
+    return float(res.slope), float(res.intercept), float(res.stderr), float(res.rvalue**2)
+
+
+def test_fit_loglog_equals_scipy_linregress_bit_for_bit():
+    rng = np.random.default_rng(20)
+    for _ in range(2000):
+        size = int(rng.integers(3, 13))
+        ns = np.sort(rng.choice(np.arange(4, 4096), size=size, replace=False))
+        vals = np.exp(rng.normal(size=size) * rng.uniform(0.01, 3.0))
+        pts = list(zip(ns.tolist(), vals.tolist()))
+        got = fit_loglog_slope(pts)
+        assert [v.hex() for v in got] == [v.hex() for v in linregress_fields(pts)], pts
+    # exact power laws whose r rounds past -1 and past 1 before the clip
+    for c, exponent in ((3.0, -0.75), (2.0, 0.5)):
+        pts = [(n, c * n**exponent) for n in (8, 16, 32, 64, 128)]
+        ssxm, ssxym, _, ssym = np.cov(*np.log(pts).T, bias=1).flat
+        assert abs(ssxym / np.sqrt(ssxm * ssym)) > 1.0
+        got = fit_loglog_slope(pts)
+        assert [v.hex() for v in got] == [v.hex() for v in linregress_fields(pts)]
+        assert got[2:] == (0.0, 1.0)
+    # a constant series: slope 0, r undefined
+    pts = [(8, 1.0), (16, 1.0), (32, 1.0)]
+    slope, intercept, stderr, r2 = fit_loglog_slope(pts)
+    assert (slope, intercept) == (0.0, 0.0) and math.isnan(stderr) and math.isnan(r2)
+    assert [v.hex() for v in linregress_fields(pts)] == ["0x0.0p+0", "0x0.0p+0", "nan", "nan"]
 
 
 # --- sweep config ---

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from tripletlab import loss as loss_module
 from tripletlab.core import TripletDataset, ValidationError
@@ -110,6 +112,33 @@ def test_phi_double_prime_matches_finite_difference():
     for u in (-4.0, -1.0, 0.0, 2.0):
         fd = (phi_prime(u + h) - phi_prime(u - h)) / (2 * h)
         assert phi_double_prime(u) == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_phi_derivatives_equal_their_scipy_expit_forms_bit_for_bit():
+    # exp(-u) overflows between u = -709.79 and -709.78, where expit gives 0.0
+    edges = [-709.79, -709.78, 709.78, 709.79]
+    us = np.concatenate([np.linspace(-800.0, 800.0, 40_001), edges])
+    points = (-709.79, np.float64(0.5), np.asarray(3.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first, second = phi_prime(us), phi_double_prime(us)
+        scalars = [(phi_prime(u), phi_double_prime(u)) for u in points]
+    assert first.dtype == second.dtype == np.float64 and first.shape == us.shape
+    assert same_bits(first, -expit(-us))
+    assert same_bits(second, expit(us) * expit(-us))
+    # the overflow branch: expit(-709.79) is 0.0, expit(-709.78) is not
+    assert first[-1] == 0.0 and second[-4] == second[-1] == 0.0
+    assert first[-2] < 0.0 and second[-3] > 0.0
+    for (prime, double), u in zip(scalars, points):
+        assert type(prime) is np.float64 and type(double) is np.float64
+        assert same_bits(prime, -expit(-np.float64(u)))
+        assert same_bits(double, expit(np.float64(u)) * expit(-np.float64(u)))
+    grid = us[-8:].reshape(2, 4)
+    assert same_bits(phi_double_prime(grid), expit(grid) * expit(-grid))
 
 
 def test_phi_prime_range():

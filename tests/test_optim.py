@@ -830,7 +830,7 @@ def test_rrm_newton_solves_a_p_by_p_system(monkeypatch):
         shapes.append(hess.shape)
         return cho_factor(hess)
 
-    monkeypatch.setattr(optim, "cho_factor", spy)
+    monkeypatch.setattr("scipy.linalg.cho_factor", spy)
     _, iterations = rrm_train(train, RrmConfig(lam=0.1))
     assert iterations >= 1
     assert shapes == [(55, 55)] * iterations
@@ -1007,7 +1007,7 @@ def test_rrm_exhausted_line_search_raises_with_the_best_iterate(monkeypatch):
 def test_rrm_non_descent_newton_direction_raises_with_the_best_iterate(monkeypatch):
     # a Newton solve that points uphill: the direction is +grad
     train, _ = gen_task(TaskConfig(d=2, n_plus=8, n_minus=8, seed=3))
-    monkeypatch.setattr(optim, "cho_solve", lambda factor, rhs: -rhs)
+    monkeypatch.setattr("scipy.linalg.cho_solve", lambda factor, rhs: -rhs)
     with pytest.raises(SolverFailure) as err:
         rrm_train(train, RrmConfig(lam=0.01))
     assert type(err.value) is SolverFailure
@@ -1042,7 +1042,7 @@ def test_rrm_failed_newton_factorization_raises_with_the_best_iterate(monkeypatc
         failed.append(True)
         raise LinAlgError("not positive definite")
 
-    monkeypatch.setattr(optim, "cho_factor", failing)
+    monkeypatch.setattr("scipy.linalg.cho_factor", failing)
     with pytest.raises(SolverFailure) as err:
         rrm_train(train, RrmConfig(lam=1e-18))
     assert type(err.value) is SolverFailure
