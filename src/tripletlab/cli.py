@@ -607,10 +607,19 @@ def _add_task_flags(p):
     p.add_argument("--zeta", type=float, help="triplet margin")
 
 
-def _add_common(p, seed_required=True):
+def _parse_seed(text: str) -> int:
+    """The root seed a --seed token spells, an integer in [0, 2**64): the
+    range of SeedSequence entropy that every seeded subcommand accepts."""
+    seed = parse_int(text)
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
+def _add_common(p):
     p.add_argument("--config", help="INI config file")
     p.add_argument("--outdir", default=".", help="output directory")
-    p.add_argument("--seed", type=parse_int, required=seed_required, help="root seed")
+    p.add_argument("--seed", type=_parse_seed, required=True, help="root seed")
 
 
 def build_parser() -> argparse.ArgumentParser:

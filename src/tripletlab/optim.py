@@ -8,14 +8,9 @@ the symmetric D_t = dp dp^T - dn dn^T, so the steps run in Python floats on
 the p = d(d+1)/2 svec coordinates of w: a length-p dot product with the
 features svec(D_t) (off-diagonal entries weighted 2) and an axpy, in a step
 kernel compiled once per d that holds the coordinates in local variables
-(_step_kernel). The step indices are drawn in bulk: numpy's
-Generator.integers maps each word of the generator's 32-bit stream to a
-bounded value by a multiply-shift with rejection, so decoding bulk draws of
-raw words in the loop's order gives exactly the per-step draws, and paired
-runs on one seed still share their index sequence. The decoding runs in
-numpy: most steps take three consecutive accepted words, so a run of them is
-read at one stride, and Python visits only the words where a pair is redrawn
-or a word rejected (_decode_steps).
+(_step_kernel). The steps' triplets, uniform over {(i, j, k): i != j}, are
+all drawn before the first step by risk.sample_triplet_indices, so paired
+runs on S and S' at one seed share every index.
 
 The regularized objective F_S(w) = R_S(w) + lam ||w||_F^2 is 2*lam-strongly
 convex, so the gradient-norm stopping rule certifies
@@ -74,7 +69,6 @@ from .loss import (
 )
 from .risk import DEFAULT_TRIPLET_BUDGET, exact_mean_loss, swept_mean_loss
 
-WORDS = 4096  # 32-bit words per bulk draw of the SGD index stream
 SUB_BLOCK = 256  # SGD steps whose features are converted to Python floats at once
 # pair features built at once (_pair_features, 64 KB): the build's temporaries
 # stay small beside the features, which peak memory would otherwise see
@@ -238,159 +232,6 @@ class TrainTrace:
         return int(self.hit_mask(slot).sum())
 
 
-def _lemire(words: np.ndarray, n) -> np.ndarray:
-    """The value rng.integers(0, n) takes from each of rng's 32-bit words, for
-    1 <= n < 2**32, or -1 where numpy rejects the word, as int64; n may be an
-    array of bounds that broadcasts against words.
-
-    numpy draws such a bound by Lemire's multiply-shift: the value is
-    (word * n) >> 32, and a word whose low product half is below
-    (2**32 - n) % n is rejected and replaced by the next one.
-    """
-    n = np.asarray(n, np.uint64)
-    m = words * n
-    values = (m >> np.uint64(32)).view(np.int64)
-    values[m.astype(np.uint32) < (2**32 - n) % n] = -1
-    return values
-
-
-def _parse_step(pos, neg, q: int, stride: int):
-    """(i, j, k, q): the step read by numpy's rules from word q on of the
-    decoded words pos and neg, and the word after it. A rejected word (-1)
-    is replaced by the next one, and an equal pair is redrawn; at stride 2
-    (a bound n- of 1) k takes no word and is 0. Raises IndexError when the
-    words run out mid-step."""
-    while True:
-        i = pos[q]
-        q += 1
-        while i < 0:
-            i = pos[q]
-            q += 1
-        j = pos[q]
-        q += 1
-        while j < 0:
-            j = pos[q]
-            q += 1
-        if i != j:
-            break
-    k = 0
-    if stride == 3:
-        k = neg[q]
-        q += 1
-        while k < 0:
-            k = neg[q]
-            q += 1
-    return i, j, k, q
-
-
-def _decode_steps(words, bounds, stride: int, todo: int):
-    """((i, j, k), q): the index arrays of the first steps, at most todo,
-    that the 32-bit words hold, and the word where the first step they do
-    not hold starts.
-
-    A step that starts at word q is plain when pos[q], pos[q + 1] and
-    neg[q + stride - 1], the words decoded under bounds = (n+, n-), are
-    accepted and pos[q] != pos[q + 1]; the next step then starts at
-    q + stride. So between the marks, the words where no plain step starts,
-    the steps run at one stride, and a run of them is a strided slice of
-    the words. Python walks the marks on the path only: at a redrawn pair
-    (pos[q] == pos[q + 1], both accepted) the next step starts at q + 2, a
-    rejected word sends the step through the per-step parse (_parse_step),
-    and the last stride - 1 words start no step. The runs' slices are then
-    read with one index array for i, j and k each.
-    """
-    values = _lemire(words, bounds)
-    pos, neg = values
-    last = max(0, len(words) - stride + 1)  # steps start below last
-    ends = pos[:last] == pos[1 : last + 1]
-    parse = set()
-    if values.min() < 0:
-        rejected = (pos[:last] < 0) | (pos[1 : last + 1] < 0) | (neg[stride - 1 :][:last] < 0)
-        ends |= rejected
-        parse = set(np.flatnonzero(rejected).tolist())
-    # every residue mod stride meets a mark at or below len(words)
-    marks = ends.nonzero()[0].tolist()
-    marks += range(last, len(words) + 1)
-    offsets, runs, parsed = [], [], []  # step t of a run starts at offset + stride * t
-    q = m = done = 0  # the next step starts at word q; marks[m] is the next mark to meet
-    while True:
-        b = marks[m]
-        m += 1
-        if b < q or (b - q) % stride:  # off the path
-            continue
-        n = (b - q) // stride  # plain steps from q up to the mark
-        if n:
-            n = min(n, todo - done)
-            offsets.append(q - stride * done)
-            runs.append(n)
-            done += n
-            if done == todo:
-                q += stride * n
-                break
-        q = b
-        if b >= last:  # out of words
-            break
-        if b not in parse:  # a redrawn pair
-            q += 2
-            continue
-        try:
-            i, j, k, end = _parse_step(pos, neg, b, stride)
-        except IndexError:
-            break
-        offsets.append(b - stride * done)
-        runs.append(1)
-        parsed.append((done, i, j, k))
-        done += 1
-        q = end
-        if done == todo:
-            break
-    first = np.array(offsets, np.int64).repeat(runs)
-    first += np.arange(0, stride * done, stride)
-    i, j, k = pos[first], pos[first + 1], neg[first + (stride - 1)]
-    for t, *step in parsed:
-        i[t], j[t], k[t] = step
-    return (i, j, k), q
-
-
-def _draw_indices(rng, n_plus: int, n_minus: int, T: int, block: int):
-    """Yield the int64 index arrays (i, j, k) of T SGD steps, block steps at
-    a time, the last block shorter.
-
-    The same values, from the same generator words, as the per-step calls
-    rng.integers(0, n_plus, size=2) (repeated while i == j) and
-    rng.integers(0, n_minus): the words come in bulk draws from rng's
-    buffered 32-bit stream, as integers(0, 2**32, dtype=uint32) returns them,
-    and are decoded under both bounds at once (_decode_steps). A bound of 1
-    takes no word, so a step takes stride = 3 words, or 2 when n- = 1. A
-    bulk draw takes three words for each step still to come (i, j and k), at
-    most WORDS, once the words before it hold no further step; a redrawn
-    pair or a rejected word uses more, and the next draw continues the same
-    stream from the word where the unfinished step starts. The last bulk
-    draw may overrun the steps; rng is the trainer's own, so nothing else
-    sees its position.
-    """
-    stride = 3 if n_minus > 1 else 2
-    bounds = np.array([[n_plus], [n_minus]], np.uint64)
-    words = np.empty(0, np.uint32)
-    todo = T  # steps not yet decoded
-    pending = (np.empty(0, np.int64),) * 3  # decoded steps not yet yielded
-    for start in range(0, T, block):
-        count = min(block, T - start)
-        have = len(pending[0])
-        pieces = [pending] if have else []
-        while have < count:
-            size = min(WORDS, 3 * todo)
-            words = np.concatenate((words, rng.integers(0, 2**32, size=size, dtype=np.uint32)))
-            steps, q = _decode_steps(words, bounds, stride, todo)
-            words = words[q:]
-            pieces.append(steps)
-            have += len(steps[0])
-            todo -= len(steps[0])
-        steps = pieces[0] if len(pieces) == 1 else [np.concatenate(a) for a in zip(*pieces)]
-        yield tuple(a[:count] for a in steps)
-        pending = tuple(a[count:] for a in steps)
-
-
 # margin terms per statement of a step kernel: CPython compiles a chain of
 # additions by recursion, so one chain of p = d(d+1)/2 terms fails at large d
 MARGIN_TERMS = 32
@@ -452,9 +293,12 @@ def check_trace_size(T: int) -> None:
 def sgd_train(dataset: TripletDataset, cfg: SgdConfig):
     """Run single-triplet SGD from w = 0; returns (w_T, trace).
 
-    Each step draws (i, j) uniformly over positive slots (redrawing the pair
-    until i != j) and k uniformly over negative slots, then applies one
-    gradient step at the current iterate. Deterministic given cfg.seed.
+    Step t applies one gradient step at the current iterate on the triplet
+    (i[t], j[t], k[t]). All T triplets are drawn before the first step by
+    risk.sample_triplet_indices from default_rng(SeedSequence(cfg.seed)):
+    uniform over {(i, j, k): i != j}, independent across steps, and a
+    function of the seed and the pool sizes only. The trace holds the index
+    arrays as they are.
 
     The iterate is theta, the upper triangle of w row by row, in Python
     floats. A step with features f = svec(dp dp^T - dn dn^T) sums the margin
@@ -463,12 +307,11 @@ def sgd_train(dataset: TripletDataset, cfg: SgdConfig):
     theta[q] -= eta * expit(m) * f[q] (expit(m) = d/dm phi(-m)); the sum is
     an explicit chain of additions, never sum(), which sums floats with
     compensation from Python 3.12 on. The steps run in blocks of
-    loss.BLOCK // d^2: a block's indices are decoded from bulk 32-bit draws
-    of the generator (_draw_indices), which gives exactly the values of
-    per-step rng.integers calls, and its features are formed at once, then
-    handed to the step kernel of this d (_step_kernel) as one flat list of
-    Python floats per SUB_BLOCK steps. A trace that would not fit in physical
-    memory is refused (TraceTooLarge, check_trace_size) before the first draw.
+    loss.BLOCK // d^2: a block's features are formed at once from its slices
+    of the index arrays, then handed to the step kernel of this d
+    (_step_kernel) as one flat list of Python floats per SUB_BLOCK steps. A
+    trace that would not fit in physical memory is refused (TraceTooLarge,
+    check_trace_size) before the first draw.
     """
     check_trace_size(cfg.T)
     B = feature_bound(dataset)
@@ -481,21 +324,16 @@ def sgd_train(dataset: TripletDataset, cfg: SgdConfig):
     Y = dataset.negative_features
     n_plus, n_minus = dataset.n_plus, dataset.n_minus
     rng = np.random.default_rng(np.random.SeedSequence(int(cfg.seed)))
+    ii, jj, kk = risk.sample_triplet_indices(rng, n_plus, n_minus, cfg.T)
     rows, cols = np.triu_indices(dataset.d)
     kernel = _step_kernel(dataset.d)
     theta = [0.0] * len(rows)
     eta = cfg.c / math.sqrt(cfg.T) if cfg.T else 0.0
-    ii = np.empty(cfg.T, np.int64)
-    jj = np.empty(cfg.T, np.int64)
-    kk = np.empty(cfg.T, np.int64)
     block = max(1, loss.BLOCK // dataset.d**2)
-    blocks = _draw_indices(rng, n_plus, n_minus, cfg.T, block)
-    for start, (i, j, k) in zip(range(0, cfg.T, block), blocks):
-        stop = start + len(k)
-        ii[start:stop], jj[start:stop], kk[start:stop] = i, j, k
-        anchors = X[i]
-        dps = anchors - X[j]
-        dns = anchors - Y[k]
+    for start in range(0, cfg.T, block):
+        anchors = X[ii[start : start + block]]
+        dps = anchors - X[jj[start : start + block]]
+        dns = anchors - Y[kk[start : start + block]]
         feats = dps[:, rows] * dps[:, cols]
         feats -= dns[:, rows] * dns[:, cols]
         for lo in range(0, len(feats), SUB_BLOCK):

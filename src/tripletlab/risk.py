@@ -453,7 +453,7 @@ def bernstein_ustat_bound(
         raise InvalidDelta(f"delta must be in (0, 1), got {delta}")
     if n_plus < 2 or n_minus < 1:
         raise InvalidCounts(f"need n_plus >= 2 and n_minus >= 1, got {n_plus}, {n_minus}")
-    if not (b > 0) or tau < 0:
+    if not (b > 0) or not (tau >= 0):
         raise ValidationError(f"need b > 0 and tau >= 0, got b={b}, tau={tau}")
     log_term = math.log(1.0 / delta)
     half = n_plus // 2

@@ -359,7 +359,7 @@ def high_probability_gap_bound(
         raise InvalidDelta(f"delta must be in (0, 1/e), got {delta}")
     if n_plus < 2 or n_minus < 1:
         raise InvalidCounts(f"need n_plus >= 2 and n_minus >= 1, got {n_plus}, {n_minus}")
-    if gamma < 0 or M < 0:
+    if not (gamma >= 0) or not (M >= 0):
         raise InvalidInputs(f"gamma and M must be >= 0, got {gamma}, {M}")
     log_term = math.log(math.e / delta)
     ceil_log2 = math.ceil(math.log2(n_minus * (n_plus - 1) ** 2))
@@ -421,7 +421,7 @@ def optimistic_gap_bound(
         )
     if n_plus < 2 or n_minus < 1:
         raise InvalidCounts(f"need n_plus >= 2 and n_minus >= 1, got {n_plus}, {n_minus}")
-    if empirical_risk_mean < 0:
+    if not (empirical_risk_mean >= 0):
         raise InvalidInputs(f"mean empirical risk must be >= 0, got {empirical_risk_mean}")
     if sigma * min(n_plus, n_minus) < 8.0 * alpha:
         raise RegimeViolation(

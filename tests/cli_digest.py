@@ -58,9 +58,12 @@ COMMANDS = [
     ("stability_rrm_64", ["stability", "--seed", "27", "--d", "3", "--n-plus", "64",
                           "--n-minus", "64", "--trials", "2", "--trainer", "rrm", "--lam", "0.2",
                           "--protocol", "uniform", "--probe-size", "200"]),
-    # SGD at d = 5 (p = 15 coordinates) over several bulk index draws
+    # SGD at d = 5 (p = 15 coordinates) over several step blocks
     ("sgd_d5", ["sgd", "--seed", "28", "--d", "5", "--n-plus", "20", "--n-minus", "20",
                 "--T", "6000"]),
+    # SGD at the smallest pools, where half of the drawn pairs collide and are redrawn
+    ("sgd_smallest_pools", ["sgd", "--seed", "30", "--d", "3", "--n-plus", "2",
+                            "--n-minus", "1", "--T", "500"]),
 ]
 
 

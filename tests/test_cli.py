@@ -1,12 +1,17 @@
 """End-to-end tests for the command-line interface.
 
-Everything goes through main(argv) with tmp_path outdirs; no subprocesses.
+Everything goes through main(argv) with tmp_path outdirs, except one test
+that runs `python -m tripletlab` in a subprocess.
 """
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +30,12 @@ from tripletlab.cli import (
     read_trace_csv,
 )
 from tripletlab.core import Pool, SlotRef, ValidationError, read_dataset_csv, write_dataset_csv
-from tripletlab.risk import chunk_moments
-from tripletlab.stability import sgd_stability_bound
+from tripletlab.risk import bernstein_ustat_bound, chunk_moments
+from tripletlab.stability import (
+    high_probability_gap_bound,
+    optimistic_gap_bound,
+    sgd_stability_bound,
+)
 from tripletlab.synth import TaskConfig, gen_task
 
 TINY_TASK = ["--d", "2", "--n-plus", "4", "--n-minus", "3"]
@@ -289,6 +298,19 @@ def test_a_flag_the_subcommand_does_not_read_exits_2(tmp_path, capsys, monkeypat
     rc = main(argv[:1] + ["--seed", "1", "--outdir", str(out)] + argv[1:])
     assert rc == EXIT_CONFIG
     assert capsys.readouterr().err.endswith(f"does not read: {flag}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize(
+    "command", ["gen", "sgd", "rrm", "stability", "sweep", "excess", "optimistic", "check"]
+)
+def test_a_seed_outside_64_bits_exits_2(tmp_path, capsys, command, seed):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", seed, "--outdir", str(out)])
+    assert exc.value.code == EXIT_CONFIG
+    assert f"argument --seed: seed must be in [0, 2**64), got {seed}\n" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -716,6 +738,41 @@ def test_bounds_missing_trace_file_exits_2(tmp_path, capsys):
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error:") and "absent.csv" in err
+
+
+# each NaN input of a bound evaluator: the evaluator's arguments, and the
+# BOUND_CASES entry and flag that carry it through `bounds`
+NAN_BOUND_INPUTS = [
+    (high_probability_gap_bound, (101, 100, math.nan, 1.0, 0.1), 3, "--gamma"),
+    (high_probability_gap_bound, (101, 100, 0.0, math.nan, 0.1), 3, "--M"),
+    (bernstein_ustat_bound, (1.0, math.nan, 0.05, 100, 50), 0, "--tau"),
+    (optimistic_gap_bound, (10.0, 1.0, 1.0, 100, 100, math.nan), 6, "--emp-risk"),
+]
+
+
+@pytest.mark.parametrize(
+    "bound, args, case, flag", NAN_BOUND_INPUTS, ids=[c[3] for c in NAN_BOUND_INPUTS]
+)
+def test_a_nan_bound_input_is_refused_and_exits_2(capsys, bound, args, case, flag):
+    with pytest.raises(ValidationError):
+        bound(*args)
+    argv = list(BOUND_CASES[case][0])
+    argv[argv.index(flag) + 1] = "nan"
+    assert main(["bounds"] + argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_python_m_tripletlab_runs_main(capsys):
+    argv = ["bounds", "rrm-stability", "--n-plus", "4", "--n-minus", "4", "--L", "8",
+            "--sigma", "1"]
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-m", "tripletlab", *argv], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert main(argv) == EXIT_OK
+    assert run.returncode == EXIT_OK and run.stdout == capsys.readouterr().out
+    assert run.stdout == "64.0\n"
 
 
 # --- property tests of the grid parser ---

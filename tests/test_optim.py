@@ -6,9 +6,6 @@ from operator import add, mul
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
-
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.optimize import minimize
 from scipy.special import expit
@@ -130,29 +127,30 @@ def test_sgd_config_validation():
 # --- SGD against the per-step loops ---
 
 
+def oracle_indices(dataset, cfg):
+    """The SGD index law restated: from default_rng(SeedSequence(seed)), T
+    draws of i, then T of j, the j that equal their i redrawn together until
+    none does, then T of k. Returns the int64 arrays (i, j, k)."""
+    rng = np.random.default_rng(np.random.SeedSequence(int(cfg.seed)))
+    i = rng.integers(0, dataset.n_plus, size=cfg.T)
+    j = rng.integers(0, dataset.n_plus, size=cfg.T)
+    while (same := np.flatnonzero(i == j)).size:
+        j[same] = rng.integers(0, dataset.n_plus, size=same.size)
+    return i, j, rng.integers(0, dataset.n_minus, size=cfg.T)
+
+
 def per_step_sgd(dataset, cfg):
-    """The SGD loop before its steps were blocked, kept verbatim as the oracle:
-    one rng.integers call per draw, np.outer and @ per update. Returns
-    (w, i, j, k, eta). These comparisons also fail, instead of drifting, if a
-    numpy release changes how Generator.integers maps words to values."""
+    """The SGD loop before its steps were blocked, kept as the oracle: the
+    indices of oracle_indices, np.outer and @ per update. Returns
+    (w, i, j, k, eta)."""
     X = dataset.positive_features
     Y = dataset.negative_features
-    n_plus, n_minus = dataset.n_plus, dataset.n_minus
-    rng = np.random.default_rng(np.random.SeedSequence(int(cfg.seed)))
+    ii, jj, kk = oracle_indices(dataset, cfg)
     w = np.zeros((dataset.d, dataset.d))
     if cfg.T == 0:
-        empty = np.empty(0, np.int64)
-        return w, empty, empty, empty, np.empty(0, np.float64)
+        return w, ii, jj, kk, np.empty(0, np.float64)
     eta = cfg.c / math.sqrt(cfg.T)
-    ii = np.empty(cfg.T, np.int64)
-    jj = np.empty(cfg.T, np.int64)
-    kk = np.empty(cfg.T, np.int64)
-    for t in range(cfg.T):
-        i, j = rng.integers(0, n_plus, size=2)
-        while i == j:
-            i, j = rng.integers(0, n_plus, size=2)
-        k = rng.integers(0, n_minus)
-        ii[t], jj[t], kk[t] = i, j, k
+    for i, j, k in zip(ii, jj, kk):
         dp = X[i] - X[j]
         dn = X[i] - Y[k]
         m = float(dp @ w @ dp) - float(dn @ w @ dn) + cfg.zeta
@@ -162,25 +160,17 @@ def per_step_sgd(dataset, cfg):
 
 
 def per_step_svec_sgd(dataset, cfg):
-    """The svec step loop without blocks: one rng.integers call per draw, each
+    """The svec step loop without blocks: the indices of oracle_indices, each
     step's features formed from its own rows in Python floats, the margin
     summed left to right from zeta, scipy's expit. Returns (w, i, j, k, eta)."""
     X = dataset.positive_features.tolist()
     Y = dataset.negative_features.tolist()
-    n_plus, n_minus, d = dataset.n_plus, dataset.n_minus, dataset.d
+    d = dataset.d
     pairs = [(a, b) for a in range(d) for b in range(a, d)]
-    rng = np.random.default_rng(np.random.SeedSequence(int(cfg.seed)))
+    ii, jj, kk = oracle_indices(dataset, cfg)
     eta = cfg.c / math.sqrt(cfg.T) if cfg.T else 0.0
     theta = [0.0] * len(pairs)
-    ii, jj, kk = [], [], []
-    for _ in range(cfg.T):
-        i, j = rng.integers(0, n_plus, size=2)
-        while i == j:
-            i, j = rng.integers(0, n_plus, size=2)
-        k = rng.integers(0, n_minus)
-        ii.append(i)
-        jj.append(j)
-        kk.append(k)
+    for i, j, k in zip(ii.tolist(), jj.tolist(), kk.tolist()):
         dp = [a - b for a, b in zip(X[i], X[j])]
         dn = [a - b for a, b in zip(X[i], Y[k])]
         f = [dp[a] * dp[b] - dn[a] * dn[b] for a, b in pairs]
@@ -192,87 +182,30 @@ def per_step_svec_sgd(dataset, cfg):
     w = np.zeros((d, d))
     for (a, b), t in zip(pairs, theta):
         w[a, b] = w[b, a] = t
-    return (w, *(np.array(v, np.int64) for v in (ii, jj, kk)), np.full(cfg.T, eta))
-
-
-def parent_lemire(words, n):
-    """optim._lemire before the index decoder ran in numpy: the same values,
-    as a list."""
-    m = words.astype(np.uint64) * np.uint64(n)
-    values = (m >> np.uint64(32)).astype(np.int64)
-    values[(m & np.uint64(0xFFFFFFFF)) < (2**32 - n) % n] = -1
-    return values.tolist()
-
-
-def parent_draw_indices(rng, n_plus, n_minus, T, block):
-    """optim._draw_indices before it decoded in numpy, kept verbatim as the
-    oracle: every step parsed in Python from lists of decoded words, the
-    same bulk draws, index lists (i, j, k) per block."""
-    pos, neg, p = [], [], 0  # decoded words not yet used start at p
-    for start in range(0, T, block):
-        count = min(block, T - start)
-        ii, jj, kk = [], [], []
-        while len(kk) < count:
-            try:  # one step, read from word q on and committed at its end
-                q = p
-                while True:
-                    i = pos[q]
-                    q += 1
-                    while i < 0:
-                        i = pos[q]
-                        q += 1
-                    j = pos[q]
-                    q += 1
-                    while j < 0:
-                        j = pos[q]
-                        q += 1
-                    if i != j:
-                        break
-                k = 0
-                if n_minus > 1:
-                    k = neg[q]
-                    q += 1
-                    while k < 0:
-                        k = neg[q]
-                        q += 1
-                ii.append(i)
-                jj.append(j)
-                kk.append(k)
-                p = q
-            except IndexError:  # out of words mid-step: draw more, redo the step
-                size = min(optim.WORDS, 3 * (T - start - len(kk)))
-                words = rng.integers(0, 2**32, size=size, dtype=np.uint32)
-                pos = pos[p:] + parent_lemire(words, n_plus)
-                neg = neg[p:] + parent_lemire(words, n_minus)
-                p = 0
-        yield ii, jj, kk
+    return w, ii, jj, kk, np.full(cfg.T, eta)
 
 
 def parent_sgd_train(dataset, cfg):
-    """sgd_train before its step kernel, kept as the oracle: the same bulk
-    index draws (parent_draw_indices, whose lists `ii += i` extends) and
-    block features, then per step the weighted features g
-    (off-diagonal entries doubled), the margin zeta + theta[0] g[0] + ...,
-    the expit with its overflow branch and a list-comprehension axpy.
+    """sgd_train before its step kernel, kept as the oracle: the indices of
+    oracle_indices and block features from their slices, then per step the
+    weighted features g (off-diagonal entries doubled), the margin
+    zeta + theta[0] g[0] + ..., the expit with its overflow branch and a
+    list-comprehension axpy.
     Returns (w, i, j, k, eta). The margin was sum(map(mul, theta, g), zeta),
     which adds left to right on Python 3.10 and 3.11 only; reduce adds so on
     every version."""
     X = dataset.positive_features
     Y = dataset.negative_features
-    rng = np.random.default_rng(np.random.SeedSequence(int(cfg.seed)))
+    ii, jj, kk = oracle_indices(dataset, cfg)
     rows, cols = np.triu_indices(dataset.d)
     weights = np.where(rows == cols, 1.0, 2.0)
     theta = [0.0] * len(rows)
     eta = cfg.c / math.sqrt(cfg.T) if cfg.T else 0.0
-    ii, jj, kk = [], [], []
     block = max(1, loss_module.BLOCK // dataset.d**2)
-    for i, j, k in parent_draw_indices(rng, dataset.n_plus, dataset.n_minus, cfg.T, block):
-        ii += i
-        jj += j
-        kk += k
-        anchors = X[i]
-        dps = anchors - X[j]
-        dns = anchors - Y[k]
+    for start in range(0, cfg.T, block):
+        anchors = X[ii[start : start + block]]
+        dps = anchors - X[jj[start : start + block]]
+        dns = anchors - Y[kk[start : start + block]]
         feats = dps[:, rows] * dps[:, cols]
         feats -= dns[:, rows] * dns[:, cols]
         weighted = feats * weights
@@ -287,7 +220,7 @@ def parent_sgd_train(dataset, cfg):
     w = np.empty((dataset.d, dataset.d))
     w[rows, cols] = theta
     w[cols, rows] = theta
-    return (w, *(np.array(v, np.int64) for v in (ii, jj, kk)), np.full(cfg.T, eta))
+    return w, ii, jj, kk, np.full(cfg.T, eta)
 
 
 def assert_same_run(got, expected):
@@ -330,8 +263,7 @@ def test_sgd_matches_the_unblocked_svec_loop_bit_for_bit(d, n_plus, n_minus):
 @pytest.mark.parametrize("n_plus, n_minus", [(50, 40), (7, 1), (2, 3)])
 @pytest.mark.parametrize("zeta", [0.0, 0.3])
 def test_sgd_matches_the_parent_step_loop_bit_for_bit(d, n_plus, n_minus, zeta):
-    # 3000 steps span at least three bulk index draws, and at d = 10 five blocks of
-    # loss.BLOCK // d^2 = 655 steps
+    # at d = 10, 3000 steps span five blocks of loss.BLOCK // d^2 = 655 steps
     train, _ = gen_task(TaskConfig(d=d, n_plus=n_plus, n_minus=n_minus, seed=d + n_plus))
     cfg = SgdConfig(T=3000, c=1 / 32, seed=d + n_minus, zeta=zeta)
     assert_same_run(sgd_train(train, cfg), parent_sgd_train(train, cfg))
@@ -370,100 +302,6 @@ def test_expit_matches_scipy_bit_for_bit():
     assert steps[2] == 0.0 and steps[3] > 0.0  # m = -709.8 and -709.7
 
 
-@pytest.mark.parametrize(
-    "n_plus, n_minus", [(2**31 + 1, 3), (3, 2**31 + 1), (2**31 + 1, 1), (2, 2**31 + 1)]
-)
-def test_index_decoder_matches_per_call_draws(n_plus, n_minus):
-    # at bound 2**31 + 1 numpy rejects about half of the 32-bit words, and
-    # n_plus = 2 redraws half of the pairs; 3000 steps span several bulk draws
-    words = np.random.default_rng(0).integers(0, 2**32, size=4000, dtype=np.uint32)
-    assert 0.45 < np.mean(np.array(optim._lemire(words, 2**31 + 1)) < 0) < 0.55
-    T = 3000
-    rng = np.random.default_rng(12)
-    expected = []
-    for _ in range(T):
-        i, j = rng.integers(0, n_plus, size=2)
-        while i == j:
-            i, j = rng.integers(0, n_plus, size=2)
-        expected.append((int(i), int(j), int(rng.integers(0, n_minus))))
-    blocks = optim._draw_indices(np.random.default_rng(12), n_plus, n_minus, T, 700)
-    assert [step for i, j, k in blocks for step in zip(i, j, k)] == expected
-
-
-def per_call_indices(rng, n_plus, n_minus, T):
-    """The (i, j, k) arrays of T steps drawn one rng.integers call at a time."""
-    ii, jj, kk = [], [], []
-    for _ in range(T):
-        i, j = rng.integers(0, n_plus, size=2)
-        while i == j:
-            i, j = rng.integers(0, n_plus, size=2)
-        ii.append(i)
-        jj.append(j)
-        kk.append(rng.integers(0, n_minus))
-    return tuple(np.array(v, np.int64) for v in (ii, jj, kk))
-
-
-REJECTING = 2**31 + 1  # numpy rejects about half of the 32-bit words at this bound
-
-
-@settings(deadline=None, derandomize=True, max_examples=60)
-@given(
-    n_plus=st.integers(2, 64) | st.just(REJECTING),
-    n_minus=st.integers(1, 64) | st.just(REJECTING),
-    T=st.integers(0, 3 * optim.WORDS + 5),
-    block=st.integers(1, 700),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(n_plus=2, n_minus=1, T=3 * optim.WORDS + 5, block=1, seed=0)
-@example(n_plus=2, n_minus=REJECTING, T=optim.WORDS + 1, block=700, seed=1)
-@example(n_plus=REJECTING, n_minus=REJECTING, T=2 * optim.WORDS, block=333, seed=2)
-def test_the_numpy_decoder_matches_per_call_draws_and_the_parent_decoder(
-    n_plus, n_minus, T, block, seed
-):
-    # steps that straddle bulk draws, blocks that end mid-draw, bounds that
-    # reject half of the words and n_plus = 2, which redraws half of the pairs
-    blocks = list(optim._draw_indices(np.random.default_rng(seed), n_plus, n_minus, T, block))
-    assert [len(k) for _, _, k in blocks] == [min(block, T - s) for s in range(0, T, block)]
-    for arrays in blocks:
-        assert all(isinstance(a, np.ndarray) and a.dtype == np.int64 for a in arrays)
-    got = [np.concatenate(v) for v in zip(*blocks)] if blocks else [np.empty(0, np.int64)] * 3
-    expected = per_call_indices(np.random.default_rng(seed), n_plus, n_minus, T)
-    parent = parent_draw_indices(np.random.default_rng(seed), n_plus, n_minus, T, block)
-    for a, b in zip(got, expected):
-        assert a.tobytes() == b.tobytes()
-    assert [tuple(map(list, arrays)) for arrays in blocks] == list(parent)
-
-
-class CountingRng:
-    """A generator that records the size of each bulk draw it serves."""
-
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-        self.sizes = []
-
-    def integers(self, low, high, size, dtype):
-        self.sizes.append(size)
-        return self.rng.integers(low, high, size=size, dtype=dtype)
-
-
-@pytest.mark.parametrize("n_plus, n_minus", [(2, 1), (2, 5), (3, 200), (50, 50)])
-def test_bulk_draws_are_sized_by_the_steps_still_to_come(n_plus, n_minus):
-    # three words a step (i, j, k) at most WORDS: a short run draws a few
-    # words, not WORDS; a redrawn pair (half of them at n_plus = 2) runs a
-    # draw out mid-step, and the next draw continues the same stream
-    train, _ = gen_task(TaskConfig(d=2, n_plus=n_plus, n_minus=n_minus, seed=n_plus))
-    for T in (1, 10, 1000):
-        cfg = SgdConfig(T=T, c=1 / 32, seed=T + n_minus)
-        _, trace = sgd_train(train, cfg)
-        _, *expected = per_step_sgd(train, cfg)
-        for a, b in zip((trace.i, trace.j, trace.k, trace.eta), expected):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        rng = CountingRng(np.random.SeedSequence(cfg.seed))
-        list(optim._draw_indices(rng, n_plus, n_minus, T, 7))
-        assert rng.sizes[0] == min(optim.WORDS, 3 * T)
-        assert sum(rng.sizes) < 6 * T + 10
-
-
 @pytest.mark.parametrize("d", [3, 10])
 @pytest.mark.parametrize("block", [1, 70])
 def test_sgd_does_not_depend_on_the_block_size(monkeypatch, d, block):
@@ -480,6 +318,24 @@ def test_sgd_does_not_depend_on_the_block_size(monkeypatch, d, block):
         for sub_block in sub_blocks:
             monkeypatch.setattr(optim, "SUB_BLOCK", sub_block)
             assert_same_run(sgd_train(train, cfg), expected)
+
+
+def test_sgd_draws_its_indices_with_the_sampled_risk_sampler():
+    # the trace is sample_triplet_indices on the trainer's generator, bit for
+    # bit; two datasets with the same pool sizes (here of another d) get the
+    # same indices at one seed. n_plus = 2 redraws half of the pairs
+    for n_plus, n_minus in ((2, 1), (9, 4)):
+        a, _ = gen_task(TaskConfig(d=2, n_plus=n_plus, n_minus=n_minus, seed=1))
+        b, _ = gen_task(TaskConfig(d=3, n_plus=n_plus, n_minus=n_minus, seed=2))
+        for seed in (0, 2**64 - 1):
+            cfg = SgdConfig(T=2000, c=1 / 32, seed=seed)
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            expected = risk_module.sample_triplet_indices(rng, n_plus, n_minus, cfg.T)
+            for dataset in (a, b):
+                _, trace = sgd_train(dataset, cfg)
+                for got, want in zip((trace.i, trace.j, trace.k), expected):
+                    assert got.dtype == want.dtype == np.int64
+                    assert got.tobytes() == want.tobytes()
 
 
 # --- trace ---
@@ -792,7 +648,7 @@ def test_a_trace_larger_than_physical_memory_is_refused_before_the_first_draw(mo
     cfg = SgdConfig(T=1000, c=1 / 32, seed=2)
     need = 4 * 1000 * 8  # i, j, k and eta, which the trace holds without a copy
     drawn = []
-    monkeypatch.setattr(optim, "_draw_indices", lambda *args: drawn.append(args))
+    monkeypatch.setattr(risk_module, "sample_triplet_indices", lambda *args: drawn.append(args))
     monkeypatch.setattr(risk_module, "physical_memory", lambda: need - 1)
     with pytest.raises(TraceTooLarge, match=(
         f"an SGD trace of T = 1000 steps needs {need} bytes .* more than the {need - 1} bytes"
